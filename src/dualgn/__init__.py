@@ -34,7 +34,6 @@ from .losses import (
     loss_grad,
     loss_hvp,
     loss_value,
-    quad_conj_apply,
     softmax,
 )
 from .models import LinearModel, MLPModel, make_model
@@ -82,7 +81,6 @@ __all__ = [
     "loss_grad",
     "loss_hvp",
     "loss_value",
-    "quad_conj_apply",
     "softmax",
     "LinearModel",
     "MLPModel",

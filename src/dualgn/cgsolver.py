@@ -1,7 +1,22 @@
-"""Conjugate gradient on matrix-free operators, plus an equality-constrained
-variant that runs CG through an orthogonal projector.
+"""Conjugate gradient on matrix-free operators: one iteration kernel and the
+solvers built on it.
 
-The solver reports enough bookkeeping to audit cost and descent claims:
+Every CG solve in the package runs :func:`cg_kernel`: the parameter-space
+solve (:func:`cg_solve`), the equality-constrained solve through an
+orthogonal projector (:func:`projected_cg_solve`) and the output-space dual
+solve in :mod:`dualgn.directions`.  The kernel takes the curvature
+``<p, Q p>`` from one product of the search direction and, when the caller
+splits the operator, advances the residual from a second product.  The dual
+route uses that split so that ``tau`` iterations cost exactly ``tau``
+Jacobian-vector products and ``tau + 1`` transposed products, the same
+leading cost as the primal route: curvature inner products come from the
+transposed product alone (``<p, J J^T p> = ||J^T p||^2``), the forward
+product that advances the residual is skipped on the final iteration, and
+``J^T beta`` is accumulated from the per-iteration transposed products
+instead of being recomputed at the end.  In particular ``tau = 0`` performs
+no CG work and returns exactly ``gamma`` times the batch gradient.
+
+The solvers report enough bookkeeping to audit cost and descent claims:
 residual norms per iteration, the inner product of the solution with the
 right-hand side (nonnegative for CG started at zero on a PSD system, which is
 what makes truncated solutions usable as descent directions), a running count
@@ -32,13 +47,15 @@ class CGReport:
         Completed iterations.
     residual_norms : list of float
         ``residual_norms[0]`` is the initial residual norm ``||c - Q x0||``;
-        one entry is appended per completed iteration.
+        one entry is appended per residual update.  Every iteration updates
+        the residual except a final one whose residual product is skipped
+        (see :func:`cg_kernel`).
     inner_product_with_rhs : float
         ``<x, c>`` at exit.  With ``x0 = 0`` on a PSD system this is
         nonnegative up to round-off for every iteration count.
     vector_op_scalar_count : int
-        Scalar operations spent on dots/axpys inside the solver loop
-        (operator applications are not included).
+        Scalar operations spent on dots/axpys by the solver and, where the
+        caller counts them, inside its operator (model products excluded).
     operator_calls : int
         Number of times the operator was applied.
     """
@@ -50,10 +67,13 @@ class CGReport:
     operator_calls: int = 0
 
 
-def cg_solve(q_apply, c, x0=None, max_iter=None, tol=1e-10, callback=None):
-    """Solve ``Q x = c`` for symmetric PSD ``Q`` given as a callable.
+def cg_kernel(
+    product, c, max_iter, tol, x=None, r=None, advance=None, callback=None, label="CG"
+):
+    """The CG iteration every solver in the package runs.
 
-    Standard recurrences from ``x^0``: with ``r^0 = p^0 = c - Q x^0``,
+    Standard recurrences from ``x`` (default zero) with residual ``r``
+    (default ``c``) and ``p^0 = r^0``:
 
         a_t = <r_{t-1}, r_{t-1}> / <p_{t-1}, Q p_{t-1}>
         x_t = x_{t-1} + a_t p_{t-1}
@@ -61,10 +81,105 @@ def cg_solve(q_apply, c, x0=None, max_iter=None, tol=1e-10, callback=None):
         b_t = <r_t, r_t> / <r_{t-1}, r_{t-1}>
         p_t = r_t + b_t p_{t-1}
 
-    Stops after ``max_iter`` iterations (default: the problem size) or when
-    ``||r|| <= tol * max(1, ||c||)``.  On curvature breakdown
-    (``<p, Qp> <= BREAKDOWN_EPS``) the current iterate is returned.  A
-    non-finite intermediate raises :class:`NumericError` naming the iteration.
+    ``product(p)`` returns ``(<p, Q p>, y)`` for one product ``y`` of ``p``.
+    Without ``advance``, ``y`` is ``Q p`` and updates the residual.  With
+    ``advance``, the residual product ``Q p`` is ``advance(y)``, for the
+    ``p`` of the latest ``product`` call; it is skipped on
+    iteration ``max_iter``, whose residual would only feed an iteration past
+    the budget, and the kernel returns ``ysum = sum_t a_t y_t`` so the caller
+    can map the solution through ``y`` without a further product.
+
+    Stops after ``max_iter`` iterations or when ``||r|| <= tol * max(1,
+    ||c||)``.  On curvature breakdown (``<p, Qp> <= BREAKDOWN_EPS``) the
+    current iterate is returned.  A non-finite curvature or residual raises
+    :class:`NumericError` naming ``label`` and the iteration.
+    ``callback(x)`` is invoked after each iterate update.
+
+    ``vector_op_scalar_count`` covers the kernel's own vector arithmetic;
+    callers add what their ``product`` and ``advance`` compute.
+
+    Returns
+    -------
+    (x, CGReport, ysum)  with ``ysum = 0.0`` when no ``advance`` is given or
+    no iteration completed.
+    """
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
+    n = c.size
+    rep = CGReport()
+    if x is None:
+        x = np.zeros_like(c)
+        r = c.copy()
+        rep.vector_op_scalar_count += n
+        c_norm = None
+    else:
+        c_norm = float(np.linalg.norm(c))
+        rep.vector_op_scalar_count += n
+
+    p = r.copy()
+    rr = float(np.vdot(r, r))
+    rep.vector_op_scalar_count += 2 * n
+    rep.residual_norms.append(float(np.sqrt(rr)))
+    threshold = tol * max(1.0, rep.residual_norms[0] if c_norm is None else c_norm)
+    ysum = 0.0
+
+    while rep.iterations < max_iter and rep.residual_norms[-1] > threshold:
+        it = rep.iterations + 1
+        quad, y = product(p)
+        rep.operator_calls += 1
+        if not np.isfinite(quad):
+            raise NumericError(f"non-finite curvature product at {label} iteration {it}")
+        if quad <= BREAKDOWN_EPS:
+            break
+        a = rr / quad
+        x += a * p
+        rep.vector_op_scalar_count += n
+        if advance is not None:
+            ysum += a * y
+            rep.vector_op_scalar_count += y.size
+        rep.iterations = it
+        if callback is not None:
+            callback(x)
+        if advance is None:
+            qp = y
+        elif it == max_iter:
+            break
+        else:
+            qp = advance(y)
+        r -= a * qp
+        rr_new = float(np.vdot(r, r))
+        rep.vector_op_scalar_count += 2 * n
+        if not np.isfinite(rr_new):
+            raise NumericError(f"non-finite residual at {label} iteration {it}")
+        rep.residual_norms.append(float(np.sqrt(rr_new)))
+        b = rr_new / rr
+        rr = rr_new
+        p = r + b * p
+        rep.vector_op_scalar_count += n
+
+    rep.inner_product_with_rhs = float(np.vdot(x, c))
+    rep.vector_op_scalar_count += n
+    return x, rep, ysum
+
+
+def _curvature_product(q_apply):
+    """``product`` for :func:`cg_kernel` from a plain operator callable."""
+
+    def product(p):
+        qp = q_apply(p)
+        return float(np.vdot(p, qp)), qp
+
+    return product
+
+
+def cg_solve(q_apply, c, x0=None, max_iter=None, tol=1e-10, callback=None):
+    """Solve ``Q x = c`` for symmetric PSD ``Q`` given as a callable.
+
+    Runs :func:`cg_kernel` from ``x0`` (default zero) for at most
+    ``max_iter`` iterations (default: the problem size), stopping early when
+    ``||r|| <= tol * max(1, ||c||)``.  On curvature breakdown the current
+    iterate is returned; a non-finite intermediate raises
+    :class:`NumericError` naming the iteration.
 
     ``c`` may have any array shape; the operator must map that shape to
     itself.  ``callback(x)`` is invoked after each iterate update.
@@ -75,63 +190,26 @@ def cg_solve(q_apply, c, x0=None, max_iter=None, tol=1e-10, callback=None):
     """
     c = np.asarray(c, dtype=np.float64)
     n = c.size
-    if max_iter is None:
-        max_iter = n
-    if max_iter < 0:
-        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
-    rep = CGReport()
-
-    if x0 is None:
-        x = np.zeros_like(c)
-        r = c.copy()
-        rep.vector_op_scalar_count += n
-    else:
-        x = np.asarray(x0, dtype=np.float64).copy()
-        if x.shape != c.shape:
-            raise ValueError(f"x0 shape {x.shape} does not match rhs shape {c.shape}")
-        if np.any(x):
+    x = r = None
+    if x0 is not None:
+        x0 = np.asarray(x0, dtype=np.float64)
+        if x0.shape != c.shape:
+            raise ValueError(f"x0 shape {x0.shape} does not match rhs shape {c.shape}")
+        if np.any(x0):
+            x = x0.copy()
             r = c - q_apply(x)
-            rep.operator_calls += 1
-            rep.vector_op_scalar_count += 2 * n
-        else:
-            r = c.copy()
-            rep.vector_op_scalar_count += n
-
-    p = r.copy()
-    rr = float(np.vdot(r, r))
-    rep.vector_op_scalar_count += 2 * n
-    rep.residual_norms.append(float(np.sqrt(rr)))
-    threshold = tol * max(1.0, float(np.linalg.norm(c)))
-    rep.vector_op_scalar_count += n
-
-    while rep.iterations < max_iter and rep.residual_norms[-1] > threshold:
-        it = rep.iterations + 1
-        qp = q_apply(p)
-        rep.operator_calls += 1
-        paqp = float(np.vdot(p, qp))
-        rep.vector_op_scalar_count += n
-        if not np.isfinite(paqp):
-            raise NumericError(f"non-finite curvature product at CG iteration {it}")
-        if paqp <= BREAKDOWN_EPS:
-            break
-        a = rr / paqp
-        x += a * p
-        r -= a * qp
-        rr_new = float(np.vdot(r, r))
-        rep.vector_op_scalar_count += 3 * n
-        if not np.isfinite(rr_new):
-            raise NumericError(f"non-finite residual at CG iteration {it}")
-        rep.iterations = it
-        rep.residual_norms.append(float(np.sqrt(rr_new)))
-        if callback is not None:
-            callback(x)
-        b = rr_new / rr
-        rr = rr_new
-        p = r + b * p
-        rep.vector_op_scalar_count += n
-
-    rep.inner_product_with_rhs = float(np.vdot(x, c))
-    rep.vector_op_scalar_count += n
+    x, rep, _ = cg_kernel(
+        _curvature_product(q_apply),
+        c,
+        n if max_iter is None else max_iter,
+        tol,
+        x=x,
+        r=r,
+        callback=callback,
+    )
+    # one inner product per operator call; a warm start's call forms r0
+    rep.operator_calls += r is not None
+    rep.vector_op_scalar_count += n * rep.operator_calls
     return x, rep
 
 
@@ -144,14 +222,15 @@ def projected_cg_solve(
     right-hand side and a ValueError is raised if ``P(Pc)`` differs from
     ``Pc`` by more than 1e-8 (relative to ``max(1, ||Pc||)``).
 
-    The solve runs plain CG on the projected operator ``x -> P Q P x`` with
+    The solve runs CG on the projected operator ``x -> P Q P x`` with
     right-hand side ``P c``, started at zero, so every iterate (and hence the
     returned solution) lies in the constraint subspace.  With a positive
     ``diag_precond`` vector ``s`` the system is solved in the scaled
     variables ``x = P(s * z)`` using the operator ``z -> s * (P Q P)(s * z)``
-    and right-hand side ``s * P c``; the projector is re-applied on the way
-    back so feasibility survives the scaling.  The report's
-    ``inner_product_with_rhs`` equals ``<x, c>`` in either parametrization.
+    and right-hand side ``s * P c`` (without one, ``s = 1``); the projector
+    is re-applied on the way back so feasibility survives the scaling.  The
+    report's ``inner_product_with_rhs`` equals ``<x, c>`` in either
+    parametrization.
 
     ``callback`` receives original-space iterates.
 
@@ -168,19 +247,24 @@ def projected_cg_solve(
             f"projector failed the idempotence probe: ||P(Pc) - Pc|| = {gap:.3e}"
         )
 
-    if diag_precond is None:
-        op = lambda x: p_apply(q_apply(p_apply(x)))
-        return cg_solve(op, pc, max_iter=max_iter, tol=tol, callback=callback)
-
-    s = np.asarray(diag_precond, dtype=np.float64)
-    if s.shape != c.shape:
-        raise ValueError(
-            f"diag_precond shape {s.shape} does not match rhs shape {c.shape}"
-        )
-    if np.any(s <= 0):
-        raise ValueError("diag_precond entries must be strictly positive")
+    s = 1.0
+    if diag_precond is not None:
+        s = np.asarray(diag_precond, dtype=np.float64)
+        if s.shape != c.shape:
+            raise ValueError(
+                f"diag_precond shape {s.shape} does not match rhs shape {c.shape}"
+            )
+        if np.any(s <= 0):
+            raise ValueError("diag_precond entries must be strictly positive")
 
     op = lambda z: s * p_apply(q_apply(p_apply(s * z)))
     cb = None if callback is None else (lambda z: callback(p_apply(s * z)))
-    z, rep = cg_solve(op, s * pc, max_iter=max_iter, tol=tol, callback=cb)
+    z, rep, _ = cg_kernel(
+        _curvature_product(op),
+        s * pc,
+        c.size if max_iter is None else max_iter,
+        tol,
+        callback=cb,
+    )
+    rep.vector_op_scalar_count += c.size * rep.operator_calls
     return p_apply(s * z), rep

@@ -19,14 +19,8 @@ Two matrix-free routes to (approximately) the same ``d`` are provided:
   diagonal ``1/sigma`` and ``P`` removes per-sample row means, with a
   ``sqrt(sigma)`` Jacobi preconditioner.
 
-The dual CG is scheduled so that ``tau`` iterations cost exactly ``tau``
-Jacobian-vector products and ``tau + 1`` transposed products, the same
-leading cost as the primal route: curvature inner products are computed from
-the transposed product alone (``<p, J J^T p> = ||J^T p||^2``), the forward
-product that advances the residual is skipped on the final iteration, and
-``J^T beta`` is accumulated from the per-iteration transposed products
-instead of being recomputed at the end.  In particular ``tau = 0`` performs
-no CG work and returns exactly ``gamma`` times the batch gradient.
+Both routes run the one CG kernel in :mod:`dualgn.cgsolver`, whose docstring
+gives the dual route's cost schedule (``tau`` JVPs and ``tau + 1`` VJPs).
 
 ``regularized_dual_direction`` extends the dual route to composite objectives
 with an l1 or l2 penalty on the parameters via a prox step on the mapped-back
@@ -37,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cgsolver import BREAKDOWN_EPS, CGReport, cg_solve
-from .exceptions import NumericError
+from .cgsolver import CGReport, cg_kernel, cg_solve
 from .losses import (
     SOFTMAX_FLOOR,
     constraint_project,
@@ -233,16 +226,22 @@ def regularized_dual_direction(opr, loss, f, spec, w, reg, callback=None):
 
 
 def _dual_direction(opr, loss, f, gamma, tau, tol, w=None, reg=None, callback=None):
-    """Shared dual-route core; see module docstring for the cost schedule."""
+    """Shared dual-route core: the CG kernel on the scaled dual system.
+
+    The kernel iterates on ``x`` with ``beta = P(sqrt(sigma) * x)``, where
+    ``sigma`` is the floored softmax for the logistic loss and 1 for the
+    squared loss.  Its product is the transposed product ``v = J^T beta``
+    (curvature ``<beta, beta / sigma> + ||v||^2 / mu``); its residual product
+    adds the forward product ``J v``.  See :mod:`dualgn.cgsolver` for the
+    cost schedule.
+    """
     f = _check_outputs(opr, loss, f)
     p, m, k = opr.dims
     blk = m * k
-    nops = 0
 
     g = loss_grad(loss, f)
     u = opr.vjp(g)
     grad = u / m
-    nops += p
 
     mu = m / gamma
     if reg is not None and reg.kind == "l2":
@@ -253,113 +252,64 @@ def _dual_direction(opr, loss, f, gamma, tau, tol, w=None, reg=None, callback=No
     if logistic:
         sig = np.maximum(softmax(f), SOFTMAX_FLOOR)
         sroot = np.sqrt(sig)
-        nops += 3 * blk
+    else:
+        sig = sroot = 1.0
 
-    # Right-hand side in one forward product: c = P J (u/mu + shift), where
+    def to_beta(x):
+        return constraint_project(loss, sroot * x)
+
+    def scaled(z):
+        return sroot * constraint_project(loss, z)
+
+    hw = None
+
+    def product(x):
+        nonlocal hw
+        wblk = to_beta(x)
+        hw = wblk / sig
+        v = opr.vjp(wblk)
+        return float(np.vdot(wblk, hw)) + mu_inv * float(np.vdot(v, v)), v
+
+    def advance(v):
+        return scaled(hw + mu_inv * opr.jvp(v))
+
+    # Right-hand side in one forward product: c = S P J (u/mu + shift), where
     # shift folds the prox displacement of the penalty into the same product.
     pre = mu_inv * u
-    nops += p
     if reg is not None:
         pre = pre + (w - reg.prox(w, gamma))
-        nops += 3 * p
 
-    rep = CGReport()
-    x = np.zeros((m, k))
-    zsum = np.zeros(p)
-    run_cg = tau > 0 and np.any(pre)
-    if run_cg:
-        c = opr.jvp(pre)
-        if logistic:
-            ct = sroot * constraint_project(loss, c)
-            nops += 3 * blk
-        else:
-            ct = c
-        rr = float(np.vdot(ct, ct))
-        nops += blk
-        rep.residual_norms.append(float(np.sqrt(rr)))
-        threshold = tol * max(1.0, rep.residual_norms[0])
-        r = ct.copy()
-        pvec = ct.copy()
-        nops += 2 * blk
-
-        while rep.iterations < tau and rep.residual_norms[-1] > threshold:
-            it = rep.iterations + 1
-            if logistic:
-                wblk = constraint_project(loss, sroot * pvec)
-                nops += 3 * blk
-            else:
-                wblk = pvec
-            v = opr.vjp(wblk)
-            if logistic:
-                hw = wblk / sig
-                quad = float(np.vdot(wblk, hw))
-                nops += 2 * blk
-            else:
-                quad = float(np.vdot(wblk, wblk))
-                nops += blk
-            quad += mu_inv * float(np.vdot(v, v))
-            nops += p
-            if not np.isfinite(quad):
-                raise NumericError(
-                    f"non-finite curvature product at dual CG iteration {it}"
-                )
-            if quad <= BREAKDOWN_EPS:
-                break
-            a = rr / quad
-            x += a * pvec
-            nops += blk
-            zsum += a * v
-            nops += p
-            rep.iterations = it
-            if callback is not None:
-                if logistic:
-                    callback(constraint_project(loss, sroot * x))
-                else:
-                    callback(x.copy())
-            if it == tau:
-                # Final iteration: the residual update is never consumed, so
-                # the forward product that would produce it is skipped.
-                break
-            jb = opr.jvp(v)
-            if logistic:
-                qp = sroot * constraint_project(loss, hw + mu_inv * jb)
-                nops += 5 * blk
-            else:
-                qp = wblk + mu_inv * jb
-                nops += 2 * blk
-            r -= a * qp
-            rr_new = float(np.vdot(r, r))
-            nops += 2 * blk
-            if not np.isfinite(rr_new):
-                raise NumericError(f"non-finite residual at dual CG iteration {it}")
-            rep.residual_norms.append(float(np.sqrt(rr_new)))
-            b = rr_new / rr
-            rr = rr_new
-            pvec = r + b * pvec
-            nops += blk
-
-        rep.inner_product_with_rhs = float(np.vdot(x, ct))
-        nops += blk
-        rep.operator_calls = rep.iterations
-
-    if logistic:
-        beta = constraint_project(loss, sroot * x)
-        nops += 3 * blk
+    # Vector work outside the kernel is counted in passes over p-vectors and
+    # output blocks, with q one pass of to_beta or scaled.
+    q = (3 if logistic else 1) * blk
+    if tau > 0 and np.any(pre):
+        x, rep, zsum = cg_kernel(
+            product,
+            scaled(opr.jvp(pre)),
+            tau,
+            tol,
+            advance=advance,
+            callback=None if callback is None else (lambda x: callback(to_beta(x))),
+            label="dual CG",
+        )
+        # the right-hand side; P(s x), w / sigma and the curvature dots per
+        # product; the shifted forward product and S P per residual product
+        rep.vector_op_scalar_count += (
+            q
+            + rep.operator_calls * (p + q + 2 * blk)
+            + (len(rep.residual_norms) - 1) * (q + 2 * blk)
+        )
     else:
-        beta = x
-    alpha = g - beta
-    nops += blk
+        x, rep, zsum = np.zeros((m, k)), CGReport(), 0.0
+    alpha = g - to_beta(x)
 
     zpar = u - zsum
-    nops += p
     if reg is None:
         d = gamma * (zpar / m)
-        nops += 2 * p
     else:
         d = w - reg.prox(w - (gamma / m) * zpar, gamma)
-        nops += 4 * p
-
-    rep.vector_op_scalar_count = nops
+    # gradient, penalty and map-back; sigma, beta and alpha
+    rep.vector_op_scalar_count += (5 if reg is None else 10) * p + 2 * q
     return DirectionResult(
         d=d,
         alpha=alpha,

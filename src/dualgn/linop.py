@@ -14,8 +14,6 @@ from .models import MLPModel
 __all__ = [
     "JacobianOperator",
     "make_jacobian_operator",
-    "jvp_apply",
-    "vjp_apply",
     "adjoint_dot_test",
     "finite_diff_jvp",
 ]
@@ -101,16 +99,6 @@ def make_jacobian_operator(model, params, batch):
         apply = lambda u: model.jvp(params, X, u)
         adjoint = lambda V: model.vjp(params, X, V)
     return JacobianOperator(apply, adjoint, dims)
-
-
-def jvp_apply(opr, u):
-    """Functional form of :meth:`JacobianOperator.jvp`."""
-    return opr.jvp(u)
-
-
-def vjp_apply(opr, v):
-    """Functional form of :meth:`JacobianOperator.vjp`."""
-    return opr.vjp(v)
 
 
 def adjoint_dot_test(opr, seed=0, trials=20):

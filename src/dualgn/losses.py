@@ -6,9 +6,10 @@ Two loss kinds:
 * ``logistic``: l(f) = logsumexp(f) - <f, y> with one-hot ``y``
 
 Beyond value/gradient/Hessian-vector products, this module exposes the
-curvature pseudo-inverse ``quad_conj_apply``, the projector onto the range of
-the curvature (``constraint_project``), and the convex conjugate value --
-everything the dual subproblem solver applies per sample.
+projector onto the range of the curvature (``constraint_project``) and the
+convex conjugate value.  On that range the curvature pseudo-inverse is the
+identity (squared) or division by the softmax (logistic), which the dual
+solver applies inline.
 
 All functions operate on a single sample ``f`` of shape (k,), and broadcast
 row-wise when given a block of shape (m, k) with matching targets.
@@ -26,7 +27,6 @@ __all__ = [
     "loss_value",
     "loss_grad",
     "loss_hvp",
-    "quad_conj_apply",
     "constraint_project",
     "conjugate_value",
 ]
@@ -36,11 +36,6 @@ LOSS_KINDS = ("squared", "logistic")
 # Softmax entries are floored at this value before any division by them, so
 # the curvature pseudo-inverse stays finite for very confident predictions.
 SOFTMAX_FLOOR = 1e-12
-
-# A block passed to the logistic pseudo-inverse must have per-sample sums
-# this close to zero; outside the range of the curvature the product is
-# meaningless.
-ZERO_SUM_TOL = 1e-10
 
 # Feasibility slack when deciding whether mu = y + alpha lies on the simplex.
 SIMPLEX_TOL = 1e-9
@@ -109,28 +104,6 @@ def loss_hvp(loss, f, v):
         return v.copy()
     s = softmax(f)
     return s * v - np.sum(v * s, axis=-1, keepdims=True) * s
-
-
-def quad_conj_apply(loss, f, beta):
-    """Apply the curvature pseudo-inverse to ``beta``.
-
-    Squared loss: identity.  Logistic: ``beta / softmax(f)`` elementwise,
-    which acts as a generalized inverse of ``diag(s) - s s^T`` on the
-    zero-sum subspace.  Each row of ``beta`` must therefore sum to ~0;
-    rows violating that beyond ``ZERO_SUM_TOL`` raise a ValueError.
-    The softmax is floored at ``SOFTMAX_FLOOR`` before dividing.
-    """
-    beta = np.asarray(beta, dtype=np.float64)
-    if loss.kind == "squared":
-        return beta.copy()
-    sums = np.sum(beta, axis=-1)
-    if np.max(np.abs(sums), initial=0.0) > ZERO_SUM_TOL:
-        raise ValueError(
-            "pseudo-inverse defined only on per-sample zero-sum blocks; "
-            f"worst row sum {np.max(np.abs(sums)):.3e} exceeds {ZERO_SUM_TOL:.0e}"
-        )
-    s = np.maximum(softmax(f), SOFTMAX_FLOOR)
-    return beta / s
 
 
 def constraint_project(loss, beta):

@@ -32,12 +32,13 @@ from .directions import (
     DirectionResult,
     Regularizer,
     SubproblemSpec,
+    batch_gradient,
     dual_gn_direction,
     primal_gn_direction,
     regularized_dual_direction,
 )
 from .linop import make_jacobian_operator
-from .losses import LOSS_KINDS, LossOracle, loss_grad, loss_value
+from .losses import LOSS_KINDS, LossOracle, loss_value
 from .models import make_model
 
 __all__ = [
@@ -246,7 +247,6 @@ class _StepInfo:
 
 def _batch_step(model, w, Xb, Yb, config, state):
     """One minibatch update; returns (w_new, _StepInfo)."""
-    m = Xb.shape[0]
     oracle = LossOracle(config.loss, Yb)
     opr = make_jacobian_operator(model, w, Xb)
     f = model.forward(w, Xb)
@@ -256,7 +256,7 @@ def _batch_step(model, w, Xb, Yb, config, state):
         return w, _StepInfo(batch_loss, 0.0, gamma_eff, 0, 0.0, 0, 0, finite=False)
 
     if config.direction == "gradient":
-        grad = opr.vjp(loss_grad(oracle, f)) / m
+        grad = batch_gradient(opr, oracle, f)
         res = DirectionResult(
             d=grad,
             alpha=None,

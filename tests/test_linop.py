@@ -3,7 +3,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dualgn import adjoint_dot_test, finite_diff_jvp, make_jacobian_operator, make_model
-from dualgn.linop import jvp_apply, vjp_apply
 from oracles import fd_jacobian, materialize_jacobian
 
 
@@ -56,16 +55,6 @@ def test_operator_matches_materialized_jacobian():
     assert_allclose(opr.jvp(u).ravel(), J @ u, rtol=1e-12, atol=1e-12)
     V = rng.standard_normal((4, 2))
     assert_allclose(opr.vjp(V), J.T @ V.ravel(), rtol=1e-12, atol=1e-12)
-
-
-def test_functional_wrappers():
-    model, w, X = _instance("linear", 2, 2, 3, 8)
-    opr = make_jacobian_operator(model, w, X)
-    u = np.ones(4)
-    assert_allclose(jvp_apply(opr, u), opr.apply(u))
-    V = np.ones((3, 2))
-    assert_allclose(vjp_apply(opr, V), opr.adjoint(V))
-    assert (opr.jvp_calls, opr.vjp_calls) == (1, 1)
 
 
 def test_frozen_trace_consistency():

@@ -9,7 +9,6 @@ from dualgn import (
     loss_grad,
     loss_hvp,
     loss_value,
-    quad_conj_apply,
     softmax,
 )
 from dualgn.losses import logsumexp
@@ -79,30 +78,6 @@ def test_grad_matches_finite_differences():
             e[j] = eps
             fd = (loss_value(loss, f + e) - loss_value(loss, f - e)) / (2 * eps)
             assert abs(fd - g[j]) / max(1.0, abs(g[j])) <= 1e-6
-
-
-def test_quad_conj_apply():
-    loss = LossOracle("squared", np.zeros(3))
-    beta = np.array([1.0, 2.0, 3.0])
-    assert_allclose(quad_conj_apply(loss, np.zeros(3), beta), beta)
-
-    log = LossOracle("logistic", np.array([1.0, 0.0, 0.0]))
-    out = quad_conj_apply(log, np.zeros(3), np.array([1.0, 0.0, -1.0]))
-    assert_allclose(out, [3.0, 0.0, -3.0])
-    with pytest.raises(ValueError, match="zero-sum"):
-        quad_conj_apply(log, np.zeros(3), np.array([1.0, 1.0, 1.0]))
-
-
-def test_pseudo_inverse_identity_on_zero_sum_blocks():
-    # H (H^+ beta) = beta on the constraint subspace
-    rng = np.random.Generator(np.random.Philox(key=4))
-    for _ in range(10):
-        y = np.eye(4)[rng.integers(4)]
-        loss = LossOracle("logistic", y)
-        f = rng.standard_normal(4)
-        beta = constraint_project(loss, rng.standard_normal(4))
-        back = loss_hvp(loss, f, quad_conj_apply(loss, f, beta))
-        assert_allclose(back, beta, atol=1e-9)
 
 
 def test_constraint_project_properties():
