@@ -1,27 +1,23 @@
-"""Conjugate gradient on matrix-free operators: one iteration kernel and the
-solvers built on it.
+"""Conjugate gradient on matrix-free operators: one iteration kernel,
+:func:`cg_kernel`, run by the plain solve, the projected solve and the
+output-space dual solve in :mod:`dualgn.directions`.
 
-Every CG solve in the package runs :func:`cg_kernel`: the parameter-space
-solve (:func:`cg_solve`), the equality-constrained solve through an
-orthogonal projector (:func:`projected_cg_solve`) and the output-space dual
-solve in :mod:`dualgn.directions`.  The kernel takes the curvature
-``<p, Q p>`` from one product of the search direction and, when the caller
-splits the operator, advances the residual from a second product.  The dual
-route uses that split so that ``tau`` iterations cost exactly ``tau``
-Jacobian-vector products and ``tau + 1`` transposed products, the same
-leading cost as the primal route: curvature inner products come from the
-transposed product alone (``<p, J J^T p> = ||J^T p||^2``), the forward
-product that advances the residual is skipped on the final iteration, and
-``J^T beta`` is accumulated from the per-iteration transposed products
-instead of being recomputed at the end.  In particular ``tau = 0`` performs
-no CG work and returns exactly ``gamma`` times the batch gradient.
+The kernel takes the curvature ``<p, Q p>`` from one product and can advance
+the residual from a second.  The dual route uses that split so that ``tau``
+iterations cost exactly ``tau`` Jacobian-vector products and ``tau + 1``
+transposed products, the same leading cost as the primal route: curvature
+inner products come from the transposed product alone (``<p, J J^T p> =
+||J^T p||^2``), the forward product that advances the residual is skipped on
+the final iteration, and ``J^T beta`` is accumulated from the per-iteration
+transposed products instead of being recomputed at the end.  In particular
+``tau = 0`` performs no CG work and returns exactly ``gamma`` times the batch
+gradient.
 
-The solvers report enough bookkeeping to audit cost and descent claims:
-residual norms per iteration, the inner product of the solution with the
-right-hand side (nonnegative for CG started at zero on a PSD system, which is
-what makes truncated solutions usable as descent directions), a running count
-of scalar operations spent on vector arithmetic, and the number of operator
-applications.
+The reports carry residual norms per iteration, the inner product of the
+solution with the right-hand side (nonnegative for CG started at zero on a
+PSD system, which is what makes truncated solutions usable as descent
+directions), a count of scalar operations spent on vector arithmetic, and the
+number of operator applications.
 """
 
 from dataclasses import dataclass, field
@@ -47,15 +43,13 @@ class CGReport:
         Completed iterations.
     residual_norms : list of float
         ``residual_norms[0]`` is the initial residual norm ``||c - Q x0||``;
-        one entry is appended per residual update.  Every iteration updates
-        the residual except a final one whose residual product is skipped
-        (see :func:`cg_kernel`).
+        one entry is appended per residual update (see :func:`cg_kernel`).
     inner_product_with_rhs : float
         ``<x, c>`` at exit.  With ``x0 = 0`` on a PSD system this is
         nonnegative up to round-off for every iteration count.
     vector_op_scalar_count : int
-        Scalar operations spent on dots/axpys by the solver and, where the
-        caller counts them, inside its operator (model products excluded).
+        Scalar operations spent on vector arithmetic (model products and
+        caller-supplied operators excluded).
     operator_calls : int
         Number of times the operator was applied.
     """
@@ -68,7 +62,8 @@ class CGReport:
 
 
 def cg_kernel(
-    product, c, max_iter, tol, x=None, r=None, advance=None, callback=None, label="CG"
+    product, c, max_iter, tol, x=None, r=None, advance=None, project=None,
+    callback=None, label="CG",
 ):
     """The CG iteration every solver in the package runs.
 
@@ -81,46 +76,40 @@ def cg_kernel(
         b_t = <r_t, r_t> / <r_{t-1}, r_{t-1}>
         p_t = r_t + b_t p_{t-1}
 
-    ``product(p)`` returns ``(<p, Q p>, y)`` for one product ``y`` of ``p``.
-    Without ``advance``, ``y`` is ``Q p`` and updates the residual.  With
-    ``advance``, the residual product ``Q p`` is ``advance(y)``, for the
-    ``p`` of the latest ``product`` call; it is skipped on
-    iteration ``max_iter``, whose residual would only feed an iteration past
-    the budget, and the kernel returns ``ysum = sum_t a_t y_t`` so the caller
-    can map the solution through ``y`` without a further product.
+    ``product(p)`` returns ``(<p, Q p>, y)`` for one product ``y`` of ``p``,
+    and ``y`` is ``Q p`` unless ``advance`` is given.  Then ``advance(y)`` is
+    ``Q p`` for the latest ``p``; it is skipped on iteration ``max_iter``,
+    whose residual would feed no iteration, and the kernel returns
+    ``ysum = sum_t a_t y_t`` for the caller's map-back (else ``0.0``).
 
-    Stops after ``max_iter`` iterations or when ``||r|| <= tol * max(1,
-    ||c||)``.  On curvature breakdown (``<p, Qp> <= BREAKDOWN_EPS``) the
-    current iterate is returned.  A non-finite curvature or residual raises
-    :class:`NumericError` naming ``label`` and the iteration.
-    ``callback(x)`` is invoked after each iterate update.
+    ``project(r)`` maps each updated residual back onto the range of a
+    singular ``Q``: past convergence, null-space round-off in the recursive
+    residual otherwise grows until ``a_t`` blows up (Kaasschieter 1988; Gould,
+    Hribar and Nocedal 2001 re-project the same way in projected CG).
 
-    ``vector_op_scalar_count`` covers the kernel's own vector arithmetic;
-    callers add what their ``product`` and ``advance`` compute.
+    Stops after ``max_iter`` iterations, when ``||r|| <= tol * max(1,
+    ||c||)``, or on curvature breakdown (``<p, Qp> <= BREAKDOWN_EPS``),
+    returning the current iterate.  A non-finite initial residual, curvature
+    or residual raises :class:`NumericError` naming ``label``.
+    ``callback(x)`` is invoked after each iterate update.  The report counts
+    the kernel's own vector arithmetic; callers add their operator's.
 
-    Returns
-    -------
-    (x, CGReport, ysum)  with ``ysum = 0.0`` when no ``advance`` is given or
-    no iteration completed.
+    Returns ``(x, CGReport, ysum)``.
     """
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     n = c.size
-    rep = CGReport()
-    if x is None:
-        x = np.zeros_like(c)
-        r = c.copy()
-        rep.vector_op_scalar_count += n
-        c_norm = None
-    else:
-        c_norm = float(np.linalg.norm(c))
-        rep.vector_op_scalar_count += n
-
+    cold = x is None
+    if cold:
+        x, r = np.zeros_like(c), c.copy()
     p = r.copy()
     rr = float(np.vdot(r, r))
-    rep.vector_op_scalar_count += 2 * n
-    rep.residual_norms.append(float(np.sqrt(rr)))
-    threshold = tol * max(1.0, rep.residual_norms[0] if c_norm is None else c_norm)
+    if not np.isfinite(rr):
+        raise NumericError(f"non-finite initial residual in {label}")
+    # r0 = c (or ||c|| after a warm start), p0 and <r0, r0>
+    rep = CGReport(residual_norms=[float(np.sqrt(rr))], vector_op_scalar_count=3 * n)
+    c_norm = rep.residual_norms[0] if cold else float(np.linalg.norm(c))
+    threshold = tol * max(1.0, c_norm)
     ysum = 0.0
 
     while rep.iterations < max_iter and rep.residual_norms[-1] > threshold:
@@ -134,19 +123,18 @@ def cg_kernel(
         a = rr / quad
         x += a * p
         rep.vector_op_scalar_count += n
-        if advance is not None:
-            ysum += a * y
-            rep.vector_op_scalar_count += y.size
         rep.iterations = it
         if callback is not None:
             callback(x)
-        if advance is None:
-            qp = y
-        elif it == max_iter:
-            break
-        else:
-            qp = advance(y)
-        r -= a * qp
+        if advance is not None:
+            ysum += a * y
+            rep.vector_op_scalar_count += y.size
+            if it == max_iter:
+                break
+            y = advance(y)
+        r -= a * y
+        if project is not None:
+            r = project(r)
         rr_new = float(np.vdot(r, r))
         rep.vector_op_scalar_count += 2 * n
         if not np.isfinite(rr_new):
@@ -163,8 +151,6 @@ def cg_kernel(
 
 
 def _curvature_product(q_apply):
-    """``product`` for :func:`cg_kernel` from a plain operator callable."""
-
     def product(p):
         qp = q_apply(p)
         return float(np.vdot(p, qp)), qp
@@ -189,27 +175,19 @@ def cg_solve(q_apply, c, x0=None, max_iter=None, tol=1e-10, callback=None):
     (x, CGReport)
     """
     c = np.asarray(c, dtype=np.float64)
-    n = c.size
     x = r = None
     if x0 is not None:
         x0 = np.asarray(x0, dtype=np.float64)
         if x0.shape != c.shape:
             raise ValueError(f"x0 shape {x0.shape} does not match rhs shape {c.shape}")
         if np.any(x0):
-            x = x0.copy()
-            r = c - q_apply(x)
+            x, r = x0.copy(), c - q_apply(x0)
+    max_iter = c.size if max_iter is None else max_iter
     x, rep, _ = cg_kernel(
-        _curvature_product(q_apply),
-        c,
-        n if max_iter is None else max_iter,
-        tol,
-        x=x,
-        r=r,
-        callback=callback,
+        _curvature_product(q_apply), c, max_iter, tol, x, r, callback=callback
     )
-    # one inner product per operator call; a warm start's call forms r0
-    rep.operator_calls += r is not None
-    rep.vector_op_scalar_count += n * rep.operator_calls
+    rep.operator_calls += r is not None  # the warm start's residual
+    rep.vector_op_scalar_count += c.size * rep.operator_calls  # <p, Qp> or c - Q x0
     return x, rep
 
 
@@ -227,10 +205,11 @@ def projected_cg_solve(
     returned solution) lies in the constraint subspace.  With a positive
     ``diag_precond`` vector ``s`` the system is solved in the scaled
     variables ``x = P(s * z)`` using the operator ``z -> s * (P Q P)(s * z)``
-    and right-hand side ``s * P c`` (without one, ``s = 1``); the projector
-    is re-applied on the way back so feasibility survives the scaling.  The
-    report's ``inner_product_with_rhs`` equals ``<x, c>`` in either
-    parametrization.
+    and right-hand side ``s * P c`` (without one, ``s = 1``).  Each residual
+    update is re-projected onto the operator's range ``{s * P y}``, so budgets
+    past convergence stay at the solution, and the projector is re-applied on
+    the way back so feasibility survives the scaling.  The report's
+    ``inner_product_with_rhs`` equals ``<x, c>`` in either parametrization.
 
     ``callback`` receives original-space iterates.
 
@@ -259,12 +238,10 @@ def projected_cg_solve(
 
     op = lambda z: s * p_apply(q_apply(p_apply(s * z)))
     cb = None if callback is None else (lambda z: callback(p_apply(s * z)))
+    max_iter = c.size if max_iter is None else max_iter
+    project = lambda r: s * p_apply(r / s)
     z, rep, _ = cg_kernel(
-        _curvature_product(op),
-        s * pc,
-        c.size if max_iter is None else max_iter,
-        tol,
-        callback=cb,
+        _curvature_product(op), s * pc, max_iter, tol, project=project, callback=cb
     )
     rep.vector_op_scalar_count += c.size * rep.operator_calls
     return p_apply(s * z), rep

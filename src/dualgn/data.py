@@ -90,10 +90,17 @@ def _idx_open(path):
     return open(path, "rb")
 
 
+def _idx_header(fh, size, path):
+    header = fh.read(size)
+    if len(header) != size:
+        raise ValueError(f"{path}: truncated header")
+    return header
+
+
 def load_idx_images(path):
     """Read an IDX image file into a (n, rows*cols) float64 array in [0, 1]."""
     with _idx_open(path) as fh:
-        magic, n, rows, cols = struct.unpack(">IIII", fh.read(16))
+        magic, n, rows, cols = struct.unpack(">IIII", _idx_header(fh, 16, path))
         if magic != _IDX_IMAGE_MAGIC:
             raise ValueError(
                 f"{path}: bad image magic 0x{magic:08x}, expected 0x{_IDX_IMAGE_MAGIC:08x}"
@@ -108,7 +115,7 @@ def load_idx_images(path):
 def load_idx_labels(path):
     """Read an IDX label file into a (n,) int array."""
     with _idx_open(path) as fh:
-        magic, n = struct.unpack(">II", fh.read(8))
+        magic, n = struct.unpack(">II", _idx_header(fh, 8, path))
         if magic != _IDX_LABEL_MAGIC:
             raise ValueError(
                 f"{path}: bad label magic 0x{magic:08x}, expected 0x{_IDX_LABEL_MAGIC:08x}"

@@ -232,7 +232,9 @@ def _dual_direction(opr, loss, f, gamma, tau, tol, w=None, reg=None, callback=No
     ``sigma`` is the floored softmax for the logistic loss and 1 for the
     squared loss.  Its product is the transposed product ``v = J^T beta``
     (curvature ``<beta, beta / sigma> + ||v||^2 / mu``); its residual product
-    adds the forward product ``J v``.  See :mod:`dualgn.cgsolver` for the
+    adds the forward product ``J v``.  The scaled system ``S P (H^+ + J J^T /
+    mu) P S`` is singular for the logistic loss, so each residual update is
+    re-projected onto its range ``S P``.  See :mod:`dualgn.cgsolver` for the
     cost schedule.
     """
     f = _check_outputs(opr, loss, f)
@@ -289,15 +291,17 @@ def _dual_direction(opr, loss, f, gamma, tau, tol, w=None, reg=None, callback=No
             tau,
             tol,
             advance=advance,
+            project=lambda r: scaled(r / sroot),
             callback=None if callback is None else (lambda x: callback(to_beta(x))),
             label="dual CG",
         )
         # the right-hand side; P(s x), w / sigma and the curvature dots per
-        # product; the shifted forward product and S P per residual product
+        # product; the shifted forward product, S P and the re-projection
+        # S P S^-1 per residual update
         rep.vector_op_scalar_count += (
             q
             + rep.operator_calls * (p + q + 2 * blk)
-            + (len(rep.residual_norms) - 1) * (q + 2 * blk)
+            + (len(rep.residual_norms) - 1) * (2 * q + 3 * blk)
         )
     else:
         x, rep, zsum = np.zeros((m, k)), CGReport(), 0.0

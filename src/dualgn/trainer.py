@@ -17,8 +17,8 @@ usual first-order update rules with stepsize ``eta``.
 All randomness (parameter init, epoch shuffling) is driven by counter-based
 Philox streams keyed on the seed, so runs are bit-reproducible; epoch
 shuffles draw a full permutation and the final short batch is kept.  A
-non-finite batch loss aborts the run with a diagnostic record instead of
-raising.
+non-finite batch loss or a numeric failure inside the step aborts the run
+with a diagnostic record instead of raising.
 """
 
 import time
@@ -37,6 +37,7 @@ from .directions import (
     primal_gn_direction,
     regularized_dual_direction,
 )
+from .exceptions import NumericError
 from .linop import make_jacobian_operator
 from .losses import LOSS_KINDS, LossOracle, loss_value
 from .models import make_model
@@ -242,7 +243,7 @@ class _StepInfo:
     descent_ip: float
     jvp_calls: int
     vjp_calls: int
-    finite: bool = True
+    failure: str = None
 
 
 def _batch_step(model, w, Xb, Yb, config, state):
@@ -253,7 +254,9 @@ def _batch_step(model, w, Xb, Yb, config, state):
     batch_loss = float(np.mean(loss_value(oracle, f)))
     gamma_eff = 1.0 if config.method == "armijo_spl" else config.gamma
     if not np.isfinite(batch_loss):
-        return w, _StepInfo(batch_loss, 0.0, gamma_eff, 0, 0.0, 0, 0, finite=False)
+        return w, _StepInfo(
+            batch_loss, 0.0, gamma_eff, 0, 0.0, 0, 0, failure="non-finite batch loss"
+        )
 
     if config.direction == "gradient":
         grad = batch_gradient(opr, oracle, f)
@@ -350,8 +353,10 @@ def train(config, dataset, on_record=None):
     and, if given, the ``on_record`` callback as each step completes).
     ``train_loss``/``train_acc`` are recomputed on the full training set at
     the end of every epoch and carried forward in between.  ``jvp_calls`` and
-    ``vjp_calls`` are cumulative over the run.  A non-finite batch loss stops
-    the run after logging a diagnostic record.
+    ``vjp_calls`` are cumulative over the run.  A non-finite batch loss, or a
+    :class:`NumericError` from the step (its record has a NaN batch loss),
+    stops the run after logging a diagnostic record; the result is then
+    ``aborted`` and ``abort_reason`` names the failure and the step.
     """
     if not isinstance(dataset, Dataset):
         dataset = Dataset(dataset[0], dataset[1])
@@ -381,10 +386,13 @@ def train(config, dataset, on_record=None):
         for start in range(0, n, config.batch_size):
             t0 = time.perf_counter()
             idx = perm[start : start + config.batch_size]
-            w, info = _batch_step(model, w, X[idx], Y[idx], config, state)
+            try:
+                w, info = _batch_step(model, w, X[idx], Y[idx], config, state)
+            except NumericError as exc:
+                info = _StepInfo(np.nan, 0.0, 0.0, 0, 0.0, 0, 0, failure=str(exc))
             cum_jvp += info.jvp_calls
             cum_vjp += info.vjp_calls
-            if info.finite and start + config.batch_size >= n:
+            if info.failure is None and start + config.batch_size >= n:
                 train_loss, train_acc = _full_metrics(model, w, X, Y, config.loss)
             rec = RunRecord(
                 step=step_idx,
@@ -404,9 +412,9 @@ def train(config, dataset, on_record=None):
             if on_record is not None:
                 on_record(rec)
             step_idx += 1
-            if not info.finite:
+            if info.failure is not None:
                 aborted = True
-                abort_reason = f"non-finite batch loss at step {rec.step}"
+                abort_reason = f"{info.failure} at step {rec.step}"
                 break
         if aborted:
             break

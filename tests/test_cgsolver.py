@@ -107,6 +107,11 @@ def test_non_finite_operator_raises():
         cg_solve(bad, np.array([1.0, 1.0]))
 
 
+def test_non_finite_rhs_raises():
+    with pytest.raises(NumericError, match="initial residual"):
+        cg_solve(lambda v: v, np.array([1e200, 1e200]))
+
+
 def test_argument_validation():
     with pytest.raises(ValueError, match="max_iter"):
         cg_solve(lambda v: v, np.ones(2), max_iter=-1)
@@ -187,3 +192,21 @@ def test_preconditioner_validation():
         projected_cg_solve(lambda v: v, np.ones(3), proj, diag_precond=np.ones(4))
     with pytest.raises(ValueError, match="positive"):
         projected_cg_solve(lambda v: v, np.ones(3), proj, diag_precond=np.array([1.0, -1.0, 1.0]))
+
+
+def test_projected_stays_accurate_past_convergence():
+    # budgets past the dimension (12) of a system that is singular on the
+    # full space must not drift away from the constrained solution
+    rng = np.random.Generator(np.random.Philox(key=14))
+    m, k = 4, 3
+    A = rng.standard_normal((m * k, m * k))
+    Q = A @ A.T + np.eye(m * k)
+    c = rng.standard_normal((m, k))
+    proj = lambda B: B - B.mean(axis=1, keepdims=True)
+    op = lambda B: (Q @ B.ravel()).reshape(m, k)
+    want = dense_kkt_zero_sum(Q, c, m, k)
+    s = rng.uniform(0.5, 2.0, size=(m, k))
+    for precond in (None, s):
+        for max_iter in (24, 48, 96):
+            x, _ = projected_cg_solve(op, c, proj, max_iter=max_iter, tol=0.0, diag_precond=precond)
+            assert np.linalg.norm(x - want) / np.linalg.norm(want) <= 1e-10

@@ -1,4 +1,5 @@
 import csv
+import struct
 
 import numpy as np
 import pytest
@@ -192,6 +193,33 @@ def test_bad_data_specs(tmp_path, monkeypatch, capsys):
     assert _run(["run", "--data", "parquet:x", "--out", str(tmp_path / "x.csv")], monkeypatch) == 1
     assert _run(["run", "--data", "idx:only_one", "--out", str(tmp_path / "x.csv")], monkeypatch) == 1
     capsys.readouterr()
+
+
+def test_truncated_idx_header_is_usage_error(tmp_path, monkeypatch, capsys):
+    images = tmp_path / "img.idx"
+    images.write_bytes(struct.pack(">IIII", 0x00000803, 1, 1, 2) + bytes(2))
+    stub = tmp_path / "stub.idx"
+    stub.write_bytes(bytes(3))
+    for spec in (f"idx:{stub},{stub}", f"idx:{images},{stub}"):
+        code = _run(["run", "--data", spec, "--out", str(tmp_path / "x.csv")], monkeypatch)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "truncated header" in err
+
+
+def test_numeric_failure_in_solve_leaves_diagnostic_row(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "abort.csv"
+    with np.errstate(all="ignore"):  # the blow-up is the point
+        code = _run(
+            ["run", "--data", "blobs:64,3,2,1e60", "--loss", "squared", "--path",
+             "primal", "--epochs", "1", "--out", str(out)],
+            monkeypatch,
+        )
+    assert code == 2
+    assert "aborted: non-finite" in capsys.readouterr().err
+    rows = _read(out)
+    assert rows[0] == CSV_FIELDS
+    assert len(rows) == 2 and rows[1][0] == "0"
 
 
 def test_bad_model_is_usage_error(tmp_path, monkeypatch, capsys):

@@ -122,6 +122,15 @@ def test_idx_truncated(tmp_path):
         load_idx_images(path)
 
 
+def test_idx_truncated_header(tmp_path):
+    path = tmp_path / "stub.idx"
+    path.write_bytes(bytes(3))
+    with pytest.raises(ValueError, match="truncated header"):
+        load_idx_images(path)
+    with pytest.raises(ValueError, match="truncated header"):
+        load_idx_labels(path)
+
+
 def test_idx_count_mismatch(tmp_path):
     img_path = tmp_path / "img.idx"
     lbl_path = tmp_path / "lbl.idx"

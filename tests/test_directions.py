@@ -418,3 +418,46 @@ def test_non_finite_inner_product_raises():
     opr = JacobianOperator(poisoned, base.adjoint, base.dims)
     with pytest.raises(NumericError, match="dual CG iteration 1"):
         dual_gn_direction(opr, loss, f, SubproblemSpec(gamma=1.0, tau=3))
+
+
+# (model, in_dim, k, m): the dual system has dimension m*k
+PAST_CONVERGENCE = [
+    ("linear", 5, 3, 8),
+    ("linear", 4, 2, 6),
+    ("linear", 2, 5, 2),
+    ("mlp:5", 3, 3, 4),
+    ("mlp:4,4", 2, 4, 5),
+    ("mlp:6", 3, 4, 3),
+]
+
+
+@pytest.mark.parametrize("gamma, bound", [(1e-3, 1e-10), (1.0, 1e-10), (1e3, 1e-5)])
+def test_logistic_dual_stays_accurate_past_convergence(gamma, bound):
+    # Training runs the full budget (tol = 0), so budgets well past the
+    # dual dimension must keep the solution the CG reached, not drift along
+    # the null space of the singular projected system.
+    worst = 0.0
+    for seed, (name, d, k, m) in enumerate(PAST_CONVERGENCE):
+        model, w, X, Y, loss, f = _instance(name, d, k, m, 800 + seed, "logistic")
+        want = dense_direction(model, w, X, Y, "logistic", gamma)
+        for tau in (m * k, 2 * m * k, 4 * m * k):
+            opr = make_jacobian_operator(model, w, X)
+            res = dual_gn_direction(opr, loss, f, SubproblemSpec(gamma=gamma, tau=tau))
+            assert opr.jvp_calls <= tau and opr.vjp_calls <= tau + 1
+            err = np.linalg.norm(res.d - want) / np.linalg.norm(want)
+            worst = max(worst, err)
+    assert worst <= bound
+
+
+@pytest.mark.parametrize("path", ["primal", "dual"])
+def test_non_finite_rhs_raises(path):
+    # the batch loss is finite (~1e159) but the right-hand side overflows;
+    # the solve must not return a zero or gradient-only direction silently
+    model, w, X, _, loss, _ = _instance("linear", 3, 2, 4, 83)
+    X = X * 1e80
+    with np.errstate(all="ignore"):
+        f = model.forward(w, X)
+        assert np.isfinite(np.mean(loss_value(loss, f)))
+        fn = primal_gn_direction if path == "primal" else dual_gn_direction
+        with pytest.raises(NumericError, match="non-finite initial residual"):
+            fn(make_jacobian_operator(model, w, X), loss, f, SubproblemSpec(path=path))

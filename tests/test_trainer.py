@@ -356,3 +356,18 @@ def test_train_aborts_on_non_finite_loss():
     assert "non-finite batch loss" in res.abort_reason
     assert res.records[-1].step == int(res.abort_reason.rsplit(" ", 1)[1])
     assert len(res.records) < 5 * 4
+
+
+@pytest.mark.parametrize("path", ["primal", "dual"])
+def test_train_aborts_on_numeric_failure_in_the_solve(path):
+    # inputs at 1e60 keep the batch loss finite but overflow the CG solve
+    ds = synth_blobs(0, n=64, d=3, k=2, spread=0.3)
+    ds = Dataset(ds.inputs * 1e60, ds.targets)
+    config = TrainConfig(loss="squared", path=path, epochs=1)
+    with np.errstate(all="ignore"):  # the blow-up is the point
+        res = train(config, ds)
+    assert res.aborted
+    assert res.abort_reason.startswith("non-finite")
+    assert "CG" in res.abort_reason and res.abort_reason.endswith("at step 0")
+    assert len(res.records) == 1
+    assert np.isnan(res.records[0].batch_loss)
