@@ -1,23 +1,13 @@
-"""Conjugate gradient on matrix-free operators: one iteration kernel,
-:func:`cg_kernel`, run by the plain solve, the projected solve and the
-output-space dual solve in :mod:`dualgn.directions`.
+"""Conjugate gradient on matrix-free operators.
 
-The kernel takes the curvature ``<p, Q p>`` from one product and can advance
-the residual from a second.  The dual route uses that split so that ``tau``
-iterations cost exactly ``tau`` Jacobian-vector products and ``tau + 1``
-transposed products, the same leading cost as the primal route: curvature
-inner products come from the transposed product alone (``<p, J J^T p> =
-||J^T p||^2``), the forward product that advances the residual is skipped on
-the final iteration, and ``J^T beta`` is accumulated from the per-iteration
-transposed products instead of being recomputed at the end.  In particular
-``tau = 0`` performs no CG work and returns exactly ``gamma`` times the batch
-gradient.
-
-The reports carry residual norms per iteration, the inner product of the
-solution with the right-hand side (nonnegative for CG started at zero on a
-PSD system, which is what makes truncated solutions usable as descent
-directions), a count of scalar operations spent on vector arithmetic, and the
-number of operator applications.
+:func:`cg_kernel` is the one CG iteration in the package: :func:`cg_solve`,
+:func:`projected_cg_solve` and the output-space dual solve in
+:mod:`dualgn.directions` run on it.  Reports carry residual norms per
+iteration, the inner product of the solution with the right-hand side
+(nonnegative for CG started at zero on a PSD system, which is what makes
+truncated solutions usable as descent directions), a count of scalar
+operations spent on vector arithmetic, and the number of operator
+applications.
 """
 
 from dataclasses import dataclass, field
@@ -78,27 +68,38 @@ def cg_kernel(
 
     ``product(p)`` returns ``(<p, Q p>, y)`` for one product ``y`` of ``p``,
     and ``y`` is ``Q p`` unless ``advance`` is given.  Then ``advance(y)`` is
-    ``Q p`` for the latest ``p``; it is skipped on iteration ``max_iter``,
-    whose residual would feed no iteration, and the kernel returns
-    ``ysum = sum_t a_t y_t`` for the caller's map-back (else ``0.0``).
+    ``Q p`` for the latest ``p``, skipped on iteration ``max_iter`` (its
+    residual would feed no iteration), and the kernel returns ``ysum =
+    sum_t a_t y_t`` (else ``0.0``).  The dual route uses that split so that
+    ``tau`` iterations cost exactly ``tau`` Jacobian-vector products and
+    ``tau + 1`` transposed products, the same leading cost as the primal
+    route: curvature inner products come from the transposed product alone
+    (``<p, J J^T p> = ||J^T p||^2``), the forward product that advances the
+    residual is skipped on the final iteration, and ``J^T beta`` is
+    accumulated from the per-iteration transposed products instead of being
+    recomputed at the end.  In particular ``tau = 0`` performs no CG work and
+    returns exactly ``gamma`` times the batch gradient.
 
     ``project(r)`` maps each updated residual back onto the range of a
     singular ``Q``: past convergence, null-space round-off in the recursive
     residual otherwise grows until ``a_t`` blows up (Kaasschieter 1988; Gould,
     Hribar and Nocedal 2001 re-project the same way in projected CG).
 
-    Stops after ``max_iter`` iterations, when ``||r|| <= tol * max(1,
-    ||c||)``, or on curvature breakdown (``<p, Qp> <= BREAKDOWN_EPS``),
-    returning the current iterate.  A non-finite initial residual, curvature
-    or residual raises :class:`NumericError` naming ``label``.
-    ``callback(x)`` is invoked after each iterate update.  The report counts
-    the kernel's own vector arithmetic; callers add their operator's.
+    Stops after ``max_iter`` iterations (``None``: the problem size), when
+    ``||r|| <= tol * max(1, ||c||)``, or on curvature breakdown (``<p, Qp> <=
+    BREAKDOWN_EPS``), returning the current iterate.  A non-finite initial
+    residual, curvature or residual raises :class:`NumericError` naming
+    ``label``.  ``callback(x)`` is invoked after each iterate update.  The
+    report counts the kernel's own vector arithmetic; callers add their
+    operator's.
 
     Returns ``(x, CGReport, ysum)``.
     """
+    n = c.size
+    if max_iter is None:
+        max_iter = n
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
-    n = c.size
     cold = x is None
     if cold:
         x, r = np.zeros_like(c), c.copy()
@@ -182,11 +183,11 @@ def cg_solve(q_apply, c, x0=None, max_iter=None, tol=1e-10, callback=None):
             raise ValueError(f"x0 shape {x0.shape} does not match rhs shape {c.shape}")
         if np.any(x0):
             x, r = x0.copy(), c - q_apply(x0)
-    max_iter = c.size if max_iter is None else max_iter
     x, rep, _ = cg_kernel(
         _curvature_product(q_apply), c, max_iter, tol, x, r, callback=callback
     )
-    rep.operator_calls += r is not None  # the warm start's residual
+    if r is not None:  # forming the warm start's residual applied the operator
+        rep.operator_calls += 1
     rep.vector_op_scalar_count += c.size * rep.operator_calls  # <p, Qp> or c - Q x0
     return x, rep
 
@@ -238,7 +239,6 @@ def projected_cg_solve(
 
     op = lambda z: s * p_apply(q_apply(p_apply(s * z)))
     cb = None if callback is None else (lambda z: callback(p_apply(s * z)))
-    max_iter = c.size if max_iter is None else max_iter
     project = lambda r: s * p_apply(r / s)
     z, rep, _ = cg_kernel(
         _curvature_product(op), s * pc, max_iter, tol, project=project, callback=cb

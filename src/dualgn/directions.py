@@ -19,8 +19,9 @@ Two matrix-free routes to (approximately) the same ``d`` are provided:
   diagonal ``1/sigma`` and ``P`` removes per-sample row means, with a
   ``sqrt(sigma)`` Jacobi preconditioner.
 
-Both routes run the one CG kernel in :mod:`dualgn.cgsolver`, whose docstring
-gives the dual route's cost schedule (``tau`` JVPs and ``tau + 1`` VJPs).
+Both routes run the one CG kernel, :func:`dualgn.cgsolver.cg_kernel`, whose
+docstring gives the dual route's cost schedule (``tau`` JVPs and ``tau + 1``
+VJPs).
 
 ``regularized_dual_direction`` extends the dual route to composite objectives
 with an l1 or l2 penalty on the parameters via a prox step on the mapped-back
@@ -234,8 +235,8 @@ def _dual_direction(opr, loss, f, gamma, tau, tol, w=None, reg=None, callback=No
     (curvature ``<beta, beta / sigma> + ||v||^2 / mu``); its residual product
     adds the forward product ``J v``.  The scaled system ``S P (H^+ + J J^T /
     mu) P S`` is singular for the logistic loss, so each residual update is
-    re-projected onto its range ``S P``.  See :mod:`dualgn.cgsolver` for the
-    cost schedule.
+    re-projected onto its range ``S P``.  See :func:`cg_kernel` for the cost
+    schedule.
     """
     f = _check_outputs(opr, loss, f)
     p, m, k = opr.dims
@@ -263,7 +264,7 @@ def _dual_direction(opr, loss, f, gamma, tau, tol, w=None, reg=None, callback=No
     def scaled(z):
         return sroot * constraint_project(loss, z)
 
-    hw = None
+    hw = None  # H^+ w of the latest product, which its residual product reuses
 
     def product(x):
         nonlocal hw

@@ -17,8 +17,9 @@ usual first-order update rules with stepsize ``eta``.
 All randomness (parameter init, epoch shuffling) is driven by counter-based
 Philox streams keyed on the seed, so runs are bit-reproducible; epoch
 shuffles draw a full permutation and the final short batch is kept.  A
-non-finite batch loss or a numeric failure inside the step aborts the run
-with a diagnostic record instead of raising.
+non-finite batch loss or a numeric failure in the direction solve aborts the
+run with a diagnostic record instead of raising; the single-step functions
+raise :class:`NumericError` instead.
 """
 
 import time
@@ -253,28 +254,30 @@ def _batch_step(model, w, Xb, Yb, config, state):
     f = model.forward(w, Xb)
     batch_loss = float(np.mean(loss_value(oracle, f)))
     gamma_eff = 1.0 if config.method == "armijo_spl" else config.gamma
-    if not np.isfinite(batch_loss):
-        return w, _StepInfo(
-            batch_loss, 0.0, gamma_eff, 0, 0.0, 0, 0, failure="non-finite batch loss"
-        )
-
-    if config.direction == "gradient":
-        grad = batch_gradient(opr, oracle, f)
-        res = DirectionResult(
-            d=grad,
-            alpha=None,
-            report=CGReport(),
-            descent_inner_product=float(np.vdot(grad, grad)),
-        )
-    else:
-        spec = SubproblemSpec(gamma=gamma_eff, tau=config.tau, path=config.path)
-        reg = config.regularizer()
-        if config.path == "primal":
-            res = primal_gn_direction(opr, oracle, f, spec)
-        elif reg is not None:
-            res = regularized_dual_direction(opr, oracle, f, spec, w, reg)
+    try:
+        if not np.isfinite(batch_loss):
+            raise NumericError("non-finite batch loss")
+        if config.direction == "gradient":
+            grad = batch_gradient(opr, oracle, f)
+            res = DirectionResult(
+                d=grad,
+                alpha=None,
+                report=CGReport(),
+                descent_inner_product=float(np.vdot(grad, grad)),
+            )
         else:
-            res = dual_gn_direction(opr, oracle, f, spec)
+            spec = SubproblemSpec(gamma=gamma_eff, tau=config.tau, path=config.path)
+            reg = config.regularizer()
+            if config.path == "primal":
+                res = primal_gn_direction(opr, oracle, f, spec)
+            elif reg is not None:
+                res = regularized_dual_direction(opr, oracle, f, spec, w, reg)
+            else:
+                res = dual_gn_direction(opr, oracle, f, spec)
+    except NumericError as exc:
+        return w, _StepInfo(
+            batch_loss, 0.0, gamma_eff, 0, 0.0, opr.jvp_calls, opr.vjp_calls, str(exc)
+        )
 
     d = res.d
     if config.method == "spl":
@@ -311,30 +314,36 @@ def _batch_step(model, w, Xb, Yb, config, state):
     return w_new, info
 
 
-def _batch_model(config, batch, model):
+def _single_step(w, batch, config, model):
     Xb, Yb = (np.asarray(b, dtype=np.float64) for b in batch)
     if model is None:
         model = make_model(config.model, Xb.shape[1], Yb.shape[1])
-    return model, Xb, Yb
+    w_new, info = _batch_step(model, w, Xb, Yb, config, OptimizerState())
+    if info.failure is not None:
+        raise NumericError(info.failure)
+    return w_new, info
 
 
 def spl_step(w, batch, config, model=None):
-    """One full prox-linear step ``w - d`` on the batch ``(X, Y)``."""
+    """One full prox-linear step ``w - d`` on the batch ``(X, Y)``.
+
+    Raises :class:`NumericError` on a non-finite batch loss or solve.
+    """
     if config.method != "spl":
         raise ValueError(f"spl_step requires method='spl', got {config.method!r}")
-    model, Xb, Yb = _batch_model(config, batch, model)
-    w_new, _ = _batch_step(model, w, Xb, Yb, config, OptimizerState())
-    return w_new
+    return _single_step(w, batch, config, model)[0]
 
 
 def armijo_spl_step(w, batch, config, model=None):
-    """One backtracked prox-linear step at gamma=1; returns (w_new, eta)."""
+    """One backtracked prox-linear step at gamma=1; returns (w_new, eta).
+
+    Raises :class:`NumericError` on a non-finite batch loss or solve.
+    """
     if config.method != "armijo_spl":
         raise ValueError(
             f"armijo_spl_step requires method='armijo_spl', got {config.method!r}"
         )
-    model, Xb, Yb = _batch_model(config, batch, model)
-    w_new, info = _batch_step(model, w, Xb, Yb, config, OptimizerState())
+    w_new, info = _single_step(w, batch, config, model)
     return w_new, info.eta
 
 
@@ -354,9 +363,9 @@ def train(config, dataset, on_record=None):
     ``train_loss``/``train_acc`` are recomputed on the full training set at
     the end of every epoch and carried forward in between.  ``jvp_calls`` and
     ``vjp_calls`` are cumulative over the run.  A non-finite batch loss, or a
-    :class:`NumericError` from the step (its record has a NaN batch loss),
-    stops the run after logging a diagnostic record; the result is then
-    ``aborted`` and ``abort_reason`` names the failure and the step.
+    :class:`NumericError` from the direction solve, stops the run after
+    logging a diagnostic record; the result is then ``aborted`` and
+    ``abort_reason`` names the failure and the step.
     """
     if not isinstance(dataset, Dataset):
         dataset = Dataset(dataset[0], dataset[1])
@@ -386,10 +395,7 @@ def train(config, dataset, on_record=None):
         for start in range(0, n, config.batch_size):
             t0 = time.perf_counter()
             idx = perm[start : start + config.batch_size]
-            try:
-                w, info = _batch_step(model, w, X[idx], Y[idx], config, state)
-            except NumericError as exc:
-                info = _StepInfo(np.nan, 0.0, 0.0, 0, 0.0, 0, 0, failure=str(exc))
+            w, info = _batch_step(model, w, X[idx], Y[idx], config, state)
             cum_jvp += info.jvp_calls
             cum_vjp += info.vjp_calls
             if info.failure is None and start + config.batch_size >= n:

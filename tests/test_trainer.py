@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from dualgn import (
     Dataset,
     LossOracle,
+    NumericError,
     OptimizerState,
     SubproblemSpec,
     TrainConfig,
@@ -370,4 +371,17 @@ def test_train_aborts_on_numeric_failure_in_the_solve(path):
     assert res.abort_reason.startswith("non-finite")
     assert "CG" in res.abort_reason and res.abort_reason.endswith("at step 0")
     assert len(res.records) == 1
-    assert np.isnan(res.records[0].batch_loss)
+    rec = res.records[0]
+    assert np.isfinite(rec.batch_loss) and rec.eta == 0.0
+    assert rec.vjp_calls >= 1  # the products spent before the failure
+
+
+def test_single_steps_raise_on_non_finite_loss():
+    rng = np.random.Generator(np.random.Philox(key=88))
+    X = rng.standard_normal((8, 2)) * 1e200
+    Y = np.eye(2)[rng.integers(2, size=8)]
+    w = make_model("linear", 2, 2).init_params(0)
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="batch loss"):
+        spl_step(w, (X, Y), TrainConfig(method="spl"))
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="batch loss"):
+        armijo_spl_step(w, (X, Y), TrainConfig(method="armijo_spl"))
