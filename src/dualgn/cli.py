@@ -190,6 +190,8 @@ def _run_one(config, dataset, out_path):
 def _cmd_run(args, env):
     config, data_spec, out, grid = _assemble(args, env)
     dataset = _load_data(data_spec, config.seed)
+    if config.batch_size > dataset.n:
+        raise UsageError(f"batch_size {config.batch_size} exceeds dataset size {dataset.n}")
 
     if grid is None:
         result = _run_one(config, dataset, out)

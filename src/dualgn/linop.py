@@ -3,13 +3,12 @@
 A :class:`JacobianOperator` bundles the batched Jacobian-vector product
 (parameter space -> output block) and its adjoint (output block -> parameter
 space) for a model linearized at ``params`` on a batch, without ever forming
-the Jacobian matrix.  Every jvp/vjp call increments a counter, so solver cost
-contracts can be checked against what actually ran.
+the Jacobian matrix, from one forward pass whose trace every product reuses.
+Every jvp/vjp call increments a counter, so solver cost contracts can be
+checked against what actually ran.
 """
 
 import numpy as np
-
-from .models import MLPModel
 
 __all__ = [
     "JacobianOperator",
@@ -26,6 +25,8 @@ class JacobianOperator:
     ----------
     dims : tuple (p, m, k)
         Parameter count, batch size, output dimension.
+    outputs : ndarray, shape (m, k), or None
+        Model outputs at the linearization point, when the builder has them.
     jvp_calls, vjp_calls : int
         Number of batched product evaluations so far; each call to
         :meth:`jvp` / :meth:`vjp` adds exactly one.
@@ -35,6 +36,7 @@ class JacobianOperator:
         self.apply = apply
         self.adjoint = adjoint
         self.dims = tuple(int(x) for x in dims)
+        self.outputs = None
         self.jvp_calls = 0
         self.vjp_calls = 0
 
@@ -78,7 +80,7 @@ def make_jacobian_operator(model, params, batch):
 
     Returns
     -------
-    JacobianOperator with ``dims == (p, m, k)``.
+    JacobianOperator with ``dims == (p, m, k)``, holding the model outputs.
     """
     X = np.asarray(batch, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -89,16 +91,14 @@ def make_jacobian_operator(model, params, batch):
         )
     params = np.asarray(params, dtype=np.float64)
     dims = (model.n_params, X.shape[0], model.out_dim)
-
-    if isinstance(model, MLPModel):
-        # Freeze the forward trace once; all products reuse it.
-        _, trace = model.forward_trace(params, X)
-        apply = lambda u: model.jvp(params, X, u, trace=trace)
-        adjoint = lambda V: model.vjp(params, X, V, trace=trace)
-    else:
-        apply = lambda u: model.jvp(params, X, u)
-        adjoint = lambda V: model.vjp(params, X, V)
-    return JacobianOperator(apply, adjoint, dims)
+    outputs, trace = model.forward_trace(params, X)
+    opr = JacobianOperator(
+        lambda u: model.jvp(params, X, u, trace=trace),
+        lambda V: model.vjp(params, X, V, trace=trace),
+        dims,
+    )
+    opr.outputs = outputs
+    return opr
 
 
 def adjoint_dot_test(opr, seed=0, trials=20):

@@ -8,8 +8,9 @@ Two model families are provided:
   affine layers and an affine output layer.
 
 Both expose the same interface: ``n_params``, ``init_params(seed)``,
-``forward(params, X)``, and Jacobian products ``jvp`` / ``vjp`` with respect
-to the flat parameter vector.  All arithmetic is float64.
+``forward(params, X)``, ``forward_trace(params, X)`` (outputs and a trace),
+and Jacobian products ``jvp`` / ``vjp`` with respect to the flat parameter
+vector, which reuse that trace.  All arithmetic is float64.
 
 Parameter flattening convention: layer by layer, each layer's weight matrix
 (row-major) followed by its bias vector.  The linear model has no bias.
@@ -22,8 +23,6 @@ __all__ = [
     "MLPModel",
     "make_model",
     "sigmoid",
-    "silu",
-    "silu_prime",
 ]
 
 
@@ -36,17 +35,6 @@ def sigmoid(z):
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
-
-
-def silu(z):
-    """SiLU activation ``z * sigmoid(z)``."""
-    return z * sigmoid(z)
-
-
-def silu_prime(z):
-    """Derivative of SiLU: ``s(z) * (1 + z * (1 - s(z)))`` with ``s`` the sigmoid."""
-    s = sigmoid(z)
-    return s * (1.0 + z * (1.0 - s))
 
 
 def _param_rng(seed):
@@ -82,14 +70,19 @@ class LinearModel:
         return params.reshape(self.out_dim, self.in_dim)
 
     def forward(self, params, X):
-        return np.asarray(X, dtype=np.float64) @ self._weights(params).T
+        out, _ = self.forward_trace(params, X)
+        return out
 
-    def jvp(self, params, X, u):
+    def forward_trace(self, params, X):
+        """Forward pass; the model is linear, so the trace is ``None``."""
+        return np.asarray(X, dtype=np.float64) @ self._weights(params).T, None
+
+    def jvp(self, params, X, u, trace=None):
         """Directional derivative of ``forward`` along the parameter tangent ``u``."""
         U = self._weights(u)
         return np.asarray(X, dtype=np.float64) @ U.T
 
-    def vjp(self, params, X, V):
+    def vjp(self, params, X, V, trace=None):
         """Adjoint product: maps an output cotangent block (m, k) to parameter space."""
         V = np.asarray(V, dtype=np.float64)
         return (V.T @ np.asarray(X, dtype=np.float64)).ravel()
@@ -152,35 +145,36 @@ class MLPModel:
         """Forward pass returning the output and the layer trace used by jvp/vjp.
 
         The trace stores, per layer, the layer input and (for hidden layers)
-        the pre-activation, so repeated Jacobian products at a fixed point do
-        not redo the forward pass.
+        the SiLU derivative at the pre-activation, so repeated Jacobian
+        products at a fixed point redo neither the forward pass nor the sigmoid.
         """
         layers = self._unpack(params)
         Z = np.asarray(X, dtype=np.float64)
         inputs = []
-        preacts = []
+        slopes = []
         for i, (W, b) in enumerate(layers):
             inputs.append(Z)
             A = Z @ W.T + b
             if i < len(layers) - 1:
-                preacts.append(A)
-                Z = silu(A)
+                s = sigmoid(A)
+                slopes.append(s * (1.0 + A * (1.0 - s)))
+                Z = A * s
             else:
                 Z = A
-        return Z, (inputs, preacts)
+        return Z, (inputs, slopes)
 
     def jvp(self, params, X, u, trace=None):
         layers = self._unpack(params)
         du = self._unpack(u)
         if trace is None:
             _, trace = self.forward_trace(params, X)
-        inputs, preacts = trace
+        inputs, slopes = trace
         dZ = np.zeros_like(inputs[0])
         for i, ((W, _), (dW, db)) in enumerate(zip(layers, du)):
             Z = inputs[i]
             dA = dZ @ W.T + Z @ dW.T + db
             if i < len(layers) - 1:
-                dZ = silu_prime(preacts[i]) * dA
+                dZ = slopes[i] * dA
             else:
                 dZ = dA
         return dZ
@@ -189,7 +183,7 @@ class MLPModel:
         layers = self._unpack(params)
         if trace is None:
             _, trace = self.forward_trace(params, X)
-        inputs, preacts = trace
+        inputs, slopes = trace
         G = np.asarray(V, dtype=np.float64)
         grads = [None] * len(layers)
         for i in range(len(layers) - 1, -1, -1):
@@ -197,7 +191,7 @@ class MLPModel:
             Z = inputs[i]
             grads[i] = (G.T @ Z, G.sum(axis=0))
             if i > 0:
-                G = (G @ W) * silu_prime(preacts[i - 1])
+                G = (G @ W) * slopes[i - 1]
         return np.concatenate([np.concatenate([dW.ravel(), db]) for dW, db in grads])
 
 

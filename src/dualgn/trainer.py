@@ -12,7 +12,9 @@ Update rules: ``spl`` takes the full step ``w - d`` (for the gradient source
 it uses ``w - gamma * d``, matching the zero-inner-iteration prox-linear
 step); ``armijo_spl`` computes the direction at ``gamma = 1`` and backtracks
 a stepsize; ``sgd``, ``momentum`` and ``adam`` feed the direction into the
-usual first-order update rules with stepsize ``eta``.
+usual first-order update rules with stepsize ``eta``.  A step evaluates the
+model at ``w`` once, to build the Jacobian operator, plus once per line-search
+trial.
 
 All randomness (parameter init, epoch shuffling) is driven by counter-based
 Philox streams keyed on the seed, so runs are bit-reproducible; epoch
@@ -59,6 +61,13 @@ METHODS = ("spl", "armijo_spl", "sgd", "momentum", "adam")
 DIRECTIONS = ("gradient", "proxlinear")
 
 
+def _integer(name, value, low=0):
+    if value < low or int(value) != value:
+        kind = "positive" if low else "nonnegative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value}")
+    return int(value)
+
+
 @dataclass
 class TrainConfig:
     """Everything that determines a training run (except the data)."""
@@ -99,12 +108,9 @@ class TrainConfig:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         if not self.eta > 0:
             raise ValueError(f"eta must be positive, got {self.eta}")
-        if self.tau < 0 or int(self.tau) != self.tau:
-            raise ValueError(f"tau must be a nonnegative integer, got {self.tau}")
-        if self.batch_size < 1 or int(self.batch_size) != self.batch_size:
-            raise ValueError(f"batch_size must be a positive integer, got {self.batch_size}")
-        if self.epochs < 0 or int(self.epochs) != self.epochs:
-            raise ValueError(f"epochs must be a nonnegative integer, got {self.epochs}")
+        self.tau = _integer("tau", self.tau)
+        self.batch_size = _integer("batch_size", self.batch_size, low=1)
+        self.epochs = _integer("epochs", self.epochs)
         if self.l1 < 0 or self.l2 < 0:
             raise ValueError("l1 and l2 must be nonnegative")
         if self.l1 > 0 and self.l2 > 0:
@@ -115,9 +121,9 @@ class TrainConfig:
             raise ValueError(
                 f"armijo_shrink must lie in (0, 1), got {self.armijo_shrink}"
             )
-        self.tau = int(self.tau)
-        self.batch_size = int(self.batch_size)
-        self.epochs = int(self.epochs)
+        self.armijo_max_backtracks = _integer(
+            "armijo_max_backtracks", self.armijo_max_backtracks
+        )
         if (self.l1 > 0 or self.l2 > 0) and (
             self.direction != "proxlinear"
             or self.path != "dual"
@@ -185,21 +191,22 @@ def armijo_search(
 
     where ``g`` is the batch gradient at ``w``.  Returns ``(eta, accepted)``;
     after ``max_backtracks`` rejections the smallest stepsize tried is
-    returned with ``accepted=False``.  Raises ValueError if ``d`` is not a
-    descent direction (``<d, g>`` significantly negative).
+    returned with ``accepted=False``.  Raises ValueError if ``max_backtracks``
+    is not a nonnegative integer or if ``<d, g>`` is significantly negative.
     """
+    max_backtracks = _integer("max_backtracks", max_backtracks)
     d = np.asarray(d, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
     dg = float(np.vdot(d, g))
     if dg < -1e-10 * (1.0 + float(np.linalg.norm(d)) * float(np.linalg.norm(g))):
         raise ValueError(f"not a descent direction: <d, grad> = {dg:.3e}")
+    h0 = float(batch_loss_eval(w))
     return _armijo_backtrack(
-        batch_loss_eval, w, d, max(dg, 0.0), beta, shrink, eta0, max_backtracks
+        batch_loss_eval, w, d, h0, max(dg, 0.0), beta, shrink, eta0, max_backtracks
     )
 
 
-def _armijo_backtrack(batch_loss_eval, w, d, dg, beta, shrink, eta0, max_backtracks):
-    h0 = float(batch_loss_eval(w))
+def _armijo_backtrack(batch_loss_eval, w, d, h0, dg, beta, shrink, eta0, max_backtracks):
     eta = eta0
     for _ in range(max_backtracks + 1):
         if float(batch_loss_eval(w - eta * d)) <= h0 - beta * eta * dg:
@@ -251,7 +258,7 @@ def _batch_step(model, w, Xb, Yb, config, state):
     """One minibatch update; returns (w_new, _StepInfo)."""
     oracle = LossOracle(config.loss, Yb)
     opr = make_jacobian_operator(model, w, Xb)
-    f = model.forward(w, Xb)
+    f = opr.outputs
     batch_loss = float(np.mean(loss_value(oracle, f)))
     gamma_eff = 1.0 if config.method == "armijo_spl" else config.gamma
     try:
@@ -291,6 +298,7 @@ def _batch_step(model, w, Xb, Yb, config, state):
             h_eval,
             w,
             d,
+            batch_loss,
             max(res.descent_inner_product, 0.0),
             config.armijo_beta,
             config.armijo_shrink,

@@ -80,16 +80,13 @@ def descent_suite(seed=0):
         for loss_kind in LOSS_KINDS:
             model, w, X, Y = _make_instance(name, d, k, m, seed + i)
             oracle = LossOracle(loss_kind, Y)
-            f = model.forward(w, X)
+            opr = make_jacobian_operator(model, w, X)
+            grad = batch_gradient(opr, oracle, opr.outputs)
             for path in ("primal", "dual"):
                 for tau in (1, 2, 4, 8):
-                    opr = make_jacobian_operator(model, w, X)
                     spec = SubproblemSpec(gamma=0.7, tau=tau, path=path)
                     fn = primal_gn_direction if path == "primal" else dual_gn_direction
-                    res = fn(opr, oracle, f, spec)
-                    grad = batch_gradient(
-                        make_jacobian_operator(model, w, X), oracle, f
-                    )
+                    res = fn(opr, oracle, opr.outputs, spec)
                     scale = 1.0 + float(
                         np.linalg.norm(res.d) * np.linalg.norm(grad)
                     )
@@ -111,18 +108,18 @@ def duality_suite(seed=0):
         for loss_kind in LOSS_KINDS:
             model, w, X, Y = _make_instance(name, d, k, m, seed + i)
             oracle = LossOracle(loss_kind, Y)
-            f = model.forward(w, X)
+            opr = make_jacobian_operator(model, w, X)
             p = model.n_params
             res_p = primal_gn_direction(
-                make_jacobian_operator(model, w, X),
+                opr,
                 oracle,
-                f,
+                opr.outputs,
                 SubproblemSpec(gamma=2.5, tau=4 * p, path="primal", tol=1e-14),
             )
             res_d = dual_gn_direction(
-                make_jacobian_operator(model, w, X),
+                opr,
                 oracle,
-                f,
+                opr.outputs,
                 SubproblemSpec(gamma=2.5, tau=4 * m * k, path="dual", tol=1e-14),
             )
             rel = float(
@@ -146,12 +143,12 @@ def constraints_suite(seed=0):
     for i, (name, d, k, m) in enumerate(_INSTANCES):
         model, w, X, Y = _make_instance(name, d, k, m, seed + i)
         oracle = LossOracle("logistic", Y)
-        f = model.forward(w, X)
+        opr = make_jacobian_operator(model, w, X)
         iterates = []
         dual_gn_direction(
-            make_jacobian_operator(model, w, X),
+            opr,
             oracle,
-            f,
+            opr.outputs,
             SubproblemSpec(gamma=1.3, tau=6, path="dual"),
             callback=iterates.append,
         )
@@ -199,8 +196,7 @@ def cost_suite(seed=0):
         for loss_kind in LOSS_KINDS:
             opr = make_jacobian_operator(model, w, X)
             oracle = LossOracle(loss_kind, Y)
-            f = model.forward(w, X)
-            res = fn(opr, oracle, f, SubproblemSpec(gamma=1.0, tau=tau, path=path))
+            res = fn(opr, oracle, opr.outputs, SubproblemSpec(gamma=1.0, tau=tau, path=path))
             good = opr.jvp_calls == tau and opr.vjp_calls == tau + 1
             ok &= good
             counts[(path, loss_kind)] = res.report.vector_op_scalar_count

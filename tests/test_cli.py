@@ -222,6 +222,17 @@ def test_numeric_failure_in_solve_leaves_diagnostic_row(tmp_path, monkeypatch, c
     assert len(rows) == 2 and rows[1][0] == "0"
 
 
+def test_batch_larger_than_dataset_is_usage_error(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "x.csv"
+    code = _run(
+        ["run", "--data", "blobs:16,2,3,0.2", "--batch-size", "32", "--out", str(out)],
+        monkeypatch,
+    )
+    assert code == 1
+    assert "usage error: batch_size 32 exceeds dataset size 16" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_model_is_usage_error(tmp_path, monkeypatch, capsys):
     code = _run(["run", "--model", "mlp:x", "--out", str(tmp_path / "x.csv")], monkeypatch)
     assert code == 1

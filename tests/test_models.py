@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dualgn import LinearModel, MLPModel, make_model
-from dualgn.models import sigmoid, silu, silu_prime
+from dualgn import LinearModel, MLPModel, make_jacobian_operator, make_model
+from dualgn.models import sigmoid
 
 
 def test_sigmoid_stable_at_extremes():
@@ -13,18 +13,6 @@ def test_sigmoid_stable_at_extremes():
     # no overflow warnings on a mixed block
     with np.errstate(over="raise"):
         sigmoid(np.array([-800.0, -1.0, 0.0, 1.0, 800.0]))
-
-
-def test_silu_building_block():
-    assert silu(0.0) == 0.0
-    assert silu_prime(0.0) == 0.5
-
-
-def test_silu_prime_matches_finite_differences():
-    z = np.linspace(-6.0, 6.0, 41)
-    eps = 1e-6
-    fd = (silu(z + eps) - silu(z - eps)) / (2 * eps)
-    assert_allclose(silu_prime(z), fd, atol=1e-9)
 
 
 def test_linear_forward_identity_weights():
@@ -79,20 +67,24 @@ def test_mlp_forward_matches_manual_chain():
     b1 = w[6:9]
     W2 = w[9:15].reshape(2, 3)
     b2 = w[15:]
-    expected = silu(X @ W1.T + b1) @ W2.T + b2
+    A = X @ W1.T + b1
+    expected = (A / (1 + np.exp(-A))) @ W2.T + b2
     assert_allclose(model.forward(w, X), expected)
 
 
 def test_forward_trace_reuse_is_consistent():
-    model = MLPModel([2, 4, 3])
-    rng = np.random.Generator(np.random.Philox(key=11))
-    w = model.init_params(11)
-    X = rng.standard_normal((3, 2))
-    u = rng.standard_normal(model.n_params)
-    V = rng.standard_normal((3, 3))
-    _, trace = model.forward_trace(w, X)
-    assert_allclose(model.jvp(w, X, u, trace=trace), model.jvp(w, X, u))
-    assert_allclose(model.vjp(w, X, V, trace=trace), model.vjp(w, X, V))
+    for model in (MLPModel([2, 4, 3]), LinearModel(2, 3)):
+        rng = np.random.Generator(np.random.Philox(key=11))
+        w = model.init_params(11)
+        X = rng.standard_normal((3, 2))
+        u = rng.standard_normal(model.n_params)
+        V = rng.standard_normal((3, 3))
+        out, trace = model.forward_trace(w, X)
+        # the operator's outputs are the forward pass, bit for bit
+        assert np.array_equal(make_jacobian_operator(model, w, X).outputs, out)
+        assert np.array_equal(model.forward(w, X), out)
+        assert_allclose(model.jvp(w, X, u, trace=trace), model.jvp(w, X, u))
+        assert_allclose(model.vjp(w, X, V, trace=trace), model.vjp(w, X, V))
 
 
 def test_bad_param_vector_shape():

@@ -85,6 +85,21 @@ def test_armijo_exhaustion_returns_smallest_eta():
     assert eta == pytest.approx(0.5**3)
 
 
+def test_backtrack_budget_must_be_a_nonnegative_integer():
+    # at -1 the loop never ran and every step took eta = eta0 / shrink = 2
+    for bad in (-1, 1.5):
+        with pytest.raises(ValueError, match="armijo_max_backtracks"):
+            TrainConfig(method="armijo_spl", armijo_max_backtracks=bad)
+    assert TrainConfig(armijo_max_backtracks=3.0).armijo_max_backtracks == 3
+    h = lambda w: float(abs(w[0] - 1.0))
+    w, d, g = np.array([1.0]), np.array([1.0]), np.array([1.0])
+    for bad in (-1, 1.5):
+        with pytest.raises(ValueError, match="max_backtracks"):
+            armijo_search(h, w, d, g, max_backtracks=bad)
+    # a zero budget still tries eta0 once
+    assert armijo_search(h, w, d, g, max_backtracks=0) == (1.0, False)
+
+
 def _quad_grad(w):
     return np.array([2.0, 0.5]) * w
 
@@ -243,6 +258,54 @@ def test_armijo_spl_accepted_steps_satisfy_inequality():
             w = w_new
             checked += 1
     assert checked == 200
+
+
+def _count_forward_traces(monkeypatch, model):
+    calls = []
+    original = type(model).forward_trace
+
+    def counted(self, params, X):
+        calls.append(1)
+        return original(self, params, X)
+
+    monkeypatch.setattr(type(model), "forward_trace", counted)
+    return calls
+
+
+def test_step_evaluates_the_model_once(monkeypatch):
+    ds = synth_blobs(6, n=48, d=2, k=3, spread=0.4)
+    for name in ("linear", "mlp:5"):
+        model = make_model(name, 2, 3)
+        calls = _count_forward_traces(monkeypatch, model)
+        w = model.init_params(6)
+        spl_step(w, (ds.inputs[:16], ds.targets[:16]), TrainConfig(method="spl", model=name))
+        assert len(calls) == 1
+        # in a run, only the step that ends an epoch adds the full-dataset metrics
+        calls.clear()
+        per_step = []
+        config = TrainConfig(
+            method="momentum", loss="logistic", model=name, batch_size=16, epochs=2
+        )
+        train(config, ds, on_record=lambda rec: per_step.append(len(calls)))
+        assert np.diff([1] + per_step).tolist() == [1, 1, 2] * 2
+
+
+def test_armijo_step_evaluates_the_model_once_plus_once_per_trial(monkeypatch):
+    ds = synth_blobs(7, n=96, d=2, k=3, spread=0.4)
+    config = TrainConfig(method="armijo_spl", loss="logistic", model="mlp:6", tau=2)
+    model = make_model("mlp:6", 2, 3)
+    calls = _count_forward_traces(monkeypatch, model)
+    w = model.init_params(7)
+    total_trials = 0
+    for start in range(0, 96, 24):
+        # inputs scaled by 10 make the full step overshoot, so steps backtrack
+        batch = (10.0 * ds.inputs[start : start + 24], ds.targets[start : start + 24])
+        calls.clear()
+        w, eta = armijo_spl_step(w, batch, config, model=model)
+        trials = round(np.log2(1.0 / eta)) + 1  # the last trial was eta = 0.5**(trials - 1)
+        assert len(calls) == 1 + trials
+        total_trials += trials
+    assert total_trials > 8  # steps backtracked
 
 
 def test_train_deterministic_per_seed():
