@@ -27,14 +27,10 @@ __all__ = [
 
 
 def sigmoid(z):
-    """Numerically stable logistic sigmoid, elementwise."""
+    """Numerically stable logistic sigmoid, elementwise; ``exp`` sees only ``-|z|``."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _param_rng(seed):
@@ -50,10 +46,7 @@ class LinearModel:
             raise ValueError(f"model dims must be positive, got ({in_dim}, {out_dim})")
         self.in_dim = int(in_dim)
         self.out_dim = int(out_dim)
-
-    @property
-    def n_params(self):
-        return self.out_dim * self.in_dim
+        self.n_params = self.out_dim * self.in_dim
 
     def init_params(self, seed=0):
         """Uniform(-a, a) init with ``a = 1/sqrt(fan_in)``, seeded."""
@@ -105,10 +98,7 @@ class MLPModel:
         self.in_dim = dims[0]
         self.out_dim = dims[-1]
         self._shapes = [(dims[i + 1], dims[i]) for i in range(len(dims) - 1)]
-
-    @property
-    def n_params(self):
-        return sum(o * i + o for o, i in self._shapes)
+        self.n_params = sum(o * i + o for o, i in self._shapes)
 
     def init_params(self, seed=0):
         """Uniform(-a, a) init per layer with ``a = 1/sqrt(fan_in)``, seeded."""
@@ -169,14 +159,10 @@ class MLPModel:
         if trace is None:
             _, trace = self.forward_trace(params, X)
         inputs, slopes = trace
-        dZ = np.zeros_like(inputs[0])
         for i, ((W, _), (dW, db)) in enumerate(zip(layers, du)):
-            Z = inputs[i]
-            dA = dZ @ W.T + Z @ dW.T + db
-            if i < len(layers) - 1:
-                dZ = slopes[i] * dA
-            else:
-                dZ = dA
+            # The input tangent is zero, so the first layer skips dZ @ W.T.
+            dA = inputs[i] @ dW.T + db if i == 0 else dZ @ W.T + inputs[i] @ dW.T + db
+            dZ = slopes[i] * dA if i < len(slopes) else dA
         return dZ
 
     def vjp(self, params, X, V, trace=None):
@@ -185,14 +171,15 @@ class MLPModel:
             _, trace = self.forward_trace(params, X)
         inputs, slopes = trace
         G = np.asarray(V, dtype=np.float64)
-        grads = [None] * len(layers)
+        out = np.empty(self.n_params)
+        grads = self._unpack(out)
         for i in range(len(layers) - 1, -1, -1):
-            W, _ = layers[i]
-            Z = inputs[i]
-            grads[i] = (G.T @ Z, G.sum(axis=0))
+            dW, db = grads[i]
+            np.matmul(G.T, inputs[i], out=dW)
+            G.sum(axis=0, out=db)
             if i > 0:
-                G = (G @ W) * slopes[i - 1]
-        return np.concatenate([np.concatenate([dW.ravel(), db]) for dW, db in grads])
+                G = (G @ layers[i][0]) * slopes[i - 1]
+        return out
 
 
 def make_model(name, in_dim, out_dim):

@@ -111,6 +111,7 @@ class TrainConfig:
         self.tau = _integer("tau", self.tau)
         self.batch_size = _integer("batch_size", self.batch_size, low=1)
         self.epochs = _integer("epochs", self.epochs)
+        self.seed = _integer("seed", self.seed)
         if self.l1 < 0 or self.l2 < 0:
             raise ValueError("l1 and l2 must be nonnegative")
         if self.l1 > 0 and self.l2 > 0:

@@ -233,6 +233,28 @@ def test_batch_larger_than_dataset_is_usage_error(tmp_path, monkeypatch, capsys)
     assert not out.exists()
 
 
+def test_negative_seed_is_usage_error(tmp_path, monkeypatch, capsys):
+    # flag, config file and environment, on blobs and on IDX data
+    images = tmp_path / "img.idx"
+    images.write_bytes(struct.pack(">IIII", 0x00000803, 2, 1, 2) + bytes(4))
+    labels = tmp_path / "lab.idx"
+    labels.write_bytes(struct.pack(">II", 0x00000801, 2) + bytes([0, 1]))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = -1\n")
+    out = tmp_path / "x.csv"
+    for args, env in (
+        (["--seed", "-1", "--data", f"idx:{images},{labels}", "--batch-size", "2"], None),
+        (["--seed", "-1", "--data", "blobs:16,2,3,0.2", "--batch-size", "8"], None),
+        (["--config", str(cfg)], None),
+        ([], {"DUALGN_SEED": "-1"}),
+    ):
+        code = _run(["run", *args, "--out", str(out)], monkeypatch, env=env)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "usage error: seed must be a nonnegative integer, got -1" in err
+        assert not out.exists()
+
+
 def test_bad_model_is_usage_error(tmp_path, monkeypatch, capsys):
     code = _run(["run", "--model", "mlp:x", "--out", str(tmp_path / "x.csv")], monkeypatch)
     assert code == 1

@@ -57,6 +57,20 @@ def test_operator_matches_materialized_jacobian():
     assert_allclose(opr.vjp(V), J.T @ V.ravel(), rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("name,d,k,m", [("linear", 3, 2, 4), ("mlp:5", 3, 2, 4), ("mlp:4,3", 2, 3, 5)])
+def test_operator_matches_jacobian_at_every_depth(name, d, k, m):
+    # mlp:4,3 runs both the first-layer and the later-layer branch of the JVP
+    model, w, X = _instance(name, d, k, m, 61)
+    opr = make_jacobian_operator(model, w, X)
+    J = materialize_jacobian(model, w, X)
+    assert_allclose(J, fd_jacobian(model, w, X), atol=1e-7)
+    rng = np.random.Generator(np.random.Philox(key=62))
+    u = rng.standard_normal(model.n_params)
+    assert_allclose(opr.jvp(u).ravel(), J @ u, rtol=1e-12, atol=1e-12)
+    V = rng.standard_normal((m, k))
+    assert_allclose(opr.vjp(V), J.T @ V.ravel(), rtol=1e-12, atol=1e-12)
+
+
 def test_frozen_trace_consistency():
     # products taken through the operator equal fresh per-call products
     model, w, X = _instance("mlp:4,4", 2, 3, 5, 9)

@@ -15,6 +15,28 @@ def test_sigmoid_stable_at_extremes():
         sigmoid(np.array([-800.0, -1.0, 0.0, 1.0, 800.0]))
 
 
+def _two_branch_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_matches_two_branch_form_bit_for_bit():
+    rng = np.random.Generator(np.random.Philox(key=17))
+    edges = [0.0, 5e-324, 709.8, 745.0, 1e308, np.inf]
+    for z in (30.0 * rng.standard_normal((64, 64)), np.array(edges + [-e for e in edges])):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = sigmoid(z)
+        expected = _two_branch_sigmoid(z)
+        assert got.shape == z.shape
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        assert np.isnan(sigmoid(np.array([np.nan]))).all()
+
+
 def test_linear_forward_identity_weights():
     model = LinearModel(2, 2)
     w = np.eye(2).ravel()
@@ -85,6 +107,31 @@ def test_forward_trace_reuse_is_consistent():
         assert np.array_equal(model.forward(w, X), out)
         assert_allclose(model.jvp(w, X, u, trace=trace), model.jvp(w, X, u))
         assert_allclose(model.vjp(w, X, V, trace=trace), model.vjp(w, X, V))
+
+
+def test_vjp_returns_a_fresh_parameter_vector():
+    # the dual kernel and the primal operator hold on to earlier results
+    model = MLPModel([3, 5, 4, 2])
+    rng = np.random.Generator(np.random.Philox(key=13))
+    w = model.init_params(13)
+    X = rng.standard_normal((6, 3))
+    _, (inputs, slopes) = model.forward_trace(w, X)
+    V1, V2 = rng.standard_normal((2, 6, 2))
+    g1 = model.vjp(w, X, V1)
+    kept = g1.copy()
+    g2 = model.vjp(w, X, V2)
+    assert g1 is not g2 and not np.shares_memory(g1, g2)
+    assert np.array_equal(g1, kept)
+    layers = model._unpack(w)
+    for V, g in ((V1, g1), (V2, g2)):
+        assert g.shape == (model.n_params,) and g.dtype == np.float64
+        assert g.flags.c_contiguous
+        G, blocks = V, []
+        for i in range(len(layers) - 1, -1, -1):
+            blocks[:0] = [(G.T @ inputs[i]).ravel(), G.sum(axis=0)]
+            if i > 0:
+                G = (G @ layers[i][0]) * slopes[i - 1]
+        assert_allclose(g, np.concatenate(blocks), rtol=1e-13, atol=1e-15)
 
 
 def test_bad_param_vector_shape():

@@ -100,6 +100,14 @@ def test_backtrack_budget_must_be_a_nonnegative_integer():
     assert armijo_search(h, w, d, g, max_backtracks=0) == (1.0, False)
 
 
+def test_seed_must_be_a_nonnegative_integer():
+    # a negative seed used to reach the Philox key and fail with a raw traceback
+    for bad in (-1, 1.5):
+        with pytest.raises(ValueError, match=f"seed must be a nonnegative integer, got {bad}"):
+            TrainConfig(seed=bad)
+    assert TrainConfig(seed=3.0).seed == 3
+
+
 def _quad_grad(w):
     return np.array([2.0, 0.5]) * w
 
