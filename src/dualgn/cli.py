@@ -14,27 +14,16 @@ import os
 import sys
 
 from .data import load_idx_dataset, synth_blobs
+from .directions import PATHS
 from .exceptions import NumericError, UsageError
+from .losses import LOSS_KINDS
 from .models import make_model
-from .trainer import DIRECTIONS, METHODS, TrainConfig, train
+from .trainer import DIRECTIONS, METHODS, RunRecord, TrainConfig, train
 from .verify import SUITES, run_suite
 
 __all__ = ["main", "CSV_FIELDS"]
 
-CSV_FIELDS = [
-    "step",
-    "epoch",
-    "wall_ms",
-    "batch_loss",
-    "train_loss",
-    "train_acc",
-    "eta",
-    "gamma",
-    "inner_iters",
-    "jvp_calls",
-    "vjp_calls",
-    "descent_ip",
-]
+CSV_FIELDS = [f.name for f in dataclasses.fields(RunRecord)]
 
 DEFAULT_DATA = "blobs:512,2,3,0.2"
 DEFAULT_OUT = "metrics.csv"
@@ -60,8 +49,8 @@ def _build_parser():
     run_p.add_argument("--config", help="key = value settings file")
     run_p.add_argument("--method", choices=METHODS)
     run_p.add_argument("--direction", choices=DIRECTIONS)
-    run_p.add_argument("--path", choices=("primal", "dual"))
-    run_p.add_argument("--loss", choices=("squared", "logistic"))
+    run_p.add_argument("--path", choices=PATHS)
+    run_p.add_argument("--loss", choices=LOSS_KINDS)
     run_p.add_argument("--model", help="linear | mlp:<h1,h2,...>")
     run_p.add_argument("--gamma", type=float)
     run_p.add_argument("--eta", type=float)

@@ -66,8 +66,10 @@ def synth_blobs(seed, n, d, k, spread):
         raise ValueError(f"need at least one sample per cluster: n={n} < k={k}")
     if k < 2:
         raise ValueError(f"need at least two clusters, got k={k}")
-    if spread <= 0:
-        raise ValueError(f"spread must be positive, got {spread}")
+    if d < 1:
+        raise ValueError(f"need at least one input dimension, got d={d}")
+    if not 0 < spread < np.inf:
+        raise ValueError(f"spread must be finite and positive, got {spread}")
     rng = np.random.Generator(np.random.Philox(key=seed))
 
     means = rng.standard_normal((k, d))
@@ -105,6 +107,8 @@ def load_idx_images(path):
             raise ValueError(
                 f"{path}: bad image magic 0x{magic:08x}, expected 0x{_IDX_IMAGE_MAGIC:08x}"
             )
+        if rows == 0 or cols == 0:
+            raise ValueError(f"{path}: empty {rows}x{cols} images")
         raw = fh.read(n * rows * cols)
     if len(raw) != n * rows * cols:
         raise ValueError(f"{path}: truncated image data")

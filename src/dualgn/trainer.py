@@ -12,9 +12,10 @@ Update rules: ``spl`` takes the full step ``w - d`` (for the gradient source
 it uses ``w - gamma * d``, matching the zero-inner-iteration prox-linear
 step); ``armijo_spl`` computes the direction at ``gamma = 1`` and backtracks
 a stepsize; ``sgd``, ``momentum`` and ``adam`` feed the direction into the
-usual first-order update rules with stepsize ``eta``.  A step evaluates the
-model at ``w`` once, to build the Jacobian operator, plus once per line-search
-trial.
+usual first-order update rules with stepsize ``eta``.  Every step is applied
+by :func:`outer_update`: ``spl`` and ``armijo_spl`` go through its ``sgd``
+rule, at eta 1 and at the searched eta.  A step evaluates the model at ``w``
+once, to build the Jacobian operator, plus once per line-search trial.
 
 All randomness (parameter init, epoch shuffling) is driven by counter-based
 Philox streams keyed on the seed, so runs are bit-reproducible; epoch
@@ -25,14 +26,12 @@ raise :class:`NumericError` instead.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .cgsolver import CGReport
 from .data import Dataset
 from .directions import (
-    DirectionResult,
     Regularizer,
     SubproblemSpec,
     batch_gradient,
@@ -100,18 +99,18 @@ class TrainConfig:
             raise ValueError(
                 f"direction must be one of {DIRECTIONS}, got {self.direction!r}"
             )
-        if self.path not in ("primal", "dual"):
-            raise ValueError(f"path must be 'primal' or 'dual', got {self.path!r}")
+        self.tau = SubproblemSpec(gamma=self.gamma, tau=self.tau, path=self.path).tau
         if self.loss not in LOSS_KINDS:
             raise ValueError(f"loss must be one of {LOSS_KINDS}, got {self.loss!r}")
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
         if not self.eta > 0:
             raise ValueError(f"eta must be positive, got {self.eta}")
-        self.tau = _integer("tau", self.tau)
         self.batch_size = _integer("batch_size", self.batch_size, low=1)
         self.epochs = _integer("epochs", self.epochs)
         self.seed = _integer("seed", self.seed)
+        if self.seed >= 2**63:
+            raise ValueError(
+                f"seed must be a nonnegative integer below 2**63, got {self.seed}"
+            )
         if self.l1 < 0 or self.l2 < 0:
             raise ValueError("l1 and l2 must be nonnegative")
         if self.l1 > 0 and self.l2 > 0:
@@ -155,29 +154,37 @@ class OptimizerState:
 
 @dataclass
 class RunRecord:
-    """One logged training step (field order matches the CSV schema)."""
+    """One logged training step; the field order is the CSV schema.
 
-    step: int
-    epoch: int
-    wall_ms: float
-    batch_loss: float
-    train_loss: float
-    train_acc: float
-    eta: float
-    gamma: float
-    inner_iters: int
-    jvp_calls: int
-    vjp_calls: int
-    descent_ip: float
+    A step fills in its own facts, with ``jvp_calls``/``vjp_calls`` counting
+    that step alone; :func:`train` then sets the step, epoch, metrics and
+    wall time, and makes the counts cumulative over the run.
+    """
+
+    step: int = 0
+    epoch: int = 0
+    wall_ms: float = 0.0
+    batch_loss: float = 0.0
+    train_loss: float = 0.0
+    train_acc: float = 0.0
+    eta: float = 0.0
+    gamma: float = 0.0
+    inner_iters: int = 0
+    jvp_calls: int = 0
+    vjp_calls: int = 0
+    descent_ip: float = 0.0
 
 
 @dataclass
 class TrainResult:
     records: list
-    aborted: bool = False
     abort_reason: str = None
     params: object = None
     model: object = None
+
+    @property
+    def aborted(self):
+        return self.abort_reason is not None
 
 
 def armijo_search(
@@ -219,6 +226,9 @@ def _armijo_backtrack(batch_loss_eval, w, d, h0, dg, beta, shrink, eta0, max_bac
 def outer_update(rule, state, w, d, eta, config):
     """Apply one sgd/momentum/adam update with direction ``d``; returns new w.
 
+    This is the only place a training step is applied; ``spl`` and
+    ``armijo_spl`` use the ``sgd`` rule ``w - eta d``.
+
     ``state`` is mutated in place.  Momentum uses the heavy-ball recursion
     ``v <- mu v + d``; adam uses bias-corrected first and second moments.
     """
@@ -243,38 +253,28 @@ def outer_update(rule, state, w, d, eta, config):
     raise ValueError(f"unknown update rule {rule!r}")
 
 
-@dataclass
-class _StepInfo:
-    batch_loss: float
-    eta: float
-    gamma: float
-    inner_iters: int
-    descent_ip: float
-    jvp_calls: int
-    vjp_calls: int
-    failure: str = None
-
-
 def _batch_step(model, w, Xb, Yb, config, state):
-    """One minibatch update; returns (w_new, _StepInfo)."""
+    """One minibatch update; returns ``(w_new, record, failure)``.
+
+    ``record`` is the step's :class:`RunRecord`.  ``failure`` is None, or the
+    message of a non-finite batch loss or a failed direction solve; ``w`` is
+    then returned unchanged and the record has eta 0.
+    """
     oracle = LossOracle(config.loss, Yb)
     opr = make_jacobian_operator(model, w, Xb)
     f = opr.outputs
-    batch_loss = float(np.mean(loss_value(oracle, f)))
-    gamma_eff = 1.0 if config.method == "armijo_spl" else config.gamma
+    rec = RunRecord(
+        batch_loss=float(np.mean(loss_value(oracle, f))),
+        gamma=1.0 if config.method == "armijo_spl" else config.gamma,
+    )
     try:
-        if not np.isfinite(batch_loss):
+        if not np.isfinite(rec.batch_loss):
             raise NumericError("non-finite batch loss")
         if config.direction == "gradient":
-            grad = batch_gradient(opr, oracle, f)
-            res = DirectionResult(
-                d=grad,
-                alpha=None,
-                report=CGReport(),
-                descent_inner_product=float(np.vdot(grad, grad)),
-            )
+            d = batch_gradient(opr, oracle, f)
+            rec.descent_ip = float(np.vdot(d, d))
         else:
-            spec = SubproblemSpec(gamma=gamma_eff, tau=config.tau, path=config.path)
+            spec = SubproblemSpec(gamma=rec.gamma, tau=config.tau, path=config.path)
             reg = config.regularizer()
             if config.path == "primal":
                 res = primal_gn_direction(opr, oracle, f, spec)
@@ -282,55 +282,44 @@ def _batch_step(model, w, Xb, Yb, config, state):
                 res = regularized_dual_direction(opr, oracle, f, spec, w, reg)
             else:
                 res = dual_gn_direction(opr, oracle, f, spec)
+            d, rec.descent_ip = res.d, res.descent_inner_product
+            rec.inner_iters = res.report.iterations
     except NumericError as exc:
-        return w, _StepInfo(
-            batch_loss, 0.0, gamma_eff, 0, 0.0, opr.jvp_calls, opr.vjp_calls, str(exc)
-        )
+        return w, rec, str(exc)
+    finally:
+        rec.jvp_calls, rec.vjp_calls = opr.jvp_calls, opr.vjp_calls
 
-    d = res.d
+    rule = "sgd"
     if config.method == "spl":
+        rec.eta = 1.0
         if config.direction == "gradient":
-            d = gamma_eff * d
-        w_new = w - d
-        eta_used = 1.0
+            d = rec.gamma * d
     elif config.method == "armijo_spl":
         h_eval = lambda v: float(np.mean(loss_value(oracle, model.forward(v, Xb))))
-        eta_used, _ = _armijo_backtrack(
+        rec.eta, _ = _armijo_backtrack(
             h_eval,
             w,
             d,
-            batch_loss,
-            max(res.descent_inner_product, 0.0),
+            rec.batch_loss,
+            max(rec.descent_ip, 0.0),
             config.armijo_beta,
             config.armijo_shrink,
             1.0,
             config.armijo_max_backtracks,
         )
-        w_new = w - eta_used * d
     else:
-        w_new = outer_update(config.method, state, w, d, config.eta, config)
-        eta_used = config.eta
-
-    info = _StepInfo(
-        batch_loss,
-        eta_used,
-        gamma_eff,
-        res.report.iterations,
-        res.descent_inner_product,
-        opr.jvp_calls,
-        opr.vjp_calls,
-    )
-    return w_new, info
+        rule, rec.eta = config.method, config.eta
+    return outer_update(rule, state, w, d, rec.eta, config), rec, None
 
 
 def _single_step(w, batch, config, model):
     Xb, Yb = (np.asarray(b, dtype=np.float64) for b in batch)
     if model is None:
         model = make_model(config.model, Xb.shape[1], Yb.shape[1])
-    w_new, info = _batch_step(model, w, Xb, Yb, config, OptimizerState())
-    if info.failure is not None:
-        raise NumericError(info.failure)
-    return w_new, info
+    w_new, rec, failure = _batch_step(model, w, Xb, Yb, config, OptimizerState())
+    if failure is not None:
+        raise NumericError(failure)
+    return w_new, rec
 
 
 def spl_step(w, batch, config, model=None):
@@ -352,8 +341,8 @@ def armijo_spl_step(w, batch, config, model=None):
         raise ValueError(
             f"armijo_spl_step requires method='armijo_spl', got {config.method!r}"
         )
-    w_new, info = _single_step(w, batch, config, model)
-    return w_new, info.eta
+    w_new, rec = _single_step(w, batch, config, model)
+    return w_new, rec.eta
 
 
 def _full_metrics(model, w, X, Y, loss_kind):
@@ -392,11 +381,7 @@ def train(config, dataset, on_record=None):
     state = OptimizerState()
 
     records = []
-    aborted = False
     abort_reason = None
-    cum_jvp = 0
-    cum_vjp = 0
-    step_idx = 0
     train_loss, train_acc = _full_metrics(model, w, X, Y, config.loss)
 
     for epoch in range(config.epochs):
@@ -404,39 +389,26 @@ def train(config, dataset, on_record=None):
         for start in range(0, n, config.batch_size):
             t0 = time.perf_counter()
             idx = perm[start : start + config.batch_size]
-            w, info = _batch_step(model, w, X[idx], Y[idx], config, state)
-            cum_jvp += info.jvp_calls
-            cum_vjp += info.vjp_calls
-            if info.failure is None and start + config.batch_size >= n:
+            w, rec, failure = _batch_step(model, w, X[idx], Y[idx], config, state)
+            if failure is None and start + config.batch_size >= n:
                 train_loss, train_acc = _full_metrics(model, w, X, Y, config.loss)
-            rec = RunRecord(
-                step=step_idx,
-                epoch=epoch,
-                wall_ms=(time.perf_counter() - t0) * 1000.0,
-                batch_loss=info.batch_loss,
-                train_loss=train_loss,
-                train_acc=train_acc,
-                eta=info.eta,
-                gamma=info.gamma,
-                inner_iters=info.inner_iters,
-                jvp_calls=cum_jvp,
-                vjp_calls=cum_vjp,
-                descent_ip=info.descent_ip,
-            )
+            rec.step, rec.epoch = len(records), epoch
+            rec.train_loss, rec.train_acc = train_loss, train_acc
+            if records:
+                rec.jvp_calls += records[-1].jvp_calls
+                rec.vjp_calls += records[-1].vjp_calls
+            rec.wall_ms = (time.perf_counter() - t0) * 1000.0
             records.append(rec)
             if on_record is not None:
                 on_record(rec)
-            step_idx += 1
-            if info.failure is not None:
-                aborted = True
-                abort_reason = f"{info.failure} at step {rec.step}"
+            if failure is not None:
+                abort_reason = f"{failure} at step {rec.step}"
                 break
-        if aborted:
+        if abort_reason is not None:
             break
 
     return TrainResult(
         records=records,
-        aborted=aborted,
         abort_reason=abort_reason,
         params=w,
         model=model,

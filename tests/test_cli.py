@@ -299,3 +299,34 @@ def test_dataset_seed_follows_config(tmp_path, monkeypatch):
     _run(base + ["--seed", "2", "--out", str(out2)], monkeypatch)
     col = CSV_FIELDS.index("train_loss")
     assert _read(out1)[1][col] != _read(out2)[1][col]
+
+
+def test_seed_at_or_above_2_pow_63_is_usage_error(tmp_path, monkeypatch, capsys):
+    # 2**63 used to collide with 2**63 + 5 in the shuffle key; 2**64 overflowed
+    out = tmp_path / "x.csv"
+    for seed in (2**63, 2**64):
+        code = _run(
+            ["run", "--data", "blobs:16,2,3,0.2", "--batch-size", "8", "--seed", str(seed),
+             "--out", str(out)],
+            monkeypatch,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"usage error: seed must be a nonnegative integer below 2**63, got {seed}" in err
+        assert not out.exists()
+
+
+def test_degenerate_data_is_usage_error(tmp_path, monkeypatch, capsys):
+    labels = tmp_path / "lab.idx"
+    labels.write_bytes(struct.pack(">II", 0x00000801, 2) + bytes([0, 1]))
+    specs = ["blobs:16,0,3,0.2", "blobs:16,2,3,nan", "blobs:16,2,3,inf"]
+    for rows, cols in ((0, 2), (2, 0)):
+        images = tmp_path / f"img_{rows}x{cols}.idx"
+        images.write_bytes(struct.pack(">IIII", 0x00000803, 2, rows, cols))
+        specs.append(f"idx:{images},{labels}")
+    out = tmp_path / "x.csv"
+    for spec in specs:
+        code = _run(["run", "--data", spec, "--batch-size", "2", "--out", str(out)], monkeypatch)
+        assert code == 1
+        assert f"usage error: data spec {spec!r}" in capsys.readouterr().err
+        assert not out.exists()

@@ -138,3 +138,20 @@ def test_idx_count_mismatch(tmp_path):
     _write_idx_labels(lbl_path, [0, 1])
     with pytest.raises(ValueError, match="mismatch"):
         load_idx_dataset(img_path, lbl_path)
+
+
+def test_blobs_reject_zero_width_and_non_finite_spread():
+    # d=0 used to divide by a zero mean norm; a NaN or inf spread built NaN inputs
+    with pytest.raises(ValueError, match="d=0"):
+        synth_blobs(0, n=16, d=0, k=3, spread=0.2)
+    for spread in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match="spread must be finite and positive"):
+            synth_blobs(0, n=16, d=2, k=3, spread=spread)
+
+
+@pytest.mark.parametrize("shape", [(2, 0, 3), (2, 3, 0), (0, 0, 0)])
+def test_idx_rejects_zero_width_images(tmp_path, shape):
+    path = tmp_path / "empty.idx"
+    _write_idx_images(path, np.zeros(shape, dtype=np.uint8))
+    with pytest.raises(ValueError, match=f"empty {shape[1]}x{shape[2]} images"):
+        load_idx_images(path)

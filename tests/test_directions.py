@@ -461,3 +461,19 @@ def test_non_finite_rhs_raises(path):
         fn = primal_gn_direction if path == "primal" else dual_gn_direction
         with pytest.raises(NumericError, match="non-finite initial residual"):
             fn(make_jacobian_operator(model, w, X), loss, f, SubproblemSpec(path=path))
+
+
+@pytest.mark.xfail(strict=True, reason="known defect: the dual route ascends at gamma=1e12")
+def test_dual_direction_descends_at_extreme_gamma():
+    # One sample with inputs of size 1e3.  The primal route gives <d, grad> =
+    # +1.33e6 at every gamma; the dual route gives 4.25e6 at gamma=1e10 and
+    # -4.25e8 at gamma=1e12, likely cancellation in the map-back u - sum a_t v_t
+    # before it is scaled by gamma/m.
+    rng = np.random.Generator(np.random.Philox(key=[0, 11]))
+    X = 1e3 * rng.standard_normal((1, 2))
+    Y = rng.standard_normal((1, 1))
+    model = make_model("linear", 2, 1)
+    opr = make_jacobian_operator(model, model.init_params(0), X)
+    spec = SubproblemSpec(gamma=1e12, tau=2, path="dual")
+    res = dual_gn_direction(opr, LossOracle("squared", Y), opr.outputs, spec)
+    assert res.descent_inner_product >= 0

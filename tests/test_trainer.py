@@ -21,6 +21,7 @@ from dualgn import (
     synth_blobs,
     train,
 )
+from dualgn.trainer import DIRECTIONS, METHODS
 from oracles import adam_trajectory, momentum_trajectory, sgd_trajectory
 
 
@@ -106,6 +107,17 @@ def test_seed_must_be_a_nonnegative_integer():
         with pytest.raises(ValueError, match=f"seed must be a nonnegative integer, got {bad}"):
             TrainConfig(seed=bad)
     assert TrainConfig(seed=3.0).seed == 3
+
+
+def test_seed_must_lie_below_2_pow_63():
+    # the shuffle key [seed, 1] turned float64 at 2**63, so 2**63 and 2**63 + 5
+    # drew the same shuffle
+    for bad in (2**63, 2**63 + 5, 2**64):
+        with pytest.raises(ValueError, match=rf"below 2\*\*63, got {bad}$"):
+            TrainConfig(seed=bad)
+    ds = synth_blobs(0, n=8, d=2, k=2, spread=0.3)
+    res = train(TrainConfig(seed=2**63 - 1, batch_size=4, epochs=2), ds)
+    assert len(res.records) == 4 and not res.aborted
 
 
 def _quad_grad(w):
@@ -380,6 +392,30 @@ def test_train_record_bookkeeping():
     assert all(r.wall_ms >= 0 for r in res.records)
     assert all(r.inner_iters == 3 for r in res.records)
     assert all(r.gamma == 1.0 and r.eta == 1.0 for r in res.records)
+
+
+@pytest.mark.parametrize("direction", DIRECTIONS)
+@pytest.mark.parametrize("method", METHODS)
+def test_every_update_rule_records_its_step(method, direction):
+    ds = synth_blobs(3, n=30, d=2, k=3, spread=0.3)
+    tau, gamma, eta = 3, 0.5, 0.05
+    config = TrainConfig(method=method, direction=direction, loss="logistic", model="mlp:4",
+                         gamma=gamma, eta=eta, tau=tau, batch_size=10, epochs=2, seed=3)
+    res = train(config, ds)
+    assert not res.aborted and len(res.records) == 6
+    per_step = (tau, tau + 1) if direction == "proxlinear" else (0, 1)
+    jvp = vjp = 0
+    for rec in res.records:
+        assert rec.gamma == (1.0 if method == "armijo_spl" else gamma)
+        if method == "spl":
+            assert rec.eta == 1.0
+        elif method == "armijo_spl":
+            assert 0 < rec.eta <= 1
+        else:
+            assert rec.eta == eta
+        assert rec.inner_iters == (tau if direction == "proxlinear" else 0)
+        assert (rec.jvp_calls - jvp, rec.vjp_calls - vjp) == per_step
+        jvp, vjp = rec.jvp_calls, rec.vjp_calls
 
 
 @pytest.mark.parametrize("method", ["sgd", "momentum"])
