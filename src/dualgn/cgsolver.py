@@ -32,11 +32,11 @@ class CGReport:
     iterations : int
         Completed iterations.
     residual_norms : list of float
-        ``residual_norms[0]`` is the initial residual norm ``||c - Q x0||``;
-        one entry is appended per residual update (see :func:`cg_kernel`).
+        ``residual_norms[0]`` is the initial residual norm ``||c||``; one
+        entry is appended per residual update (see :func:`cg_kernel`).
     inner_product_with_rhs : float
-        ``<x, c>`` at exit.  With ``x0 = 0`` on a PSD system this is
-        nonnegative up to round-off for every iteration count.
+        ``<x, c>`` at exit.  On a PSD system this is nonnegative up to
+        round-off for every iteration count.
     vector_op_scalar_count : int
         Scalar operations spent on vector arithmetic (model products and
         caller-supplied operators excluded).
@@ -52,13 +52,11 @@ class CGReport:
 
 
 def cg_kernel(
-    product, c, max_iter, tol, x=None, r=None, advance=None, project=None,
-    callback=None, label="CG",
+    product, c, max_iter, tol, advance=None, project=None, callback=None, label="CG"
 ):
     """The CG iteration every solver in the package runs.
 
-    Standard recurrences from ``x`` (default zero) with residual ``r``
-    (default ``c``) and ``p^0 = r^0``:
+    Standard recurrences from ``x^0 = 0`` with ``r^0 = p^0 = c``:
 
         a_t = <r_{t-1}, r_{t-1}> / <p_{t-1}, Q p_{t-1}>
         x_t = x_{t-1} + a_t p_{t-1}
@@ -72,13 +70,17 @@ def cg_kernel(
     residual would feed no iteration), and the kernel returns ``ysum =
     sum_t a_t y_t`` (else ``0.0``).  The dual route uses that split so that
     ``tau`` iterations cost exactly ``tau`` Jacobian-vector products and
-    ``tau + 1`` transposed products, the same leading cost as the primal
-    route: curvature inner products come from the transposed product alone
+    ``tau + 1`` transposed products, the same counts as the primal route:
+    curvature inner products come from the transposed product alone
     (``<p, J J^T p> = ||J^T p||^2``), the forward product that advances the
     residual is skipped on the final iteration, and ``J^T beta`` is
     accumulated from the per-iteration transposed products instead of being
-    recomputed at the end.  In particular ``tau = 0`` performs no CG work and
-    returns exactly ``gamma`` times the batch gradient.
+    recomputed at the end.  Each forward product in ``advance`` is of a
+    transposed product ``J^T beta``, so it is taken from ``beta`` through
+    per-layer Gram matrices on layers with more inputs than batch samples
+    (see :mod:`dualgn.models`), which makes it cheaper than the primal
+    route's.  In particular ``tau = 0`` performs no CG work and returns
+    exactly ``gamma`` times the batch gradient.
 
     ``project(r)`` maps each updated residual back onto the range of a
     singular ``Q``: past convergence, null-space round-off in the recursive
@@ -100,17 +102,14 @@ def cg_kernel(
         max_iter = n
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
-    cold = x is None
-    if cold:
-        x, r = np.zeros_like(c), c.copy()
+    x, r = np.zeros_like(c), c.copy()
     p = r.copy()
     rr = float(np.vdot(r, r))
     if not np.isfinite(rr):
         raise NumericError(f"non-finite initial residual in {label}")
-    # r0 = c (or ||c|| after a warm start), p0 and <r0, r0>
+    # r0, p0 and <r0, r0>
     rep = CGReport(residual_norms=[float(np.sqrt(rr))], vector_op_scalar_count=3 * n)
-    c_norm = rep.residual_norms[0] if cold else float(np.linalg.norm(c))
-    threshold = tol * max(1.0, c_norm)
+    threshold = tol * max(1.0, rep.residual_norms[0])
     ysum = 0.0
 
     while rep.iterations < max_iter and rep.residual_norms[-1] > threshold:
@@ -159,12 +158,12 @@ def _curvature_product(q_apply):
     return product
 
 
-def cg_solve(q_apply, c, x0=None, max_iter=None, tol=1e-10, callback=None):
+def cg_solve(q_apply, c, max_iter=None, tol=1e-10, callback=None):
     """Solve ``Q x = c`` for symmetric PSD ``Q`` given as a callable.
 
-    Runs :func:`cg_kernel` from ``x0`` (default zero) for at most
-    ``max_iter`` iterations (default: the problem size), stopping early when
-    ``||r|| <= tol * max(1, ||c||)``.  On curvature breakdown the current
+    Runs :func:`cg_kernel` from zero for at most ``max_iter`` iterations
+    (default: the problem size), stopping early when ``||r|| <= tol *
+    max(1, ||c||)``.  On curvature breakdown the current
     iterate is returned; a non-finite intermediate raises
     :class:`NumericError` naming the iteration.
 
@@ -176,19 +175,8 @@ def cg_solve(q_apply, c, x0=None, max_iter=None, tol=1e-10, callback=None):
     (x, CGReport)
     """
     c = np.asarray(c, dtype=np.float64)
-    x = r = None
-    if x0 is not None:
-        x0 = np.asarray(x0, dtype=np.float64)
-        if x0.shape != c.shape:
-            raise ValueError(f"x0 shape {x0.shape} does not match rhs shape {c.shape}")
-        if np.any(x0):
-            x, r = x0.copy(), c - q_apply(x0)
-    x, rep, _ = cg_kernel(
-        _curvature_product(q_apply), c, max_iter, tol, x, r, callback=callback
-    )
-    if r is not None:  # forming the warm start's residual applied the operator
-        rep.operator_calls += 1
-    rep.vector_op_scalar_count += c.size * rep.operator_calls  # <p, Qp> or c - Q x0
+    x, rep, _ = cg_kernel(_curvature_product(q_apply), c, max_iter, tol, callback=callback)
+    rep.vector_op_scalar_count += c.size * rep.operator_calls  # <p, Qp>
     return x, rep
 
 

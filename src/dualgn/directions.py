@@ -57,6 +57,19 @@ PATHS = ("primal", "dual")
 REG_KINDS = ("none", "l1", "l2")
 
 
+def _integer(name, value, low=0):
+    if value < low or int(value) != value:
+        kind = "positive" if low else "nonnegative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value}")
+    return int(value)
+
+
+def _finite(name, value, positive=True):
+    if not (np.isfinite(value) and (value > 0 if positive else value >= 0)):
+        kind = "positive" if positive else "nonnegative"
+        raise ValueError(f"{name} must be a finite {kind} number, got {value}")
+
+
 @dataclass
 class SubproblemSpec:
     """How to solve one minibatch subproblem.
@@ -81,15 +94,11 @@ class SubproblemSpec:
     tol: float = 0.0
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.tau < 0 or int(self.tau) != self.tau:
-            raise ValueError(f"tau must be a nonnegative integer, got {self.tau}")
-        self.tau = int(self.tau)
+        _finite("gamma", self.gamma)
+        self.tau = _integer("tau", self.tau)
         if self.path not in PATHS:
             raise ValueError(f"path must be one of {PATHS}, got {self.path!r}")
-        if self.tol < 0:
-            raise ValueError(f"tol must be >= 0, got {self.tol}")
+        _finite("tol", self.tol, positive=False)
 
 
 def soft_threshold(z, t):
@@ -110,8 +119,7 @@ class Regularizer:
     def __post_init__(self):
         if self.kind not in REG_KINDS:
             raise ValueError(f"kind must be one of {REG_KINDS}, got {self.kind!r}")
-        if self.lam < 0:
-            raise ValueError(f"lam must be nonnegative, got {self.lam}")
+        _finite("lam", self.lam, positive=False)
 
     def prox(self, z, step):
         """prox of ``step * penalty`` at ``z``."""
@@ -233,10 +241,11 @@ def _dual_direction(opr, loss, f, gamma, tau, tol, w=None, reg=None, callback=No
     ``sigma`` is the floored softmax for the logistic loss and 1 for the
     squared loss.  Its product is the transposed product ``v = J^T beta``
     (curvature ``<beta, beta / sigma> + ||v||^2 / mu``); its residual product
-    adds the forward product ``J v``.  The scaled system ``S P (H^+ + J J^T /
-    mu) P S`` is singular for the logistic loss, so each residual update is
-    re-projected onto its range ``S P``.  See :func:`cg_kernel` for the cost
-    schedule.
+    adds the forward product ``J v``, which is handed ``beta`` as the
+    cotangent of ``v`` so that the operator can take it through per-layer
+    Gram matrices.  The scaled system ``S P (H^+ + J J^T / mu) P S`` is
+    singular for the logistic loss, so each residual update is re-projected
+    onto its range ``S P``.  See :func:`cg_kernel` for the cost schedule.
     """
     f = _check_outputs(opr, loss, f)
     p, m, k = opr.dims
@@ -264,17 +273,17 @@ def _dual_direction(opr, loss, f, gamma, tau, tol, w=None, reg=None, callback=No
     def scaled(z):
         return sroot * constraint_project(loss, z)
 
-    hw = None  # H^+ w of the latest product, which its residual product reuses
+    wblk = hw = None  # w and H^+ w of the latest product, which advance reuses
 
     def product(x):
-        nonlocal hw
+        nonlocal wblk, hw
         wblk = to_beta(x)
         hw = wblk / sig
         v = opr.vjp(wblk)
         return float(np.vdot(wblk, hw)) + mu_inv * float(np.vdot(v, v)), v
 
     def advance(v):
-        return scaled(hw + mu_inv * opr.jvp(v))
+        return scaled(hw + mu_inv * opr.jvp(v, cotangent=wblk))
 
     # Right-hand side in one forward product: c = S P J (u/mu + shift), where
     # shift folds the prox displacement of the penalty into the same product.

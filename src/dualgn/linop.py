@@ -5,7 +5,10 @@ A :class:`JacobianOperator` bundles the batched Jacobian-vector product
 space) for a model linearized at ``params`` on a batch, without ever forming
 the Jacobian matrix, from one forward pass whose trace every product reuses.
 Every jvp/vjp call increments a counter, so solver cost contracts can be
-checked against what actually ran.
+checked against what actually ran.  A forward product of a tangent that is a
+transposed product ``u = J^T V`` may be given ``V`` as well, and the model
+operator then evaluates it through per-layer Gram matrices where that is
+cheaper (see :mod:`dualgn.models`).
 """
 
 import numpy as np
@@ -30,24 +33,46 @@ class JacobianOperator:
     jvp_calls, vjp_calls : int
         Number of batched product evaluations so far; each call to
         :meth:`jvp` / :meth:`vjp` adds exactly one.
+
+    ``apply_cotangent(u, V)``, if given, returns ``apply(u)`` for a tangent
+    ``u = adjoint(V)``, computed with the help of ``V``.
     """
 
-    def __init__(self, apply, adjoint, dims):
+    def __init__(self, apply, adjoint, dims, apply_cotangent=None):
         self.apply = apply
         self.adjoint = adjoint
+        self.apply_cotangent = apply_cotangent
         self.dims = tuple(int(x) for x in dims)
         self.outputs = None
         self.jvp_calls = 0
         self.vjp_calls = 0
 
-    def jvp(self, u):
-        """Map a flat parameter tangent (p,) to an output block (m, k)."""
+    def _block(self, V):
+        _, m, k = self.dims
+        V = np.asarray(V, dtype=np.float64)
+        if V.shape != (m, k):
+            raise ValueError(f"cotangent must have shape ({m}, {k}), got {V.shape}")
+        return V
+
+    def jvp(self, u, cotangent=None):
+        """Map a flat parameter tangent (p,) to an output block (m, k).
+
+        ``cotangent``, if given, must be a block ``V`` with ``u = J^T V``, such
+        as the argument of the :meth:`vjp` call that returned ``u``.  An
+        operator built with ``apply_cotangent`` uses it; others ignore it.
+        Either way the call counts as one forward product.
+        """
         p, m, k = self.dims
         u = np.asarray(u, dtype=np.float64)
         if u.shape != (p,):
             raise ValueError(f"tangent must have shape ({p},), got {u.shape}")
+        if cotangent is not None:
+            cotangent = self._block(cotangent)
         self.jvp_calls += 1
-        out = self.apply(u)
+        if cotangent is None or self.apply_cotangent is None:
+            out = self.apply(u)
+        else:
+            out = self.apply_cotangent(u, cotangent)
         if out.shape != (m, k):
             raise ValueError(f"jvp produced shape {out.shape}, expected ({m}, {k})")
         return out
@@ -57,10 +82,8 @@ class JacobianOperator:
 
         This is the sum over samples of the per-sample adjoint products.
         """
-        p, m, k = self.dims
-        V = np.asarray(V, dtype=np.float64)
-        if V.shape != (m, k):
-            raise ValueError(f"cotangent must have shape ({m}, {k}), got {V.shape}")
+        p = self.dims[0]
+        V = self._block(V)
         self.vjp_calls += 1
         out = self.adjoint(V)
         if out.shape != (p,):
@@ -92,10 +115,12 @@ def make_jacobian_operator(model, params, batch):
     params = np.asarray(params, dtype=np.float64)
     dims = (model.n_params, X.shape[0], model.out_dim)
     outputs, trace = model.forward_trace(params, X)
+    grams = {}  # per-layer Gram matrices, built by the first product that needs them
     opr = JacobianOperator(
         lambda u: model.jvp(params, X, u, trace=trace),
         lambda V: model.vjp(params, X, V, trace=trace),
         dims,
+        lambda u, V: model.jvp(params, X, u, trace=trace, cotangent=V, grams=grams),
     )
     opr.outputs = outputs
     return opr

@@ -12,6 +12,15 @@ Both expose the same interface: ``n_params``, ``init_params(seed)``,
 and Jacobian products ``jvp`` / ``vjp`` with respect to the flat parameter
 vector, which reuse that trace.  All arithmetic is float64.
 
+A tangent that is itself a transposed product, ``u = vjp(V)``, can be pushed
+forward from ``V`` instead (``jvp(..., cotangent=V)``).  A layer with input
+``Z`` (m x fan_in) and backpropagated cotangent ``G`` has parameter tangent
+``dW = G^T Z``, ``db = G^T 1``, so its forward term ``Z dW^T + 1 db^T`` is
+``K G`` with the m x m Gram matrix ``K = Z Z^T + 1 1^T``: ``m^2 out``
+multiply-adds in place of ``m fan_in out``.  Layers with ``m < fan_in`` take
+that route, where ``K`` is also smaller than the layer input the trace already
+holds; the others keep the plain product.
+
 Parameter flattening convention: layer by layer, each layer's weight matrix
 (row-major) followed by its bias vector.  The linear model has no bias.
 """
@@ -31,6 +40,22 @@ def sigmoid(z):
     z = np.asarray(z, dtype=np.float64)
     e = np.exp(-np.abs(z))
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
+def _gram(grams, i, Z, bias):
+    """Layer ``i``'s Gram matrix ``Z Z^T`` (plus ``1 1^T`` with a bias), cached in ``grams``."""
+    if i not in grams:
+        grams[i] = Z @ Z.T + 1.0 if bias else Z @ Z.T
+    return grams[i]
+
+
+def _cotangents(layers, slopes, V, lowest=0):
+    """Yield ``(i, G_i)``, the cotangent at layer ``i``'s output, from the top down to ``lowest``."""
+    G = np.asarray(V, dtype=np.float64)
+    for i in range(len(layers) - 1, lowest - 1, -1):
+        yield i, G
+        if i > lowest:
+            G = (G @ layers[i][0]) * slopes[i - 1]
 
 
 def _param_rng(seed):
@@ -70,10 +95,19 @@ class LinearModel:
         """Forward pass; the model is linear, so the trace is ``None``."""
         return np.asarray(X, dtype=np.float64) @ self._weights(params).T, None
 
-    def jvp(self, params, X, u, trace=None):
-        """Directional derivative of ``forward`` along the parameter tangent ``u``."""
+    def jvp(self, params, X, u, trace=None, cotangent=None, grams=None):
+        """Directional derivative of ``forward`` along the parameter tangent ``u``.
+
+        With ``cotangent`` ``V`` such that ``u = vjp(params, X, V)`` and fewer
+        samples than inputs, this is ``(X X^T) V``; ``grams`` caches ``X X^T``
+        under key 0 across calls.
+        """
         U = self._weights(u)
-        return np.asarray(X, dtype=np.float64) @ U.T
+        X = np.asarray(X, dtype=np.float64)
+        if cotangent is None or X.shape[0] >= self.in_dim:
+            return X @ U.T
+        grams = {} if grams is None else grams
+        return _gram(grams, 0, X, bias=False) @ np.asarray(cotangent, dtype=np.float64)
 
     def vjp(self, params, X, V, trace=None):
         """Adjoint product: maps an output cotangent block (m, k) to parameter space."""
@@ -153,15 +187,31 @@ class MLPModel:
                 Z = A
         return Z, (inputs, slopes)
 
-    def jvp(self, params, X, u, trace=None):
+    def jvp(self, params, X, u, trace=None, cotangent=None, grams=None):
+        """Directional derivative of ``forward`` along the parameter tangent ``u``.
+
+        With ``cotangent`` ``V`` such that ``u = vjp(params, X, V)``, layers
+        with more inputs than samples take their parameter term as ``K G``
+        (see the module docstring); ``grams`` caches each ``K`` by layer
+        index across calls at one trace.
+        """
         layers = self._unpack(params)
         du = self._unpack(u)
         if trace is None:
             _, trace = self.forward_trace(params, X)
         inputs, slopes = trace
+        m = inputs[0].shape[0]
+        gram = [cotangent is not None and m < W.shape[1] for W, _ in layers]
+        if any(gram):
+            grams = {} if grams is None else grams
+            cots = dict(_cotangents(layers, slopes, cotangent, gram.index(True)))
         for i, ((W, _), (dW, db)) in enumerate(zip(layers, du)):
             # The input tangent is zero, so the first layer skips dZ @ W.T.
-            dA = inputs[i] @ dW.T + db if i == 0 else dZ @ W.T + inputs[i] @ dW.T + db
+            if gram[i]:
+                KG = _gram(grams, i, inputs[i], bias=True) @ cots[i]
+                dA = KG if i == 0 else dZ @ W.T + KG
+            else:
+                dA = inputs[i] @ dW.T + db if i == 0 else dZ @ W.T + inputs[i] @ dW.T + db
             dZ = slopes[i] * dA if i < len(slopes) else dA
         return dZ
 
@@ -170,15 +220,12 @@ class MLPModel:
         if trace is None:
             _, trace = self.forward_trace(params, X)
         inputs, slopes = trace
-        G = np.asarray(V, dtype=np.float64)
         out = np.empty(self.n_params)
         grads = self._unpack(out)
-        for i in range(len(layers) - 1, -1, -1):
+        for i, G in _cotangents(layers, slopes, V):
             dW, db = grads[i]
             np.matmul(G.T, inputs[i], out=dW)
             G.sum(axis=0, out=db)
-            if i > 0:
-                G = (G @ layers[i][0]) * slopes[i - 1]
         return out
 
 

@@ -34,6 +34,8 @@ from .data import Dataset
 from .directions import (
     Regularizer,
     SubproblemSpec,
+    _finite,
+    _integer,
     batch_gradient,
     dual_gn_direction,
     primal_gn_direction,
@@ -58,13 +60,6 @@ __all__ = [
 
 METHODS = ("spl", "armijo_spl", "sgd", "momentum", "adam")
 DIRECTIONS = ("gradient", "proxlinear")
-
-
-def _integer(name, value, low=0):
-    if value < low or int(value) != value:
-        kind = "positive" if low else "nonnegative"
-        raise ValueError(f"{name} must be a {kind} integer, got {value}")
-    return int(value)
 
 
 @dataclass
@@ -102,8 +97,7 @@ class TrainConfig:
         self.tau = SubproblemSpec(gamma=self.gamma, tau=self.tau, path=self.path).tau
         if self.loss not in LOSS_KINDS:
             raise ValueError(f"loss must be one of {LOSS_KINDS}, got {self.loss!r}")
-        if not self.eta > 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
+        _finite("eta", self.eta)
         self.batch_size = _integer("batch_size", self.batch_size, low=1)
         self.epochs = _integer("epochs", self.epochs)
         self.seed = _integer("seed", self.seed)
@@ -111,8 +105,8 @@ class TrainConfig:
             raise ValueError(
                 f"seed must be a nonnegative integer below 2**63, got {self.seed}"
             )
-        if self.l1 < 0 or self.l2 < 0:
-            raise ValueError("l1 and l2 must be nonnegative")
+        _finite("l1", self.l1, positive=False)
+        _finite("l2", self.l2, positive=False)
         if self.l1 > 0 and self.l2 > 0:
             raise ValueError("l1 and l2 penalties cannot be combined")
         if not 0 < self.armijo_beta < 1:

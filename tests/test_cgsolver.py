@@ -57,24 +57,6 @@ def test_report_inner_product_matches_solution():
     assert rep.inner_product_with_rhs >= -1e-12
 
 
-def test_warm_start():
-    Q, c = _spd(6, 7)
-    x0 = np.full(6, 0.3)
-    x, rep = cg_solve(lambda v: Q @ v, c, x0=x0, max_iter=60, tol=1e-12)
-    assert_allclose(x, np.linalg.solve(Q, c), rtol=1e-8)
-    assert rep.residual_norms[0] == pytest.approx(np.linalg.norm(c - Q @ x0))
-    # the initial residual costs one extra operator application
-    assert rep.operator_calls == rep.iterations + 1
-
-
-def test_zero_warm_start_equals_default():
-    Q, c = _spd(6, 8)
-    xa, ra = cg_solve(lambda v: Q @ v, c, max_iter=3, tol=0.0)
-    xb, rb = cg_solve(lambda v: Q @ v, c, x0=np.zeros(6), max_iter=3, tol=0.0)
-    assert np.array_equal(xa, xb)
-    assert ra.operator_calls == rb.operator_calls == 3
-
-
 def test_zero_iteration_budget():
     x, rep = cg_solve(lambda v: v, np.array([1.0, 2.0]), max_iter=0)
     assert_allclose(x, 0.0)
@@ -115,8 +97,6 @@ def test_non_finite_rhs_raises():
 def test_argument_validation():
     with pytest.raises(ValueError, match="max_iter"):
         cg_solve(lambda v: v, np.ones(2), max_iter=-1)
-    with pytest.raises(ValueError, match="x0 shape"):
-        cg_solve(lambda v: v, np.ones(2), x0=np.ones(3))
 
 
 def test_projected_reduces_to_plain_when_projector_is_identity():

@@ -330,3 +330,27 @@ def test_degenerate_data_is_usage_error(tmp_path, monkeypatch, capsys):
         assert code == 1
         assert f"usage error: data spec {spec!r}" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_non_finite_or_negative_floats_are_usage_errors(tmp_path, monkeypatch, capsys):
+    # gamma inf (or 1e400) ended in a raw ZeroDivisionError with a header-only
+    # CSV, l1 nan and l2 inf trained and exited 0, eta inf was a numeric abort
+    out = tmp_path / "x.csv"
+    for key, value, kind in (
+        ("gamma", "inf", "positive"),
+        ("gamma", "1e400", "positive"),
+        ("gamma", "nan", "positive"),
+        ("eta", "inf", "positive"),
+        ("l1", "nan", "nonnegative"),
+        ("l2", "inf", "nonnegative"),
+        ("l2", "-1", "nonnegative"),
+    ):
+        code = _run(
+            ["run", "--data", "blobs:16,2,3,0.2", "--batch-size", "8", "--method", "sgd",
+             f"--{key}", value, "--out", str(out)],
+            monkeypatch,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"usage error: {key} must be a finite {kind} number, got {float(value)}" in err
+        assert not out.exists()

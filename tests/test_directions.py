@@ -463,13 +463,28 @@ def test_non_finite_rhs_raises(path):
             fn(make_jacobian_operator(model, w, X), loss, f, SubproblemSpec(path=path))
 
 
+@pytest.mark.parametrize("loss_kind", ["squared", "logistic"])
+def test_gram_forward_products_leave_the_dual_direction_unchanged(loss_kind):
+    # m = 8 below both fan-ins (200 and 32), so every forward product in the
+    # dual solve goes through the Gram matrices; compare against an operator
+    # that takes every product from the parameter tangent
+    model, w, X, _, loss, f = _instance("mlp:32", 200, 3, 8, 91, loss_kind)
+    for reg in (Regularizer(), Regularizer("l2", 0.3), Regularizer("l1", 0.01)):
+        spec = SubproblemSpec(gamma=2.0, tau=6, path="dual")
+        opr = make_jacobian_operator(model, w, X)
+        plain = JacobianOperator(opr.apply, opr.adjoint, opr.dims)
+        res = regularized_dual_direction(opr, loss, f, spec, w, reg)
+        ref = regularized_dual_direction(plain, loss, f, spec, w, reg)
+        assert np.linalg.norm(res.d - ref.d) <= 1e-12 * np.linalg.norm(ref.d)
+        assert (opr.jvp_calls, opr.vjp_calls) == (plain.jvp_calls, plain.vjp_calls) == (6, 7)
+
+
 @pytest.mark.xfail(strict=True, reason="known defect: the dual route ascends at gamma=1e12")
 def test_dual_direction_descends_at_extreme_gamma():
     # One sample with inputs of size 1e3.  The primal route gives <d, grad> =
-    # +1.33e6 at every gamma; the dual route gives 4.25e6 at gamma=1e10 and
-    # -4.25e8 at gamma=1e12, likely cancellation in the map-back u - sum a_t v_t
-    # before it is scaled by gamma/m.
-    rng = np.random.Generator(np.random.Philox(key=[0, 11]))
+    # +2.88e5; the dual route gives -1.25e6 at gamma=1e12, likely cancellation
+    # in the map-back u - sum a_t v_t before it is scaled by gamma/m.
+    rng = np.random.Generator(np.random.Philox(key=[0, 0]))
     X = 1e3 * rng.standard_normal((1, 2))
     Y = rng.standard_normal((1, 1))
     model = make_model("linear", 2, 1)

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from dualgn import adjoint_dot_test, finite_diff_jvp, make_jacobian_operator, make_model
+from dualgn import (
+    JacobianOperator,
+    adjoint_dot_test,
+    finite_diff_jvp,
+    make_jacobian_operator,
+    make_model,
+)
 from oracles import fd_jacobian, materialize_jacobian
 
 
@@ -102,3 +110,79 @@ def test_probe_validation():
         adjoint_dot_test(opr, trials=0)
     with pytest.raises(ValueError, match="eps"):
         finite_diff_jvp(model, w, X, np.zeros(4), eps=0.0)
+
+
+# Gram-matrix forward products: given the cotangent V of u = J^T V, layers
+# whose fan-in exceeds the batch size evaluate J u from V.
+
+_MODELS = ["linear", "mlp:{h}", "mlp:{h},{h2}"]
+
+
+@st.composite
+def _gram_cases(draw, name, relation):
+    """A model, parameters, batch and cotangent; ``relation`` sets m against d."""
+    if relation == "lt":
+        d = draw(st.integers(2, 12))
+        m = draw(st.integers(1, d - 1))
+    else:
+        d = draw(st.integers(1, 12))
+        m = d if relation == "eq" else d + draw(st.integers(1, 4))
+    k = draw(st.integers(1, 4))
+    name = name.format(h=draw(st.integers(1, 10)), h2=draw(st.integers(1, 10)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    scale = draw(st.sampled_from([1.0, 1e2, 1e3]))
+    rows = draw(st.sampled_from(["plain", "duplicate", "zero"]))
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    model = make_model(name, d, k)
+    X = scale * rng.standard_normal((m, d))
+    if rows == "duplicate":
+        X[-1] = X[0]
+    elif rows == "zero":
+        X[0] = 0.0
+    return model, model.init_params(seed), X, rng.standard_normal((m, k))
+
+
+@pytest.mark.parametrize("relation", ["lt", "eq", "gt"])
+@pytest.mark.parametrize("name", _MODELS)
+@given(data=st.data())
+def test_gram_forward_product_matches_plain_product(name, relation, data):
+    model, w, X, V = data.draw(_gram_cases(name, relation))
+    opr = make_jacobian_operator(model, w, X)
+    u = opr.vjp(V)
+    plain = opr.jvp(u)
+    calls = opr.jvp_calls
+    gram = opr.jvp(u, cotangent=V)
+    assert opr.jvp_calls == calls + 1
+    assert np.linalg.norm(gram - plain) <= 1e-13 * np.linalg.norm(plain)
+    fan_ins = [model.in_dim] if name == "linear" else model.dims[:-1]
+    if X.shape[0] >= max(fan_ins):
+        assert np.array_equal(gram, plain)
+
+
+def test_gram_matrices_are_built_once_and_only_where_m_is_below_fan_in():
+    # fan-ins 8, 6 and 3 at m = 4: only the first two layers take the Gram route
+    model, w, X = _instance("mlp:6,3", 8, 2, 4, 12)
+    V = np.random.Generator(np.random.Philox(key=120)).standard_normal((4, 2))
+    u = model.vjp(w, X, V)
+    grams = {}
+    model.jvp(w, X, u, grams=grams)
+    assert grams == {}
+    first = model.jvp(w, X, u, cotangent=V, grams=grams)
+    assert sorted(grams) == [0, 1]
+    kept = dict(grams)
+    assert np.array_equal(model.jvp(w, X, u, cotangent=V, grams=grams), first)
+    assert all(grams[i] is kept[i] for i in kept)
+    Z = np.c_[X, np.ones(4)]
+    assert_allclose(grams[0], Z @ Z.T, rtol=1e-12, atol=1e-12)
+
+
+def test_bare_operator_ignores_cotangent():
+    A = np.arange(6.0).reshape(3, 2)
+    opr = JacobianOperator(lambda u: (A @ u).reshape(3, 1), lambda V: A.T @ V.ravel(), (2, 3, 1))
+    V = np.ones((3, 1))
+    u = opr.vjp(V)
+    assert np.array_equal(opr.jvp(u, cotangent=V), opr.jvp(u))
+    assert opr.jvp_calls == 2
+    with pytest.raises(ValueError, match="cotangent"):
+        opr.jvp(u, cotangent=np.ones((2, 1)))
+    assert opr.jvp_calls == 2

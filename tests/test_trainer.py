@@ -109,6 +109,19 @@ def test_seed_must_be_a_nonnegative_integer():
     assert TrainConfig(seed=3.0).seed == 3
 
 
+def test_float_settings_must_be_finite_with_the_right_sign():
+    for key, bad in (("gamma", np.inf), ("gamma", np.nan), ("gamma", 0.0), ("eta", np.inf),
+                     ("eta", -0.1), ("l1", np.nan), ("l1", -0.1), ("l2", np.inf)):
+        with pytest.raises(ValueError, match=f"{key} must be a finite"):
+            TrainConfig(**{key: bad})
+    for bad in (np.inf, np.nan, -1e-3):
+        with pytest.raises(ValueError, match="tol must be a finite nonnegative number"):
+            SubproblemSpec(tol=bad)
+    with pytest.raises(ValueError, match="gamma must be a finite positive number"):
+        SubproblemSpec(gamma=np.inf)
+    assert TrainConfig(gamma=1e300, eta=1e-300, l2=0.0).gamma == 1e300
+
+
 def test_seed_must_lie_below_2_pow_63():
     # the shuffle key [seed, 1] turned float64 at 2**63, so 2**63 and 2**63 + 5
     # drew the same shuffle
