@@ -144,7 +144,7 @@ def _load_data(spec, seed):
             raise UsageError(f"data spec {spec!r}: cannot parse numbers") from None
         try:
             return synth_blobs(seed, n=n, d=d, k=k, spread=spread)
-        except ValueError as exc:
+        except (ValueError, MemoryError) as exc:
             raise UsageError(f"data spec {spec!r}: {exc}") from None
     if kind == "idx":
         parts = [p.strip() for p in rest.split(",")] if rest else []
@@ -152,7 +152,7 @@ def _load_data(spec, seed):
             raise UsageError(f"data spec {spec!r}: idx needs <images>,<labels>")
         try:
             return load_idx_dataset(parts[0], parts[1])
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, MemoryError) as exc:
             raise UsageError(f"data spec {spec!r}: {exc}") from None
     raise UsageError(f"data spec {spec!r}: unknown kind {kind!r}")
 
@@ -198,14 +198,16 @@ def _cmd_run(args, env):
             "nothing to sweep"
         )
     key = "gamma" if config.method == "spl" else "eta"
-    root, ext = os.path.splitext(out)
-    code = 0
+    points = []  # every value is checked before the first run writes a file
     for token in tokens:
         value = _convert(key, token)
         try:
-            point = dataclasses.replace(config, **{key: value})
+            points.append((token, dataclasses.replace(config, **{key: value})))
         except ValueError as exc:
             raise UsageError(f"grid value {token!r}: {exc}") from None
+    root, ext = os.path.splitext(out)
+    code = 0
+    for token, point in points:
         result = _run_one(point, dataset, f"{root}_g{token}{ext or '.csv'}")
         if result.aborted:
             print(f"aborted at {key}={token}: {result.abort_reason}", file=sys.stderr)

@@ -1,5 +1,7 @@
 """Shared exception types."""
 
+__all__ = ["NumericError", "UsageError"]
+
 
 class NumericError(ArithmeticError):
     """A computation produced a non-finite value and the run cannot continue."""

@@ -20,10 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "LOSS_KINDS",
     "LossOracle",
     "softmax",
-    "logsumexp",
     "loss_value",
     "loss_grad",
     "loss_hvp",

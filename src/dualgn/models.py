@@ -1,25 +1,23 @@
 """Differentiable prediction models with hand-written JVP/VJP rules.
 
-Two model families are provided:
+One implementation, ``MLPModel``, covers both model kinds: a fully connected
+network with SiLU activations between affine layers and an affine output
+layer.  ``LinearModel`` is its single layer without a bias, the multiclass
+linear predictor ``f(x) = W x``.
 
-* ``LinearModel`` -- multiclass linear predictor ``f(x) = W x`` with the
-  weight matrix stored flat.
-* ``MLPModel`` -- fully connected network with SiLU activations between
-  affine layers and an affine output layer.
-
-Both expose the same interface: ``n_params``, ``init_params(seed)``,
-``forward(params, X)``, ``forward_trace(params, X)`` (outputs and a trace),
-and Jacobian products ``jvp`` / ``vjp`` with respect to the flat parameter
-vector, which reuse that trace.  All arithmetic is float64.
+Each model exposes ``n_params``, ``init_params(seed)``, ``forward(params, X)``,
+``forward_trace(params, X)`` (outputs and a trace), and Jacobian products
+``jvp`` / ``vjp`` with respect to the flat parameter vector, which reuse that
+trace.  All arithmetic is float64.
 
 A tangent that is itself a transposed product, ``u = vjp(V)``, can be pushed
 forward from ``V`` instead (``jvp(..., cotangent=V)``).  A layer with input
 ``Z`` (m x fan_in) and backpropagated cotangent ``G`` has parameter tangent
 ``dW = G^T Z``, ``db = G^T 1``, so its forward term ``Z dW^T + 1 db^T`` is
-``K G`` with the m x m Gram matrix ``K = Z Z^T + 1 1^T``: ``m^2 out``
-multiply-adds in place of ``m fan_in out``.  Layers with ``m < fan_in`` take
-that route, where ``K`` is also smaller than the layer input the trace already
-holds; the others keep the plain product.
+``K G`` with the m x m Gram matrix ``K = Z Z^T + 1 1^T`` (``Z Z^T`` without a
+bias): ``m^2 out`` multiply-adds in place of ``m fan_in out``.  Layers with
+``m < fan_in`` take that route, where ``K`` is also smaller than the layer
+input the trace already holds; the others keep the plain product.
 
 Parameter flattening convention: layer by layer, each layer's weight matrix
 (row-major) followed by its bias vector.  The linear model has no bias.
@@ -27,12 +25,7 @@ Parameter flattening convention: layer by layer, each layer's weight matrix
 
 import numpy as np
 
-__all__ = [
-    "LinearModel",
-    "MLPModel",
-    "make_model",
-    "sigmoid",
-]
+__all__ = ["LinearModel", "MLPModel", "make_model"]
 
 
 def sigmoid(z):
@@ -63,58 +56,6 @@ def _param_rng(seed):
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-class LinearModel:
-    """Multiclass linear model ``f(x) = W x`` with ``W`` of shape (k, d)."""
-
-    def __init__(self, in_dim, out_dim):
-        if in_dim < 1 or out_dim < 1:
-            raise ValueError(f"model dims must be positive, got ({in_dim}, {out_dim})")
-        self.in_dim = int(in_dim)
-        self.out_dim = int(out_dim)
-        self.n_params = self.out_dim * self.in_dim
-
-    def init_params(self, seed=0):
-        """Uniform(-a, a) init with ``a = 1/sqrt(fan_in)``, seeded."""
-        a = 1.0 / np.sqrt(self.in_dim)
-        return _param_rng(seed).uniform(-a, a, size=self.n_params)
-
-    def _weights(self, params):
-        params = np.asarray(params, dtype=np.float64)
-        if params.shape != (self.n_params,):
-            raise ValueError(
-                f"expected flat parameter vector of length {self.n_params}, "
-                f"got shape {params.shape}"
-            )
-        return params.reshape(self.out_dim, self.in_dim)
-
-    def forward(self, params, X):
-        out, _ = self.forward_trace(params, X)
-        return out
-
-    def forward_trace(self, params, X):
-        """Forward pass; the model is linear, so the trace is ``None``."""
-        return np.asarray(X, dtype=np.float64) @ self._weights(params).T, None
-
-    def jvp(self, params, X, u, trace=None, cotangent=None, grams=None):
-        """Directional derivative of ``forward`` along the parameter tangent ``u``.
-
-        With ``cotangent`` ``V`` such that ``u = vjp(params, X, V)`` and fewer
-        samples than inputs, this is ``(X X^T) V``; ``grams`` caches ``X X^T``
-        under key 0 across calls.
-        """
-        U = self._weights(u)
-        X = np.asarray(X, dtype=np.float64)
-        if cotangent is None or X.shape[0] >= self.in_dim:
-            return X @ U.T
-        grams = {} if grams is None else grams
-        return _gram(grams, 0, X, bias=False) @ np.asarray(cotangent, dtype=np.float64)
-
-    def vjp(self, params, X, V, trace=None):
-        """Adjoint product: maps an output cotangent block (m, k) to parameter space."""
-        V = np.asarray(V, dtype=np.float64)
-        return (V.T @ np.asarray(X, dtype=np.float64)).ravel()
-
-
 class MLPModel:
     """Fully connected network, SiLU between layers, affine output layer.
 
@@ -124,6 +65,8 @@ class MLPModel:
         Layer widths including input and output, e.g. ``[2, 16, 3]``.
     """
 
+    bias = True  # False only in LinearModel, the single layer without a bias
+
     def __init__(self, dims):
         dims = [int(d) for d in dims]
         if len(dims) < 2 or any(d < 1 for d in dims):
@@ -132,7 +75,7 @@ class MLPModel:
         self.in_dim = dims[0]
         self.out_dim = dims[-1]
         self._shapes = [(dims[i + 1], dims[i]) for i in range(len(dims) - 1)]
-        self.n_params = sum(o * i + o for o, i in self._shapes)
+        self.n_params = sum(o * (i + self.bias) for o, i in self._shapes)
 
     def init_params(self, seed=0):
         """Uniform(-a, a) init per layer with ``a = 1/sqrt(fan_in)``, seeded."""
@@ -141,7 +84,8 @@ class MLPModel:
         for out, fan_in in self._shapes:
             a = 1.0 / np.sqrt(fan_in)
             chunks.append(rng.uniform(-a, a, size=out * fan_in))
-            chunks.append(rng.uniform(-a, a, size=out))
+            if self.bias:
+                chunks.append(rng.uniform(-a, a, size=out))
         return np.concatenate(chunks)
 
     def _unpack(self, params):
@@ -156,8 +100,8 @@ class MLPModel:
         for out, fan_in in self._shapes:
             W = params[pos : pos + out * fan_in].reshape(out, fan_in)
             pos += out * fan_in
-            b = params[pos : pos + out]
-            pos += out
+            b = params[pos : pos + out] if self.bias else None
+            pos += out * self.bias
             layers.append((W, b))
         return layers
 
@@ -178,7 +122,7 @@ class MLPModel:
         slopes = []
         for i, (W, b) in enumerate(layers):
             inputs.append(Z)
-            A = Z @ W.T + b
+            A = Z @ W.T if b is None else Z @ W.T + b
             if i < len(layers) - 1:
                 s = sigmoid(A)
                 slopes.append(s * (1.0 + A * (1.0 - s)))
@@ -208,10 +152,13 @@ class MLPModel:
         for i, ((W, _), (dW, db)) in enumerate(zip(layers, du)):
             # The input tangent is zero, so the first layer skips dZ @ W.T.
             if gram[i]:
-                KG = _gram(grams, i, inputs[i], bias=True) @ cots[i]
+                KG = _gram(grams, i, inputs[i], self.bias) @ cots[i]
                 dA = KG if i == 0 else dZ @ W.T + KG
             else:
-                dA = inputs[i] @ dW.T + db if i == 0 else dZ @ W.T + inputs[i] @ dW.T + db
+                # Keep this order of additions: regrouping it changes the round-off.
+                dA = inputs[i] @ dW.T if i == 0 else dZ @ W.T + inputs[i] @ dW.T
+                if db is not None:
+                    dA += db
             dZ = slopes[i] * dA if i < len(slopes) else dA
         return dZ
 
@@ -225,8 +172,18 @@ class MLPModel:
         for i, G in _cotangents(layers, slopes, V):
             dW, db = grads[i]
             np.matmul(G.T, inputs[i], out=dW)
-            G.sum(axis=0, out=db)
+            if db is not None:
+                G.sum(axis=0, out=db)
         return out
+
+
+class LinearModel(MLPModel):
+    """Multiclass linear model ``f(x) = W x``, ``W`` of shape (k, d): one layer, no bias."""
+
+    bias = False
+
+    def __init__(self, in_dim, out_dim):
+        super().__init__([in_dim, out_dim])
 
 
 def make_model(name, in_dim, out_dim):

@@ -118,6 +118,10 @@ class TrainConfig:
         self.armijo_max_backtracks = _integer(
             "armijo_max_backtracks", self.armijo_max_backtracks
         )
+        for name in ("momentum_mu", "adam_beta1", "adam_beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        _finite("adam_eps", self.adam_eps)
         if (self.l1 > 0 or self.l2 > 0) and (
             self.direction != "proxlinear"
             or self.path != "dual"

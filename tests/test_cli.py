@@ -100,6 +100,18 @@ def test_grid_rejected_for_armijo_spl(tmp_path, monkeypatch, capsys):
     assert "armijo_spl" in capsys.readouterr().err
 
 
+def test_bad_grid_value_fails_before_any_run(tmp_path, monkeypatch, capsys):
+    # the 0.5 point used to train and write g_g0.5.csv before inf was checked
+    code = _run(
+        ["run", "--data", "blobs:16,2,3,0.2", "--batch-size", "8", "--method", "spl",
+         "--grid", "0.5,inf", "--out", str(tmp_path / "g.csv")],
+        monkeypatch,
+    )
+    assert code == 1
+    assert "usage error: grid value 'inf'" in capsys.readouterr().err
+    assert list(tmp_path.glob("*_g*.csv")) == []
+
+
 def test_gamma_zero_is_usage_error(tmp_path, monkeypatch, capsys):
     code = _run(["run", "--gamma", "0", "--out", str(tmp_path / "x.csv")], monkeypatch)
     assert code == 1
@@ -193,6 +205,21 @@ def test_bad_data_specs(tmp_path, monkeypatch, capsys):
     assert _run(["run", "--data", "parquet:x", "--out", str(tmp_path / "x.csv")], monkeypatch) == 1
     assert _run(["run", "--data", "idx:only_one", "--out", str(tmp_path / "x.csv")], monkeypatch) == 1
     capsys.readouterr()
+
+
+def test_data_too_large_for_memory_is_usage_error(tmp_path, monkeypatch, capsys):
+    # blobs:99999999999,2,3,0.2 ended in a raw numpy _ArrayMemoryError traceback
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.46 TiB")
+
+    monkeypatch.setattr(cli, "synth_blobs", out_of_memory)
+    monkeypatch.setattr(cli, "load_idx_dataset", out_of_memory)
+    out = tmp_path / "x.csv"
+    for spec in ("blobs:99999999999,2,3,0.2", "idx:img.idx,lab.idx"):
+        code = _run(["run", "--data", spec, "--out", str(out)], monkeypatch)
+        assert code == 1
+        assert f"usage error: data spec {spec!r}: Unable to allocate" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_truncated_idx_header_is_usage_error(tmp_path, monkeypatch, capsys):

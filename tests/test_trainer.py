@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -111,9 +113,17 @@ def test_seed_must_be_a_nonnegative_integer():
 
 def test_float_settings_must_be_finite_with_the_right_sign():
     for key, bad in (("gamma", np.inf), ("gamma", np.nan), ("gamma", 0.0), ("eta", np.inf),
-                     ("eta", -0.1), ("l1", np.nan), ("l1", -0.1), ("l2", np.inf)):
+                     ("eta", -0.1), ("l1", np.nan), ("l1", -0.1), ("l2", np.inf),
+                     ("adam_eps", np.nan), ("adam_eps", np.inf), ("adam_eps", 0.0)):
         with pytest.raises(ValueError, match=f"{key} must be a finite"):
             TrainConfig(**{key: bad})
+    # momentum_mu nan trained until the loss went non-finite, and adam_beta2
+    # inf let a RuntimeWarning escape from the update
+    for key in ("momentum_mu", "adam_beta1", "adam_beta2"):
+        for bad in (np.nan, np.inf, 1.0, -0.1):
+            with pytest.raises(ValueError, match=re.escape(f"{key} must lie in [0, 1)")):
+                TrainConfig(**{key: bad})
+        assert getattr(TrainConfig(**{key: 0.0}), key) == 0.0
     for bad in (np.inf, np.nan, -1e-3):
         with pytest.raises(ValueError, match="tol must be a finite nonnegative number"):
             SubproblemSpec(tol=bad)
