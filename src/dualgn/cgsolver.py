@@ -22,6 +22,12 @@ __all__ = ["CGReport", "cg_solve", "projected_cg_solve"]
 # solver stops and returns the last iterate (every prefix is still usable).
 BREAKDOWN_EPS = 1e-300
 
+# Once ||r||^2 <= SHADOW_EPS ||r^0||^2 the kernel drops the output-space
+# shadow of its residual and direction: the shadow tracks them only up to
+# round-off, and at that point the drift is no longer small against what is
+# left of the residual, so products go back to the parameter-space vector.
+SHADOW_EPS = np.finfo(np.float64).eps
+
 
 @dataclass
 class CGReport:
@@ -52,7 +58,8 @@ class CGReport:
 
 
 def cg_kernel(
-    product, c, max_iter, tol, advance=None, project=None, callback=None, label="CG"
+    product, c, max_iter, tol, advance=None, project=None, callback=None, label="CG",
+    shadow=None,
 ):
     """The CG iteration every solver in the package runs.
 
@@ -64,23 +71,32 @@ def cg_kernel(
         b_t = <r_t, r_t> / <r_{t-1}, r_{t-1}>
         p_t = r_t + b_t p_{t-1}
 
-    ``product(p)`` returns ``(<p, Q p>, y)`` for one product ``y`` of ``p``,
-    and ``y`` is ``Q p`` unless ``advance`` is given.  Then ``advance(y)`` is
-    ``Q p`` for the latest ``p``, skipped on iteration ``max_iter`` (its
-    residual would feed no iteration), and the kernel returns ``ysum =
-    sum_t a_t y_t`` (else ``0.0``).  The dual route uses that split so that
-    ``tau`` iterations cost exactly ``tau`` Jacobian-vector products and
-    ``tau + 1`` transposed products, the same counts as the primal route:
-    curvature inner products come from the transposed product alone
-    (``<p, J J^T p> = ||J^T p||^2``), the forward product that advances the
-    residual is skipped on the final iteration, and ``J^T beta`` is
-    accumulated from the per-iteration transposed products instead of being
-    recomputed at the end.  Each forward product in ``advance`` is of a
-    transposed product ``J^T beta``, so it is taken from ``beta`` through
-    per-layer Gram matrices on layers with more inputs than batch samples
-    (see :mod:`dualgn.models`), which makes it cheaper than the primal
-    route's.  In particular ``tau = 0`` performs no CG work and returns
-    exactly ``gamma`` times the batch gradient.
+    ``p_t`` is formed only when iteration ``t + 1`` runs.  ``product(p, ps)``
+    returns ``(<p, Q p>, y, ys)`` for one product ``y`` of ``p``, and ``y`` is
+    ``Q p`` unless ``advance`` is given.  Then ``advance(y)`` is ``Q p`` for
+    the latest ``p``, skipped on iteration ``max_iter`` (its residual would
+    feed no iteration), and the kernel returns ``ysum = sum_t a_t y_t`` (else
+    ``0.0``).  The dual route uses that split so that ``tau`` iterations cost
+    exactly ``tau`` Jacobian-vector products and ``tau + 1`` transposed
+    products, the same counts as the primal route: curvature inner products
+    come from the transposed product alone (``<p, J J^T p> = ||J^T p||^2``),
+    the forward product that advances the residual is skipped on the final
+    iteration, and ``J^T beta`` is accumulated from the per-iteration
+    transposed products instead of being recomputed at the end.
+
+    ``shadow``, if given, is an output-space block ``S`` with ``c = J^T S``
+    for the caller's transposed product ``J^T``, on a ``Q`` that maps ``J^T
+    V`` into the range of ``J^T``.  The kernel then carries shadows ``rs``
+    and ``ps`` with ``r = J^T rs`` and ``p = J^T ps``, updated with the same
+    ``a_t`` and ``b_t``; ``product`` receives ``ps`` and returns the shadow
+    ``ys`` of ``Q p`` as its third value (else ``ys`` is ignored and ``ps`` is
+    None).  Both routes' forward products are then of transposed products
+    and go through per-layer Gram matrices on layers with more inputs than
+    batch samples (see :mod:`dualgn.models`).  The shadow holds only up to
+    round-off, so it is dropped, and ``ps`` is None from then on, once
+    ``||r||^2 <= SHADOW_EPS ||c||^2``.  In particular ``tau = 0`` performs no
+    CG work and, on the dual route, returns exactly ``gamma`` times the batch
+    gradient.
 
     ``project(r)`` maps each updated residual back onto the range of a
     singular ``Q``: past convergence, null-space round-off in the recursive
@@ -92,8 +108,8 @@ def cg_kernel(
     BREAKDOWN_EPS``), returning the current iterate.  A non-finite initial
     residual, curvature or residual raises :class:`NumericError` naming
     ``label``.  ``callback(x)`` is invoked after each iterate update.  The
-    report counts the kernel's own vector arithmetic; callers add their
-    operator's.
+    report counts the kernel's own vector arithmetic, the shadow's included;
+    callers add their operator's.
 
     Returns ``(x, CGReport, ysum)``.
     """
@@ -104,17 +120,24 @@ def cg_kernel(
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     x, r = np.zeros_like(c), c.copy()
     p = r.copy()
-    rr = float(np.vdot(r, r))
+    rr = rr0 = float(np.vdot(r, r))
     if not np.isfinite(rr):
         raise NumericError(f"non-finite initial residual in {label}")
     # r0, p0 and <r0, r0>
     rep = CGReport(residual_norms=[float(np.sqrt(rr))], vector_op_scalar_count=3 * n)
     threshold = tol * max(1.0, rep.residual_norms[0])
     ysum = 0.0
+    rs = ps = shadow  # never updated in place
 
     while rep.iterations < max_iter and rep.residual_norms[-1] > threshold:
         it = rep.iterations + 1
-        quad, y = product(p)
+        if it > 1:
+            p = r + b * p
+            rep.vector_op_scalar_count += n
+            if ps is not None:
+                ps = rs + b * ps
+                rep.vector_op_scalar_count += ps.size
+        quad, y, ys = product(p, ps)
         rep.operator_calls += 1
         if not np.isfinite(quad):
             raise NumericError(f"non-finite curvature product at {label} iteration {it}")
@@ -140,25 +163,28 @@ def cg_kernel(
         if not np.isfinite(rr_new):
             raise NumericError(f"non-finite residual at {label} iteration {it}")
         rep.residual_norms.append(float(np.sqrt(rr_new)))
+        if ps is not None and rr_new > SHADOW_EPS * rr0:
+            rs = rs - a * ys
+            rep.vector_op_scalar_count += rs.size
+        else:
+            rs = ps = None
         b = rr_new / rr
         rr = rr_new
-        p = r + b * p
-        rep.vector_op_scalar_count += n
 
     rep.inner_product_with_rhs = float(np.vdot(x, c))
     rep.vector_op_scalar_count += n
     return x, rep, ysum
 
 
-def _curvature_product(q_apply):
-    def product(p):
-        qp = q_apply(p)
-        return float(np.vdot(p, qp)), qp
+def _curvature_product(q_apply, shadowed=False):
+    def product(p, ps):
+        qp, qs = q_apply(p, ps) if shadowed else (q_apply(p), None)
+        return float(np.vdot(p, qp)), qp, qs
 
     return product
 
 
-def cg_solve(q_apply, c, max_iter=None, tol=1e-10, callback=None):
+def cg_solve(q_apply, c, max_iter=None, tol=1e-10, callback=None, shadow=None):
     """Solve ``Q x = c`` for symmetric PSD ``Q`` given as a callable.
 
     Runs :func:`cg_kernel` from zero for at most ``max_iter`` iterations
@@ -168,14 +194,17 @@ def cg_solve(q_apply, c, max_iter=None, tol=1e-10, callback=None):
     :class:`NumericError` naming the iteration.
 
     ``c`` may have any array shape; the operator must map that shape to
-    itself.  ``callback(x)`` is invoked after each iterate update.
+    itself.  ``callback(x)`` is invoked after each iterate update.  With a
+    ``shadow`` of ``c`` (see :func:`cg_kernel`), ``q_apply(p, ps)`` returns
+    ``(Q p, shadow of Q p)``, and ``ps`` may be None.
 
     Returns
     -------
     (x, CGReport)
     """
     c = np.asarray(c, dtype=np.float64)
-    x, rep, _ = cg_kernel(_curvature_product(q_apply), c, max_iter, tol, callback=callback)
+    product = _curvature_product(q_apply, shadow is not None)
+    x, rep, _ = cg_kernel(product, c, max_iter, tol, callback=callback, shadow=shadow)
     rep.vector_op_scalar_count += c.size * rep.operator_calls  # <p, Qp>
     return x, rep
 

@@ -21,7 +21,8 @@ Two matrix-free routes to (approximately) the same ``d`` are provided:
 
 Both routes run the one CG kernel, :func:`dualgn.cgsolver.cg_kernel`, whose
 docstring gives the dual route's cost schedule (``tau`` JVPs and ``tau + 1``
-VJPs).
+VJPs, as on the primal route), and both take their JVPs of transposed
+products through per-layer Gram matrices.
 
 ``regularized_dual_direction`` extends the dual route to composite objectives
 with an l1 or l2 penalty on the parameters via a prox step on the mapped-back
@@ -174,10 +175,18 @@ def primal_gn_direction(opr, loss, f, spec):
     Starting from zero, every truncation is a descent direction for the batch
     objective.
 
+    Every CG vector lies in the range of ``J^T``: ``c = J^T g``, and the
+    operator maps ``J^T D`` to ``J^T (H J d + (m/gamma) D)``.  So the kernel
+    carries the output-space shadow ``D`` of each direction ``d = J^T D``
+    (see :func:`dualgn.cgsolver.cg_kernel`), and the forward product ``J d``
+    is handed ``D`` as its cotangent, which takes it through per-layer Gram
+    matrices where the batch is smaller than a layer's fan-in.  Past
+    convergence the kernel drops the shadow and the product is the plain one.
+
     The report's ``vector_op_scalar_count`` covers all vector arithmetic
     outside the jvp/vjp/Hessian oracles, including the ridge-shift scale and
-    add inside the operator, so primal and dual counters measure the same
-    class of work.
+    add inside the operator and the shadow's block arithmetic, so primal and
+    dual counters measure the same class of work.
     """
     f = _check_outputs(opr, loss, f)
     p, m, _ = opr.dims
@@ -188,12 +197,19 @@ def primal_gn_direction(opr, loss, f, spec):
     grad = u / m
 
     shift = m / gamma
+    shadowed = 0  # products that also returned a shadow
 
-    def apply(d):
-        return opr.vjp(loss_hvp(loss, f, opr.jvp(d))) + shift * d
+    def apply(d, D):
+        nonlocal shadowed
+        hjd = loss_hvp(loss, f, opr.jvp(d, cotangent=D))
+        qd = opr.vjp(hjd) + shift * d
+        if D is None:
+            return qd, None
+        shadowed += 1
+        return qd, hjd + shift * D
 
-    d, rep = cg_solve(apply, u, max_iter=spec.tau, tol=spec.tol)
-    rep.vector_op_scalar_count += 2 * p * rep.operator_calls
+    d, rep = cg_solve(apply, u, max_iter=spec.tau, tol=spec.tol, shadow=g)
+    rep.vector_op_scalar_count += 2 * p * rep.operator_calls + 2 * g.size * shadowed
     return DirectionResult(
         d=d,
         alpha=None,
@@ -275,12 +291,12 @@ def _dual_direction(opr, loss, f, gamma, tau, tol, w=None, reg=None, callback=No
 
     wblk = hw = None  # w and H^+ w of the latest product, which advance reuses
 
-    def product(x):
+    def product(x, _):
         nonlocal wblk, hw
         wblk = to_beta(x)
         hw = wblk / sig
         v = opr.vjp(wblk)
-        return float(np.vdot(wblk, hw)) + mu_inv * float(np.vdot(v, v)), v
+        return float(np.vdot(wblk, hw)) + mu_inv * float(np.vdot(v, v)), v, None
 
     def advance(v):
         return scaled(hw + mu_inv * opr.jvp(v, cotangent=wblk))

@@ -60,7 +60,11 @@ class JacobianOperator:
         ``cotangent``, if given, must be a block ``V`` with ``u = J^T V``, such
         as the argument of the :meth:`vjp` call that returned ``u``.  An
         operator built with ``apply_cotangent`` uses it; others ignore it.
-        Either way the call counts as one forward product.
+        Either way the call counts as one forward product.  Layers that take
+        the Gram route compute their terms from ``V``, so the result matches
+        ``J u`` only as closely as ``u = J^T V`` holds: a ``V`` carried through
+        recurrences beside ``u`` drifts from it by round-off, which is why the
+        primal CG stops passing its shadow once its residual is that small.
         """
         p, m, k = self.dims
         u = np.asarray(u, dtype=np.float64)

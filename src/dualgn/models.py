@@ -191,12 +191,10 @@ def make_model(name, in_dim, out_dim):
     if name == "linear":
         return LinearModel(in_dim, out_dim)
     if name.startswith("mlp:"):
-        spec = name[len("mlp:") :]
-        try:
-            hidden = [int(tok) for tok in spec.split(",") if tok]
-        except ValueError:
-            raise ValueError(f"bad mlp hidden dims {spec!r}; expected e.g. mlp:16,16")
-        if not hidden:
-            raise ValueError("mlp model needs at least one hidden width, e.g. mlp:16")
-        return MLPModel([in_dim] + hidden + [out_dim])
+        widths = name[len("mlp:") :].split(",")
+        if not all(tok.strip().isdecimal() and int(tok) > 0 for tok in widths):
+            raise ValueError(
+                f"bad mlp hidden dims in {name!r}; expected positive widths, e.g. mlp:16,16"
+            )
+        return MLPModel([in_dim] + [int(tok) for tok in widths] + [out_dim])
     raise ValueError(f"unknown model {name!r}; expected 'linear' or 'mlp:<dims>'")

@@ -20,9 +20,11 @@ once, to build the Jacobian operator, plus once per line-search trial.
 All randomness (parameter init, epoch shuffling) is driven by counter-based
 Philox streams keyed on the seed, so runs are bit-reproducible; epoch
 shuffles draw a full permutation and the final short batch is kept.  A
-non-finite batch loss or a numeric failure in the direction solve aborts the
-run with a diagnostic record instead of raising; the single-step functions
-raise :class:`NumericError` instead.
+non-finite batch loss, a numeric failure in the direction solve or a
+non-finite end-of-epoch train loss aborts the run with a diagnostic record
+instead of raising; the single-step functions raise :class:`NumericError`
+instead.  Either way numpy's overflow and invalid-value warnings along the
+way are not raised.
 """
 
 import time
@@ -251,6 +253,13 @@ def outer_update(rule, state, w, d, eta, config):
     raise ValueError(f"unknown update rule {rule!r}")
 
 
+# A diverging step overflows into a non-finite loss, residual or curvature,
+# which the step and the run report (a non-finite line-search trial is
+# rejected), so numpy's overflow and invalid-value warnings are not raised.
+_QUIET = dict(over="ignore", invalid="ignore")
+
+
+@np.errstate(**_QUIET)
 def _batch_step(model, w, Xb, Yb, config, state):
     """One minibatch update; returns ``(w_new, record, failure)``.
 
@@ -344,9 +353,10 @@ def armijo_spl_step(w, batch, config, model=None):
 
 
 def _full_metrics(model, w, X, Y, loss_kind):
-    f = model.forward(w, X)
     oracle = LossOracle(loss_kind, Y)
-    mean_loss = float(np.mean(loss_value(oracle, f)))
+    with np.errstate(**_QUIET):  # train() reports a non-finite loss
+        f = model.forward(w, X)
+        mean_loss = float(np.mean(loss_value(oracle, f)))
     acc = float(np.mean(np.argmax(f, axis=1) == np.argmax(Y, axis=1)))
     return mean_loss, acc
 
@@ -358,10 +368,10 @@ def train(config, dataset, on_record=None):
     and, if given, the ``on_record`` callback as each step completes).
     ``train_loss``/``train_acc`` are recomputed on the full training set at
     the end of every epoch and carried forward in between.  ``jvp_calls`` and
-    ``vjp_calls`` are cumulative over the run.  A non-finite batch loss, or a
-    :class:`NumericError` from the direction solve, stops the run after
-    logging a diagnostic record; the result is then ``aborted`` and
-    ``abort_reason`` names the failure and the step.
+    ``vjp_calls`` are cumulative over the run.  A non-finite batch loss or
+    end-of-epoch train loss, or a :class:`NumericError` from the direction
+    solve, stops the run after logging a diagnostic record; the result is
+    then ``aborted`` and ``abort_reason`` names the failure and the step.
     """
     if not isinstance(dataset, Dataset):
         dataset = Dataset(dataset[0], dataset[1])
@@ -390,6 +400,8 @@ def train(config, dataset, on_record=None):
             w, rec, failure = _batch_step(model, w, X[idx], Y[idx], config, state)
             if failure is None and start + config.batch_size >= n:
                 train_loss, train_acc = _full_metrics(model, w, X, Y, config.loss)
+                if not np.isfinite(train_loss):
+                    failure = "non-finite train loss"
             rec.step, rec.epoch = len(records), epoch
             rec.train_loss, rec.train_acc = train_loss, train_acc
             if records:

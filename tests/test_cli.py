@@ -1,7 +1,6 @@
 import csv
 import struct
 
-import numpy as np
 import pytest
 
 from dualgn import cli
@@ -174,13 +173,12 @@ def test_env_seed_fallback(tmp_path, monkeypatch):
 
 def test_numeric_abort_leaves_parseable_prefix(tmp_path, monkeypatch, capsys):
     out = tmp_path / "abort.csv"
-    with np.errstate(over="ignore"):  # the blow-up is the point
-        code = _run(
-            ["run", "--data", "blobs:32,2,2,0.3", "--method", "sgd", "--direction",
-             "gradient", "--eta", "1e12", "--model", "linear", "--batch-size", "8",
-             "--epochs", "5", "--out", str(out)],
-            monkeypatch,
-        )
+    code = _run(
+        ["run", "--data", "blobs:32,2,2,0.3", "--method", "sgd", "--direction",
+         "gradient", "--eta", "1e12", "--model", "linear", "--batch-size", "8",
+         "--epochs", "5", "--out", str(out)],
+        monkeypatch,
+    )
     assert code == 2
     assert "aborted" in capsys.readouterr().err
     rows = _read(out)
@@ -189,6 +187,35 @@ def test_numeric_abort_leaves_parseable_prefix(tmp_path, monkeypatch, capsys):
     for row in rows[1:]:
         assert len(row) == len(CSV_FIELDS)
         int(row[0])  # parseable step index
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--method", "sgd", "--eta", "1e308"],
+        ["--method", "sgd", "--eta", "1e308", "--loss", "logistic"],
+        ["--method", "sgd", "--eta", "1e308", "--model", "mlp:4"],
+        ["--method", "momentum", "--eta", "1e154"],
+        ["--method", "adam", "--eta", "1e308"],
+        ["--method", "armijo_spl", "--model", "mlp:4", "--data", "blobs:32,2,3,1e150"],
+        # every line-search trial overflows and is rejected
+        ["--method", "armijo_spl", "--direction", "gradient", "--model", "mlp:4",
+         "--data", "blobs:32,2,3,1e50"],
+        # the first step diverges and is the last: only the epoch's metrics see it
+        ["--method", "sgd", "--eta", "1e308", "--batch-size", "32", "--epochs", "1"],
+    ],
+)
+def test_diverging_run_exits_2_without_warnings(flags, tmp_path, monkeypatch, capsys):
+    # warnings are errors in this suite, so an escaping RuntimeWarning fails it
+    out = tmp_path / "div.csv"
+    base = ["run", "--data", "blobs:32,2,3,0.2", "--batch-size", "8", "--epochs", "2"]
+    code = _run(base + flags + ["--out", str(out)], monkeypatch)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("aborted: non-finite") and "Warning" not in err
+    rows = _read(out)
+    assert rows[0] == CSV_FIELDS and len(rows) >= 2
+    assert rows[-1][0] == err.rsplit(" ", 1)[1].strip()  # the diagnostic row
 
 
 def test_unwritable_out_is_usage_error(tmp_path, monkeypatch, capsys):
@@ -236,12 +263,11 @@ def test_truncated_idx_header_is_usage_error(tmp_path, monkeypatch, capsys):
 
 def test_numeric_failure_in_solve_leaves_diagnostic_row(tmp_path, monkeypatch, capsys):
     out = tmp_path / "abort.csv"
-    with np.errstate(all="ignore"):  # the blow-up is the point
-        code = _run(
-            ["run", "--data", "blobs:64,3,2,1e60", "--loss", "squared", "--path",
-             "primal", "--epochs", "1", "--out", str(out)],
-            monkeypatch,
-        )
+    code = _run(
+        ["run", "--data", "blobs:64,3,2,1e60", "--loss", "squared", "--path",
+         "primal", "--epochs", "1", "--out", str(out)],
+        monkeypatch,
+    )
     assert code == 2
     assert "aborted: non-finite" in capsys.readouterr().err
     rows = _read(out)
@@ -283,9 +309,13 @@ def test_negative_seed_is_usage_error(tmp_path, monkeypatch, capsys):
 
 
 def test_bad_model_is_usage_error(tmp_path, monkeypatch, capsys):
-    code = _run(["run", "--model", "mlp:x", "--out", str(tmp_path / "x.csv")], monkeypatch)
-    assert code == 1
-    assert "mlp" in capsys.readouterr().err
+    out = tmp_path / "x.csv"
+    for spec in ("mlp:x", "mlp:0", "mlp:8,,8"):
+        code = _run(["run", "--model", spec, "--out", str(out)], monkeypatch)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"usage error: bad mlp hidden dims in '{spec}'" in err
+        assert not out.exists()
 
 
 def test_verify_suite_runs(capsys):

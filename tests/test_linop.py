@@ -12,6 +12,7 @@ from dualgn import (
     make_model,
 )
 from oracles import fd_jacobian, materialize_jacobian
+from strategies import MODELS, jacobian_cases
 
 
 def _instance(name, d, k, m, seed):
@@ -115,38 +116,12 @@ def test_probe_validation():
 # Gram-matrix forward products: given the cotangent V of u = J^T V, layers
 # whose fan-in exceeds the batch size evaluate J u from V.
 
-_MODELS = ["linear", "mlp:{h}", "mlp:{h},{h2}"]
-
-
-@st.composite
-def _gram_cases(draw, name, relation):
-    """A model, parameters, batch and cotangent; ``relation`` sets m against d."""
-    if relation == "lt":
-        d = draw(st.integers(2, 12))
-        m = draw(st.integers(1, d - 1))
-    else:
-        d = draw(st.integers(1, 12))
-        m = d if relation == "eq" else d + draw(st.integers(1, 4))
-    k = draw(st.integers(1, 4))
-    name = name.format(h=draw(st.integers(1, 10)), h2=draw(st.integers(1, 10)))
-    seed = draw(st.integers(0, 2**32 - 1))
-    scale = draw(st.sampled_from([1.0, 1e2, 1e3]))
-    rows = draw(st.sampled_from(["plain", "duplicate", "zero"]))
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    model = make_model(name, d, k)
-    X = scale * rng.standard_normal((m, d))
-    if rows == "duplicate":
-        X[-1] = X[0]
-    elif rows == "zero":
-        X[0] = 0.0
-    return model, model.init_params(seed), X, rng.standard_normal((m, k))
-
 
 @pytest.mark.parametrize("relation", ["lt", "eq", "gt"])
-@pytest.mark.parametrize("name", _MODELS)
+@pytest.mark.parametrize("name", MODELS)
 @given(data=st.data())
 def test_gram_forward_product_matches_plain_product(name, relation, data):
-    model, w, X, V = data.draw(_gram_cases(name, relation))
+    model, w, X, V = data.draw(jacobian_cases(name, relation))
     opr = make_jacobian_operator(model, w, X)
     u = opr.vjp(V)
     plain = opr.jvp(u)

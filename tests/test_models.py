@@ -146,10 +146,9 @@ def test_make_model_parsing():
     assert make_model("mlp:4,4", 2, 3).dims == [2, 4, 4, 3]
     with pytest.raises(ValueError, match="unknown model"):
         make_model("resnet", 2, 3)
-    with pytest.raises(ValueError, match="hidden"):
-        make_model("mlp:", 2, 3)
-    with pytest.raises(ValueError, match="bad mlp hidden dims"):
-        make_model("mlp:a,b", 2, 3)
+    for spec in ("mlp:", "mlp:a,b", "mlp:0", "mlp:8,-1", "mlp:8,,8", "mlp:8,", "mlp:1.5"):
+        with pytest.raises(ValueError, match=f"bad mlp hidden dims in '{spec}'"):
+            make_model(spec, 2, 3)
     with pytest.raises(ValueError):
         LinearModel(0, 2)
     with pytest.raises(ValueError):

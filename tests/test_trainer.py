@@ -481,12 +481,21 @@ def test_train_aborts_on_non_finite_loss():
     ds = synth_blobs(7, n=32, d=2, k=2, spread=0.3)
     config = TrainConfig(method="sgd", direction="gradient", eta=1e12,
                          loss="squared", model="linear", batch_size=8, epochs=5, seed=7)
-    with np.errstate(over="ignore"):  # the blow-up is the point
-        res = train(config, ds)
+    res = train(config, ds)  # raises no numpy warning either
     assert res.aborted
     assert "non-finite batch loss" in res.abort_reason
     assert res.records[-1].step == int(res.abort_reason.rsplit(" ", 1)[1])
     assert len(res.records) < 5 * 4
+
+
+def test_train_aborts_on_non_finite_train_loss():
+    # one step per epoch: the step that diverges is the last, and only the
+    # end-of-epoch metrics evaluate the model at its result
+    ds = synth_blobs(7, n=8, d=2, k=2, spread=0.3)
+    config = TrainConfig(method="sgd", eta=1e308, batch_size=8, epochs=3, seed=7)
+    res = train(config, ds)
+    assert res.abort_reason == "non-finite train loss at step 0"
+    assert len(res.records) == 1 and not np.isfinite(res.records[0].train_loss)
 
 
 @pytest.mark.parametrize("path", ["primal", "dual"])
@@ -495,8 +504,7 @@ def test_train_aborts_on_numeric_failure_in_the_solve(path):
     ds = synth_blobs(0, n=64, d=3, k=2, spread=0.3)
     ds = Dataset(ds.inputs * 1e60, ds.targets)
     config = TrainConfig(loss="squared", path=path, epochs=1)
-    with np.errstate(all="ignore"):  # the blow-up is the point
-        res = train(config, ds)
+    res = train(config, ds)
     assert res.aborted
     assert res.abort_reason.startswith("non-finite")
     assert "CG" in res.abort_reason and res.abort_reason.endswith("at step 0")
@@ -511,7 +519,7 @@ def test_single_steps_raise_on_non_finite_loss():
     X = rng.standard_normal((8, 2)) * 1e200
     Y = np.eye(2)[rng.integers(2, size=8)]
     w = make_model("linear", 2, 2).init_params(0)
-    with np.errstate(all="ignore"), pytest.raises(NumericError, match="batch loss"):
+    with pytest.raises(NumericError, match="batch loss"):
         spl_step(w, (X, Y), TrainConfig(method="spl"))
-    with np.errstate(all="ignore"), pytest.raises(NumericError, match="batch loss"):
+    with pytest.raises(NumericError, match="batch loss"):
         armijo_spl_step(w, (X, Y), TrainConfig(method="armijo_spl"))
