@@ -84,6 +84,14 @@ def cg_kernel(
     iteration, and ``J^T beta`` is accumulated from the per-iteration
     transposed products instead of being recomputed at the end.
 
+    The state ``x``, ``r`` and ``p`` is updated in place, so ``callback``
+    and ``product`` must copy what they keep of it.  Outside the ``advance``
+    path the kernel never writes into ``y``, so an operator may return its
+    argument or a stored array.  The ``advance`` path consumes each ``y``:
+    after ``advance(y)`` the kernel scales ``y`` by ``a_t`` in place and adds
+    it into ``ysum``, which is the first scaled ``y``, so ``product`` must
+    return a fresh ``y`` each time.
+
     ``shadow``, if given, is an output-space block ``S`` with ``c = J^T S``
     for the caller's transposed product ``J^T``, on a ``Q`` that maps ``J^T
     V`` into the range of ``J^T``.  The kernel then carries shadows ``rs``
@@ -132,7 +140,8 @@ def cg_kernel(
     while rep.iterations < max_iter and rep.residual_norms[-1] > threshold:
         it = rep.iterations + 1
         if it > 1:
-            p = r + b * p
+            p *= b
+            p += r
             rep.vector_op_scalar_count += n
             if ps is not None:
                 ps = rs + b * ps
@@ -150,12 +159,18 @@ def cg_kernel(
         if callback is not None:
             callback(x)
         if advance is not None:
-            ysum += a * y
+            qp = advance(y) if it < max_iter else None
+            y *= a
+            if it == 1:
+                ysum = y
+            else:
+                ysum += y
             rep.vector_op_scalar_count += y.size
-            if it == max_iter:
+            if qp is None:
                 break
-            y = advance(y)
+            y = qp
         r -= a * y
+        del y  # freed before the next product is made
         if project is not None:
             r = project(r)
         rr_new = float(np.vdot(r, r))

@@ -99,6 +99,15 @@ def _idx_header(fh, size, path):
     return header
 
 
+def _idx_body(fh, size, path, what):
+    # Read what the file holds, never the size the header declares: a bad
+    # header may declare more bytes than can be requested at all.
+    raw = fh.read()
+    if len(raw) < size:
+        raise ValueError(f"{path}: truncated {what} data")
+    return np.frombuffer(raw, dtype=np.uint8, count=size)
+
+
 def load_idx_images(path):
     """Read an IDX image file into a (n, rows*cols) float64 array in [0, 1]."""
     with _idx_open(path) as fh:
@@ -109,10 +118,8 @@ def load_idx_images(path):
             )
         if rows == 0 or cols == 0:
             raise ValueError(f"{path}: empty {rows}x{cols} images")
-        raw = fh.read(n * rows * cols)
-    if len(raw) != n * rows * cols:
-        raise ValueError(f"{path}: truncated image data")
-    pixels = np.frombuffer(raw, dtype=np.uint8).astype(np.float64) / 255.0
+        raw = _idx_body(fh, n * rows * cols, path, "image")
+    pixels = raw.astype(np.float64) / 255.0
     return pixels.reshape(n, rows * cols)
 
 
@@ -124,10 +131,8 @@ def load_idx_labels(path):
             raise ValueError(
                 f"{path}: bad label magic 0x{magic:08x}, expected 0x{_IDX_LABEL_MAGIC:08x}"
             )
-        raw = fh.read(n)
-    if len(raw) != n:
-        raise ValueError(f"{path}: truncated label data")
-    return np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
+        raw = _idx_body(fh, n, path, "label")
+    return raw.astype(np.int64)
 
 
 def load_idx_dataset(image_path, label_path, num_classes=None):

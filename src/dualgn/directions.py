@@ -187,6 +187,9 @@ def primal_gn_direction(opr, loss, f, spec):
     outside the jvp/vjp/Hessian oracles, including the ridge-shift scale and
     add inside the operator and the shadow's block arithmetic, so primal and
     dual counters measure the same class of work.
+
+    The batch gradient ``J^T g / m`` is formed in the buffer of ``J^T g``
+    once the solve, its right-hand side, is done with it.
     """
     f = _check_outputs(opr, loss, f)
     p, m, _ = opr.dims
@@ -194,7 +197,6 @@ def primal_gn_direction(opr, loss, f, spec):
 
     g = loss_grad(loss, f)
     u = opr.vjp(g)
-    grad = u / m
 
     shift = m / gamma
     shadowed = 0  # products that also returned a shadow
@@ -202,7 +204,8 @@ def primal_gn_direction(opr, loss, f, spec):
     def apply(d, D):
         nonlocal shadowed
         hjd = loss_hvp(loss, f, opr.jvp(d, cotangent=D))
-        qd = opr.vjp(hjd) + shift * d
+        qd = opr.vjp(hjd)
+        qd += shift * d
         if D is None:
             return qd, None
         shadowed += 1
@@ -210,6 +213,8 @@ def primal_gn_direction(opr, loss, f, spec):
 
     d, rep = cg_solve(apply, u, max_iter=spec.tau, tol=spec.tol, shadow=g)
     rep.vector_op_scalar_count += 2 * p * rep.operator_calls + 2 * g.size * shadowed
+    u /= m
+    grad = u
     return DirectionResult(
         d=d,
         alpha=None,
@@ -262,6 +267,10 @@ def _dual_direction(opr, loss, f, gamma, tau, tol, w=None, reg=None, callback=No
     Gram matrices.  The scaled system ``S P (H^+ + J J^T / mu) P S`` is
     singular for the logistic loss, so each residual update is re-projected
     onto its range ``S P``.  See :func:`cg_kernel` for the cost schedule.
+
+    The direction is formed in the buffer of the kernel's sum ``J^T beta``,
+    and the batch gradient ``J^T g / m`` in the buffer of ``J^T g`` once the
+    map-back is done with it.
     """
     f = _check_outputs(opr, loss, f)
     p, m, k = opr.dims
@@ -269,7 +278,6 @@ def _dual_direction(opr, loss, f, gamma, tau, tol, w=None, reg=None, callback=No
 
     g = loss_grad(loss, f)
     u = opr.vjp(g)
-    grad = u / m
 
     mu = m / gamma
     if reg is not None and reg.kind == "l2":
@@ -305,15 +313,17 @@ def _dual_direction(opr, loss, f, gamma, tau, tol, w=None, reg=None, callback=No
     # shift folds the prox displacement of the penalty into the same product.
     pre = mu_inv * u
     if reg is not None:
-        pre = pre + (w - reg.prox(w, gamma))
+        pre += w - reg.prox(w, gamma)
 
     # Vector work outside the kernel is counted in passes over p-vectors and
     # output blocks, with q one pass of to_beta or scaled.
     q = (3 if logistic else 1) * blk
     if tau > 0 and np.any(pre):
+        rhs = scaled(opr.jvp(pre))
+        del pre  # freed before the kernel's products are made
         x, rep, zsum = cg_kernel(
             product,
-            scaled(opr.jvp(pre)),
+            rhs,
             tau,
             tol,
             advance=advance,
@@ -333,11 +343,16 @@ def _dual_direction(opr, loss, f, gamma, tau, tol, w=None, reg=None, callback=No
         x, rep, zsum = np.zeros((m, k)), CGReport(), 0.0
     alpha = g - to_beta(x)
 
-    zpar = u - zsum
+    # The map-back reuses the buffer of the kernel's sum, if it ran.
+    zpar = u - zsum if np.isscalar(zsum) else np.subtract(u, zsum, out=zsum)
     if reg is None:
-        d = gamma * (zpar / m)
+        zpar /= m
+        zpar *= gamma
+        d = zpar
     else:
         d = w - reg.prox(w - (gamma / m) * zpar, gamma)
+    u /= m
+    grad = u
     # gradient, penalty and map-back; sigma, beta and alpha
     rep.vector_op_scalar_count += (5 if reg is None else 10) * p + 2 * q
     return DirectionResult(

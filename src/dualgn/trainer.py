@@ -223,34 +223,49 @@ def _armijo_backtrack(batch_loss_eval, w, d, h0, dg, beta, shrink, eta0, max_bac
     return eta / shrink, False
 
 
-def outer_update(rule, state, w, d, eta, config):
+def outer_update(rule, state, w, d, eta, config, out=None):
     """Apply one sgd/momentum/adam update with direction ``d``; returns new w.
 
     This is the only place a training step is applied; ``spl`` and
     ``armijo_spl`` use the ``sgd`` rule ``w - eta d``.
 
-    ``state`` is mutated in place.  Momentum uses the heavy-ball recursion
-    ``v <- mu v + d``; adam uses bias-corrected first and second moments.
+    ``state`` is mutated in place, its arrays included.  Momentum uses the
+    heavy-ball recursion ``v <- mu v + d``; adam uses bias-corrected first
+    and second moments.  The new parameters are written into ``out`` and
+    returned.  The default ``out=None`` writes them into a fresh array and
+    leaves ``w`` and ``d`` as they were; ``out=d`` reuses the direction's
+    buffer, with the same values.
     """
-    if rule == "sgd":
-        return w - eta * d
+    if rule not in ("sgd", "momentum", "adam"):
+        raise ValueError(f"unknown update rule {rule!r}")
+    w, d = np.asarray(w, dtype=np.float64), np.asarray(d, dtype=np.float64)
+    if out is None:
+        out = np.empty_like(w)
+    step = d
     if rule == "momentum":
         if state.velocity is None:
             state.velocity = np.zeros_like(w)
-        state.velocity = config.momentum_mu * state.velocity + d
-        return w - eta * state.velocity
+        state.velocity *= config.momentum_mu
+        state.velocity += d
+        step = state.velocity
     if rule == "adam":
         if state.adam_m is None:
             state.adam_m = np.zeros_like(w)
             state.adam_v = np.zeros_like(w)
         b1, b2 = config.adam_beta1, config.adam_beta2
         state.t += 1
-        state.adam_m = b1 * state.adam_m + (1.0 - b1) * d
-        state.adam_v = b2 * state.adam_v + (1.0 - b2) * d * d
-        mhat = state.adam_m / (1.0 - b1 ** state.t)
-        vhat = state.adam_v / (1.0 - b2 ** state.t)
-        return w - eta * mhat / (np.sqrt(vhat) + config.adam_eps)
-    raise ValueError(f"unknown update rule {rule!r}")
+        state.adam_m *= b1
+        state.adam_m += (1.0 - b1) * d
+        state.adam_v *= b2
+        state.adam_v += (1.0 - b2) * d * d
+        denom = np.sqrt(state.adam_v / (1.0 - b2 ** state.t))
+        denom += config.adam_eps
+        np.divide(state.adam_m, 1.0 - b1 ** state.t, out=out)  # mhat
+        out *= eta
+        out /= denom
+    else:
+        np.multiply(eta, step, out=out)
+    return np.subtract(w, out, out=out)
 
 
 # A diverging step overflows into a non-finite loss, residual or curvature,
@@ -316,7 +331,7 @@ def _batch_step(model, w, Xb, Yb, config, state):
         )
     else:
         rule, rec.eta = config.method, config.eta
-    return outer_update(rule, state, w, d, rec.eta, config), rec, None
+    return outer_update(rule, state, w, d, rec.eta, config, out=d), rec, None
 
 
 def _single_step(w, batch, config, model):

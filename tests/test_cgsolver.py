@@ -190,3 +190,49 @@ def test_projected_stays_accurate_past_convergence():
         for max_iter in (24, 48, 96):
             x, _ = projected_cg_solve(op, c, proj, max_iter=max_iter, tol=0.0, diag_precond=precond)
             assert np.linalg.norm(x - want) / np.linalg.norm(want) <= 1e-10
+
+
+def _same_solve(a, b):
+    (xa, ra), (xb, rb) = a, b
+    assert np.array_equal(xa, xb)
+    assert vars(ra) == vars(rb)
+
+
+def test_operator_may_return_its_argument_or_a_stored_array():
+    # the kernel updates its own vectors in place, never an operator's output
+    c = np.array([2.0, -1.0, 0.5])
+    _same_solve(cg_solve(lambda v: v, c, tol=0.0), cg_solve(lambda v: v.copy(), c, tol=0.0))
+
+    Q, c = _spd(9, 21)
+    buf = np.empty(9)
+
+    def stored(v):
+        np.matmul(Q, v, out=buf)
+        return buf
+
+    _same_solve(
+        cg_solve(stored, c, max_iter=6, tol=0.0), cg_solve(lambda v: Q @ v, c, max_iter=6, tol=0.0)
+    )
+
+
+def test_projected_callback_may_keep_the_iterates_it_receives():
+    rng = np.random.Generator(np.random.Philox(key=15))
+    m, k = 4, 3
+    A = rng.standard_normal((m * k, m * k))
+    Q = A @ A.T + np.eye(m * k)
+    c = rng.standard_normal((m, k))
+    proj = lambda B: B - B.mean(axis=1, keepdims=True)
+    op = lambda B: (Q @ B.ravel()).reshape(m, k)
+    s = rng.uniform(0.5, 2.0, size=(m, k))
+    for precond in (None, s):
+        kept, copies = [], []
+
+        def callback(x):
+            kept.append(x)
+            copies.append(x.copy())
+
+        got = projected_cg_solve(op, c, proj, max_iter=8, tol=0.0, diag_precond=precond, callback=callback)
+        _same_solve(got, projected_cg_solve(op, c, proj, max_iter=8, tol=0.0, diag_precond=precond))
+        assert len(kept) == 8
+        for x, x0 in zip(kept, copies):
+            assert np.array_equal(x, x0)

@@ -261,6 +261,26 @@ def test_truncated_idx_header_is_usage_error(tmp_path, monkeypatch, capsys):
         assert "usage error" in err and "truncated header" in err
 
 
+def test_idx_header_declaring_more_than_the_file_is_usage_error(tmp_path, monkeypatch, capsys):
+    # n = rows = cols = 2**32 - 1 ended in a raw OverflowError traceback
+    top = 2**32 - 1
+    huge = tmp_path / "huge.idx"
+    huge.write_bytes(struct.pack(">IIII", 0x00000803, top, top, top) + bytes(8))
+    images = tmp_path / "img.idx"
+    images.write_bytes(struct.pack(">IIII", 0x00000803, 2, 1, 2) + bytes(4))
+    labels = tmp_path / "lab.idx"
+    labels.write_bytes(struct.pack(">II", 0x00000801, 2) + bytes([0, 1]))
+    over = tmp_path / "over.idx"
+    over.write_bytes(struct.pack(">II", 0x00000801, 60000) + bytes(2))
+    out = tmp_path / "x.csv"
+    for spec, what in ((f"idx:{huge},{labels}", "image"), (f"idx:{images},{over}", "label")):
+        code = _run(["run", "--data", spec, "--batch-size", "2", "--out", str(out)], monkeypatch)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"usage error: data spec {spec!r}" in err and f"truncated {what} data" in err
+        assert not out.exists()
+
+
 def test_numeric_failure_in_solve_leaves_diagnostic_row(tmp_path, monkeypatch, capsys):
     out = tmp_path / "abort.csv"
     code = _run(

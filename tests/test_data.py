@@ -155,3 +155,47 @@ def test_idx_rejects_zero_width_images(tmp_path, shape):
     _write_idx_images(path, np.zeros(shape, dtype=np.uint8))
     with pytest.raises(ValueError, match=f"empty {shape[1]}x{shape[2]} images"):
         load_idx_images(path)
+
+
+def _write_idx(path, header, body):
+    payload = header + body
+    if str(path).endswith(".gz"):
+        with gzip.open(path, "wb") as fh:
+            fh.write(payload)
+    else:
+        path.write_bytes(payload)
+
+
+@pytest.mark.parametrize("name", ["over.idx", "over.idx.gz"])
+def test_idx_header_declaring_more_than_the_file_is_truncated_data(tmp_path, name):
+    images = tmp_path / f"img_{name}"
+    _write_idx(images, struct.pack(">IIII", 0x00000803, 1000, 28, 28), bytes(784))
+    with pytest.raises(ValueError, match="truncated image data"):
+        load_idx_images(images)
+    labels = tmp_path / f"lbl_{name}"
+    _write_idx(labels, struct.pack(">II", 0x00000801, 60000), bytes(3))
+    with pytest.raises(ValueError, match="truncated label data"):
+        load_idx_labels(labels)
+
+
+def test_idx_header_declaring_more_than_can_be_read_is_truncated_data(tmp_path):
+    # n * rows * cols ~ 7.9e28 bytes used to be passed to read(), which raised
+    # OverflowError; a 2**32 - 1 label count would have requested 4 GiB.
+    top = 2**32 - 1
+    images = tmp_path / "img.idx"
+    _write_idx(images, struct.pack(">IIII", 0x00000803, top, top, top), bytes(16))
+    with pytest.raises(ValueError, match="truncated image data"):
+        load_idx_images(images)
+    labels = tmp_path / "lbl.idx"
+    _write_idx(labels, struct.pack(">II", 0x00000801, top), bytes(16))
+    with pytest.raises(ValueError, match="truncated label data"):
+        load_idx_labels(labels)
+
+
+def test_idx_trailing_bytes_are_ignored(tmp_path):
+    images = tmp_path / "img.idx"
+    _write_idx(images, struct.pack(">IIII", 0x00000803, 1, 1, 2), bytes([0, 255, 7, 7]))
+    np.testing.assert_array_equal(load_idx_images(images), [[0.0, 1.0]])
+    labels = tmp_path / "lbl.idx"
+    _write_idx(labels, struct.pack(">II", 0x00000801, 2), bytes([3, 1, 9]))
+    assert list(load_idx_labels(labels)) == [3, 1]

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -166,6 +167,73 @@ def test_outer_update_matches_textbook_recursion(rule):
         want = adam_trajectory(w0, _quad_grad, eta, 3)
     for a, b in zip(ours, want):
         assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+
+def _out_of_place_update(rule, ref, w, d, eta, config):
+    # the update formulas as written, each expression into a fresh array
+    if rule == "sgd":
+        return w - eta * d
+    if rule == "momentum":
+        ref["v"] = config.momentum_mu * ref.get("v", np.zeros_like(w)) + d
+        return w - eta * ref["v"]
+    b1, b2 = config.adam_beta1, config.adam_beta2
+    ref["t"] = t = ref.get("t", 0) + 1
+    ref["m"] = b1 * ref.get("m", np.zeros_like(w)) + (1.0 - b1) * d
+    ref["v"] = b2 * ref.get("v", np.zeros_like(w)) + (1.0 - b2) * d * d
+    mhat = ref["m"] / (1.0 - b1**t)
+    vhat = ref["v"] / (1.0 - b2**t)
+    return w - eta * mhat / (np.sqrt(vhat) + config.adam_eps)
+
+
+@pytest.mark.parametrize("rule", ["sgd", "momentum", "adam"])
+def test_outer_update_in_place_matches_out_of_place_formulas(rule):
+    config = TrainConfig(method=rule)
+    rng = np.random.Generator(np.random.Philox(key=31))
+    w_fresh = w_reuse = w_ref = rng.standard_normal(40)
+    fresh, reuse, ref = OptimizerState(), OptimizerState(), {}
+    arrays = None
+    for _ in range(5):
+        d = rng.standard_normal(40)
+        w0, d0 = w_fresh.copy(), d.copy()
+        w_ref = _out_of_place_update(rule, ref, w_ref, d, 0.05, config)
+        got = outer_update(rule, fresh, w_fresh, d, 0.05, config)
+        assert np.array_equal(got, w_ref)
+        assert np.array_equal(w_fresh, w0) and np.array_equal(d, d0)
+        w_fresh = got
+        w_reuse = outer_update(rule, reuse, w_reuse, d, 0.05, config, out=d)
+        assert np.array_equal(w_reuse, w_ref)
+        state = (reuse.velocity, reuse.adam_m, reuse.adam_v)
+        if arrays is not None:
+            assert all(a is b for a, b in zip(state, arrays))
+        arrays = state
+
+
+@pytest.mark.parametrize("path", ["dual", "primal"])
+@pytest.mark.parametrize("method", ["momentum", "adam", "sgd", "spl"])
+def test_steady_state_step_allocation_budget(path, method):
+    # p = 13,514 >> m k = 160.  A steady-state step's traced peak above its
+    # start, in parameter vectors, counts the p-length arrays it holds at
+    # once; each arithmetic expression into a fresh array adds to it.
+    data = synth_blobs(0, n=128, d=200, k=10, spread=0.5)
+    config = TrainConfig(
+        method=method, path=path, loss="logistic", model="mlp:64", tau=4,
+        batch_size=16, epochs=2, eta=0.05,
+    )
+    p = make_model(config.model, 200, 10).n_params
+    marks = []
+
+    def on_record(rec):
+        marks.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+
+    tracemalloc.start()
+    try:
+        train(config, data, on_record=on_record)
+    finally:
+        tracemalloc.stop()
+    # steps 9-14: the second epoch, neither its first nor its last step
+    peak = max((marks[i][1] - marks[i - 1][0]) / (8 * p) for i in range(9, 15))
+    assert peak <= (5.5 if path == "dual" else 7.0)
 
 
 def test_momentum_mu_zero_equals_sgd():
