@@ -29,6 +29,29 @@ BREAKDOWN_EPS = 1e-300
 SHADOW_EPS = np.finfo(np.float64).eps
 
 
+def _integer(name, value, low=0):
+    try:
+        ok = value >= low and int(value) == value
+    except OverflowError:  # int(inf)
+        ok = False
+    if not ok:
+        kind = "positive" if low else "nonnegative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value}")
+    return int(value)
+
+
+def _finite(name, value, positive=True):
+    if not (np.isfinite(value) and (value > 0 if positive else value >= 0)):
+        kind = "positive" if positive else "nonnegative"
+        raise ValueError(f"{name} must be a finite {kind} number, got {value}")
+
+
+def cg_workspace(shape):
+    """An uninitialized workspace for :func:`cg_kernel` on right-hand sides of
+    ``shape``: the residual, the direction and one scratch array."""
+    return np.empty((3, *shape))
+
+
 @dataclass
 class CGReport:
     """What a CG run did.
@@ -59,7 +82,7 @@ class CGReport:
 
 def cg_kernel(
     product, c, max_iter, tol, advance=None, project=None, callback=None, label="CG",
-    shadow=None,
+    shadow=None, work=None,
 ):
     """The CG iteration every solver in the package runs.
 
@@ -85,12 +108,20 @@ def cg_kernel(
     transposed products instead of being recomputed at the end.
 
     The state ``x``, ``r`` and ``p`` is updated in place, so ``callback``
-    and ``product`` must copy what they keep of it.  Outside the ``advance``
-    path the kernel never writes into ``y``, so an operator may return its
-    argument or a stored array.  The ``advance`` path consumes each ``y``:
-    after ``advance(y)`` the kernel scales ``y`` by ``a_t`` in place and adds
-    it into ``ysum``, which is the first scaled ``y``, so ``product`` must
-    return a fresh ``y`` each time.
+    and ``product`` must copy what they keep of it.  ``r`` and ``p`` live in
+    ``work``, a block from :func:`cg_workspace` of ``c``'s shape (None: a
+    fresh one), which holds the residual, the direction and a scratch array
+    through which ``x += a_t p`` and ``r -= a_t y`` are formed.  ``work``
+    holds nothing from one solve to the next, so a caller that owns it can
+    reuse it for every solve of a run; a ``product`` or ``callback`` must
+    then not keep ``r`` or ``p`` across solves either.  The scratch holds
+    nothing while ``product`` runs, so an operator may use ``work[2]`` for
+    its own arithmetic, but must not return it.  ``x`` is always a fresh
+    array.  Outside the ``advance`` path the kernel never writes into ``y``,
+    so an operator may return its argument or a stored array.  The
+    ``advance`` path consumes each ``y``: after ``advance(y)`` the kernel
+    scales ``y`` by ``a_t`` in place and adds it into ``ysum``, which is the
+    first scaled ``y``, so ``product`` must return a fresh ``y`` each time.
 
     ``shadow``, if given, is an output-space block ``S`` with ``c = J^T S``
     for the caller's transposed product ``J^T``, on a ``Q`` that maps ``J^T
@@ -111,8 +142,9 @@ def cg_kernel(
     residual otherwise grows until ``a_t`` blows up (Kaasschieter 1988; Gould,
     Hribar and Nocedal 2001 re-project the same way in projected CG).
 
-    Stops after ``max_iter`` iterations (``None``: the problem size), when
-    ``||r|| <= tol * max(1, ||c||)``, or on curvature breakdown (``<p, Qp> <=
+    Stops after ``max_iter`` iterations (``None``: the problem size; else a
+    nonnegative integer), when ``||r|| <= tol * max(1, ||c||)`` (``tol``
+    finite and nonnegative), or on curvature breakdown (``<p, Qp> <=
     BREAKDOWN_EPS``), returning the current iterate.  A non-finite initial
     residual, curvature or residual raises :class:`NumericError` naming
     ``label``.  ``callback(x)`` is invoked after each iterate update.  The
@@ -122,12 +154,19 @@ def cg_kernel(
     Returns ``(x, CGReport, ysum)``.
     """
     n = c.size
-    if max_iter is None:
-        max_iter = n
-    if max_iter < 0:
-        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
-    x, r = np.zeros_like(c), c.copy()
-    p = r.copy()
+    max_iter = n if max_iter is None else _integer("max_iter", max_iter)
+    _finite("tol", tol, positive=False)
+    if work is None:
+        work = cg_workspace(c.shape)
+    elif work.shape != (3,) + c.shape or work.dtype != np.float64:
+        raise ValueError(
+            f"work must be a float64 array of shape {(3,) + c.shape}, got "
+            f"{work.dtype} {work.shape}"
+        )
+    r, p, tmp = work
+    x = np.zeros_like(c)
+    np.copyto(r, c)
+    np.copyto(p, r)
     rr = rr0 = float(np.vdot(r, r))
     if not np.isfinite(rr):
         raise NumericError(f"non-finite initial residual in {label}")
@@ -153,7 +192,7 @@ def cg_kernel(
         if quad <= BREAKDOWN_EPS:
             break
         a = rr / quad
-        x += a * p
+        x += np.multiply(a, p, out=tmp)
         rep.vector_op_scalar_count += n
         rep.iterations = it
         if callback is not None:
@@ -169,7 +208,7 @@ def cg_kernel(
             if qp is None:
                 break
             y = qp
-        r -= a * y
+        r -= np.multiply(a, y, out=tmp)
         del y  # freed before the next product is made
         if project is not None:
             r = project(r)
@@ -199,7 +238,9 @@ def _curvature_product(q_apply, shadowed=False):
     return product
 
 
-def cg_solve(q_apply, c, max_iter=None, tol=1e-10, callback=None, shadow=None):
+def cg_solve(
+    q_apply, c, max_iter=None, tol=1e-10, callback=None, shadow=None, work=None
+):
     """Solve ``Q x = c`` for symmetric PSD ``Q`` given as a callable.
 
     Runs :func:`cg_kernel` from zero for at most ``max_iter`` iterations
@@ -211,7 +252,9 @@ def cg_solve(q_apply, c, max_iter=None, tol=1e-10, callback=None, shadow=None):
     ``c`` may have any array shape; the operator must map that shape to
     itself.  ``callback(x)`` is invoked after each iterate update.  With a
     ``shadow`` of ``c`` (see :func:`cg_kernel`), ``q_apply(p, ps)`` returns
-    ``(Q p, shadow of Q p)``, and ``ps`` may be None.
+    ``(Q p, shadow of Q p)``, and ``ps`` may be None.  ``work`` is the
+    kernel's residual, direction and scratch block (see :func:`cg_kernel`);
+    None allocates one for this solve.
 
     Returns
     -------
@@ -219,7 +262,9 @@ def cg_solve(q_apply, c, max_iter=None, tol=1e-10, callback=None, shadow=None):
     """
     c = np.asarray(c, dtype=np.float64)
     product = _curvature_product(q_apply, shadow is not None)
-    x, rep, _ = cg_kernel(product, c, max_iter, tol, callback=callback, shadow=shadow)
+    x, rep, _ = cg_kernel(
+        product, c, max_iter, tol, callback=callback, shadow=shadow, work=work
+    )
     rep.vector_op_scalar_count += c.size * rep.operator_calls  # <p, Qp>
     return x, rep
 

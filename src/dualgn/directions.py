@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cgsolver import CGReport, cg_kernel, cg_solve
+from .cgsolver import CGReport, _finite, _integer, cg_kernel, cg_solve, cg_workspace
 from .losses import (
     SOFTMAX_FLOOR,
     constraint_project,
@@ -56,19 +56,6 @@ __all__ = [
 
 PATHS = ("primal", "dual")
 REG_KINDS = ("none", "l1", "l2")
-
-
-def _integer(name, value, low=0):
-    if value < low or int(value) != value:
-        kind = "positive" if low else "nonnegative"
-        raise ValueError(f"{name} must be a {kind} integer, got {value}")
-    return int(value)
-
-
-def _finite(name, value, positive=True):
-    if not (np.isfinite(value) and (value > 0 if positive else value >= 0)):
-        kind = "positive" if positive else "nonnegative"
-        raise ValueError(f"{name} must be a finite {kind} number, got {value}")
 
 
 @dataclass
@@ -167,7 +154,7 @@ def batch_gradient(opr, loss, f):
     return opr.vjp(loss_grad(loss, f)) / m
 
 
-def primal_gn_direction(opr, loss, f, spec):
+def primal_gn_direction(opr, loss, f, spec, work=None):
     """Direction via CG on the parameter-space normal equations.
 
     Each CG iteration applies ``d -> J^T H (J d) + (m/gamma) d``: one forward
@@ -190,6 +177,14 @@ def primal_gn_direction(opr, loss, f, spec):
 
     The batch gradient ``J^T g / m`` is formed in the buffer of ``J^T g``
     once the solve, its right-hand side, is done with it.
+
+    ``work`` is the CG workspace, a ``(3, p)`` block from
+    :func:`dualgn.cgsolver.cg_workspace` that holds the kernel's residual,
+    its direction and a scratch vector, through which the operator also adds
+    its ridge shift; None allocates one for this call.  Nothing in it
+    outlives the call, and the operator keeps neither the residual nor the
+    direction, so a caller may pass one block to every step of a run (as
+    :func:`dualgn.trainer.train` does).  ``d`` never lies in it.
     """
     f = _check_outputs(opr, loss, f)
     p, m, _ = opr.dims
@@ -200,18 +195,20 @@ def primal_gn_direction(opr, loss, f, spec):
 
     shift = m / gamma
     shadowed = 0  # products that also returned a shadow
+    if work is None:
+        work = cg_workspace((p,))
 
     def apply(d, D):
         nonlocal shadowed
         hjd = loss_hvp(loss, f, opr.jvp(d, cotangent=D))
         qd = opr.vjp(hjd)
-        qd += shift * d
+        qd += np.multiply(shift, d, out=work[2])  # the kernel's free scratch
         if D is None:
             return qd, None
         shadowed += 1
         return qd, hjd + shift * D
 
-    d, rep = cg_solve(apply, u, max_iter=spec.tau, tol=spec.tol, shadow=g)
+    d, rep = cg_solve(apply, u, max_iter=spec.tau, tol=spec.tol, shadow=g, work=work)
     rep.vector_op_scalar_count += 2 * p * rep.operator_calls + 2 * g.size * shadowed
     u /= m
     grad = u

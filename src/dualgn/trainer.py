@@ -32,12 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cgsolver import _finite, _integer, cg_workspace
 from .data import Dataset
 from .directions import (
     Regularizer,
     SubproblemSpec,
-    _finite,
-    _integer,
     batch_gradient,
     dual_gn_direction,
     primal_gn_direction,
@@ -62,6 +61,11 @@ __all__ = [
 
 METHODS = ("spl", "armijo_spl", "sgd", "momentum", "adam")
 DIRECTIONS = ("gradient", "proxlinear")
+
+
+def _unit_open(name, value):
+    if not 0 < value < 1:
+        raise ValueError(f"{name} must lie in (0, 1), got {value}")
 
 
 @dataclass
@@ -111,12 +115,8 @@ class TrainConfig:
         _finite("l2", self.l2, positive=False)
         if self.l1 > 0 and self.l2 > 0:
             raise ValueError("l1 and l2 penalties cannot be combined")
-        if not 0 < self.armijo_beta < 1:
-            raise ValueError(f"armijo_beta must lie in (0, 1), got {self.armijo_beta}")
-        if not 0 < self.armijo_shrink < 1:
-            raise ValueError(
-                f"armijo_shrink must lie in (0, 1), got {self.armijo_shrink}"
-            )
+        _unit_open("armijo_beta", self.armijo_beta)
+        _unit_open("armijo_shrink", self.armijo_shrink)
         self.armijo_max_backtracks = _integer(
             "armijo_max_backtracks", self.armijo_max_backtracks
         )
@@ -199,9 +199,14 @@ def armijo_search(
 
     where ``g`` is the batch gradient at ``w``.  Returns ``(eta, accepted)``;
     after ``max_backtracks`` rejections the smallest stepsize tried is
-    returned with ``accepted=False``.  Raises ValueError if ``max_backtracks``
-    is not a nonnegative integer or if ``<d, g>`` is significantly negative.
+    returned with ``accepted=False``.  Raises ValueError if ``beta`` or
+    ``shrink`` lies outside (0, 1), ``eta0`` is not finite and positive,
+    ``max_backtracks`` is not a nonnegative integer, or ``<d, g>`` is
+    significantly negative.
     """
+    _unit_open("beta", beta)
+    _unit_open("shrink", shrink)
+    _finite("eta0", eta0)
     max_backtracks = _integer("max_backtracks", max_backtracks)
     d = np.asarray(d, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
@@ -275,12 +280,13 @@ _QUIET = dict(over="ignore", invalid="ignore")
 
 
 @np.errstate(**_QUIET)
-def _batch_step(model, w, Xb, Yb, config, state):
+def _batch_step(model, w, Xb, Yb, config, state, work=None):
     """One minibatch update; returns ``(w_new, record, failure)``.
 
     ``record`` is the step's :class:`RunRecord`.  ``failure`` is None, or the
     message of a non-finite batch loss or a failed direction solve; ``w`` is
-    then returned unchanged and the record has eta 0.
+    then returned unchanged and the record has eta 0.  ``work`` is the primal
+    route's CG workspace (see :func:`dualgn.directions.primal_gn_direction`).
     """
     oracle = LossOracle(config.loss, Yb)
     opr = make_jacobian_operator(model, w, Xb)
@@ -299,7 +305,7 @@ def _batch_step(model, w, Xb, Yb, config, state):
             spec = SubproblemSpec(gamma=rec.gamma, tau=config.tau, path=config.path)
             reg = config.regularizer()
             if config.path == "primal":
-                res = primal_gn_direction(opr, oracle, f, spec)
+                res = primal_gn_direction(opr, oracle, f, spec, work=work)
             elif reg is not None:
                 res = regularized_dual_direction(opr, oracle, f, spec, w, reg)
             else:
@@ -387,6 +393,9 @@ def train(config, dataset, on_record=None):
     end-of-epoch train loss, or a :class:`NumericError` from the direction
     solve, stops the run after logging a diagnostic record; the result is
     then ``aborted`` and ``abort_reason`` names the failure and the step.
+
+    On the primal route one CG workspace serves every step, so that a
+    steady-state step allocates no solver state of its own.
     """
     if not isinstance(dataset, Dataset):
         dataset = Dataset(dataset[0], dataset[1])
@@ -402,6 +411,9 @@ def train(config, dataset, on_record=None):
     w = model.init_params(config.seed)
     shuffle_rng = np.random.Generator(np.random.Philox(key=[config.seed, 1]))
     state = OptimizerState()
+    work = None
+    if config.direction == "proxlinear" and config.path == "primal":
+        work = cg_workspace((model.n_params,))
 
     records = []
     abort_reason = None
@@ -412,7 +424,7 @@ def train(config, dataset, on_record=None):
         for start in range(0, n, config.batch_size):
             t0 = time.perf_counter()
             idx = perm[start : start + config.batch_size]
-            w, rec, failure = _batch_step(model, w, X[idx], Y[idx], config, state)
+            w, rec, failure = _batch_step(model, w, X[idx], Y[idx], config, state, work)
             if failure is None and start + config.batch_size >= n:
                 train_loss, train_acc = _full_metrics(model, w, X, Y, config.loss)
                 if not np.isfinite(train_loss):

@@ -236,3 +236,34 @@ def test_projected_callback_may_keep_the_iterates_it_receives():
         assert len(kept) == 8
         for x, x0 in zip(kept, copies):
             assert np.array_equal(x, x0)
+
+
+def test_budget_and_tolerance_are_checked_by_both_solvers():
+    # nan budgets and tolerances returned x = 0 after no iteration, and a
+    # budget of 2.5 ran 3 iterations
+    Q, c = _spd(4, 31)
+    solvers = (
+        lambda **kw: cg_solve(lambda v: Q @ v, c, **kw),
+        lambda **kw: projected_cg_solve(lambda v: Q @ v, c, lambda v: v, **kw),
+    )
+    for solve in solvers:
+        for bad in (np.nan, np.inf, 2.5, -1):
+            with pytest.raises(ValueError, match=f"max_iter must be a nonnegative integer, got {bad}"):
+                solve(max_iter=bad)
+        for bad in (np.nan, np.inf, -1e-3):
+            with pytest.raises(ValueError, match=f"tol must be a finite nonnegative number, got {bad}"):
+                solve(tol=bad)
+        _same_solve(solve(max_iter=3.0, tol=0.0), solve(max_iter=3, tol=0.0))
+
+
+def test_workspace_leaves_the_solve_unchanged():
+    # a block the caller keeps starts each solve with stale contents
+    Q, c = _spd(9, 33)
+    work = np.full((3, 9), np.nan)
+    for max_iter in (0, 1, 4, 9, 30):
+        got = cg_solve(lambda v: Q @ v, c, max_iter=max_iter, tol=0.0, work=work)
+        _same_solve(got, cg_solve(lambda v: Q @ v, c, max_iter=max_iter, tol=0.0))
+        assert not np.shares_memory(got[0], work)
+    for bad in (np.empty((2, 9)), np.empty((3, 8)), np.empty((3, 9), dtype=np.float32)):
+        with pytest.raises(ValueError, match="work must be a float64 array of shape"):
+            cg_solve(lambda v: Q @ v, c, work=bad)

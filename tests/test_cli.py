@@ -1,8 +1,13 @@
 import csv
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dualgn
 from dualgn import cli
 from dualgn.cli import CSV_FIELDS, main
 
@@ -431,3 +436,19 @@ def test_non_finite_or_negative_floats_are_usage_errors(tmp_path, monkeypatch, c
         err = capsys.readouterr().err
         assert f"usage error: {key} must be a finite {kind} number, got {float(value)}" in err
         assert not out.exists()
+
+
+def test_python_dash_m_runs_the_cli_from_a_checkout(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "DUALGN_SEED"}
+    env["PYTHONPATH"] = str(Path(dualgn.__file__).parents[1])
+    base = [sys.executable, "-m", "dualgn", "run", "--data", "blobs:32,2,3,0.2",
+            "--batch-size", "8", "--epochs", "1"]
+    out = tmp_path / "m.csv"
+    proc = subprocess.run(base + ["--out", str(out)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text().splitlines()[0] == HEADER
+    proc = subprocess.run(base + ["--gamma", "0", "--out", str(out)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "usage error" in proc.stderr

@@ -555,6 +555,24 @@ def test_primal_builds_gram_matrices_only_where_m_is_below_fan_in(monkeypatch):
             assert (opr.jvp_calls, opr.vjp_calls) == (tau, tau + 1)
 
 
+@pytest.mark.parametrize("loss_kind", ["squared", "logistic"])
+def test_primal_workspace_leaves_the_direction_unchanged(loss_kind):
+    # one block with stale contents serves every call, as in a training run
+    model, w, X, _, loss, f = _instance("mlp:40", 30, 3, 6, 71, loss_kind)
+    work = np.full((3, model.n_params), np.nan)
+    for tau in (0, 1, 4, 18, 60):
+        for gamma in (0.3, 1e2):
+            spec = SubproblemSpec(gamma=gamma, tau=tau, path="primal")
+            oprs = [make_jacobian_operator(model, w, X) for _ in range(2)]
+            got = primal_gn_direction(oprs[0], loss, f, spec, work=work)
+            want = primal_gn_direction(oprs[1], loss, f, spec)
+            assert np.array_equal(got.d, want.d)
+            assert vars(got.report) == vars(want.report)
+            assert got.descent_inner_product == want.descent_inner_product
+            assert (oprs[0].jvp_calls, oprs[0].vjp_calls) == (oprs[1].jvp_calls, oprs[1].vjp_calls)
+            assert not np.shares_memory(got.d, work)
+
+
 @pytest.mark.xfail(strict=True, reason="known defect: the dual route ascends at gamma=1e12")
 def test_dual_direction_descends_at_extreme_gamma():
     # One sample with inputs of size 1e3.  The primal route gives <d, grad> =

@@ -24,6 +24,7 @@ from dualgn import (
     synth_blobs,
     train,
 )
+from dualgn import directions
 from dualgn.trainer import DIRECTIONS, METHODS
 from oracles import adam_trajectory, momentum_trajectory, sgd_trajectory
 
@@ -234,6 +235,72 @@ def test_steady_state_step_allocation_budget(path, method):
     # steps 9-14: the second epoch, neither its first nor its last step
     peak = max((marks[i][1] - marks[i - 1][0]) / (8 * p) for i in range(9, 15))
     assert peak <= (5.5 if path == "dual" else 7.0)
+
+
+@pytest.mark.parametrize("method", ["momentum", "adam", "sgd", "spl"])
+def test_steady_state_primal_step_allocation_budget(method):
+    # The setup of test_steady_state_step_allocation_budget.  The run's CG
+    # workspace is allocated before the first step, so a step's own peak
+    # holds no residual, search direction or scratch vector.
+    data = synth_blobs(0, n=128, d=200, k=10, spread=0.5)
+    config = TrainConfig(
+        method=method, path="primal", loss="logistic", model="mlp:64", tau=4,
+        batch_size=16, epochs=2, eta=0.05,
+    )
+    p = make_model(config.model, 200, 10).n_params
+    marks = []
+
+    def on_record(rec):
+        marks.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+
+    tracemalloc.start()
+    try:
+        train(config, data, on_record=on_record)
+    finally:
+        tracemalloc.stop()
+    peak = max((marks[i][1] - marks[i - 1][0]) / (8 * p) for i in range(9, 15))
+    assert peak <= 4.5
+
+
+def test_primal_workspace_is_one_block_for_the_whole_run(monkeypatch):
+    blocks = []
+    solve = directions.cg_solve
+
+    def spy(q_apply, c, *args, work=None, **kwargs):
+        def q(d, D):
+            blocks.append(work)
+            assert np.shares_memory(d, work)
+            return q_apply(d, D)
+
+        return solve(q, c, *args, work=work, **kwargs)
+
+    monkeypatch.setattr(directions, "cg_solve", spy)
+    data = synth_blobs(0, n=48, d=6, k=3, spread=0.5)
+    config = TrainConfig(
+        method="momentum", path="primal", loss="logistic", model="mlp:8", tau=3,
+        batch_size=16, epochs=2,
+    )
+    result = train(config, data)
+    assert len(blocks) == 6 * 3
+    assert all(b is blocks[0] for b in blocks)
+    assert blocks[0].shape == (3, result.model.n_params)
+    assert not np.shares_memory(result.params, blocks[0])
+
+
+def test_armijo_search_checks_its_settings():
+    # with every trial rejected, shrink 0 divided by zero, shrink 2 returned
+    # eta0 * 8 after three backtracks, and eta0 -1 stepped along +d
+    h = lambda w: float(abs(w[0] - 1.0))
+    w, d, g = np.array([1.0]), np.array([1.0]), np.array([1.0])
+    for key, bad in (("beta", 0.0), ("beta", 1.0), ("beta", np.nan), ("shrink", 0.0),
+                     ("shrink", 2.0), ("shrink", np.nan)):
+        with pytest.raises(ValueError, match=re.escape(f"{key} must lie in (0, 1), got {bad}")):
+            armijo_search(h, w, d, g, max_backtracks=0, **{key: bad})
+    for bad in (-1.0, 0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match=f"eta0 must be a finite positive number, got {bad}"):
+            armijo_search(h, w, d, g, eta0=bad)
+    assert armijo_search(h, w, d, g, shrink=0.25, eta0=2.0, max_backtracks=1) == (0.5, False)
 
 
 def test_momentum_mu_zero_equals_sgd():
