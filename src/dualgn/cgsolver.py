@@ -99,13 +99,20 @@ def cg_kernel(
     ``Q p`` unless ``advance`` is given.  Then ``advance(y)`` is ``Q p`` for
     the latest ``p``, skipped on iteration ``max_iter`` (its residual would
     feed no iteration), and the kernel returns ``ysum = sum_t a_t y_t`` (else
-    ``0.0``).  The dual route uses that split so that ``tau`` iterations cost
-    exactly ``tau`` Jacobian-vector products and ``tau + 1`` transposed
-    products, the same counts as the primal route: curvature inner products
-    come from the transposed product alone (``<p, J J^T p> = ||J^T p||^2``),
-    the forward product that advances the residual is skipped on the final
-    iteration, and ``J^T beta`` is accumulated from the per-iteration
-    transposed products instead of being recomputed at the end.
+    ``0.0``).  On the dual route ``y`` is a compact stand-in for ``J^T
+    beta``, linear in ``beta``: per layer, the cotangent where the layer's
+    fan-in exceeds the batch size, else the layer's share of ``J^T beta``
+    (see :mod:`dualgn.models`).  So it is shorter than the parameter vector
+    once a layer takes that Gram route, and is that vector when none does.
+    ``tau`` iterations cost exactly ``tau`` Jacobian-vector products and
+    ``tau + 1`` transposed products, the same counts as the primal route:
+    one backward pass per product gives the stand-in and the curvature
+    ``<p, J J^T p> = ||J^T p||^2``, the forward product that advances the
+    residual is pushed from the stand-in and skipped on the final iteration,
+    and ``ysum`` sums stand-ins, which the caller expands into ``J^T beta``
+    once, after the solve.  The route's other parameter-length passes (the
+    gradient, the right-hand side and the direction) lie outside the
+    iteration.
 
     The state ``x``, ``r`` and ``p`` is updated in place, so ``callback``
     and ``product`` must copy what they keep of it.  ``r`` and ``p`` live in
@@ -280,8 +287,8 @@ def projected_cg_solve(
 
     The solve runs CG on the projected operator ``x -> P Q P x`` with
     right-hand side ``P c``, started at zero, so every iterate (and hence the
-    returned solution) lies in the constraint subspace.  With a positive
-    ``diag_precond`` vector ``s`` the system is solved in the scaled
+    returned solution) lies in the constraint subspace.  With a finite,
+    positive ``diag_precond`` vector ``s`` the system is solved in the scaled
     variables ``x = P(s * z)`` using the operator ``z -> s * (P Q P)(s * z)``
     and right-hand side ``s * P c`` (without one, ``s = 1``).  Each residual
     update is re-projected onto the operator's range ``{s * P y}``, so budgets
@@ -311,8 +318,8 @@ def projected_cg_solve(
             raise ValueError(
                 f"diag_precond shape {s.shape} does not match rhs shape {c.shape}"
             )
-        if np.any(s <= 0):
-            raise ValueError("diag_precond entries must be strictly positive")
+        if not np.all(np.isfinite(s) & (s > 0)):
+            raise ValueError("diag_precond entries must be finite and strictly positive")
 
     op = lambda z: s * p_apply(q_apply(p_apply(s * z)))
     cb = None if callback is None else (lambda z: callback(p_apply(s * z)))

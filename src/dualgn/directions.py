@@ -22,7 +22,13 @@ Two matrix-free routes to (approximately) the same ``d`` are provided:
 Both routes run the one CG kernel, :func:`dualgn.cgsolver.cg_kernel`, whose
 docstring gives the dual route's cost schedule (``tau`` JVPs and ``tau + 1``
 VJPs, as on the primal route), and both take their JVPs of transposed
-products through per-layer Gram matrices.
+products through per-layer Gram matrices.  Each primal CG product makes
+two parameter-length passes.  The dual route's iterations carry ``J^T
+beta`` as a compact per-layer stand-in: the ``m x out`` cotangent of each
+layer whose fan-in exceeds the batch size ``m``, the layer's parameter
+block otherwise.  When every layer's fan-in exceeds ``m`` the iterations
+hold nothing of length ``p``, and the step's parameter-length passes are the
+gradient, the right-hand side and the mapped-back direction.
 
 ``regularized_dual_direction`` extends the dual route to composite objectives
 with an l1 or l2 penalty on the parameters via a prox step on the mapped-back
@@ -257,17 +263,20 @@ def _dual_direction(opr, loss, f, gamma, tau, tol, w=None, reg=None, callback=No
 
     The kernel iterates on ``x`` with ``beta = P(sqrt(sigma) * x)``, where
     ``sigma`` is the floored softmax for the logistic loss and 1 for the
-    squared loss.  Its product is the transposed product ``v = J^T beta``
-    (curvature ``<beta, beta / sigma> + ||v||^2 / mu``); its residual product
-    adds the forward product ``J v``, which is handed ``beta`` as the
-    cotangent of ``v`` so that the operator can take it through per-layer
-    Gram matrices.  The scaled system ``S P (H^+ + J J^T / mu) P S`` is
+    squared loss.  Its product is the operator's compact transposed product
+    (:meth:`~dualgn.linop.JacobianOperator.compact_vjp`): a stand-in ``s``
+    for ``J^T beta``, of at most ``p`` scalars, and ``||J^T beta||^2`` from
+    the same backward pass, giving the curvature ``<beta, beta / sigma> +
+    ||J^T beta||^2 / mu``.  Its residual product adds the forward product
+    ``J J^T beta``, pushed from ``s`` and the per-layer Gram products the
+    backward pass left.  The scaled system ``S P (H^+ + J J^T / mu) P S`` is
     singular for the logistic loss, so each residual update is re-projected
     onto its range ``S P``.  See :func:`cg_kernel` for the cost schedule.
 
-    The direction is formed in the buffer of the kernel's sum ``J^T beta``,
-    and the batch gradient ``J^T g / m`` in the buffer of ``J^T g`` once the
-    map-back is done with it.
+    No iteration assembles ``J^T beta`` beyond its stand-in.  The kernel's
+    sum of stand-ins is expanded once into ``J^T beta``, in whose buffer the
+    direction is formed, and the batch gradient ``J^T g / m`` is formed in
+    the buffer of ``J^T g`` once the map-back is done with it.
     """
     f = _check_outputs(opr, loss, f)
     p, m, k = opr.dims
@@ -294,17 +303,19 @@ def _dual_direction(opr, loss, f, gamma, tau, tol, w=None, reg=None, callback=No
     def scaled(z):
         return sroot * constraint_project(loss, z)
 
-    wblk = hw = None  # w and H^+ w of the latest product, which advance reuses
+    hw = terms = None  # H^+ beta and the forward terms of the latest product
+    size = 0  # the stand-in's length
 
     def product(x, _):
-        nonlocal wblk, hw
-        wblk = to_beta(x)
-        hw = wblk / sig
-        v = opr.vjp(wblk)
-        return float(np.vdot(wblk, hw)) + mu_inv * float(np.vdot(v, v)), v, None
+        nonlocal hw, terms, size
+        beta = to_beta(x)
+        hw = beta / sig
+        s, sq, terms = opr.compact_vjp(beta)
+        size = s.size
+        return float(np.vdot(beta, hw)) + mu_inv * sq, s, None
 
-    def advance(v):
-        return scaled(hw + mu_inv * opr.jvp(v, cotangent=wblk))
+    def advance(s):
+        return scaled(hw + mu_inv * opr.compact_jvp(s, terms))
 
     # Right-hand side in one forward product: c = S P J (u/mu + shift), where
     # shift folds the prox displacement of the penalty into the same product.
@@ -328,20 +339,25 @@ def _dual_direction(opr, loss, f, gamma, tau, tol, w=None, reg=None, callback=No
             callback=None if callback is None else (lambda x: callback(to_beta(x))),
             label="dual CG",
         )
-        # the right-hand side; P(s x), w / sigma and the curvature dots per
-        # product; the shifted forward product, S P and the re-projection
+        # the right-hand side; P(s x), beta / sigma and the curvature dots
+        # per product; the shifted forward product, S P and the re-projection
         # S P S^-1 per residual update
         rep.vector_op_scalar_count += (
             q
-            + rep.operator_calls * (p + q + 2 * blk)
+            + rep.operator_calls * (size + q + 2 * blk)
             + (len(rep.residual_norms) - 1) * (2 * q + 3 * blk)
         )
     else:
         x, rep, zsum = np.zeros((m, k)), CGReport(), 0.0
     alpha = g - to_beta(x)
 
-    # The map-back reuses the buffer of the kernel's sum, if it ran.
-    zpar = u - zsum if np.isscalar(zsum) else np.subtract(u, zsum, out=zsum)
+    # The map-back expands the kernel's sum of stand-ins, if it ran, into the
+    # one p-length array it makes.
+    if np.isscalar(zsum):
+        zpar = u - zsum
+    else:
+        zpar = opr.compact_expand(zsum)
+        np.subtract(u, zpar, out=zpar)
     if reg is None:
         zpar /= m
         zpar *= gamma

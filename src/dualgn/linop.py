@@ -8,7 +8,11 @@ Every jvp/vjp call increments a counter, so solver cost contracts can be
 checked against what actually ran.  A forward product of a tangent that is a
 transposed product ``u = J^T V`` may be given ``V`` as well, and the model
 operator then evaluates it through per-layer Gram matrices where that is
-cheaper (see :mod:`dualgn.models`).
+cheaper (see :mod:`dualgn.models`).  A transposed product may also be taken
+in a compact form, a stand-in for ``J^T V`` that is linear in ``V`` and holds
+no more scalars than ``p``.  Operators built by :func:`make_jacobian_operator`
+use the model's per-layer stand-in when a layer takes the Gram route, and
+others the parameter vector itself.
 """
 
 import numpy as np
@@ -35,13 +39,17 @@ class JacobianOperator:
         :meth:`jvp` / :meth:`vjp` adds exactly one.
 
     ``apply_cotangent(u, V)``, if given, returns ``apply(u)`` for a tangent
-    ``u = adjoint(V)``, computed with the help of ``V``.
+    ``u = adjoint(V)``, computed with the help of ``V``.  ``compact``, if
+    given, is the triple ``(backward, forward, expand)`` behind
+    :meth:`compact_vjp`, :meth:`compact_jvp` and :meth:`compact_expand`;
+    without it the stand-in for ``J^T V`` is ``adjoint(V)`` itself.
     """
 
-    def __init__(self, apply, adjoint, dims, apply_cotangent=None):
+    def __init__(self, apply, adjoint, dims, apply_cotangent=None, compact=None):
         self.apply = apply
         self.adjoint = adjoint
         self.apply_cotangent = apply_cotangent
+        self.compact = compact
         self.dims = tuple(int(x) for x in dims)
         self.outputs = None
         self.jvp_calls = 0
@@ -94,6 +102,40 @@ class JacobianOperator:
             raise ValueError(f"vjp produced shape {out.shape}, expected ({p},)")
         return out
 
+    def compact_vjp(self, V):
+        """A stand-in ``s`` for ``J^T V``, with ``||J^T V||^2`` and forward terms.
+
+        Returns ``(s, sq, terms)``.  ``s`` is a flat array, linear in ``V``
+        (the :meth:`vjp` result itself on an operator built without
+        ``compact``); :meth:`compact_jvp` pushes it forward with ``terms``
+        and :meth:`compact_expand` turns it, or a linear combination of such
+        stand-ins, into the parameter vector.  Counts as one transposed
+        product.
+        """
+        if self.compact is None:
+            v = self.vjp(V)
+            return v, float(np.vdot(v, v)), None
+        V = self._block(V)
+        self.vjp_calls += 1
+        return self.compact[0](V)
+
+    def compact_jvp(self, s, terms):
+        """``J J^T V`` from the ``(s, terms)`` of :meth:`compact_vjp` ``(V)``.
+
+        Counts as one forward product.
+        """
+        if self.compact is None:
+            return self.jvp(s)
+        self.jvp_calls += 1
+        return self.compact[1](s, terms)
+
+    def compact_expand(self, s):
+        """The parameter vector behind a stand-in or a sum of scaled stand-ins.
+
+        Counts no product, and may return ``s`` itself.
+        """
+        return s if self.compact is None else self.compact[2](s)
+
 
 def make_jacobian_operator(model, params, batch):
     """Build the Jacobian operator of ``model`` at ``params`` on ``batch``.
@@ -120,11 +162,21 @@ def make_jacobian_operator(model, params, batch):
     dims = (model.n_params, X.shape[0], model.out_dim)
     outputs, trace = model.forward_trace(params, X)
     grams = {}  # per-layer Gram matrices, built by the first product that needs them
+    compact = None
+    # With no layer on the Gram route the model's stand-in is laid out as the
+    # parameter vector, so the plain products serve, at less per-call cost.
+    if model.compact_size(X.shape[0]) < model.n_params:
+        compact = (
+            lambda V: model.compact_vjp(params, V, trace, grams),
+            lambda s, terms: model.compact_jvp(params, s, terms, trace),
+            lambda s: model.compact_expand(params, s, trace),
+        )
     opr = JacobianOperator(
         lambda u: model.jvp(params, X, u, trace=trace),
         lambda V: model.vjp(params, X, V, trace=trace),
         dims,
         lambda u, V: model.jvp(params, X, u, trace=trace, cotangent=V, grams=grams),
+        compact,
     )
     opr.outputs = outputs
     return opr

@@ -19,6 +19,14 @@ bias): ``m^2 out`` multiply-adds in place of ``m fan_in out``.  Layers with
 ``m < fan_in`` take that route, where ``K`` is also smaller than the layer
 input the trace already holds; the others keep the plain product.
 
+The same split gives a compact stand-in for ``J^T V`` (``compact_vjp``): a
+flat array holding ``G`` on Gram layers and ``(dW, db)`` on the others, never
+longer than ``n_params`` and linear in ``V``.  One backward pass yields it
+together with ``||J^T V||^2`` (``<G, K G>`` on Gram layers) and the products
+``K G``, from which ``compact_jvp`` pushes ``J J^T V`` forward;
+``compact_expand`` assembles a stand-in, or a linear combination of
+stand-ins, into the parameter vector ``J^T V``.
+
 Parameter flattening convention: layer by layer, each layer's weight matrix
 (row-major) followed by its bias vector.  The linear model has no bias.
 """
@@ -49,6 +57,27 @@ def _cotangents(layers, slopes, V, lowest=0):
         yield i, G
         if i > lowest:
             G = (G @ layers[i][0]) * slopes[i - 1]
+
+
+def _push(layers, inputs, slopes, gram_terms, tangent):
+    """Push a parameter tangent forward to the output block.
+
+    Layer ``i`` takes its parameter term from ``gram_terms[i]`` (a ``K G``
+    product) if present, else from its ``(dW, db)`` in ``tangent[i]``.
+    """
+    for i, (W, _) in enumerate(layers):
+        # The input tangent is zero, so the first layer skips dZ @ W.T.
+        if i in gram_terms:
+            KG = gram_terms[i]
+            dA = KG if i == 0 else dZ @ W.T + KG
+        else:
+            dW, db = tangent[i]
+            # Keep this order of additions: regrouping it changes the round-off.
+            dA = inputs[i] @ dW.T if i == 0 else dZ @ W.T + inputs[i] @ dW.T
+            if db is not None:
+                dA += db
+        dZ = slopes[i] * dA if i < len(slopes) else dA
+    return dZ
 
 
 def _param_rng(seed):
@@ -140,27 +169,18 @@ class MLPModel:
         index across calls at one trace.
         """
         layers = self._unpack(params)
-        du = self._unpack(u)
         if trace is None:
             _, trace = self.forward_trace(params, X)
         inputs, slopes = trace
         m = inputs[0].shape[0]
         gram = [cotangent is not None and m < W.shape[1] for W, _ in layers]
+        terms = {}
         if any(gram):
             grams = {} if grams is None else grams
-            cots = dict(_cotangents(layers, slopes, cotangent, gram.index(True)))
-        for i, ((W, _), (dW, db)) in enumerate(zip(layers, du)):
-            # The input tangent is zero, so the first layer skips dZ @ W.T.
-            if gram[i]:
-                KG = _gram(grams, i, inputs[i], self.bias) @ cots[i]
-                dA = KG if i == 0 else dZ @ W.T + KG
-            else:
-                # Keep this order of additions: regrouping it changes the round-off.
-                dA = inputs[i] @ dW.T if i == 0 else dZ @ W.T + inputs[i] @ dW.T
-                if db is not None:
-                    dA += db
-            dZ = slopes[i] * dA if i < len(slopes) else dA
-        return dZ
+            for i, G in _cotangents(layers, slopes, cotangent, gram.index(True)):
+                if gram[i]:
+                    terms[i] = _gram(grams, i, inputs[i], self.bias) @ G
+        return _push(layers, inputs, slopes, terms, self._unpack(u))
 
     def vjp(self, params, X, V, trace=None):
         layers = self._unpack(params)
@@ -174,6 +194,83 @@ class MLPModel:
             np.matmul(G.T, inputs[i], out=dW)
             if db is not None:
                 G.sum(axis=0, out=db)
+        return out
+
+    def compact_size(self, m):
+        """Length of the stand-in for ``J^T V`` at batch size ``m`` (see ``compact_vjp``)."""
+        return sum(
+            m * out if m < fan_in else out * (fan_in + self.bias)
+            for out, fan_in in self._shapes
+        )
+
+    def _compact_views(self, s, m):
+        """Per-layer views into a stand-in: ``G`` (m x out) on Gram layers, else ``(dW, db)``."""
+        views = []
+        pos = 0
+        for out, fan_in in self._shapes:
+            if m < fan_in:
+                views.append(s[pos : pos + m * out].reshape(m, out))
+                pos += m * out
+                continue
+            dW = s[pos : pos + out * fan_in].reshape(out, fan_in)
+            pos += out * fan_in
+            views.append((dW, s[pos : pos + out] if self.bias else None))
+            pos += out * self.bias
+        return views
+
+    def compact_vjp(self, params, V, trace, grams):
+        """Backpropagate ``V`` to a stand-in ``s`` for ``J^T V``.
+
+        Returns ``(s, ||J^T V||^2, terms)``.  ``s`` is a fresh flat array of
+        length ``compact_size(m)``: the cotangent ``G`` at the output of each
+        layer with ``m < fan_in``, and the layer's ``(dW, db)`` share of
+        ``J^T V`` on the others.  ``terms`` maps each Gram layer to ``K G``,
+        which gives that layer's share of the squared norm, ``<G, K G>``, and
+        which ``compact_jvp`` reuses; ``grams`` caches each ``K``.
+        """
+        inputs, slopes = trace
+        m = inputs[0].shape[0]
+        s = np.empty(self.compact_size(m))
+        views = self._compact_views(s, m)
+        terms = {}
+        sq = 0.0
+        for i, G in _cotangents(self._unpack(params), slopes, V):
+            if isinstance(views[i], tuple):
+                dW, db = views[i]
+                np.matmul(G.T, inputs[i], out=dW)
+                sq += float(np.vdot(dW, dW))
+                if db is not None:
+                    G.sum(axis=0, out=db)
+                    sq += float(np.vdot(db, db))
+            else:
+                views[i][...] = G
+                terms[i] = _gram(grams, i, inputs[i], self.bias) @ G
+                sq += float(np.vdot(G, terms[i]))
+        return s, sq, terms
+
+    def compact_jvp(self, params, s, terms, trace):
+        """``J J^T V`` from the stand-in ``s`` and ``terms`` of ``compact_vjp(V)``.
+
+        ``s`` may be any stand-in whose Gram layers' ``K G`` are ``terms``.
+        """
+        inputs, slopes = trace
+        views = self._compact_views(s, inputs[0].shape[0])
+        return _push(self._unpack(params), inputs, slopes, terms, views)
+
+    def compact_expand(self, params, s, trace):
+        """The parameter vector ``J^T V`` that the stand-in ``s`` stands for."""
+        inputs, _ = trace
+        out = np.empty(self.n_params)
+        views = self._compact_views(s, inputs[0].shape[0])
+        for piece, (dW, db), Z in zip(views, self._unpack(out), inputs):
+            if isinstance(piece, tuple):
+                dW[...] = piece[0]
+                if db is not None:
+                    db[...] = piece[1]
+            else:
+                np.matmul(piece.T, Z, out=dW)
+                if db is not None:
+                    piece.sum(axis=0, out=db)
         return out
 
 

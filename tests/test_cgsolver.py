@@ -170,8 +170,9 @@ def test_preconditioner_validation():
     proj = lambda v: v - v.mean()
     with pytest.raises(ValueError, match="shape"):
         projected_cg_solve(lambda v: v, np.ones(3), proj, diag_precond=np.ones(4))
-    with pytest.raises(ValueError, match="positive"):
-        projected_cg_solve(lambda v: v, np.ones(3), proj, diag_precond=np.array([1.0, -1.0, 1.0]))
+    for bad in (-1.0, 0.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            projected_cg_solve(lambda v: v, np.ones(3), proj, diag_precond=np.array([1.0, bad, 1.0]))
 
 
 def test_projected_stays_accurate_past_convergence():

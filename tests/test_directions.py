@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -483,6 +483,45 @@ def test_gram_forward_products_leave_the_dual_direction_unchanged(loss_kind):
         assert (opr.jvp_calls, opr.vjp_calls) == (plain.jvp_calls, plain.vjp_calls) == (6, 7)
 
 
+# The dual route carries J^T beta as the operator's compact stand-in; a bare
+# JacobianOperator's stand-in is the parameter vector itself, which is the
+# reference.
+
+
+@pytest.mark.parametrize("relation", ["lt", "eq", "gt"])
+@pytest.mark.parametrize("name", MODELS)
+@given(data=st.data())
+def test_compact_products_leave_the_dual_direction_unchanged(name, relation, data):
+    model, w, X, V = data.draw(jacobian_cases(name, relation, scales=(1.0,)))
+    m, k = V.shape
+    # one logistic class has a zero gradient and no dual system
+    loss_kind = data.draw(st.sampled_from(["squared", "logistic"][: 1 + (k > 1)]))
+    reg = data.draw(st.sampled_from([Regularizer(), Regularizer("l2", 0.3), Regularizer("l1", 0.01)]))
+    gamma = data.draw(st.sampled_from([0.1, 1.0, 10.0]))
+    Y = V if loss_kind == "squared" else np.eye(k)[np.argmax(V, axis=1)]
+    loss = LossOracle(loss_kind, Y)
+    opr = make_jacobian_operator(model, w, X)
+    f = opr.outputs
+    # budgets below convergence: a solve's residual stays above 1e-3 of its
+    # start, where float64 CG is not yet sensitive to round-off
+    probe = JacobianOperator(opr.apply, opr.adjoint, opr.dims)
+    spec = SubproblemSpec(gamma=gamma, tau=2 * m * k)
+    norms = regularized_dual_direction(probe, loss, f, spec, w, reg).report.residual_norms
+    assume(norms and norms[0] > 0)  # a zero Jacobian (one zero input row, no bias) has no dual system
+    spec.tau = data.draw(st.integers(1, max(1, sum(r > 1e-3 * norms[0] for r in norms[1:]))))
+    plain = JacobianOperator(opr.apply, opr.adjoint, opr.dims)
+    res = regularized_dual_direction(opr, loss, f, spec, w, reg)
+    ref = regularized_dual_direction(plain, loss, f, spec, w, reg)
+    assert np.linalg.norm(res.d - ref.d) <= 1e-12 * np.linalg.norm(ref.d)
+    assert (opr.jvp_calls, opr.vjp_calls) == (plain.jvp_calls, plain.vjp_calls)
+    assert (opr.jvp_calls, opr.vjp_calls) == (spec.tau, spec.tau + 1)
+    # at tau = 0 the direction is gamma times the batch gradient, bit for bit
+    spec.tau = 0
+    opr = make_jacobian_operator(model, w, X)
+    grad = batch_gradient(make_jacobian_operator(model, w, X), loss, f)
+    assert np.array_equal(dual_gn_direction(opr, loss, f, spec).d, spec.gamma * grad)
+
+
 # The primal route carries an output-space shadow D of its CG direction d =
 # J^T D, so its forward products also go through the Gram matrices.
 
@@ -576,8 +615,10 @@ def test_primal_workspace_leaves_the_direction_unchanged(loss_kind):
 @pytest.mark.xfail(strict=True, reason="known defect: the dual route ascends at gamma=1e12")
 def test_dual_direction_descends_at_extreme_gamma():
     # One sample with inputs of size 1e3.  The primal route gives <d, grad> =
-    # +2.88e5; the dual route gives -1.25e6 at gamma=1e12, likely cancellation
-    # in the map-back u - sum a_t v_t before it is scaled by gamma/m.
+    # +2.88e5; the dual route gives -1.13e8 at gamma=1e12, likely cancellation
+    # in the map-back u - J^T sum a_t beta_t before it is scaled by gamma/m.
+    # At gamma=1e10 that difference cancels to exactly zero, so d = 0 there,
+    # which would pass this assertion without descending.
     rng = np.random.Generator(np.random.Philox(key=[0, 0]))
     X = 1e3 * rng.standard_normal((1, 2))
     Y = rng.standard_normal((1, 1))

@@ -161,3 +161,56 @@ def test_bare_operator_ignores_cotangent():
     with pytest.raises(ValueError, match="cotangent"):
         opr.jvp(u, cotangent=np.ones((2, 1)))
     assert opr.jvp_calls == 2
+
+
+# Compact transposed products: a stand-in s for J^T V, with ||J^T V||^2, the
+# forward product J J^T V from s, and the expansion of s into J^T V.
+
+
+@pytest.mark.parametrize("relation", ["lt", "eq", "gt"])
+@pytest.mark.parametrize("name", MODELS)
+@given(data=st.data())
+def test_compact_products_match_the_parameter_space_products(name, relation, data):
+    model, w, X, V = data.draw(jacobian_cases(name, relation))
+    opr = make_jacobian_operator(model, w, X)
+    u = opr.vjp(V)
+    s, sq, terms = opr.compact_vjp(V)
+    assert (opr.jvp_calls, opr.vjp_calls) == (0, 2)
+    assert s.size == model.compact_size(X.shape[0]) <= model.n_params
+    assert_allclose(opr.compact_expand(s), u, rtol=1e-13, atol=1e-13 * np.linalg.norm(u))
+    assert sq == pytest.approx(float(np.vdot(u, u)), rel=1e-12, abs=1e-300)
+    plain = opr.jvp(u)
+    pushed = opr.compact_jvp(s, terms)
+    assert (opr.jvp_calls, opr.vjp_calls) == (2, 2)
+    # the pushed product takes the same Gram terms as the cotangent JVP
+    assert np.array_equal(pushed, opr.jvp(u, cotangent=V))
+    assert np.linalg.norm(pushed - plain) <= 1e-13 * np.linalg.norm(plain)
+    # the stand-in is linear in V
+    s2, _, _ = opr.compact_vjp(2.0 * V)
+    assert_allclose(opr.compact_expand(s - 0.5 * s2), 0.0, atol=1e-13 * np.linalg.norm(u))
+
+
+def test_compact_stand_in_holds_cotangents_on_gram_layers_only():
+    # fan-ins 8, 6 and 3 at m = 4: the first two layers keep their cotangents
+    # (4 x 6 and 4 x 3), the last its weights and bias (2 x 3 + 2)
+    model, w, X = _instance("mlp:6,3", 8, 2, 4, 12)
+    V = np.random.Generator(np.random.Philox(key=121)).standard_normal((4, 2))
+    opr = make_jacobian_operator(model, w, X)
+    s, _, terms = opr.compact_vjp(V)
+    assert s.size == 4 * 6 + 4 * 3 + 2 * 3 + 2
+    assert sorted(terms) == [0, 1]
+    assert np.array_equal(s[-8:], opr.vjp(V)[-8:])
+
+
+def test_bare_operator_uses_the_parameter_vector_as_its_stand_in():
+    A = np.arange(6.0).reshape(3, 2)
+    opr = JacobianOperator(lambda u: (A @ u).reshape(3, 1), lambda V: A.T @ V.ravel(), (2, 3, 1))
+    V = np.ones((3, 1))
+    s, sq, terms = opr.compact_vjp(V)
+    assert np.array_equal(s, A.T @ V.ravel()) and terms is None
+    assert sq == float(np.vdot(s, s))
+    assert opr.compact_expand(s) is s
+    assert np.array_equal(opr.compact_jvp(s, terms), (A @ s).reshape(3, 1))
+    assert (opr.jvp_calls, opr.vjp_calls) == (1, 1)
+    with pytest.raises(ValueError, match="cotangent"):
+        opr.compact_vjp(np.ones((2, 1)))

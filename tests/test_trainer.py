@@ -234,7 +234,29 @@ def test_steady_state_step_allocation_budget(path, method):
         tracemalloc.stop()
     # steps 9-14: the second epoch, neither its first nor its last step
     peak = max((marks[i][1] - marks[i - 1][0]) / (8 * p) for i in range(9, 15))
-    assert peak <= (5.5 if path == "dual" else 7.0)
+    assert peak <= (4.0 if path == "dual" else 7.0)
+
+
+def test_dual_direction_makes_no_parameter_vector_per_iteration():
+    # The problem of test_steady_state_step_allocation_budget, where every
+    # layer's fan-in exceeds m = 16: the dual iterations carry J^T beta as
+    # 16 x 64 and 16 x 10 cotangents, so the call's peak does not grow with tau.
+    data = synth_blobs(0, n=128, d=200, k=10, spread=0.5)
+    model = make_model("mlp:64", 200, 10)
+    w = model.init_params(0)
+    X, loss = data.inputs[:16], LossOracle("logistic", data.targets[:16])
+    peaks = []
+    for tau in (1, 16):
+        opr = make_jacobian_operator(model, w, X)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            dual_gn_direction(opr, loss, opr.outputs, SubproblemSpec(gamma=1.0, tau=tau))
+            peaks.append((tracemalloc.get_traced_memory()[1] - start) / (8 * model.n_params))
+        finally:
+            tracemalloc.stop()
+        assert (opr.jvp_calls, opr.vjp_calls) == (tau, tau + 1)
+    assert peaks[1] <= peaks[0] + 0.5
 
 
 @pytest.mark.parametrize("method", ["momentum", "adam", "sgd", "spl"])
