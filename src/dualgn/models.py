@@ -59,6 +59,13 @@ def _cotangents(layers, slopes, V, lowest=0):
             G = (G @ layers[i][0]) * slopes[i - 1]
 
 
+def _param_block(G, Z, dW, db):
+    """Write a layer's share ``G^T Z`` (and ``G^T 1``) of ``J^T V`` into ``dW`` (and ``db``)."""
+    np.matmul(G.T, Z, out=dW)
+    if db is not None:
+        G.sum(axis=0, out=db)
+
+
 def _push(layers, inputs, slopes, gram_terms, tangent):
     """Push a parameter tangent forward to the output block.
 
@@ -190,10 +197,7 @@ class MLPModel:
         out = np.empty(self.n_params)
         grads = self._unpack(out)
         for i, G in _cotangents(layers, slopes, V):
-            dW, db = grads[i]
-            np.matmul(G.T, inputs[i], out=dW)
-            if db is not None:
-                G.sum(axis=0, out=db)
+            _param_block(G, inputs[i], *grads[i])
         return out
 
     def compact_size(self, m):
@@ -236,12 +240,8 @@ class MLPModel:
         sq = 0.0
         for i, G in _cotangents(self._unpack(params), slopes, V):
             if isinstance(views[i], tuple):
-                dW, db = views[i]
-                np.matmul(G.T, inputs[i], out=dW)
-                sq += float(np.vdot(dW, dW))
-                if db is not None:
-                    G.sum(axis=0, out=db)
-                    sq += float(np.vdot(db, db))
+                _param_block(G, inputs[i], *views[i])
+                sq += sum(float(np.vdot(a, a)) for a in views[i] if a is not None)
             else:
                 views[i][...] = G
                 terms[i] = _gram(grams, i, inputs[i], self.bias) @ G
@@ -268,9 +268,7 @@ class MLPModel:
                 if db is not None:
                     db[...] = piece[1]
             else:
-                np.matmul(piece.T, Z, out=dW)
-                if db is not None:
-                    piece.sum(axis=0, out=db)
+                _param_block(piece, Z, dW, db)
         return out
 
 
