@@ -103,7 +103,7 @@ def cg_kernel(
     beta``, linear in ``beta``: per layer, the cotangent where the layer's
     fan-in exceeds the batch size, else the layer's share of ``J^T beta``
     (see :mod:`dualgn.models`).  So it is shorter than the parameter vector
-    once a layer takes that Gram route, and is that vector when none does.
+    once a layer takes that Gram route, and as long as it when none does.
     ``tau`` iterations cost exactly ``tau`` Jacobian-vector products and
     ``tau + 1`` transposed products, the same counts as the primal route:
     one backward pass per product gives the stand-in and the curvature

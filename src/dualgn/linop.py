@@ -11,8 +11,7 @@ operator then evaluates it through per-layer Gram matrices where that is
 cheaper (see :mod:`dualgn.models`).  A transposed product may also be taken
 in a compact form, a stand-in for ``J^T V`` that is linear in ``V`` and holds
 no more scalars than ``p``.  Operators built by :func:`make_jacobian_operator`
-use the model's per-layer stand-in when a layer takes the Gram route, and
-others the parameter vector itself.
+use the model's per-layer stand-in, and others the parameter vector itself.
 """
 
 import numpy as np
@@ -162,21 +161,16 @@ def make_jacobian_operator(model, params, batch):
     dims = (model.n_params, X.shape[0], model.out_dim)
     outputs, trace = model.forward_trace(params, X)
     grams = {}  # per-layer Gram matrices, built by the first product that needs them
-    compact = None
-    # With no layer on the Gram route the model's stand-in is laid out as the
-    # parameter vector, so the plain products serve, at less per-call cost.
-    if model.compact_size(X.shape[0]) < model.n_params:
-        compact = (
-            lambda V: model.compact_vjp(params, V, trace, grams),
-            lambda s, terms: model.compact_jvp(params, s, terms, trace),
-            lambda s: model.compact_expand(params, s, trace),
-        )
     opr = JacobianOperator(
         lambda u: model.jvp(params, X, u, trace=trace),
         lambda V: model.vjp(params, X, V, trace=trace),
         dims,
         lambda u, V: model.jvp(params, X, u, trace=trace, cotangent=V, grams=grams),
-        compact,
+        (
+            lambda V: model.compact_vjp(params, V, trace, grams),
+            lambda s, terms: model.compact_jvp(params, s, terms, trace),
+            lambda s: model.compact_expand(params, s, trace),
+        ),
     )
     opr.outputs = outputs
     return opr

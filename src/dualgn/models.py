@@ -50,15 +50,6 @@ def _gram(grams, i, Z, bias):
     return grams[i]
 
 
-def _cotangents(layers, slopes, V, lowest=0):
-    """Yield ``(i, G_i)``, the cotangent at layer ``i``'s output, from the top down to ``lowest``."""
-    G = np.asarray(V, dtype=np.float64)
-    for i in range(len(layers) - 1, lowest - 1, -1):
-        yield i, G
-        if i > lowest:
-            G = (G @ layers[i][0]) * slopes[i - 1]
-
-
 def _param_block(G, Z, dW, db):
     """Write a layer's share ``G^T Z`` (and ``G^T 1``) of ``J^T V`` into ``dW`` (and ``db``)."""
     np.matmul(G.T, Z, out=dW)
@@ -124,19 +115,28 @@ class MLPModel:
                 chunks.append(rng.uniform(-a, a, size=out))
         return np.concatenate(chunks)
 
-    def _unpack(self, params):
-        params = np.asarray(params, dtype=np.float64)
-        if params.shape != (self.n_params,):
-            raise ValueError(
-                f"expected flat parameter vector of length {self.n_params}, "
-                f"got shape {params.shape}"
-            )
+    def _unpack(self, flat, m=None):
+        """Per-layer views ``(W, b)`` into a flat parameter vector.
+
+        Given a batch size ``m``, ``flat`` is a stand-in for ``J^T V`` instead
+        (see ``compact_vjp``), and each layer with ``m < fan_in`` is its
+        ``m x out`` cotangent ``G`` in place of the pair.
+        """
+        flat = np.asarray(flat, dtype=np.float64)
+        size = self.n_params if m is None else self.compact_size(m)
+        if flat.shape != (size,):
+            what = "parameter vector" if m is None else "stand-in"
+            raise ValueError(f"expected flat {what} of length {size}, got shape {flat.shape}")
         layers = []
         pos = 0
         for out, fan_in in self._shapes:
-            W = params[pos : pos + out * fan_in].reshape(out, fan_in)
+            if m is not None and m < fan_in:
+                layers.append(flat[pos : pos + m * out].reshape(m, out))
+                pos += m * out
+                continue
+            W = flat[pos : pos + out * fan_in].reshape(out, fan_in)
             pos += out * fan_in
-            b = params[pos : pos + out] if self.bias else None
+            b = flat[pos : pos + out] if self.bias else None
             pos += out * self.bias
             layers.append((W, b))
         return layers
@@ -167,6 +167,22 @@ class MLPModel:
                 Z = A
         return Z, (inputs, slopes)
 
+    def _cotangents(self, layers, trace, V, grams=None, lowest=0):
+        """Yield ``(i, G_i, K_i G_i)`` from the top layer down to ``lowest``.
+
+        ``G_i`` is the cotangent at layer ``i``'s output.  The Gram product is
+        None without ``grams``, a cache of each ``K`` by layer index, and on
+        layers with ``m >= fan_in``.
+        """
+        inputs, slopes = trace
+        m = inputs[0].shape[0]
+        G = np.asarray(V, dtype=np.float64)
+        for i in range(len(layers) - 1, lowest - 1, -1):
+            gram = grams is not None and m < layers[i][0].shape[1]
+            yield i, G, _gram(grams, i, inputs[i], self.bias) @ G if gram else None
+            if i > lowest:
+                G = (G @ layers[i][0]) * slopes[i - 1]
+
     def jvp(self, params, X, u, trace=None, cotangent=None, grams=None):
         """Directional derivative of ``forward`` along the parameter tangent ``u``.
 
@@ -184,19 +200,18 @@ class MLPModel:
         terms = {}
         if any(gram):
             grams = {} if grams is None else grams
-            for i, G in _cotangents(layers, slopes, cotangent, gram.index(True)):
-                if gram[i]:
-                    terms[i] = _gram(grams, i, inputs[i], self.bias) @ G
+            rows = self._cotangents(layers, trace, cotangent, grams, gram.index(True))
+            terms = {i: KG for i, _, KG in rows if KG is not None}
         return _push(layers, inputs, slopes, terms, self._unpack(u))
 
     def vjp(self, params, X, V, trace=None):
         layers = self._unpack(params)
         if trace is None:
             _, trace = self.forward_trace(params, X)
-        inputs, slopes = trace
+        inputs, _ = trace
         out = np.empty(self.n_params)
         grads = self._unpack(out)
-        for i, G in _cotangents(layers, slopes, V):
+        for i, G, _ in self._cotangents(layers, trace, V):
             _param_block(G, inputs[i], *grads[i])
         return out
 
@@ -206,21 +221,6 @@ class MLPModel:
             m * out if m < fan_in else out * (fan_in + self.bias)
             for out, fan_in in self._shapes
         )
-
-    def _compact_views(self, s, m):
-        """Per-layer views into a stand-in: ``G`` (m x out) on Gram layers, else ``(dW, db)``."""
-        views = []
-        pos = 0
-        for out, fan_in in self._shapes:
-            if m < fan_in:
-                views.append(s[pos : pos + m * out].reshape(m, out))
-                pos += m * out
-                continue
-            dW = s[pos : pos + out * fan_in].reshape(out, fan_in)
-            pos += out * fan_in
-            views.append((dW, s[pos : pos + out] if self.bias else None))
-            pos += out * self.bias
-        return views
 
     def compact_vjp(self, params, V, trace, grams):
         """Backpropagate ``V`` to a stand-in ``s`` for ``J^T V``.
@@ -232,20 +232,21 @@ class MLPModel:
         which gives that layer's share of the squared norm, ``<G, K G>``, and
         which ``compact_jvp`` reuses; ``grams`` caches each ``K``.
         """
-        inputs, slopes = trace
+        inputs, _ = trace
         m = inputs[0].shape[0]
         s = np.empty(self.compact_size(m))
-        views = self._compact_views(s, m)
+        views = self._unpack(s, m)
         terms = {}
         sq = 0.0
-        for i, G in _cotangents(self._unpack(params), slopes, V):
-            if isinstance(views[i], tuple):
-                _param_block(G, inputs[i], *views[i])
-                sq += sum(float(np.vdot(a, a)) for a in views[i] if a is not None)
+        for i, G, KG in self._cotangents(self._unpack(params), trace, V, grams):
+            if KG is None:
+                dW, db = views[i]
+                _param_block(G, inputs[i], dW, db)
+                sq += float(np.vdot(dW, dW)) + (0.0 if db is None else float(np.vdot(db, db)))
             else:
                 views[i][...] = G
-                terms[i] = _gram(grams, i, inputs[i], self.bias) @ G
-                sq += float(np.vdot(G, terms[i]))
+                terms[i] = KG
+                sq += float(np.vdot(G, KG))
         return s, sq, terms
 
     def compact_jvp(self, params, s, terms, trace):
@@ -254,14 +255,16 @@ class MLPModel:
         ``s`` may be any stand-in whose Gram layers' ``K G`` are ``terms``.
         """
         inputs, slopes = trace
-        views = self._compact_views(s, inputs[0].shape[0])
+        views = self._unpack(s, inputs[0].shape[0])
         return _push(self._unpack(params), inputs, slopes, terms, views)
 
     def compact_expand(self, params, s, trace):
         """The parameter vector ``J^T V`` that the stand-in ``s`` stands for."""
         inputs, _ = trace
+        views = self._unpack(s, inputs[0].shape[0])
+        if s.size == self.n_params:  # no layer on the Gram route: s is J^T V
+            return s
         out = np.empty(self.n_params)
-        views = self._compact_views(s, inputs[0].shape[0])
         for piece, (dW, db), Z in zip(views, self._unpack(out), inputs):
             if isinstance(piece, tuple):
                 dW[...] = piece[0]

@@ -178,6 +178,8 @@ def test_compact_products_match_the_parameter_space_products(name, relation, dat
     assert (opr.jvp_calls, opr.vjp_calls) == (0, 2)
     assert s.size == model.compact_size(X.shape[0]) <= model.n_params
     assert_allclose(opr.compact_expand(s), u, rtol=1e-13, atol=1e-13 * np.linalg.norm(u))
+    if s.size == model.n_params:  # no layer on the Gram route: s is laid out as J^T V
+        assert np.array_equal(s, u) and opr.compact_expand(s) is s
     assert sq == pytest.approx(float(np.vdot(u, u)), rel=1e-12, abs=1e-300)
     plain = opr.jvp(u)
     pushed = opr.compact_jvp(s, terms)
