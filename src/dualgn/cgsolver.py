@@ -110,9 +110,9 @@ def cg_kernel(
     ``<p, J J^T p> = ||J^T p||^2``, the forward product that advances the
     residual is pushed from the stand-in and skipped on the final iteration,
     and ``ysum`` sums stand-ins, which the caller expands into ``J^T beta``
-    once, after the solve.  The route's other parameter-length passes (the
-    gradient, the right-hand side and the direction) lie outside the
-    iteration.
+    once, after the solve.  Without a penalty the route's gradient,
+    right-hand side and descent inner product are stand-ins too, and its one
+    parameter-length array, the direction, is expanded after the solve.
 
     The state ``x``, ``r`` and ``p`` is updated in place, so ``callback``
     and ``product`` must copy what they keep of it.  ``r`` and ``p`` live in

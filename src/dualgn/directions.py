@@ -23,12 +23,14 @@ Both routes run the one CG kernel, :func:`dualgn.cgsolver.cg_kernel`, whose
 docstring gives the dual route's cost schedule (``tau`` JVPs and ``tau + 1``
 VJPs, as on the primal route), and both take their JVPs of transposed
 products through per-layer Gram matrices.  Each primal CG product makes
-two parameter-length passes.  The dual route's iterations carry ``J^T
-beta`` as a compact per-layer stand-in: the ``m x out`` cotangent of each
-layer whose fan-in exceeds the batch size ``m``, the layer's parameter
-block otherwise.  When every layer's fan-in exceeds ``m`` the iterations
-hold nothing of length ``p``, and the step's parameter-length passes are the
-gradient, the right-hand side and the mapped-back direction.
+two parameter-length passes.  The dual route carries ``J^T beta`` and the
+gradient's ``J^T g`` as compact per-layer stand-ins: the ``m x out``
+cotangent of each layer whose fan-in exceeds the batch size ``m``, the
+layer's parameter block otherwise.  Without a penalty it pushes its
+right-hand side from the gradient's stand-in, maps back and takes its
+descent inner product in stand-in space, so when every layer's fan-in
+exceeds ``m`` its one parameter-length array is the returned direction,
+expanded once from the stand-in of ``J^T alpha`` and scaled by ``gamma/m``.
 
 ``regularized_dual_direction`` extends the dual route to composite objectives
 with an l1 or l2 penalty on the parameters via a prox step on the mapped-back
@@ -40,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cgsolver import CGReport, _finite, _integer, cg_kernel, cg_solve, cg_workspace
+from .exceptions import NumericError
 from .losses import (
     SOFTMAX_FLOOR,
     constraint_project,
@@ -62,6 +65,7 @@ __all__ = [
 
 PATHS = ("primal", "dual")
 REG_KINDS = ("none", "l1", "l2")
+EPS = np.finfo(np.float64).eps
 
 
 @dataclass
@@ -100,7 +104,10 @@ def soft_threshold(z, t):
     if t < 0:
         raise ValueError(f"threshold must be nonnegative, got {t}")
     z = np.asarray(z, dtype=np.float64)
-    return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
+    out = np.abs(z, out=np.empty_like(z))  # the one array it makes
+    out -= t
+    np.maximum(out, 0.0, out=out)
+    return np.copysign(out, z, out=out)
 
 
 @dataclass
@@ -231,7 +238,9 @@ def dual_gn_direction(opr, loss, f, spec, callback=None):
 
     ``callback``, if given, receives the feasible dual iterate ``beta`` after
     each CG update.  At ``tau = 0`` the returned direction is exactly
-    ``gamma`` times the batch gradient (same floating-point values).
+    ``gamma`` times the batch gradient (same floating-point values).  Raises
+    :class:`NumericError` on a non-finite solve, and when the solve's
+    ``alpha = g - beta`` is at or below the round-off of ``g``.
     """
     return _dual_direction(
         opr, loss, f, spec.gamma, spec.tau, spec.tol, callback=callback
@@ -273,17 +282,30 @@ def _dual_direction(opr, loss, f, gamma, tau, tol, w=None, reg=None, callback=No
     singular for the logistic loss, so each residual update is re-projected
     onto its range ``S P``.  See :func:`cg_kernel` for the cost schedule.
 
-    No iteration assembles ``J^T beta`` beyond its stand-in.  The kernel's
-    sum of stand-ins is expanded once into ``J^T beta``, in whose buffer the
-    direction is formed, and the batch gradient ``J^T g / m`` is formed in
-    the buffer of ``J^T g`` once the map-back is done with it.
+    The gradient's transposed product is taken in the same compact form.
+    Without a penalty every parameter-space vector of the step lies in the
+    range of ``J^T``, so the right-hand side ``J J^T g / mu`` is pushed from
+    the gradient's stand-in, the stand-in of ``J^T alpha`` is formed as the
+    gradient's minus the kernel's sum of stand-ins, and the descent inner
+    product ``(gamma / m^2) <J^T alpha, J^T g>`` is taken from the two
+    stand-ins; the step's one parameter-length array is ``d``, expanded from
+    the stand-in of ``J^T alpha``.  A penalty's prox step leaves that range,
+    so the penalized route expands the gradient's stand-in into ``J^T g``,
+    pushes the right-hand side from it and takes the descent inner product
+    against ``J^T g / m``, formed in its buffer.
+
+    ``alpha = g - beta`` is formed by cancellation: once the solve has run,
+    an ``alpha`` at or below the round-off of ``g``, ``||alpha|| <= eps
+    ||g||``, carries no digits of the direction and raises
+    :class:`NumericError`.
     """
     f = _check_outputs(opr, loss, f)
     p, m, k = opr.dims
     blk = m * k
 
     g = loss_grad(loss, f)
-    u = opr.vjp(g)
+    sg, _, gterms = opr.compact_vjp(g, norm=False)
+    u = None if reg is None else opr.compact_expand(sg)
 
     mu = m / gamma
     if reg is not None and reg.kind == "l2":
@@ -304,34 +326,42 @@ def _dual_direction(opr, loss, f, gamma, tau, tol, w=None, reg=None, callback=No
         return sroot * constraint_project(loss, z)
 
     hw = terms = None  # H^+ beta and the forward terms of the latest product
-    size = 0  # the stand-in's length
 
     def product(x, _):
-        nonlocal hw, terms, size
+        nonlocal hw, terms
         beta = to_beta(x)
         hw = beta / sig
         s, sq, terms = opr.compact_vjp(beta)
-        size = s.size
         return float(np.vdot(beta, hw)) + mu_inv * sq, s, None
 
     def advance(s):
         return scaled(hw + mu_inv * opr.compact_jvp(s, terms))
 
-    # Right-hand side in one forward product: c = S P J (u/mu + shift), where
-    # shift folds the prox displacement of the penalty into the same product.
-    pre = mu_inv * u
-    if reg is not None:
-        pre += w - reg.prox(w, gamma)
-
-    # Vector work outside the kernel is counted in passes over p-vectors and
-    # output blocks, with q one pass of to_beta or scaled.
+    # Right-hand side c = S P J (J^T g / mu + shift) in one forward product,
+    # where shift is the prox displacement of the penalty.  Without one it is
+    # pushed from the gradient's stand-in; with one, from the p-vector.
+    # Vector work outside the kernel is counted in passes over p-vectors,
+    # stand-ins and output blocks, with q one pass of to_beta or scaled.
     q = (3 if logistic else 1) * blk
-    if tau > 0 and np.any(pre):
-        rhs = scaled(opr.jvp(pre))
+    ops = 0
+    rhs = None
+    if tau > 0 and reg is None:
+        ops += sg.size
+        if np.any(sg):
+            rhs = mu_inv * opr.compact_jvp(sg, gterms)
+            ops += blk
+    elif tau > 0:
+        pre = mu_inv * u
+        shift = reg.prox(w, gamma)
+        pre += np.subtract(w, shift, out=shift)
+        del shift
+        if np.any(pre):
+            rhs = opr.jvp(pre)
         del pre  # freed before the kernel's products are made
+    if rhs is not None:
         x, rep, zsum = cg_kernel(
             product,
-            rhs,
+            scaled(rhs),
             tau,
             tol,
             advance=advance,
@@ -342,38 +372,49 @@ def _dual_direction(opr, loss, f, gamma, tau, tol, w=None, reg=None, callback=No
         # the right-hand side; P(s x), beta / sigma and the curvature dots
         # per product; the shifted forward product, S P and the re-projection
         # S P S^-1 per residual update
-        rep.vector_op_scalar_count += (
+        ops += (
             q
-            + rep.operator_calls * (size + q + 2 * blk)
+            + rep.operator_calls * (sg.size + q + 2 * blk)
             + (len(rep.residual_norms) - 1) * (2 * q + 3 * blk)
         )
     else:
         x, rep, zsum = np.zeros((m, k)), CGReport(), 0.0
     alpha = g - to_beta(x)
+    aa, gg = float(np.vdot(alpha, alpha)), float(np.vdot(g, g))
+    if rep.iterations and aa <= EPS * EPS * gg:
+        raise NumericError(
+            f"dual variable alpha = g - beta at the round-off of g (||alpha|| = "
+            f"{np.sqrt(aa):.3e}, ||g|| = {np.sqrt(gg):.3e}) in dual CG"
+        )
 
-    # The map-back expands the kernel's sum of stand-ins, if it ran, into the
-    # one p-length array it makes.
-    if np.isscalar(zsum):
-        zpar = u - zsum
-    else:
-        zpar = opr.compact_expand(zsum)
-        np.subtract(u, zpar, out=zpar)
+    # The map-back makes d, the one p-length array of an unpenalized step,
+    # from the stand-in of J^T alpha; with a penalty, J^T alpha is J^T g less
+    # the kernel's expanded sum of stand-ins.
     if reg is None:
-        zpar /= m
-        zpar *= gamma
-        d = zpar
+        sa = sg - zsum if np.isscalar(zsum) else np.subtract(sg, zsum, out=zsum)
+        descent = opr.compact_dot(sa, sg, gterms) * (gamma / m) / m
+        d = opr.compact_expand(sa)
+        d /= m
+        d *= gamma
+        # alpha's stand-in, the descent dot and the scaled direction
+        ops += 2 * sg.size + 2 * p
     else:
-        d = w - reg.prox(w - (gamma / m) * zpar, gamma)
-    u /= m
-    grad = u
-    # gradient, penalty and map-back; sigma, beta and alpha
-    rep.vector_op_scalar_count += (5 if reg is None else 10) * p + 2 * q
-    return DirectionResult(
-        d=d,
-        alpha=alpha,
-        report=rep,
-        descent_inner_product=float(np.vdot(d, grad)),
-    )
+        if np.isscalar(zsum):
+            zpar = u - zsum
+        else:
+            zpar = opr.compact_expand(zsum)
+            np.subtract(u, zpar, out=zpar)
+        np.multiply(gamma / m, zpar, out=zpar)
+        d = reg.prox(np.subtract(w, zpar, out=zpar), gamma)
+        del zpar
+        np.subtract(w, d, out=d)
+        u /= m
+        descent = float(np.vdot(d, u))
+        # penalty and map-back, gradient and the descent dot
+        ops += 10 * p
+    # sigma, beta and alpha
+    rep.vector_op_scalar_count += ops + 2 * q
+    return DirectionResult(d=d, alpha=alpha, report=rep, descent_inner_product=descent)
 
 
 def sdca_closed_form_squared(x, f, y, gamma):

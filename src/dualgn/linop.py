@@ -10,8 +10,11 @@ transposed product ``u = J^T V`` may be given ``V`` as well, and the model
 operator then evaluates it through per-layer Gram matrices where that is
 cheaper (see :mod:`dualgn.models`).  A transposed product may also be taken
 in a compact form, a stand-in for ``J^T V`` that is linear in ``V`` and holds
-no more scalars than ``p``.  Operators built by :func:`make_jacobian_operator`
-use the model's per-layer stand-in, and others the parameter vector itself.
+no more scalars than ``p``: it can be pushed forward, dotted with another
+stand-in and expanded into the parameter vector, so a caller whose vectors
+all lie in the range of ``J^T`` makes no ``p``-length pass but the last
+expansion.  Operators built by :func:`make_jacobian_operator` use the model's
+per-layer stand-in, and others the parameter vector itself.
 """
 
 import numpy as np
@@ -39,8 +42,9 @@ class JacobianOperator:
 
     ``apply_cotangent(u, V)``, if given, returns ``apply(u)`` for a tangent
     ``u = adjoint(V)``, computed with the help of ``V``.  ``compact``, if
-    given, is the triple ``(backward, forward, expand)`` behind
-    :meth:`compact_vjp`, :meth:`compact_jvp` and :meth:`compact_expand`;
+    given, is the tuple ``(backward, forward, expand, dot)`` behind
+    :meth:`compact_vjp`, :meth:`compact_jvp`, :meth:`compact_expand` and
+    :meth:`compact_dot`;
     without it the stand-in for ``J^T V`` is ``adjoint(V)`` itself.
     """
 
@@ -101,22 +105,23 @@ class JacobianOperator:
             raise ValueError(f"vjp produced shape {out.shape}, expected ({p},)")
         return out
 
-    def compact_vjp(self, V):
+    def compact_vjp(self, V, norm=True):
         """A stand-in ``s`` for ``J^T V``, with ``||J^T V||^2`` and forward terms.
 
         Returns ``(s, sq, terms)``.  ``s`` is a flat array, linear in ``V``
         (the :meth:`vjp` result itself on an operator built without
         ``compact``); :meth:`compact_jvp` pushes it forward with ``terms``
         and :meth:`compact_expand` turns it, or a linear combination of such
-        stand-ins, into the parameter vector.  Counts as one transposed
+        stand-ins, into the parameter vector.  ``sq`` is None with ``norm``
+        False, which skips its dot products.  Counts as one transposed
         product.
         """
         if self.compact is None:
             v = self.vjp(V)
-            return v, float(np.vdot(v, v)), None
+            return v, float(np.vdot(v, v)) if norm else None, None
         V = self._block(V)
         self.vjp_calls += 1
-        return self.compact[0](V)
+        return self.compact[0](V, norm)
 
     def compact_jvp(self, s, terms):
         """``J J^T V`` from the ``(s, terms)`` of :meth:`compact_vjp` ``(V)``.
@@ -134,6 +139,15 @@ class JacobianOperator:
         Counts no product, and may return ``s`` itself.
         """
         return s if self.compact is None else self.compact[2](s)
+
+    def compact_dot(self, a, b, terms):
+        """``<J^T A, J^T B>`` from stand-ins ``a`` and ``b`` (or sums of them).
+
+        ``terms`` are those of :meth:`compact_vjp` ``(B)``.  Counts no product.
+        """
+        if self.compact is None:
+            return float(np.vdot(a, b))
+        return self.compact[3](a, b, terms)
 
 
 def make_jacobian_operator(model, params, batch):
@@ -167,9 +181,10 @@ def make_jacobian_operator(model, params, batch):
         dims,
         lambda u, V: model.jvp(params, X, u, trace=trace, cotangent=V, grams=grams),
         (
-            lambda V: model.compact_vjp(params, V, trace, grams),
+            lambda V, norm: model.compact_vjp(params, V, trace, grams, norm),
             lambda s, terms: model.compact_jvp(params, s, terms, trace),
             lambda s: model.compact_expand(params, s, trace),
+            lambda a, b, terms: model.compact_dot(params, a, b, terms, trace),
         ),
     )
     opr.outputs = outputs

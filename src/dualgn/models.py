@@ -25,7 +25,8 @@ longer than ``n_params`` and linear in ``V``.  One backward pass yields it
 together with ``||J^T V||^2`` (``<G, K G>`` on Gram layers) and the products
 ``K G``, from which ``compact_jvp`` pushes ``J J^T V`` forward;
 ``compact_expand`` assembles a stand-in, or a linear combination of
-stand-ins, into the parameter vector ``J^T V``.
+stand-ins, into the parameter vector ``J^T V``, and ``compact_dot`` takes
+``<J^T A, J^T V>`` from two stand-ins and the ``K G`` of ``V``.
 
 Parameter flattening convention: layer by layer, each layer's weight matrix
 (row-major) followed by its bias vector.  The linear model has no bias.
@@ -222,7 +223,7 @@ class MLPModel:
             for out, fan_in in self._shapes
         )
 
-    def compact_vjp(self, params, V, trace, grams):
+    def compact_vjp(self, params, V, trace, grams, norm=True):
         """Backpropagate ``V`` to a stand-in ``s`` for ``J^T V``.
 
         Returns ``(s, ||J^T V||^2, terms)``.  ``s`` is a fresh flat array of
@@ -230,7 +231,8 @@ class MLPModel:
         layer with ``m < fan_in``, and the layer's ``(dW, db)`` share of
         ``J^T V`` on the others.  ``terms`` maps each Gram layer to ``K G``,
         which gives that layer's share of the squared norm, ``<G, K G>``, and
-        which ``compact_jvp`` reuses; ``grams`` caches each ``K``.
+        which ``compact_jvp`` and ``compact_dot`` reuse; ``grams`` caches each
+        ``K``.  With ``norm`` False the squared norm is not taken (None).
         """
         inputs, _ = trace
         m = inputs[0].shape[0]
@@ -242,12 +244,14 @@ class MLPModel:
             if KG is None:
                 dW, db = views[i]
                 _param_block(G, inputs[i], dW, db)
-                sq += float(np.vdot(dW, dW)) + (0.0 if db is None else float(np.vdot(db, db)))
+                if norm:
+                    sq += float(np.vdot(dW, dW)) + (0.0 if db is None else float(np.vdot(db, db)))
             else:
                 views[i][...] = G
                 terms[i] = KG
-                sq += float(np.vdot(G, KG))
-        return s, sq, terms
+                if norm:
+                    sq += float(np.vdot(G, KG))
+        return s, sq if norm else None, terms
 
     def compact_jvp(self, params, s, terms, trace):
         """``J J^T V`` from the stand-in ``s`` and ``terms`` of ``compact_vjp(V)``.
@@ -273,6 +277,25 @@ class MLPModel:
             else:
                 _param_block(piece, Z, dW, db)
         return out
+
+    def compact_dot(self, params, a, b, terms, trace):
+        """``<J^T A, J^T B>`` from the stand-ins ``a`` and ``b`` of ``J^T A`` and ``J^T B``.
+
+        ``terms`` are the Gram products ``K G`` of ``b``, as ``compact_vjp(B)``
+        returns them, so a Gram layer's share is ``<G_a, K G_b>``.
+        """
+        if a.size == self.n_params:  # no layer on the Gram route: one flat dot
+            return float(np.vdot(a, b))
+        m = trace[0][0].shape[0]
+        total = 0.0
+        for i, (pa, pb) in enumerate(zip(self._unpack(a, m), self._unpack(b, m))):
+            if not isinstance(pa, tuple):
+                total += float(np.vdot(pa, terms[i]))
+                continue
+            total += float(np.vdot(pa[0], pb[0]))
+            if pa[1] is not None:
+                total += float(np.vdot(pa[1], pb[1]))
+        return total
 
 
 class LinearModel(MLPModel):

@@ -353,7 +353,7 @@ def _single_step(w, batch, config, model):
 def spl_step(w, batch, config, model=None):
     """One full prox-linear step ``w - d`` on the batch ``(X, Y)``.
 
-    Raises :class:`NumericError` on a non-finite batch loss or solve.
+    Raises :class:`NumericError` on a non-finite batch loss or a failed solve.
     """
     if config.method != "spl":
         raise ValueError(f"spl_step requires method='spl', got {config.method!r}")
@@ -363,7 +363,7 @@ def spl_step(w, batch, config, model=None):
 def armijo_spl_step(w, batch, config, model=None):
     """One backtracked prox-linear step at gamma=1; returns (w_new, eta).
 
-    Raises :class:`NumericError` on a non-finite batch loss or solve.
+    Raises :class:`NumericError` on a non-finite batch loss or a failed solve.
     """
     if config.method != "armijo_spl":
         raise ValueError(

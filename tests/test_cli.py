@@ -286,6 +286,24 @@ def test_idx_header_declaring_more_than_the_file_is_usage_error(tmp_path, monkey
         assert not out.exists()
 
 
+def test_dual_alpha_at_round_off_aborts_with_diagnostic_row(tmp_path, monkeypatch, capsys):
+    # At gamma=1e14 the dual solve's alpha = g - beta cancels to the round-off
+    # of g at step 1; the run stops there instead of stepping along noise.
+    out = tmp_path / "abort.csv"
+    code = _run(
+        ["run", "--data", "blobs:32,16,3,1e2", "--loss", "squared", "--model",
+         "linear", "--method", "spl", "--gamma", "1e14", "--tau", "12",
+         "--batch-size", "4", "--epochs", "1", "--out", str(out)],
+        monkeypatch,
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("aborted: dual variable alpha") and "round-off of g" in err
+    rows = _read(out)
+    assert rows[0] == CSV_FIELDS and len(rows) >= 2
+    assert rows[-1][0] == err.rsplit(" ", 1)[1].strip()  # the diagnostic row
+
+
 def test_numeric_failure_in_solve_leaves_diagnostic_row(tmp_path, monkeypatch, capsys):
     out = tmp_path / "abort.csv"
     code = _run(
@@ -366,6 +384,24 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     assert main(["verify", "adjoint"]) == 3
     out = capsys.readouterr().out
     assert "FAILED" in out
+
+
+def test_verify_descent_checks_the_direction_not_its_report(monkeypatch, capsys):
+    # A dual route that returned -d while still reporting the descent inner
+    # product of d must fail the suite: it measures <d, grad> in parameter space.
+    from dualgn import verify
+
+    route = verify.dual_gn_direction
+
+    def flipped(*args, **kwargs):
+        res = route(*args, **kwargs)
+        res.d = -res.d
+        return res
+
+    assert main(["verify", "descent"]) == 0
+    monkeypatch.setattr(verify, "dual_gn_direction", flipped)
+    assert main(["verify", "descent"]) == 3
+    assert "min normalized descent inner product" in capsys.readouterr().out
 
 
 def test_missing_subcommand_is_usage_error(capsys):

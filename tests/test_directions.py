@@ -624,17 +624,84 @@ def _extreme_gamma_direction(gamma):
     return dual_gn_direction(opr, LossOracle("squared", Y), opr.outputs, spec)
 
 
-@pytest.mark.xfail(strict=True, reason="known defect: the dual route ascends at gamma=1e12")
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect: at gamma=1e12 alpha = g - beta cancels below the round-off of g, "
+    "and the dual route raises NumericError",
+)
 def test_dual_direction_descends_at_extreme_gamma():
-    # The dual route gives -1.13e8 at gamma=1e12, likely cancellation in the
-    # map-back u - J^T sum a_t beta_t before it is scaled by gamma/m.
+    # From gamma=1e9 up, ||alpha|| / (eps ||g||) is 0 or 0.953 on this
+    # instance (14.3 at 1e8): alpha = g - beta has cancelled to the round-off
+    # of g, so J^T alpha carries no digits of the direction, and the dual
+    # route raises NumericError where it used to return an ascent direction.
     res = _extreme_gamma_direction(1e12)
     assert res.descent_inner_product >= 0
 
 
-@pytest.mark.xfail(strict=True, reason="known defect: the dual direction cancels to zero at gamma=1e10")
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect: at gamma=1e10 alpha = g - beta cancels to zero, "
+    "and the dual route raises NumericError",
+)
 def test_dual_direction_is_nonzero_and_descends_at_gamma_1e10():
-    # At gamma=1e10 the map-back cancels to exactly d = 0, which a >= 0
-    # check passes without descending; a direction must descend strictly.
+    # At gamma=1e10 alpha cancels to exactly zero, which used to map back to
+    # d = 0 and pass a >= 0 check without descending; the round-off check on
+    # alpha now raises NumericError.  A direction must descend strictly.
     res = _extreme_gamma_direction(1e10)
     assert np.any(res.d) and res.descent_inner_product > 0
+
+
+def test_dual_route_raises_when_alpha_is_below_the_round_off_of_g():
+    for gamma in (1e9, 1e10, 1e12):
+        with pytest.raises(NumericError, match="round-off of g"):
+            _extreme_gamma_direction(gamma)
+    res = _extreme_gamma_direction(1e8)  # ||alpha|| = 14.3 eps ||g||
+    assert res.descent_inner_product > 0
+
+
+# The unpenalized dual route takes <d, grad> = (gamma/m^2) <J^T alpha, J^T g>
+# from the stand-ins of J^T alpha and J^T g (a Gram layer's share is
+# <G_alpha, K G_g>); a bare JacobianOperator's stand-in is the parameter
+# vector, so its dot is the plain one.
+
+
+@pytest.mark.parametrize("bare", [False, True])
+@pytest.mark.parametrize("relation", ["lt", "eq", "gt"])
+@pytest.mark.parametrize("name", MODELS)
+@given(data=st.data())
+def test_descent_inner_product_matches_the_gradient_dot(name, relation, bare, data):
+    model, w, X, V = data.draw(jacobian_cases(name, relation, scales=(1.0, 1e1, 1e2)))
+    m, k = V.shape
+    loss_kind = data.draw(st.sampled_from(["squared", "logistic"]))
+    Y = V if loss_kind == "squared" else np.eye(k)[np.argmax(V, axis=1)]
+    loss = LossOracle(loss_kind, Y)
+    spec = SubproblemSpec(
+        gamma=10.0 ** data.draw(st.floats(-2.0, 4.0)),
+        tau=data.draw(st.sampled_from([0, 1, 3, 8])),
+    )
+    opr = make_jacobian_operator(model, w, X)
+    if bare:
+        opr = JacobianOperator(opr.apply, opr.adjoint, opr.dims)
+    f = model.forward(w, X)
+    res = dual_gn_direction(opr, loss, f, spec)
+    grad = batch_gradient(opr, loss, f)
+    scale = 1.0 + np.linalg.norm(res.d) * np.linalg.norm(grad)
+    assert abs(res.descent_inner_product - np.vdot(res.d, grad)) <= 1e-12 * scale
+
+
+def test_descent_inner_product_sign_where_float64_cg_has_ascended():
+    # An instance where float64 CG loses orthogonality: the dual route has
+    # returned an ascent direction at tau=10 and, with other round-off, at
+    # tau=9.  Whatever its sign, the stand-in dot must report the one that
+    # the p-space dot gives.
+    rng = np.random.Generator(np.random.Philox(key=[0, 5]))
+    X = 10.0 * rng.standard_normal((4, 2))
+    rng.integers(3, size=4)
+    loss = LossOracle("squared", rng.standard_normal((4, 3)))
+    model = make_model("mlp:4,2", 2, 3)
+    w = model.init_params(0)
+    for tau in (9, 10):
+        opr = make_jacobian_operator(model, w, X)
+        res = dual_gn_direction(opr, loss, opr.outputs, SubproblemSpec(gamma=1e3, tau=tau))
+        want = float(np.vdot(res.d, batch_gradient(opr, loss, opr.outputs)))
+        assert np.sign(res.descent_inner_product) == np.sign(want) != 0
