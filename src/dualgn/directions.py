@@ -304,7 +304,7 @@ def _dual_direction(opr, loss, f, gamma, tau, tol, w=None, reg=None, callback=No
     blk = m * k
 
     g = loss_grad(loss, f)
-    sg, _, gterms = opr.compact_vjp(g, norm=False)
+    sg, _, gterms = opr.compact_vjp(g)
     u = None if reg is None else opr.compact_expand(sg)
 
     mu = m / gamma

@@ -105,23 +105,22 @@ class JacobianOperator:
             raise ValueError(f"vjp produced shape {out.shape}, expected ({p},)")
         return out
 
-    def compact_vjp(self, V, norm=True):
+    def compact_vjp(self, V):
         """A stand-in ``s`` for ``J^T V``, with ``||J^T V||^2`` and forward terms.
 
         Returns ``(s, sq, terms)``.  ``s`` is a flat array, linear in ``V``
         (the :meth:`vjp` result itself on an operator built without
         ``compact``); :meth:`compact_jvp` pushes it forward with ``terms``
         and :meth:`compact_expand` turns it, or a linear combination of such
-        stand-ins, into the parameter vector.  ``sq`` is None with ``norm``
-        False, which skips its dot products.  Counts as one transposed
+        stand-ins, into the parameter vector.  Counts as one transposed
         product.
         """
         if self.compact is None:
             v = self.vjp(V)
-            return v, float(np.vdot(v, v)) if norm else None, None
+            return v, float(np.vdot(v, v)), None
         V = self._block(V)
         self.vjp_calls += 1
-        return self.compact[0](V, norm)
+        return self.compact[0](V)
 
     def compact_jvp(self, s, terms):
         """``J J^T V`` from the ``(s, terms)`` of :meth:`compact_vjp` ``(V)``.
@@ -181,7 +180,7 @@ def make_jacobian_operator(model, params, batch):
         dims,
         lambda u, V: model.jvp(params, X, u, trace=trace, cotangent=V, grams=grams),
         (
-            lambda V, norm: model.compact_vjp(params, V, trace, grams, norm),
+            lambda V: model.compact_vjp(params, V, trace, grams),
             lambda s, terms: model.compact_jvp(params, s, terms, trace),
             lambda s: model.compact_expand(params, s, trace),
             lambda a, b, terms: model.compact_dot(params, a, b, terms, trace),

@@ -223,7 +223,7 @@ class MLPModel:
             for out, fan_in in self._shapes
         )
 
-    def compact_vjp(self, params, V, trace, grams, norm=True):
+    def compact_vjp(self, params, V, trace, grams):
         """Backpropagate ``V`` to a stand-in ``s`` for ``J^T V``.
 
         Returns ``(s, ||J^T V||^2, terms)``.  ``s`` is a fresh flat array of
@@ -232,7 +232,7 @@ class MLPModel:
         ``J^T V`` on the others.  ``terms`` maps each Gram layer to ``K G``,
         which gives that layer's share of the squared norm, ``<G, K G>``, and
         which ``compact_jvp`` and ``compact_dot`` reuse; ``grams`` caches each
-        ``K``.  With ``norm`` False the squared norm is not taken (None).
+        ``K``.
         """
         inputs, _ = trace
         m = inputs[0].shape[0]
@@ -244,14 +244,12 @@ class MLPModel:
             if KG is None:
                 dW, db = views[i]
                 _param_block(G, inputs[i], dW, db)
-                if norm:
-                    sq += float(np.vdot(dW, dW)) + (0.0 if db is None else float(np.vdot(db, db)))
+                sq += float(np.vdot(dW, dW)) + (0.0 if db is None else float(np.vdot(db, db)))
             else:
                 views[i][...] = G
                 terms[i] = KG
-                if norm:
-                    sq += float(np.vdot(G, KG))
-        return s, sq if norm else None, terms
+                sq += float(np.vdot(G, KG))
+        return s, sq, terms
 
     def compact_jvp(self, params, s, terms, trace):
         """``J J^T V`` from the stand-in ``s`` and ``terms`` of ``compact_vjp(V)``.
@@ -264,10 +262,10 @@ class MLPModel:
 
     def compact_expand(self, params, s, trace):
         """The parameter vector ``J^T V`` that the stand-in ``s`` stands for."""
-        inputs, _ = trace
-        views = self._unpack(s, inputs[0].shape[0])
         if s.size == self.n_params:  # no layer on the Gram route: s is J^T V
             return s
+        inputs, _ = trace
+        views = self._unpack(s, inputs[0].shape[0])
         out = np.empty(self.n_params)
         for piece, (dW, db), Z in zip(views, self._unpack(out), inputs):
             if isinstance(piece, tuple):
