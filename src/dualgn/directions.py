@@ -22,8 +22,9 @@ Two matrix-free routes to (approximately) the same ``d`` are provided:
 Both routes run the one CG kernel, :func:`dualgn.cgsolver.cg_kernel`, whose
 docstring gives the dual route's cost schedule (``tau`` JVPs and ``tau + 1``
 VJPs, as on the primal route), and both take their JVPs of transposed
-products through per-layer Gram matrices.  Each primal CG product makes
-two parameter-length passes.  The dual route carries ``J^T beta`` and the
+products through per-layer Gram matrices.  While its output-space shadow
+is live, a primal CG product makes no parameter-length pass beside its two
+model products.  The dual route carries ``J^T beta`` and the
 gradient's ``J^T g`` as compact per-layer stand-ins: the ``m x out``
 cotangent of each layer whose fan-in exceeds the batch size ``m``, the
 layer's parameter block otherwise.  Without a penalty it pushes its
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cgsolver import CGReport, _finite, _integer, cg_kernel, cg_solve, cg_workspace
+from .cgsolver import CGReport, _axpy, _finite, _integer, cg_kernel, cg_solve, cg_workspace
 from .exceptions import NumericError
 from .losses import (
     SOFTMAX_FLOOR,
@@ -173,63 +174,68 @@ def primal_gn_direction(opr, loss, f, spec, work=None):
     Each CG iteration applies ``d -> J^T H (J d) + (m/gamma) d``: one forward
     product, one batched loss Hessian product and one transposed product.
     Starting from zero, every truncation is a descent direction for the batch
-    objective.
+    objective, and ``<d, grad>`` is the kernel's ``<d, J^T g>`` over ``m``.
 
     Every CG vector lies in the range of ``J^T``: ``c = J^T g``, and the
     operator maps ``J^T D`` to ``J^T (H J d + (m/gamma) D)``.  So the kernel
     carries the output-space shadow ``D`` of each direction ``d = J^T D``
     (see :func:`dualgn.cgsolver.cg_kernel`), and the forward product ``J d``
     is handed ``D`` as its cotangent, which takes it through per-layer Gram
-    matrices where the batch is smaller than a layer's fan-in.  Past
-    convergence the kernel drops the shadow and the product is the plain one.
+    matrices where the batch is smaller than a layer's fan-in.  While the
+    shadow is live a product makes no parameter-length pass of its own: the
+    shadow of ``Q d`` is ``Y = H J d + (m/gamma) D``, ``Q d`` is the one
+    transposed product ``J^T Y``, ridge shift included, and the curvature
+    ``<d, Q d>`` is ``<J d, Y>``.  Past convergence the kernel drops the
+    shadow and the product is the plain one, ``J^T H J d + (m/gamma) d`` with
+    curvature ``<J d, H J d> + (m/gamma) <d, d>``.
 
     The report's ``vector_op_scalar_count`` covers all vector arithmetic
-    outside the jvp/vjp/Hessian oracles, including the ridge-shift scale and
-    add inside the operator and the shadow's block arithmetic, so primal and
-    dual counters measure the same class of work.
-
-    The batch gradient ``J^T g / m`` is formed in the buffer of ``J^T g``
-    once the solve, its right-hand side, is done with it.
+    outside the jvp/vjp/Hessian oracles, including the operator's ridge
+    shift and curvature dots and the shadow's block arithmetic, so primal
+    and dual counters measure the same class of work.
 
     ``work`` is the CG workspace, a ``(3, p)`` block from
     :func:`dualgn.cgsolver.cg_workspace` that holds the kernel's residual,
-    its direction and a scratch vector, through which the operator also adds
-    its ridge shift; None allocates one for this call.  Nothing in it
+    its direction and a scratch vector, through which the plain product also
+    adds its ridge shift; None allocates one for this call.  Nothing in it
     outlives the call, and the operator keeps neither the residual nor the
     direction, so a caller may pass one block to every step of a run (as
     :func:`dualgn.trainer.train` does).  ``d`` never lies in it.
     """
     f = _check_outputs(opr, loss, f)
     p, m, _ = opr.dims
-    gamma = spec.gamma
 
     g = loss_grad(loss, f)
-    u = opr.vjp(g)
+    c = opr.vjp(g)
 
-    shift = m / gamma
-    shadowed = 0  # products that also returned a shadow
+    shift = m / spec.gamma
+    plain = 0  # products made after the kernel dropped the shadow
     if work is None:
         work = cg_workspace((p,))
 
-    def apply(d, D):
-        nonlocal shadowed
-        hjd = loss_hvp(loss, f, opr.jvp(d, cotangent=D))
+    def product(d, D):
+        nonlocal plain
+        jd = opr.jvp(d, cotangent=D)
+        hjd = loss_hvp(loss, f, jd)
+        if D is not None:
+            ys = hjd + shift * D
+            return float(np.vdot(jd, ys)), opr.vjp(ys), ys
+        plain += 1
+        quad = float(np.vdot(jd, hjd)) + shift * float(np.vdot(d, d))
         qd = opr.vjp(hjd)
-        qd += np.multiply(shift, d, out=work[2])  # the kernel's free scratch
-        if D is None:
-            return qd, None
-        shadowed += 1
-        return qd, hjd + shift * D
+        _axpy(qd, shift, d, work[2])  # the kernel's free scratch
+        return quad, qd, None
 
-    d, rep = cg_solve(apply, u, max_iter=spec.tau, tol=spec.tol, shadow=g, work=work)
-    rep.vector_op_scalar_count += 2 * p * rep.operator_calls + 2 * g.size * shadowed
-    u /= m
-    grad = u
+    d, rep = cg_solve(product, c, max_iter=spec.tau, tol=spec.tol, shadow=g, work=work)
+    # shadowed: the shift-add and <J d, Y>; plain: the shift-add, <d, d> and
+    # <J d, H J d>
+    shadowed = rep.operator_calls - plain
+    rep.vector_op_scalar_count += 3 * g.size * shadowed + (3 * p + g.size) * plain
     return DirectionResult(
         d=d,
         alpha=None,
         report=rep,
-        descent_inner_product=float(np.vdot(d, grad)),
+        descent_inner_product=rep.inner_product_with_rhs / m,
     )
 
 

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dualgn import NumericError, cg_solve, projected_cg_solve
+from dualgn.cgsolver import BLOCK
 from oracles import dense_kkt_zero_sum
 
 
@@ -268,3 +269,59 @@ def test_workspace_leaves_the_solve_unchanged():
     for bad in (np.empty((2, 9)), np.empty((3, 8)), np.empty((3, 9), dtype=np.float32)):
         with pytest.raises(ValueError, match="work must be a float64 array of shape"):
             cg_solve(lambda v: Q @ v, c, work=bad)
+
+
+def _textbook_cg(q_apply, c, max_iter):
+    # unblocked recurrences, in the kernel's order of operations
+    x, r, p = np.zeros_like(c), c.copy(), c.copy()
+    rr = float(np.vdot(r, r))
+    norms = [float(np.sqrt(rr))]
+    for it in range(1, max_iter + 1):
+        if it > 1:
+            p = r + b * p
+        y = q_apply(p)
+        a = rr / float(np.vdot(p, y))
+        x = x + a * p
+        r = r - a * y
+        rr_new = float(np.vdot(r, r))
+        norms.append(float(np.sqrt(rr_new)))
+        b, rr = rr_new / rr, rr_new
+    return x, norms
+
+
+def _low_rank_spd(shape, seed):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    diag = rng.uniform(1.0, 4.0, size=shape)
+    U = rng.standard_normal((3, *shape))
+
+    def q_apply(v):
+        return diag * v + np.tensordot(np.tensordot(U, v, axes=v.ndim), U, axes=1)
+
+    return q_apply, rng.standard_normal(shape)
+
+
+def test_blocked_recurrences_match_the_textbook_loop():
+    # the last block is partial; the blocked updates must not move a bit
+    q_apply, c = _low_rank_spd((2 * BLOCK + 7,), 41)
+    x, rep = cg_solve(q_apply, c, max_iter=6, tol=0.0)
+    want, norms = _textbook_cg(q_apply, c, 6)
+    assert np.array_equal(x, want)
+    assert rep.residual_norms == norms
+
+
+def test_fortran_ordered_arrays_give_the_c_ordered_solution():
+    # the kernel's x is C-ordered whatever c's layout, and it keeps a
+    # C-ordered copy of a projection returned in another layout, so the
+    # blocked updates write through their flat views; a copy would lose them
+    q_apply, c = _low_rank_spd((BLOCK // 2 + 5, 3), 42)
+    f = np.asfortranarray(c)
+    assert not f.flags.c_contiguous and f.size > BLOCK
+    _same_solve(cg_solve(q_apply, f, max_iter=5, tol=0.0), cg_solve(q_apply, c, max_iter=5, tol=0.0))
+
+    Q, _ = _spd(12, 43)
+    op = lambda B: (Q @ B.ravel()).reshape(4, 3)
+    proj = lambda B: B - B.mean(axis=1, keepdims=True)
+    _same_solve(
+        projected_cg_solve(op, c[:4], lambda B: np.asfortranarray(proj(B)), max_iter=8, tol=0.0),
+        projected_cg_solve(op, c[:4], proj, max_iter=8, tol=0.0),
+    )

@@ -612,6 +612,34 @@ def test_primal_workspace_leaves_the_direction_unchanged(loss_kind):
             assert not np.shares_memory(got.d, work)
 
 
+def test_primal_vector_op_count_per_iteration():
+    # Criterion 9's p = 80 instance, where the residual falls below
+    # sqrt(eps) of its start at iteration 4 and the kernel drops the shadow.
+    # tau = 0 counts r0, p0, <r0, r0> and <x, c>.  An iteration adds the
+    # kernel's p-length passes (x; r and <r, r>; p from the second on) and
+    # the shadow's m*k updates (rs while it is kept, ps from the second on).
+    # A shadowed product adds its shift-add (2 m*k) and <J d, Y> (m*k); a
+    # plain one its shift-add (2p), <d, d> and <J d, H J d> (m*k).
+    model = make_model("linear", 40, 2)
+    p, m, k = model.n_params, 4, 2
+    mk = m * k
+    rng = np.random.Generator(np.random.Philox(key=[909, 40]))
+    w = model.init_params(9)
+    X = rng.standard_normal((m, 40))
+    want = [3 * p + 4 * mk] + [4 * p + 5 * mk] * 2 + [4 * p + 4 * mk] + [7 * p + mk] * 26
+    for kind in ("squared", "logistic"):
+        Y = rng.standard_normal((m, k)) if kind == "squared" else np.eye(k)[rng.integers(0, k, size=m)]
+        loss = LossOracle(kind, Y)
+        counts = []
+        for tau in range(31):
+            opr = make_jacobian_operator(model, w, X)
+            res = primal_gn_direction(opr, loss, opr.outputs, SubproblemSpec(gamma=0.9, tau=tau, path="primal"))
+            assert res.report.iterations == tau
+            counts.append(res.report.vector_op_scalar_count)
+        assert counts[0] == 4 * p
+        assert list(np.diff(counts)) == want
+
+
 def _extreme_gamma_direction(gamma):
     # One sample with inputs of size 1e3; the primal route gives <d, grad> =
     # +2.88e5 at any gamma.
@@ -685,6 +713,58 @@ def test_descent_inner_product_matches_the_gradient_dot(name, relation, bare, da
     f = model.forward(w, X)
     res = dual_gn_direction(opr, loss, f, spec)
     grad = batch_gradient(opr, loss, f)
+    scale = 1.0 + np.linalg.norm(res.d) * np.linalg.norm(grad)
+    assert abs(res.descent_inner_product - np.vdot(res.d, grad)) <= 1e-12 * scale
+
+
+# The primal route takes <d, grad> as the CG kernel's <d, J^T g> / m.  It has
+# a test of its own because a change to the body of the test above changes
+# that test's derandomized draws, and one of the new draws trips the dual
+# defect pinned by the strict xfail below.
+
+
+@pytest.mark.parametrize("bare", [False, True])
+@pytest.mark.parametrize("relation", ["lt", "eq", "gt"])
+@pytest.mark.parametrize("name", MODELS)
+@given(data=st.data())
+def test_primal_descent_inner_product_matches_the_gradient_dot(name, relation, bare, data):
+    model, w, X, V = data.draw(jacobian_cases(name, relation, scales=(1.0, 1e1, 1e2)))
+    m, k = V.shape
+    loss_kind = data.draw(st.sampled_from(["squared", "logistic"]))
+    Y = V if loss_kind == "squared" else np.eye(k)[np.argmax(V, axis=1)]
+    loss = LossOracle(loss_kind, Y)
+    spec = SubproblemSpec(
+        gamma=10.0 ** data.draw(st.floats(-2.0, 4.0)),
+        tau=data.draw(st.sampled_from([0, 1, 3, 8])),
+        path="primal",
+    )
+    opr = make_jacobian_operator(model, w, X)
+    if bare:
+        opr = JacobianOperator(opr.apply, opr.adjoint, opr.dims)
+    f = model.forward(w, X)
+    res = primal_gn_direction(opr, loss, f, spec)
+    grad = batch_gradient(opr, loss, f)
+    scale = 1.0 + np.linalg.norm(res.d) * np.linalg.norm(grad)
+    assert abs(res.descent_inner_product - np.vdot(res.d, grad)) <= 1e-12 * scale
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect: with duplicate batch rows, the dual's stand-in descent dot "
+    "misses the p-space one by 1.7e-11 of ||d|| ||grad||",
+)
+def test_dual_descent_inner_product_with_duplicate_rows():
+    # Two equal rows make the hidden layer's Gram matrix K singular.  At
+    # gamma=1e4 alpha = g - beta is almost all along its null space, which
+    # J^T maps to zero, but <G_alpha, K G_g> still carries round-off of the
+    # size of ||G_alpha|| ||K G_g||.
+    rng = np.random.Generator(np.random.Philox(key=[0, 25]))
+    X = 10.0 * rng.standard_normal((1, 2)).repeat(2, axis=0)
+    loss = LossOracle("squared", rng.standard_normal((2, 1)))
+    model = make_model("mlp:3", 2, 1)
+    opr = make_jacobian_operator(model, model.init_params(0), X)
+    res = dual_gn_direction(opr, loss, opr.outputs, SubproblemSpec(gamma=1e4, tau=1))
+    grad = batch_gradient(opr, loss, opr.outputs)
     scale = 1.0 + np.linalg.norm(res.d) * np.linalg.norm(grad)
     assert abs(res.descent_inner_product - np.vdot(res.d, grad)) <= 1e-12 * scale
 
