@@ -61,6 +61,9 @@ def _axpy(y, a, x, tmp):
     ``y`` and ``tmp`` must be C-contiguous, so that their flat views write
     through to them; ``x`` may have any layout.
     """
+    if y.size <= BLOCK:  # one block: no flat views or slices to make
+        y += np.multiply(a, x, out=tmp)
+        return
     y, x, tmp = y.reshape(-1), x.reshape(-1), tmp.reshape(-1)
     for i in range(0, y.size, BLOCK):
         j = i + BLOCK
@@ -73,6 +76,10 @@ def _aypx(y, a, x):
 
     Elementwise the same arithmetic as ``y *= a; y += x``.
     """
+    if y.size <= BLOCK:
+        y *= a
+        y += x
+        return
     y, x = y.reshape(-1), x.reshape(-1)
     for i in range(0, y.size, BLOCK):
         j = i + BLOCK

@@ -10,6 +10,14 @@ Each model exposes ``n_params``, ``init_params(seed)``, ``forward(params, X)``,
 ``jvp`` / ``vjp`` with respect to the flat parameter vector, which reuse that
 trace.  All arithmetic is float64.
 
+The layer arithmetic runs in place, in the order of the textbook formulas, so
+the results are theirs bit for bit.  A forward hidden layer allocates four
+m x out arrays: the pre-activation ``A``, which becomes the layer's output
+``A * s``; the sigmoid's ``exp(-|A|)`` and ``s`` (plus the boolean sign mask);
+and the slope ``s (1 + A (1 - s))``.  The trace keeps the outputs and slopes,
+so later products never write into them; a pushed-forward layer scales its
+own fresh ``dA`` and a backpropagated one its own fresh ``G``.
+
 A tangent that is itself a transposed product, ``u = vjp(V)``, can be pushed
 forward from ``V`` instead (``jvp(..., cotangent=V)``).  A layer with input
 ``Z`` (m x fan_in) and backpropagated cotangent ``G`` has parameter tangent
@@ -40,14 +48,22 @@ __all__ = ["LinearModel", "MLPModel", "make_model"]
 def sigmoid(z):
     """Numerically stable logistic sigmoid, elementwise; ``exp`` sees only ``-|z|``."""
     z = np.asarray(z, dtype=np.float64)
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    e = np.abs(z, out=np.empty_like(z))  # an array even for a 0-d z, so it is updated in place
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    s = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    s /= e
+    return s
 
 
 def _gram(grams, i, Z, bias):
     """Layer ``i``'s Gram matrix ``Z Z^T`` (plus ``1 1^T`` with a bias), cached in ``grams``."""
     if i not in grams:
-        grams[i] = Z @ Z.T + 1.0 if bias else Z @ Z.T
+        K = Z @ Z.T
+        if bias:
+            K += 1.0
+        grams[i] = K
     return grams[i]
 
 
@@ -65,17 +81,25 @@ def _push(layers, inputs, slopes, gram_terms, tangent):
     product) if present, else from its ``(dW, db)`` in ``tangent[i]``.
     """
     for i, (W, _) in enumerate(layers):
-        # The input tangent is zero, so the first layer skips dZ @ W.T.
         if i in gram_terms:
-            KG = gram_terms[i]
-            dA = KG if i == 0 else dZ @ W.T + KG
+            term, db = gram_terms[i], None
         else:
             dW, db = tangent[i]
-            # Keep this order of additions: regrouping it changes the round-off.
-            dA = inputs[i] @ dW.T if i == 0 else dZ @ W.T + inputs[i] @ dW.T
-            if db is not None:
-                dA += db
-        dZ = slopes[i] * dA if i < len(slopes) else dA
+            term = inputs[i] @ dW.T
+        # The input tangent is zero, so the first layer skips dZ @ W.T.  The
+        # slope scales dA in place, so the first layer copies a K G it was
+        # handed: the caller keeps its terms.  Keep this order of additions:
+        # regrouping it changes the round-off.
+        if i:
+            dA = dZ @ W.T
+            dA += term
+        else:
+            dA = term.copy() if i in gram_terms and slopes else term
+        if db is not None:
+            dA += db
+        if i < len(slopes):
+            dA *= slopes[i]
+        dZ = dA
     return dZ
 
 
@@ -159,13 +183,18 @@ class MLPModel:
         slopes = []
         for i, (W, b) in enumerate(layers):
             inputs.append(Z)
-            A = Z @ W.T if b is None else Z @ W.T + b
+            A = Z @ W.T
+            if b is not None:
+                A += b
             if i < len(layers) - 1:
                 s = sigmoid(A)
-                slopes.append(s * (1.0 + A * (1.0 - s)))
-                Z = A * s
-            else:
-                Z = A
+                t = 1.0 - s  # the slope s * (1 + A * (1 - s)), in place
+                t *= A
+                t += 1.0
+                t *= s
+                slopes.append(t)
+                A *= s  # the SiLU output A * s
+            Z = A
         return Z, (inputs, slopes)
 
     def _cotangents(self, layers, trace, V, grams=None, lowest=0):
@@ -182,7 +211,8 @@ class MLPModel:
             gram = grams is not None and m < layers[i][0].shape[1]
             yield i, G, _gram(grams, i, inputs[i], self.bias) @ G if gram else None
             if i > lowest:
-                G = (G @ layers[i][0]) * slopes[i - 1]
+                G = G @ layers[i][0]
+                G *= slopes[i - 1]
 
     def jvp(self, params, X, u, trace=None, cotangent=None, grams=None):
         """Directional derivative of ``forward`` along the parameter tangent ``u``.

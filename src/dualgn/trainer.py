@@ -19,7 +19,12 @@ once, to build the Jacobian operator, plus once per line-search trial.
 
 All randomness (parameter init, epoch shuffling) is driven by counter-based
 Philox streams keyed on the seed, so runs are bit-reproducible; epoch
-shuffles draw a full permutation and the final short batch is kept.  A
+shuffles draw a full permutation and the final short batch is kept.  The
+end-of-epoch train loss and accuracy come from forward passes over row chunks
+of the dataset, each bounded by ``METRICS_CHUNK`` scalars in its widest
+layer, so that the step that ends an epoch reuses heap memory instead of
+mapping fresh pages for whole-dataset activations; the results are those of
+one pass.  A
 non-finite batch loss, a numeric failure in the direction solve or a
 non-finite end-of-epoch train loss aborts the run with a diagnostic record
 instead of raising; the single-step functions raise :class:`NumericError`
@@ -373,10 +378,27 @@ def armijo_spl_step(w, batch, config, model=None):
     return w_new, rec.eta
 
 
+# The end-of-epoch metrics run the model on row chunks whose widest activation
+# holds at most this many float64 (256 KiB).  A forward pass over the whole
+# dataset at once makes arrays so large that glibc maps each one and unmaps it
+# when it is freed, so every call faults all their pages in afresh.
+METRICS_CHUNK = 32768
+
+
 def _full_metrics(model, w, X, Y, loss_kind):
+    """Mean loss and accuracy of ``model`` at ``w`` on the whole dataset.
+
+    The forward pass runs on chunks of ``max(1, METRICS_CHUNK // widest
+    layer)`` rows into one n x k output block; the per-sample losses and hits
+    are then n-length arrays with one ``np.mean`` each, as in one pass.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    rows = max(1, METRICS_CHUNK // max(model.dims[1:]))
+    f = np.empty((X.shape[0], model.out_dim))
     oracle = LossOracle(loss_kind, Y)
     with np.errstate(**_QUIET):  # train() reports a non-finite loss
-        f = model.forward(w, X)
+        for lo in range(0, X.shape[0], rows):
+            f[lo : lo + rows] = model.forward(w, X[lo : lo + rows])
         mean_loss = float(np.mean(loss_value(oracle, f)))
     acc = float(np.mean(np.argmax(f, axis=1) == np.argmax(Y, axis=1)))
     return mean_loss, acc

@@ -301,12 +301,14 @@ def _low_rank_spd(shape, seed):
 
 
 def test_blocked_recurrences_match_the_textbook_loop():
-    # the last block is partial; the blocked updates must not move a bit
-    q_apply, c = _low_rank_spd((2 * BLOCK + 7,), 41)
-    x, rep = cg_solve(q_apply, c, max_iter=6, tol=0.0)
-    want, norms = _textbook_cg(q_apply, c, 6)
-    assert np.array_equal(x, want)
-    assert rep.residual_norms == norms
+    # the last block is partial; the blocked updates must not move a bit, nor
+    # the whole-array updates of single blocks (the dual route's m x k vectors)
+    for shape, seed in (((2 * BLOCK + 7,), 41), ((32, 3), 44), ((128, 10), 45)):
+        q_apply, c = _low_rank_spd(shape, seed)
+        x, rep = cg_solve(q_apply, c, max_iter=6, tol=0.0)
+        want, norms = _textbook_cg(q_apply, c, 6)
+        assert np.array_equal(x, want)
+        assert rep.residual_norms == norms
 
 
 def test_fortran_ordered_arrays_give_the_c_ordered_solution():

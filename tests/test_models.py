@@ -134,6 +134,69 @@ def test_vjp_returns_a_fresh_parameter_vector():
         assert_allclose(g, np.concatenate(blocks), rtol=1e-13, atol=1e-15)
 
 
+def _traced(dims, m, seed):
+    model = MLPModel(dims) if len(dims) > 2 else LinearModel(*dims)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    w = model.init_params(seed)
+    return model, w, 3.0 * rng.standard_normal((m, dims[0])), rng
+
+
+def test_forward_trace_slopes_match_the_textbook_form():
+    # the forward pass works in place; its arithmetic must not move a bit
+    model, w, X, _ = _traced([6, 16, 8, 3], 32, 19)
+    out, (inputs, slopes) = model.forward_trace(w, X)
+    Z = X
+    for i, (W, b) in enumerate(model._unpack(w)):
+        assert np.array_equal(inputs[i], Z)
+        A = Z @ W.T + b
+        if i < len(slopes):
+            s = _two_branch_sigmoid(A)
+            assert np.array_equal(slopes[i], s * (1.0 + A * (1.0 - s)))
+            Z = A * s
+        else:
+            Z = A
+    assert np.array_equal(out, Z)
+
+
+def test_trace_arrays_alias_nothing():
+    # each layer's arrays are updated in place, so none may share a buffer
+    for dims in ([5, 7, 6, 3], [5, 3]):
+        model, w, X, _ = _traced(dims, 4, 23)
+        kept = X.copy()
+        out, (inputs, slopes) = model.forward_trace(w, X)
+        assert np.array_equal(X, kept) and inputs[0] is X
+        arrays = inputs + slopes + [out]
+        for i, a in enumerate(arrays):
+            assert all(not np.shares_memory(a, b) for b in arrays[i + 1 :])
+            if i:
+                assert not np.shares_memory(a, X)
+
+
+def test_products_leave_the_trace_and_their_terms_unchanged():
+    # Gram layers at m=4 (every fan-in exceeds it) and a mix at m=6; a
+    # LinearModel and an MLP at m < d have a Gram term on layer 0
+    for dims, m in (([5, 7, 6, 3], 4), ([5, 7, 6, 3], 6), ([5, 3], 4), ([5, 3], 6)):
+        model, w, X, rng = _traced(dims, m, 29)
+        out, trace = model.forward_trace(w, X)
+        kept = [a.copy() for a in [out, *trace[0], *trace[1]]]
+        V, B = rng.standard_normal((2, m, dims[-1]))
+        u = model.vjp(w, X, V, trace=trace)
+        model.jvp(w, X, u, trace=trace)
+        model.jvp(w, X, u, trace=trace, cotangent=V)
+        grams = {}
+        s, _, terms = model.compact_vjp(w, V, trace, grams)
+        sb, _, bterms = model.compact_vjp(w, B, trace, grams)
+        held = {i: KG.copy() for i, KG in terms.items()}
+        first = model.compact_jvp(w, s, terms, trace).copy()
+        assert np.array_equal(model.compact_jvp(w, s, terms, trace), first)
+        assert terms.keys() == held.keys()
+        assert all(np.array_equal(terms[i], held[i]) for i in held)
+        model.compact_expand(w, s, trace)
+        model.compact_dot(w, s, sb, bterms, trace)
+        for a, b in zip([out, *trace[0], *trace[1]], kept):
+            assert np.array_equal(a, b)
+
+
 def test_bad_param_vector_shape():
     model = LinearModel(2, 2)
     with pytest.raises(ValueError, match="length 4"):

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from dualgn import (
     Dataset,
     LossOracle,
+    MLPModel,
     NumericError,
     OptimizerState,
     Regularizer,
@@ -27,7 +28,7 @@ from dualgn import (
     train,
 )
 from dualgn import directions
-from dualgn.trainer import DIRECTIONS, METHODS
+from dualgn.trainer import DIRECTIONS, METHODS, METRICS_CHUNK, _full_metrics
 from oracles import adam_trajectory, momentum_trajectory, sgd_trajectory
 
 
@@ -511,6 +512,36 @@ def test_step_evaluates_the_model_once(monkeypatch):
         )
         train(config, ds, on_record=lambda rec: per_step.append(len(calls)))
         assert np.diff([1] + per_step).tolist() == [1, 1, 2] * 2
+
+
+def test_full_metrics_run_in_bounded_row_chunks(monkeypatch):
+    ds = synth_blobs(8, n=600, d=5, k=3, spread=0.4)
+    rows = []
+    one_pass = MLPModel.forward
+    monkeypatch.setattr(
+        MLPModel, "forward", lambda self, p, X: rows.append(len(X)) or one_pass(self, p, X)
+    )
+    for name, chunks in (("mlp:128", [256, 256, 88]), ("mlp:200,16", [163] * 3 + [111])):
+        model = make_model(name, 5, 3)
+        w = model.init_params(8)
+        f = one_pass(model, w, ds.inputs)
+        for kind in ("logistic", "squared"):
+            rows.clear()
+            got = _full_metrics(model, w, ds.inputs, ds.targets, kind)
+            # every chunk's widest activation holds at most METRICS_CHUNK floats
+            assert rows == chunks and max(rows) * max(model.dims[1:]) <= METRICS_CHUNK
+            # a BLAS call may round a shorter block differently
+            assert got[0] == pytest.approx(
+                float(np.mean(loss_value(LossOracle(kind, ds.targets), f))), rel=1e-14
+            )
+            assert got[1] == float(np.mean(np.argmax(f, 1) == np.argmax(ds.targets, 1)))
+            # lists, as the benchmark's tests pass them
+            assert _full_metrics(model, w, ds.inputs.tolist(), ds.targets.tolist(), kind) == got
+    # a layer wider than the bound still makes progress, a row at a time
+    model = make_model("mlp:40000", 2, 2)
+    rows.clear()
+    _full_metrics(model, model.init_params(0), ds.inputs[:3, :2], ds.targets[:3, :2], "logistic")
+    assert rows == [1, 1, 1]
 
 
 def test_armijo_step_evaluates_the_model_once_plus_once_per_trial(monkeypatch):
