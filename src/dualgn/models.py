@@ -5,18 +5,23 @@ network with SiLU activations between affine layers and an affine output
 layer.  ``LinearModel`` is its single layer without a bias, the multiclass
 linear predictor ``f(x) = W x``.
 
-Each model exposes ``n_params``, ``init_params(seed)``, ``forward(params, X)``,
-``forward_trace(params, X)`` (outputs and a trace), and Jacobian products
-``jvp`` / ``vjp`` with respect to the flat parameter vector, which reuse that
-trace.  All arithmetic is float64.
+Each model exposes ``n_params``, ``init_params(seed)``, ``forward(params, X)``
+(outputs only), ``forward_trace(params, X)`` (outputs and a trace), and
+Jacobian products ``jvp`` / ``vjp`` with respect to the flat parameter vector,
+which reuse that trace.  All arithmetic is float64.
 
 The layer arithmetic runs in place, in the order of the textbook formulas, so
-the results are theirs bit for bit.  A forward hidden layer allocates four
+the results are theirs bit for bit.  A traced hidden layer allocates four
 m x out arrays: the pre-activation ``A``, which becomes the layer's output
-``A * s``; the sigmoid's ``exp(-|A|)`` and ``s`` (plus the boolean sign mask);
-and the slope ``s (1 + A (1 - s))``.  The trace keeps the outputs and slopes,
-so later products never write into them; a pushed-forward layer scales its
-own fresh ``dA`` and a backpropagated one its own fresh ``G``.
+``A * s``; the sigmoid's ``exp(-|A|)`` and ``s``, which first holds the sign
+test ``A >= 0``; and the slope ``s (1 + A (1 - s))``.  The trace keeps the
+outputs and slopes, so later products never write into them; a
+pushed-forward layer scales its own fresh ``dA`` and a backpropagated one its
+own fresh ``G``.  An untraced hidden layer (``forward``) allocates the first
+three and no slope: it drops its input once its pre-activation exists, and
+``exp(-|A|)`` and ``s`` once its output does.  So a
+plain forward pass holds at most three m x out arrays at a time, where the
+traced one ends up holding two per hidden layer.
 
 A tangent that is itself a transposed product, ``u = vjp(V)``, can be pushed
 forward from ``V`` instead (``jvp(..., cotangent=V)``).  A layer with input
@@ -46,15 +51,41 @@ __all__ = ["LinearModel", "MLPModel", "make_model"]
 
 
 def sigmoid(z):
-    """Numerically stable logistic sigmoid, elementwise; ``exp`` sees only ``-|z|``."""
+    """Numerically stable logistic sigmoid, elementwise; ``exp`` sees only ``-|z|``.
+
+    With ``e = exp(-|z|)`` it is ``1 / (1 + e)`` for ``z >= 0`` and
+    ``e / (1 + e)`` below.  The numerator is ``max(z >= 0, e)`` with the
+    comparison as 1.0 or 0.0: that is 1 or ``e``, since ``0 <= e <= 1``, and
+    NaN where ``z`` is NaN.  A branch-free maximum is a SIMD pass, where
+    ``np.where`` makes the same select as a data-dependent choice per element,
+    at several times the cost of ``exp`` over the whole block.
+    """
     z = np.asarray(z, dtype=np.float64)
     e = np.abs(z, out=np.empty_like(z))  # an array even for a 0-d z, so it is updated in place
     np.negative(e, out=e)
     np.exp(e, out=e)
-    s = np.where(z >= 0, 1.0, e)
+    s = np.greater_equal(z, 0.0, out=np.empty_like(z))
+    np.maximum(s, e, out=s)
     e += 1.0
     s /= e
     return s
+
+
+def _silu(A, slope):
+    """Overwrite the pre-activation ``A`` with the SiLU output ``A * s``, ``s = sigmoid(A)``.
+
+    Returns the slope ``s (1 + A (1 - s))`` at the pre-activation if ``slope``
+    is set, else None.
+    """
+    s = sigmoid(A)
+    t = None
+    if slope:
+        t = 1.0 - s  # in place, in the textbook order
+        t *= A
+        t += 1.0
+        t *= s
+    A *= s
+    return t
 
 
 def _gram(grams, i, Z, bias):
@@ -152,10 +183,11 @@ class MLPModel:
         if flat.shape != (size,):
             what = "parameter vector" if m is None else "stand-in"
             raise ValueError(f"expected flat {what} of length {size}, got shape {flat.shape}")
+        route = [False] * len(self._shapes) if m is None else self._gram_route(m)
         layers = []
         pos = 0
-        for out, fan_in in self._shapes:
-            if m is not None and m < fan_in:
+        for (out, fan_in), gram in zip(self._shapes, route):
+            if gram:
                 layers.append(flat[pos : pos + m * out].reshape(m, out))
                 pos += m * out
                 continue
@@ -166,36 +198,41 @@ class MLPModel:
             layers.append((W, b))
         return layers
 
+    def _gram_route(self, m):
+        """Per layer, whether it takes the Gram route at batch size ``m``: ``m < fan_in``."""
+        return [m < fan_in for _, fan_in in self._shapes]
+
     def forward(self, params, X):
-        out, _ = self.forward_trace(params, X)
+        """The model outputs (m x out) at ``params`` for the rows of ``X``.
+
+        The untraced pass of ``forward_trace``: the same outputs bit for bit,
+        without the SiLU derivatives and without holding on to layer inputs.
+        """
+        out, _ = self.forward_trace(params, X, slopes=False)
         return out
 
-    def forward_trace(self, params, X):
+    def forward_trace(self, params, X, *, slopes=True):
         """Forward pass returning the output and the layer trace used by jvp/vjp.
 
         The trace stores, per layer, the layer input and (for hidden layers)
         the SiLU derivative at the pre-activation, so repeated Jacobian
         products at a fixed point redo neither the forward pass nor the sigmoid.
+        With ``slopes=False`` the pass skips the derivatives, keeps no layer
+        inputs and returns None for the trace.
         """
         layers = self._unpack(params)
         Z = np.asarray(X, dtype=np.float64)
         inputs = []
-        slopes = []
+        derivs = []
         for i, (W, b) in enumerate(layers):
-            inputs.append(Z)
-            A = Z @ W.T
+            if slopes:
+                inputs.append(Z)
+            Z = Z @ W.T  # the pre-activation; untraced, the layer input is freed here
             if b is not None:
-                A += b
+                Z += b
             if i < len(layers) - 1:
-                s = sigmoid(A)
-                t = 1.0 - s  # the slope s * (1 + A * (1 - s)), in place
-                t *= A
-                t += 1.0
-                t *= s
-                slopes.append(t)
-                A *= s  # the SiLU output A * s
-            Z = A
-        return Z, (inputs, slopes)
+                derivs.append(_silu(Z, slopes))
+        return Z, (inputs, derivs) if slopes else None
 
     def _cotangents(self, layers, trace, V, grams=None, lowest=0):
         """Yield ``(i, G_i, K_i G_i)`` from the top layer down to ``lowest``.
@@ -205,10 +242,10 @@ class MLPModel:
         layers with ``m >= fan_in``.
         """
         inputs, slopes = trace
-        m = inputs[0].shape[0]
+        route = self._gram_route(inputs[0].shape[0])
         G = np.asarray(V, dtype=np.float64)
         for i in range(len(layers) - 1, lowest - 1, -1):
-            gram = grams is not None and m < layers[i][0].shape[1]
+            gram = grams is not None and route[i]
             yield i, G, _gram(grams, i, inputs[i], self.bias) @ G if gram else None
             if i > lowest:
                 G = G @ layers[i][0]
@@ -227,7 +264,7 @@ class MLPModel:
             _, trace = self.forward_trace(params, X)
         inputs, slopes = trace
         m = inputs[0].shape[0]
-        gram = [cotangent is not None and m < W.shape[1] for W, _ in layers]
+        gram = [cotangent is not None and g for g in self._gram_route(m)]
         terms = {}
         if any(gram):
             grams = {} if grams is None else grams
@@ -249,8 +286,8 @@ class MLPModel:
     def compact_size(self, m):
         """Length of the stand-in for ``J^T V`` at batch size ``m`` (see ``compact_vjp``)."""
         return sum(
-            m * out if m < fan_in else out * (fan_in + self.bias)
-            for out, fan_in in self._shapes
+            m * out if gram else out * (fan_in + self.bias)
+            for (out, fan_in), gram in zip(self._shapes, self._gram_route(m))
         )
 
     def compact_vjp(self, params, V, trace, grams):
@@ -292,10 +329,11 @@ class MLPModel:
 
     def compact_expand(self, params, s, trace):
         """The parameter vector ``J^T V`` that the stand-in ``s`` stands for."""
-        if s.size == self.n_params:  # no layer on the Gram route: s is J^T V
-            return s
         inputs, _ = trace
-        views = self._unpack(s, inputs[0].shape[0])
+        m = inputs[0].shape[0]
+        if not any(self._gram_route(m)):  # s is laid out as J^T V and is J^T V
+            return s
+        views = self._unpack(s, m)
         out = np.empty(self.n_params)
         for piece, (dW, db), Z in zip(views, self._unpack(out), inputs):
             if isinstance(piece, tuple):
@@ -312,9 +350,9 @@ class MLPModel:
         ``terms`` are the Gram products ``K G`` of ``b``, as ``compact_vjp(B)``
         returns them, so a Gram layer's share is ``<G_a, K G_b>``.
         """
-        if a.size == self.n_params:  # no layer on the Gram route: one flat dot
-            return float(np.vdot(a, b))
         m = trace[0][0].shape[0]
+        if not any(self._gram_route(m)):  # both are laid out as J^T A and J^T B
+            return float(np.vdot(a, b))
         total = 0.0
         for i, (pa, pb) in enumerate(zip(self._unpack(a, m), self._unpack(b, m))):
             if not isinstance(pa, tuple):

@@ -15,7 +15,10 @@ a stepsize; ``sgd``, ``momentum`` and ``adam`` feed the direction into the
 usual first-order update rules with stepsize ``eta``.  Every step is applied
 by :func:`outer_update`: ``spl`` and ``armijo_spl`` go through its ``sgd``
 rule, at eta 1 and at the searched eta.  A step evaluates the model at ``w``
-once, to build the Jacobian operator, plus once per line-search trial.
+once, to build the Jacobian operator, plus once per line-search trial.  The
+trials and the end-of-epoch metrics need outputs only, so they call the
+untraced ``model.forward``, which builds no SiLU derivatives and keeps no
+layer inputs.
 
 All randomness (parameter init, epoch shuffling) is driven by counter-based
 Philox streams keyed on the seed, so runs are bit-reproducible; epoch

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -35,6 +37,25 @@ def test_sigmoid_matches_two_branch_form_bit_for_bit():
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         assert np.isnan(sigmoid(np.array([np.nan]))).all()
+
+
+def test_sigmoid_of_a_0d_input_and_of_negative_zero():
+    # a 0-d input gives a 0-d array, as np.where did; -0.0 counts as z >= 0
+    edges = [0.0, -0.0, 5e-324, -5e-324, 3.0, -3.0, 745.0, -745.0, np.inf, -np.inf]
+    for z in edges + [np.nan]:
+        for arg in (z, np.array(z)):
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                got = sigmoid(arg)
+            assert type(got) is np.ndarray and got.shape == () and got.dtype == np.float64
+            if np.isnan(z):
+                assert np.isnan(got)
+                continue
+            expected = _two_branch_sigmoid(np.array([z]))[0]
+            assert got.view(np.uint64) == expected.view(np.uint64)
+    block = np.array([[-0.0, 0.0], [-0.0, -1.0]])
+    got = sigmoid(block)
+    assert np.array_equal(got.view(np.uint64), _two_branch_sigmoid(block).view(np.uint64))
+    assert got[0, 0] == 0.5 and not np.signbit(got[0, 0])
 
 
 def test_linear_forward_identity_weights():
@@ -107,6 +128,58 @@ def test_forward_trace_reuse_is_consistent():
         assert np.array_equal(model.forward(w, X), out)
         assert_allclose(model.jvp(w, X, u, trace=trace), model.jvp(w, X, u))
         assert_allclose(model.vjp(w, X, V, trace=trace), model.vjp(w, X, V))
+
+
+def _traced_memory(call):
+    """``(peak, kept)`` bytes that tracemalloc sees over ``call()``, its result held."""
+    tracemalloc.start()
+    try:
+        result = call()  # noqa: F841 -- held, so that ``kept`` counts it
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, kept
+
+
+def test_forward_is_the_traced_output_without_a_trace():
+    rng = np.random.Generator(np.random.Philox(key=37))
+    for dims, m in (
+        ([4, 9, 3], 5),
+        ([4, 9, 7, 3], 6),
+        ([4, 9, 7, 5, 3], 7),
+        ([4, 12, 3], 1),
+        ([4, 6, 6, 3], 1),
+        ([4, 3], 5),
+    ):
+        model = MLPModel(dims) if len(dims) > 2 else LinearModel(*dims)
+        w = model.init_params(37)
+        X = 3.0 * rng.standard_normal((m, dims[0]))
+        for x in (X, X.tolist()):
+            out, _ = model.forward_trace(w, x)
+            got = model.forward(w, x)
+            assert got.shape == out.shape == (m, dims[-1])
+            assert np.array_equal(got.view(np.uint64), out.view(np.uint64))
+        assert model.forward_trace(w, X, slopes=False)[1] is None
+
+
+def test_forward_keeps_no_layer_inputs_or_slopes():
+    m, slack = 128, 16384  # slack: Python objects and numpy's cast buffer
+    rng = np.random.Generator(np.random.Philox(key=41))
+    for hidden in ([64], [64, 64], [48, 64, 32]):
+        model = MLPModel([8, *hidden, 3])
+        w = model.init_params(41)
+        X = rng.standard_normal((m, 8))
+        row = 8 * m  # bytes of an m x 1 float64 column
+        traced_peak, traced_kept = _traced_memory(lambda: model.forward_trace(w, X))
+        peak, kept = _traced_memory(lambda: model.forward(w, X))
+        # the trace holds each hidden layer's output (the next layer's input)
+        # and slope; the plain pass holds only its m x 3 result
+        assert traced_kept >= 2 * row * sum(hidden)
+        assert kept <= 3 * row + slack
+        # ... and at most one hidden layer's pre-activation, exp(-|A|) and
+        # sigmoid at a time, while the traced pass ends up holding the trace
+        assert peak <= 3 * row * max(hidden) + slack
+        assert traced_peak >= 2 * row * sum(hidden)
 
 
 def test_vjp_returns_a_fresh_parameter_vector():
@@ -195,6 +268,30 @@ def test_products_leave_the_trace_and_their_terms_unchanged():
         model.compact_dot(w, s, sb, bterms, trace)
         for a, b in zip([out, *trace[0], *trace[1]], kept):
             assert np.array_equal(a, b)
+
+
+def test_stand_ins_are_parameter_vectors_exactly_when_no_layer_is_on_the_gram_route():
+    # layer fan-ins 5, 7 and 6: each m in 4..8 puts a different set of layers
+    # on the Gram route (m < fan_in), including m = fan_in and m = fan_in + 1
+    cases = [([5, 7, 6, 3], m) for m in range(4, 9)]
+    cases += [([5, 4, 3], m) for m in (3, 4, 5, 6)] + [([5, 3], m) for m in (4, 5, 6)]
+    for dims, m in cases:
+        model, w, X, rng = _traced(dims, m, 43)
+        gram = any(m < fan_in for fan_in in dims[:-1])
+        _, trace = model.forward_trace(w, X)
+        A, B = rng.standard_normal((2, m, dims[-1]))
+        sa, _, _ = model.compact_vjp(w, A, trace, {})
+        sb, _, bterms = model.compact_vjp(w, B, trace, {})
+        assert (sa.size < model.n_params) == gram
+        ua, ub = model.compact_expand(w, sa, trace), model.compact_expand(w, sb, trace)
+        assert (ua is sa) == (ub is sb) == (not gram)
+        assert_allclose(ua, model.vjp(w, X, A), rtol=1e-13, atol=1e-13)
+        dot = model.compact_dot(w, sa, sb, bterms, trace)
+        if gram:
+            # a Gram layer's share is <G_a, K G_b>, another rounding of the same sum
+            assert dot == pytest.approx(float(np.vdot(ua, ub)), rel=1e-12)
+        else:
+            assert dot == float(np.vdot(ua, ub))
 
 
 def test_bad_param_vector_shape():

@@ -488,9 +488,9 @@ def _count_forward_traces(monkeypatch, model):
     calls = []
     original = type(model).forward_trace
 
-    def counted(self, params, X):
+    def counted(self, params, X, **kwargs):
         calls.append(1)
-        return original(self, params, X)
+        return original(self, params, X, **kwargs)
 
     monkeypatch.setattr(type(model), "forward_trace", counted)
     return calls
