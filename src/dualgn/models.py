@@ -159,6 +159,8 @@ class MLPModel:
         self.out_dim = dims[-1]
         self._shapes = [(dims[i + 1], dims[i]) for i in range(len(dims) - 1)]
         self.n_params = sum(o * (i + self.bias) for o, i in self._shapes)
+        # batch size -> _layout(m); no batch size is the parameter vector's layout
+        self._layouts = {None: ((False,) * len(self._shapes), self.n_params)}
 
     def init_params(self, seed=0):
         """Uniform(-a, a) init per layer with ``a = 1/sqrt(fan_in)``, seeded."""
@@ -179,11 +181,10 @@ class MLPModel:
         ``m x out`` cotangent ``G`` in place of the pair.
         """
         flat = np.asarray(flat, dtype=np.float64)
-        size = self.n_params if m is None else self.compact_size(m)
+        route, size = self._layout(m)
         if flat.shape != (size,):
             what = "parameter vector" if m is None else "stand-in"
             raise ValueError(f"expected flat {what} of length {size}, got shape {flat.shape}")
-        route = [False] * len(self._shapes) if m is None else self._gram_route(m)
         layers = []
         pos = 0
         for (out, fan_in), gram in zip(self._shapes, route):
@@ -198,9 +199,22 @@ class MLPModel:
             layers.append((W, b))
         return layers
 
-    def _gram_route(self, m):
-        """Per layer, whether it takes the Gram route at batch size ``m``: ``m < fan_in``."""
-        return [m < fan_in for _, fan_in in self._shapes]
+    def _layout(self, m):
+        """``(route, size)`` of a stand-in for ``J^T V`` at batch size ``m``.
+
+        ``route`` says per layer whether it takes the Gram route, ``m < fan_in``:
+        the one place that rule is written.  ``size`` is the stand-in's length
+        (see ``compact_vjp``).  Both are kept per batch size, since products
+        ask for them on every call.
+        """
+        if m not in self._layouts:
+            route = tuple(m < fan_in for _, fan_in in self._shapes)
+            size = sum(
+                m * out if gram else out * (fan_in + self.bias)
+                for (out, fan_in), gram in zip(self._shapes, route)
+            )
+            self._layouts[m] = route, size
+        return self._layouts[m]
 
     def forward(self, params, X):
         """The model outputs (m x out) at ``params`` for the rows of ``X``.
@@ -242,7 +256,7 @@ class MLPModel:
         layers with ``m >= fan_in``.
         """
         inputs, slopes = trace
-        route = self._gram_route(inputs[0].shape[0])
+        route, _ = self._layout(inputs[0].shape[0])
         G = np.asarray(V, dtype=np.float64)
         for i in range(len(layers) - 1, lowest - 1, -1):
             gram = grams is not None and route[i]
@@ -264,7 +278,7 @@ class MLPModel:
             _, trace = self.forward_trace(params, X)
         inputs, slopes = trace
         m = inputs[0].shape[0]
-        gram = [cotangent is not None and g for g in self._gram_route(m)]
+        gram = [cotangent is not None and g for g in self._layout(m)[0]]
         terms = {}
         if any(gram):
             grams = {} if grams is None else grams
@@ -285,10 +299,7 @@ class MLPModel:
 
     def compact_size(self, m):
         """Length of the stand-in for ``J^T V`` at batch size ``m`` (see ``compact_vjp``)."""
-        return sum(
-            m * out if gram else out * (fan_in + self.bias)
-            for (out, fan_in), gram in zip(self._shapes, self._gram_route(m))
-        )
+        return self._layout(m)[1]
 
     def compact_vjp(self, params, V, trace, grams):
         """Backpropagate ``V`` to a stand-in ``s`` for ``J^T V``.
@@ -331,7 +342,7 @@ class MLPModel:
         """The parameter vector ``J^T V`` that the stand-in ``s`` stands for."""
         inputs, _ = trace
         m = inputs[0].shape[0]
-        if not any(self._gram_route(m)):  # s is laid out as J^T V and is J^T V
+        if not any(self._layout(m)[0]):  # s is laid out as J^T V and is J^T V
             return s
         views = self._unpack(s, m)
         out = np.empty(self.n_params)
@@ -351,7 +362,7 @@ class MLPModel:
         returns them, so a Gram layer's share is ``<G_a, K G_b>``.
         """
         m = trace[0][0].shape[0]
-        if not any(self._gram_route(m)):  # both are laid out as J^T A and J^T B
+        if not any(self._layout(m)[0]):  # both are laid out as J^T A and J^T B
             return float(np.vdot(a, b))
         total = 0.0
         for i, (pa, pb) in enumerate(zip(self._unpack(a, m), self._unpack(b, m))):
