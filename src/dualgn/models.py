@@ -19,9 +19,9 @@ outputs and slopes, so later products never write into them; a
 pushed-forward layer scales its own fresh ``dA`` and a backpropagated one its
 own fresh ``G``.  An untraced hidden layer (``forward``) allocates the first
 three and no slope: it drops its input once its pre-activation exists, and
-``exp(-|A|)`` and ``s`` once its output does.  So a
-plain forward pass holds at most three m x out arrays at a time, where the
-traced one ends up holding two per hidden layer.
+``exp(-|A|)`` and ``s`` once its output does.  So a plain forward pass holds
+at most three m x out arrays at a time, where the traced one ends up holding
+two per hidden layer.
 
 A tangent that is itself a transposed product, ``u = vjp(V)``, can be pushed
 forward from ``V`` instead (``jvp(..., cotangent=V)``).  A layer with input
@@ -159,7 +159,6 @@ class MLPModel:
         self.out_dim = dims[-1]
         self._shapes = [(dims[i + 1], dims[i]) for i in range(len(dims) - 1)]
         self.n_params = sum(o * (i + self.bias) for o, i in self._shapes)
-        # batch size -> _layout(m); no batch size is the parameter vector's layout
         self._layouts = {None: ((False,) * len(self._shapes), self.n_params)}
 
     def init_params(self, seed=0):
@@ -205,7 +204,7 @@ class MLPModel:
         ``route`` says per layer whether it takes the Gram route, ``m < fan_in``:
         the one place that rule is written.  ``size`` is the stand-in's length
         (see ``compact_vjp``).  Both are kept per batch size, since products
-        ask for them on every call.
+        ask for them on every call; ``m=None`` is the parameter vector's layout.
         """
         if m not in self._layouts:
             route = tuple(m < fan_in for _, fan_in in self._shapes)
