@@ -10,6 +10,7 @@ operations spent on vector arithmetic, and the number of operator
 applications.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -198,10 +199,12 @@ def cg_kernel(
     kernel keeps a C-ordered copy of a projection returned in another
     layout.
 
-    Stops after ``max_iter`` iterations (``None``: the problem size; else a
-    nonnegative integer), when ``||r|| <= tol * max(1, ||c||)`` (``tol``
-    finite and nonnegative), or on curvature breakdown (``<p, Qp> <=
-    BREAKDOWN_EPS``), returning the current iterate.  A non-finite initial
+    Stops after ``max_iter`` iterations, when ``||r|| <= tol * max(1,
+    ||c||)``, or on curvature breakdown (``<p, Qp> <= BREAKDOWN_EPS``),
+    returning the current iterate.  The kernel does not check its arguments:
+    ``max_iter`` is a nonnegative integer, ``tol`` a finite nonnegative
+    number and ``work`` of the right shape, as the public solvers and
+    :class:`~dualgn.directions.SubproblemSpec` check them.  A non-finite initial
     residual, curvature or residual raises :class:`NumericError` naming
     ``label``.  ``callback(x)`` is invoked after each iterate update.  The
     report counts the kernel's own vector arithmetic, the shadow's included;
@@ -210,24 +213,15 @@ def cg_kernel(
     Returns ``(x, CGReport, ysum)``.
     """
     n = c.size
-    max_iter = n if max_iter is None else _integer("max_iter", max_iter)
-    _finite("tol", tol, positive=False)
-    if work is None:
-        work = cg_workspace(c.shape)
-    elif work.shape != (3,) + c.shape or work.dtype != np.float64:
-        raise ValueError(
-            f"work must be a float64 array of shape {(3,) + c.shape}, got "
-            f"{work.dtype} {work.shape}"
-        )
-    r, p, tmp = work
+    r, p, tmp = cg_workspace(c.shape) if work is None else work
     x = np.zeros(c.shape)  # C order, so the blocked updates write through
     np.copyto(r, c)
     np.copyto(p, r)
     rr = rr0 = float(np.vdot(r, r))
-    if not np.isfinite(rr):
+    if not math.isfinite(rr):
         raise NumericError(f"non-finite initial residual in {label}")
     # r0, p0 and <r0, r0>
-    rep = CGReport(residual_norms=[float(np.sqrt(rr))], vector_op_scalar_count=3 * n)
+    rep = CGReport(residual_norms=[math.sqrt(rr)], vector_op_scalar_count=3 * n)
     threshold = tol * max(1.0, rep.residual_norms[0])
     ysum = 0.0
     rs = ps = shadow  # never updated in place
@@ -242,7 +236,7 @@ def cg_kernel(
                 rep.vector_op_scalar_count += ps.size
         quad, y, ys = product(p, ps)
         rep.operator_calls += 1
-        if not np.isfinite(quad):
+        if not math.isfinite(quad):
             raise NumericError(f"non-finite curvature product at {label} iteration {it}")
         if quad <= BREAKDOWN_EPS:
             break
@@ -269,9 +263,9 @@ def cg_kernel(
             r = np.ascontiguousarray(project(r))
         rr_new = float(np.vdot(r, r))
         rep.vector_op_scalar_count += 2 * n
-        if not np.isfinite(rr_new):
+        if not math.isfinite(rr_new):
             raise NumericError(f"non-finite residual at {label} iteration {it}")
-        rep.residual_norms.append(float(np.sqrt(rr_new)))
+        rep.residual_norms.append(math.sqrt(rr_new))
         if ps is not None and rr_new > SHADOW_EPS * rr0:
             rs = rs - a * ys
             rep.vector_op_scalar_count += rs.size
@@ -283,6 +277,14 @@ def cg_kernel(
     rep.inner_product_with_rhs = float(np.vdot(x, c))
     rep.vector_op_scalar_count += n
     return x, rep, ysum
+
+
+def _budget(max_iter, tol, n):
+    """Check a public solver's ``max_iter`` and ``tol``; returns the iteration
+    budget, which is ``n`` for ``max_iter=None``."""
+    max_iter = n if max_iter is None else _integer("max_iter", max_iter)
+    _finite("tol", tol, positive=False)
+    return max_iter
 
 
 def _curvature_product(q_apply):
@@ -319,6 +321,12 @@ def cg_solve(
     (x, CGReport)
     """
     c = np.asarray(c, dtype=np.float64)
+    max_iter = _budget(max_iter, tol, c.size)
+    if work is not None and (work.shape != (3,) + c.shape or work.dtype != np.float64):
+        raise ValueError(
+            f"work must be a float64 array of shape {(3,) + c.shape}, got "
+            f"{work.dtype} {work.shape}"
+        )
     product = q_apply if shadow is not None else _curvature_product(q_apply)
     x, rep, _ = cg_kernel(
         product, c, max_iter, tol, callback=callback, shadow=shadow, work=work
@@ -355,6 +363,7 @@ def projected_cg_solve(
     (x, CGReport)
     """
     c = np.asarray(c, dtype=np.float64)
+    max_iter = _budget(max_iter, tol, c.size)
     pc = p_apply(c)
     ppc = p_apply(pc)
     gap = float(np.linalg.norm(ppc - pc))

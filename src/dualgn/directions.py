@@ -161,14 +161,29 @@ def _check_outputs(opr, loss, f):
     return f
 
 
-def batch_gradient(opr, loss, f):
-    """Batch gradient ``(1/m) J^T (dl/df)`` of the mean loss at ``f``."""
+def _at_outputs(loss, f, at):
+    """The loss gradient at ``f`` and, for the logistic loss, the softmax.
+
+    ``at`` is the caller's ``(values, grad, soft)`` from
+    :func:`dualgn.losses.loss_eval` at ``f``, which the trainer has from the
+    step's batch loss; None evaluates both here.
+    """
+    if at is not None:
+        return at[1], at[2]
+    return loss_grad(loss, f), softmax(f) if loss.kind == "logistic" else None
+
+
+def batch_gradient(opr, loss, f, at=None):
+    """Batch gradient ``(1/m) J^T (dl/df)`` of the mean loss at ``f``.
+
+    ``at`` is :func:`dualgn.losses.loss_eval` at ``f``, if the caller has it.
+    """
     f = _check_outputs(opr, loss, f)
     m = opr.dims[1]
-    return opr.vjp(loss_grad(loss, f)) / m
+    return opr.vjp(loss_grad(loss, f) if at is None else at[1]) / m
 
 
-def primal_gn_direction(opr, loss, f, spec, work=None):
+def primal_gn_direction(opr, loss, f, spec, work=None, at=None):
     """Direction via CG on the parameter-space normal equations.
 
     Each CG iteration applies ``d -> J^T H (J d) + (m/gamma) d``: one forward
@@ -201,11 +216,14 @@ def primal_gn_direction(opr, loss, f, spec, work=None):
     outlives the call, and the operator keeps neither the residual nor the
     direction, so a caller may pass one block to every step of a run (as
     :func:`dualgn.trainer.train` does).  ``d`` never lies in it.
+
+    ``at`` is :func:`dualgn.losses.loss_eval` at ``f``, if the caller has it;
+    every product reuses its softmax.
     """
     f = _check_outputs(opr, loss, f)
     p, m, _ = opr.dims
 
-    g = loss_grad(loss, f)
+    g, soft = _at_outputs(loss, f, at)
     c = opr.vjp(g)
 
     shift = m / spec.gamma
@@ -216,7 +234,7 @@ def primal_gn_direction(opr, loss, f, spec, work=None):
     def product(d, D):
         nonlocal plain
         jd = opr.jvp(d, cotangent=D)
-        hjd = loss_hvp(loss, f, jd)
+        hjd = loss_hvp(loss, f, jd, soft)
         if D is not None:
             ys = hjd + shift * D
             return float(np.vdot(jd, ys)), opr.vjp(ys), ys
@@ -239,21 +257,20 @@ def primal_gn_direction(opr, loss, f, spec, work=None):
     )
 
 
-def dual_gn_direction(opr, loss, f, spec, callback=None):
+def dual_gn_direction(opr, loss, f, spec, callback=None, at=None):
     """Direction via CG on the output-space dual system.
 
     ``callback``, if given, receives the feasible dual iterate ``beta`` after
     each CG update.  At ``tau = 0`` the returned direction is exactly
     ``gamma`` times the batch gradient (same floating-point values).  Raises
     :class:`NumericError` on a non-finite solve, and when the solve's
-    ``alpha = g - beta`` is at or below the round-off of ``g``.
+    ``alpha = g - beta`` is at or below the round-off of ``g``.  ``at`` is
+    :func:`dualgn.losses.loss_eval` at ``f``, if the caller has it.
     """
-    return _dual_direction(
-        opr, loss, f, spec.gamma, spec.tau, spec.tol, callback=callback
-    )
+    return _dual_direction(opr, loss, f, spec, callback=callback, at=at)
 
 
-def regularized_dual_direction(opr, loss, f, spec, w, reg, callback=None):
+def regularized_dual_direction(opr, loss, f, spec, w, reg, callback=None, at=None):
     """Dual-route direction for the composite objective with penalty ``reg``.
 
     The candidate parameter point is ``w - d``.  For ``reg.kind == "none"``
@@ -261,6 +278,7 @@ def regularized_dual_direction(opr, loss, f, spec, w, reg, callback=None):
     shift becomes ``m/gamma + m*lam``; for both penalties the mapped-back
     direction is ``d = w - prox(w - (gamma/m) J^T alpha)`` so that a full
     inner solve makes ``w - d`` a fixed point of the composite subproblem.
+    ``at`` is :func:`dualgn.losses.loss_eval` at ``f``, if the caller has it.
     """
     w = np.asarray(w, dtype=np.float64)
     p = opr.dims[0]
@@ -268,12 +286,10 @@ def regularized_dual_direction(opr, loss, f, spec, w, reg, callback=None):
         raise ValueError(f"parameters have shape {w.shape}, expected {(p,)}")
     if reg.kind == "none":
         reg = None
-    return _dual_direction(
-        opr, loss, f, spec.gamma, spec.tau, spec.tol, w=w, reg=reg, callback=callback
-    )
+    return _dual_direction(opr, loss, f, spec, w=w, reg=reg, callback=callback, at=at)
 
 
-def _dual_direction(opr, loss, f, gamma, tau, tol, w=None, reg=None, callback=None):
+def _dual_direction(opr, loss, f, spec, w=None, reg=None, callback=None, at=None):
     """Shared dual-route core: the CG kernel on the scaled dual system.
 
     The kernel iterates on ``x`` with ``beta = P(sqrt(sigma) * x)``, where
@@ -309,39 +325,49 @@ def _dual_direction(opr, loss, f, gamma, tau, tol, w=None, reg=None, callback=No
     p, m, k = opr.dims
     blk = m * k
 
-    g = loss_grad(loss, f)
+    g, soft = _at_outputs(loss, f, at)
     sg, _, gterms = opr.compact_vjp(g)
     u = None if reg is None else opr.compact_expand(sg)
 
+    gamma, tau = spec.gamma, spec.tau
     mu = m / gamma
     if reg is not None and reg.kind == "l2":
         mu = m / gamma + m * reg.lam
     mu_inv = 1.0 / mu
 
+    # The squared loss has sigma = 1 and P = I, so its maps are identities.
     logistic = loss.kind == "logistic"
     if logistic:
-        sig = np.maximum(softmax(f), SOFTMAX_FLOOR)
+        sig = np.maximum(soft, SOFTMAX_FLOOR)
         sroot = np.sqrt(sig)
-    else:
-        sig = sroot = 1.0
 
     def to_beta(x):
-        return constraint_project(loss, sroot * x)
+        """``P(sqrt(sigma) x)``, a fresh array."""
+        if not logistic:
+            return x.copy()
+        beta = np.multiply(sroot, x)
+        return constraint_project(loss, beta, out=beta)
 
     def scaled(z):
-        return sroot * constraint_project(loss, z)
+        """``S P z``, in place."""
+        if logistic:
+            constraint_project(loss, z, out=z)
+            z *= sroot
+        return z
 
     hw = terms = None  # H^+ beta and the forward terms of the latest product
 
     def product(x, _):
         nonlocal hw, terms
         beta = to_beta(x)
-        hw = beta / sig
+        hw = beta / sig if logistic else beta
         s, sq, terms = opr.compact_vjp(beta)
         return float(np.vdot(beta, hw)) + mu_inv * sq, s, None
 
     def advance(s):
-        return scaled(hw + mu_inv * opr.compact_jvp(s, terms))
+        y = mu_inv * opr.compact_jvp(s, terms)
+        y += hw
+        return scaled(y)
 
     # Right-hand side c = S P J (J^T g / mu + shift) in one forward product,
     # where shift is the prox displacement of the penalty.  Without one it is
@@ -353,7 +379,7 @@ def _dual_direction(opr, loss, f, gamma, tau, tol, w=None, reg=None, callback=No
     rhs = None
     if tau > 0 and reg is None:
         ops += sg.size
-        if np.any(sg):
+        if sg.any():
             rhs = mu_inv * opr.compact_jvp(sg, gterms)
             ops += blk
     elif tau > 0:
@@ -362,16 +388,17 @@ def _dual_direction(opr, loss, f, gamma, tau, tol, w=None, reg=None, callback=No
         pre += np.subtract(w, shift, out=shift)
         del shift
         if np.any(pre):
-            rhs = opr.jvp(pre)
+            rhs = opr.jvp(pre).copy()  # scaled in place below
         del pre  # freed before the kernel's products are made
     if rhs is not None:
         x, rep, zsum = cg_kernel(
             product,
             scaled(rhs),
             tau,
-            tol,
+            spec.tol,
             advance=advance,
-            project=lambda r: scaled(r / sroot),
+            # S P S^-1 r, with the residual r the kernel's own
+            project=(lambda r: scaled(np.divide(r, sroot, out=r))) if logistic else None,
             callback=None if callback is None else (lambda x: callback(to_beta(x))),
             label="dual CG",
         )
@@ -385,7 +412,8 @@ def _dual_direction(opr, loss, f, gamma, tau, tol, w=None, reg=None, callback=No
         )
     else:
         x, rep, zsum = np.zeros((m, k)), CGReport(), 0.0
-    alpha = g - to_beta(x)
+    beta = to_beta(x)
+    alpha = np.subtract(g, beta, out=beta)
     aa, gg = float(np.vdot(alpha, alpha)), float(np.vdot(g, g))
     if rep.iterations and aa <= EPS * EPS * gg:
         raise NumericError(
@@ -397,7 +425,7 @@ def _dual_direction(opr, loss, f, gamma, tau, tol, w=None, reg=None, callback=No
     # from the stand-in of J^T alpha; with a penalty, J^T alpha is J^T g less
     # the kernel's expanded sum of stand-ins.
     if reg is None:
-        sa = sg - zsum if np.isscalar(zsum) else np.subtract(sg, zsum, out=zsum)
+        sa = sg - zsum if isinstance(zsum, float) else np.subtract(sg, zsum, out=zsum)
         descent = opr.compact_dot(sa, sg, gterms) * (gamma / m) / m
         d = opr.compact_expand(sa)
         d /= m
@@ -405,7 +433,7 @@ def _dual_direction(opr, loss, f, gamma, tau, tol, w=None, reg=None, callback=No
         # alpha's stand-in, the descent dot and the scaled direction
         ops += 2 * sg.size + 2 * p
     else:
-        if np.isscalar(zsum):
+        if isinstance(zsum, float):
             zpar = u - zsum
         else:
             zpar = opr.compact_expand(zsum)

@@ -3,19 +3,27 @@
 A :class:`JacobianOperator` bundles the batched Jacobian-vector product
 (parameter space -> output block) and its adjoint (output block -> parameter
 space) for a model linearized at ``params`` on a batch, without ever forming
-the Jacobian matrix, from one forward pass whose trace every product reuses.
-Every jvp/vjp call increments a counter, so solver cost contracts can be
-checked against what actually ran.  A forward product of a tangent that is a
-transposed product ``u = J^T V`` may be given ``V`` as well, and the model
-operator then evaluates it through per-layer Gram matrices where that is
-cheaper (see :mod:`dualgn.models`).  A transposed product may also be taken
-in a compact form, a stand-in for ``J^T V`` that is linear in ``V`` and holds
-no more scalars than ``p``: it can be pushed forward, dotted with another
-stand-in and expanded into the parameter vector, so a caller whose vectors
-all lie in the range of ``J^T`` makes no ``p``-length pass but the last
-expansion.  Operators built by :func:`make_jacobian_operator` use the model's
-per-layer stand-in, and others the parameter vector itself.
+the Jacobian matrix.  Every jvp/vjp call increments a counter, so solver cost
+contracts can be checked against what actually ran.  A forward product of a
+tangent that is a transposed product ``u = J^T V`` may be given ``V`` as
+well, and the model operator then evaluates it through per-layer Gram
+matrices where that is cheaper (see :mod:`dualgn.models`).  A transposed
+product may also be taken in a compact form, a stand-in for ``J^T V`` that is
+linear in ``V`` and holds no more scalars than ``p``: it can be pushed
+forward, dotted with another stand-in and expanded into the parameter vector,
+so a caller whose vectors all lie in the range of ``J^T`` makes no
+``p``-length pass but the last expansion.
+
+An operator built by :func:`make_jacobian_operator` holds the one per-step
+state of its products, the model's :class:`~dualgn.models.Linearization`
+from one forward pass: the parameter layer views, the layer inputs and SiLU
+slopes, the batch size's Gram route and stand-in slice table, and the Gram
+matrices built so far.  Its products read that state directly, and it is
+freed with the operator, so nothing of a step outlives it on the model.
+Other operators take the parameter vector itself as their stand-in.
 """
+
+from functools import partial
 
 import numpy as np
 
@@ -39,20 +47,18 @@ class JacobianOperator:
     jvp_calls, vjp_calls : int
         Number of batched product evaluations so far; each call to
         :meth:`jvp` / :meth:`vjp` adds exactly one.
-
-    ``apply_cotangent(u, V)``, if given, returns ``apply(u)`` for a tangent
-    ``u = adjoint(V)``, computed with the help of ``V``.  ``compact``, if
-    given, is the tuple ``(backward, forward, expand, dot)`` behind
-    :meth:`compact_vjp`, :meth:`compact_jvp`, :meth:`compact_expand` and
-    :meth:`compact_dot`;
-    without it the stand-in for ``J^T V`` is ``adjoint(V)`` itself.
+    lin : Linearization or None
+        The model's per-step state, on an operator built by
+        :func:`make_jacobian_operator`.  ``apply(u, cotangent=V)`` then
+        takes the Gram route given ``u = adjoint(V)``, and the ``compact_*``
+        products come from it; without it the stand-in for ``J^T V`` is
+        ``adjoint(V)`` itself and cotangents are ignored.
     """
 
-    def __init__(self, apply, adjoint, dims, apply_cotangent=None, compact=None):
+    def __init__(self, apply, adjoint, dims, lin=None):
         self.apply = apply
         self.adjoint = adjoint
-        self.apply_cotangent = apply_cotangent
-        self.compact = compact
+        self.lin = lin
         self.dims = tuple(int(x) for x in dims)
         self.outputs = None
         self.jvp_calls = 0
@@ -69,13 +75,13 @@ class JacobianOperator:
         """Map a flat parameter tangent (p,) to an output block (m, k).
 
         ``cotangent``, if given, must be a block ``V`` with ``u = J^T V``, such
-        as the argument of the :meth:`vjp` call that returned ``u``.  An
-        operator built with ``apply_cotangent`` uses it; others ignore it.
-        Either way the call counts as one forward product.  Layers that take
-        the Gram route compute their terms from ``V``, so the result matches
-        ``J u`` only as closely as ``u = J^T V`` holds: a ``V`` carried through
-        recurrences beside ``u`` drifts from it by round-off, which is why the
-        primal CG stops passing its shadow once its residual is that small.
+        as the argument of the :meth:`vjp` call that returned ``u``.  A model
+        operator uses it; others ignore it.  Either way the call counts as one
+        forward product.  Layers that take the Gram route compute their terms
+        from ``V``, so the result matches ``J u`` only as closely as ``u = J^T
+        V`` holds: a ``V`` carried through recurrences beside ``u`` drifts
+        from it by round-off, which is why the primal CG stops passing its
+        shadow once its residual is that small.
         """
         p, m, k = self.dims
         u = np.asarray(u, dtype=np.float64)
@@ -84,10 +90,9 @@ class JacobianOperator:
         if cotangent is not None:
             cotangent = self._block(cotangent)
         self.jvp_calls += 1
-        if cotangent is None or self.apply_cotangent is None:
-            out = self.apply(u)
-        else:
-            out = self.apply_cotangent(u, cotangent)
+        if self.lin is not None:
+            return self.apply(u, cotangent=cotangent)
+        out = self.apply(u)
         if out.shape != (m, k):
             raise ValueError(f"jvp produced shape {out.shape}, expected ({m}, {k})")
         return out
@@ -101,7 +106,7 @@ class JacobianOperator:
         V = self._block(V)
         self.vjp_calls += 1
         out = self.adjoint(V)
-        if out.shape != (p,):
+        if self.lin is None and out.shape != (p,):
             raise ValueError(f"vjp produced shape {out.shape}, expected ({p},)")
         return out
 
@@ -109,44 +114,44 @@ class JacobianOperator:
         """A stand-in ``s`` for ``J^T V``, with ``||J^T V||^2`` and forward terms.
 
         Returns ``(s, sq, terms)``.  ``s`` is a flat array, linear in ``V``
-        (the :meth:`vjp` result itself on an operator built without
-        ``compact``); :meth:`compact_jvp` pushes it forward with ``terms``
-        and :meth:`compact_expand` turns it, or a linear combination of such
+        (the :meth:`vjp` result itself on an operator without ``lin``);
+        :meth:`compact_jvp` pushes it forward with ``terms`` and
+        :meth:`compact_expand` turns it, or a linear combination of such
         stand-ins, into the parameter vector.  Counts as one transposed
         product.
         """
-        if self.compact is None:
+        if self.lin is None:
             v = self.vjp(V)
             return v, float(np.vdot(v, v)), None
         V = self._block(V)
         self.vjp_calls += 1
-        return self.compact[0](V)
+        return self.lin.compact_vjp(V)
 
     def compact_jvp(self, s, terms):
         """``J J^T V`` from the ``(s, terms)`` of :meth:`compact_vjp` ``(V)``.
 
         Counts as one forward product.
         """
-        if self.compact is None:
+        if self.lin is None:
             return self.jvp(s)
         self.jvp_calls += 1
-        return self.compact[1](s, terms)
+        return self.lin.compact_jvp(s, terms)
 
     def compact_expand(self, s):
         """The parameter vector behind a stand-in or a sum of scaled stand-ins.
 
         Counts no product, and may return ``s`` itself.
         """
-        return s if self.compact is None else self.compact[2](s)
+        return s if self.lin is None else self.lin.compact_expand(s)
 
     def compact_dot(self, a, b, terms):
         """``<J^T A, J^T B>`` from stand-ins ``a`` and ``b`` (or sums of them).
 
         ``terms`` are those of :meth:`compact_vjp` ``(B)``.  Counts no product.
         """
-        if self.compact is None:
+        if self.lin is None:
             return float(np.vdot(a, b))
-        return self.compact[3](a, b, terms)
+        return self.lin.compact_dot(a, b, terms)
 
 
 def make_jacobian_operator(model, params, batch):
@@ -161,7 +166,10 @@ def make_jacobian_operator(model, params, batch):
 
     Returns
     -------
-    JacobianOperator with ``dims == (p, m, k)``, holding the model outputs.
+    JacobianOperator with ``dims == (p, m, k)``, holding the model outputs
+    and the model's linearization from one traced forward pass.  Its
+    ``apply`` and ``adjoint`` are the model's ``jvp`` and ``vjp`` at that
+    linearization.
     """
     X = np.asarray(batch, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -172,19 +180,12 @@ def make_jacobian_operator(model, params, batch):
         )
     params = np.asarray(params, dtype=np.float64)
     dims = (model.n_params, X.shape[0], model.out_dim)
-    outputs, trace = model.forward_trace(params, X)
-    grams = {}  # per-layer Gram matrices, built by the first product that needs them
+    outputs, lin = model.forward_trace(params, X)
     opr = JacobianOperator(
-        lambda u: model.jvp(params, X, u, trace=trace),
-        lambda V: model.vjp(params, X, V, trace=trace),
+        partial(model.jvp, params, X, trace=lin),
+        partial(model.vjp, params, X, trace=lin),
         dims,
-        lambda u, V: model.jvp(params, X, u, trace=trace, cotangent=V, grams=grams),
-        (
-            lambda V: model.compact_vjp(params, V, trace, grams),
-            lambda s, terms: model.compact_jvp(params, s, terms, trace),
-            lambda s: model.compact_expand(params, s, trace),
-            lambda a, b, terms: model.compact_dot(params, a, b, terms, trace),
-        ),
+        lin,
     )
     opr.outputs = outputs
     return opr

@@ -38,6 +38,10 @@ SOFTMAX_FLOOR = 1e-12
 # Feasibility slack when deciding whether mu = y + alpha lies on the simplex.
 SIMPLEX_TOL = 1e-9
 
+# Row reductions call the ufunc's reduce directly: np.sum, np.max and their
+# ndarray methods reach the same reduce, with the same result, through Python
+# wrappers that cost more than the reduction itself on a batch of outputs.
+
 
 def _check_kind(kind):
     if kind not in LOSS_KINDS:
@@ -63,23 +67,23 @@ class LossOracle:
 def logsumexp(f):
     """Row-wise log(sum(exp)), shifted by the max for stability."""
     f = np.asarray(f, dtype=np.float64)
-    fmax = f.max(axis=-1, keepdims=True)
-    return (fmax + np.log(np.sum(np.exp(f - fmax), axis=-1, keepdims=True)))[..., 0]
+    fmax = np.maximum.reduce(f, axis=-1, keepdims=True)
+    return (fmax + np.log(np.add.reduce(np.exp(f - fmax), axis=-1, keepdims=True)))[..., 0]
 
 
 def softmax(f):
     """Row-wise softmax, shifted by the max for stability."""
     f = np.asarray(f, dtype=np.float64)
-    e = np.exp(f - f.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(f - np.maximum.reduce(f, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def loss_value(loss, f):
     """Loss value; scalar for a (k,) input, (m,) for a block."""
     f = np.asarray(f, dtype=np.float64)
     if loss.kind == "squared":
-        return 0.5 * np.sum((f - loss.y) ** 2, axis=-1)
-    return logsumexp(f) - np.sum(f * loss.y, axis=-1)
+        return 0.5 * np.add.reduce((f - loss.y) ** 2, axis=-1)
+    return logsumexp(f) - np.add.reduce(f * loss.y, axis=-1)
 
 
 def loss_grad(loss, f):
@@ -90,32 +94,58 @@ def loss_grad(loss, f):
     return softmax(f) - loss.y
 
 
-def loss_hvp(loss, f, v):
+def loss_eval(loss, f):
+    """``(values, grad, soft)`` at ``f`` from one pass over the block.
+
+    Bit for bit ``loss_value(loss, f)``, ``loss_grad(loss, f)`` and, for the
+    logistic loss, ``softmax(f)`` (None for the squared loss): the logistic
+    values, gradient and softmax share one max, ``exp`` and row sum, and the
+    squared ones the residual ``f - y``.
+    """
+    f = np.asarray(f, dtype=np.float64)
+    if loss.kind == "squared":
+        r = f - loss.y
+        return 0.5 * np.add.reduce(r**2, axis=-1), r, None
+    fmax = np.maximum.reduce(f, axis=-1, keepdims=True)
+    e = np.exp(np.subtract(f, fmax))
+    esum = np.add.reduce(e, axis=-1, keepdims=True)
+    values = (fmax + np.log(esum))[..., 0] - np.add.reduce(f * loss.y, axis=-1)
+    soft = np.divide(e, esum, out=e)
+    return values, soft - loss.y, soft
+
+
+def loss_hvp(loss, f, v, soft=None):
     """Hessian-vector product at ``f`` applied to ``v``.
 
     Squared loss has identity curvature.  The logistic Hessian is
     ``diag(s) - s s^T`` with ``s = softmax(f)``, applied without
-    materializing it: ``s*v - <v, s> s`` per sample.
+    materializing it: ``s*v - <v, s> s`` per sample.  ``soft``, if given, is
+    ``softmax(f)``, which a caller making several products at one ``f``
+    computes once.
     """
     v = np.asarray(v, dtype=np.float64)
     if loss.kind == "squared":
         return v.copy()
-    s = softmax(f)
-    return s * v - np.sum(v * s, axis=-1, keepdims=True) * s
+    s = softmax(f) if soft is None else soft
+    return s * v - np.add.reduce(v * s, axis=-1, keepdims=True) * s
 
 
-def constraint_project(loss, beta):
+def constraint_project(loss, beta, out=None):
     """Orthogonal projection onto the range of the loss curvature.
 
     Identity for the squared loss; per-sample mean removal for logistic
     (the curvature range is the zero-sum subspace).  Idempotent and
-    self-adjoint.
+    self-adjoint.  ``out``, if given, receives the projection and is
+    returned; it may be ``beta`` itself.  The squared loss returns ``beta``
+    without a copy when ``out`` is None.
     """
     beta = np.asarray(beta, dtype=np.float64)
     if loss.kind == "squared":
-        return beta
+        if out is not None:
+            out[...] = beta
+        return beta if out is None else out
     # sum / k is what mean computes, without mean's per-call overhead
-    return beta - beta.sum(axis=-1, keepdims=True) / beta.shape[-1]
+    return np.subtract(beta, np.add.reduce(beta, axis=-1, keepdims=True) / beta.shape[-1], out=out)
 
 
 def conjugate_value(loss, alpha):

@@ -50,6 +50,13 @@ import numpy as np
 __all__ = ["LinearModel", "MLPModel", "make_model"]
 
 
+# exp of an argument below ln(DBL_MIN) ~ -708.4 returns a subnormal, on a path
+# of libm and numpy's SIMD exp that takes tens of times as long per element.
+# The sigmoid sends every exponent below -EXP_LIMIT to -inf instead, whose exp
+# is exactly 0.
+EXP_LIMIT = 708.0
+
+
 def sigmoid(z):
     """Numerically stable logistic sigmoid, elementwise; ``exp`` sees only ``-|z|``.
 
@@ -59,10 +66,16 @@ def sigmoid(z):
     NaN where ``z`` is NaN.  A branch-free maximum is a SIMD pass, where
     ``np.where`` makes the same select as a data-dependent choice per element,
     at several times the cost of ``exp`` over the whole block.
+
+    Where ``|z| > EXP_LIMIT``, ``e`` is 0 in place of the subnormal or 0
+    that ``exp(-|z|)`` gives: the sigmoid is exactly 0 below ``-EXP_LIMIT``
+    and 1 above ``EXP_LIMIT``, and bit for bit the textbook value elsewhere.
+    So it never makes a subnormal, nor does ``exp`` on the way.
     """
     z = np.asarray(z, dtype=np.float64)
     e = np.abs(z, out=np.empty_like(z))  # an array even for a 0-d z, so it is updated in place
     np.negative(e, out=e)
+    np.copyto(e, -np.inf, where=np.less(e, -EXP_LIMIT))
     np.exp(e, out=e)
     s = np.greater_equal(z, 0.0, out=np.empty_like(z))
     np.maximum(s, e, out=s)
@@ -102,7 +115,20 @@ def _param_block(G, Z, dW, db):
     """Write a layer's share ``G^T Z`` (and ``G^T 1``) of ``J^T V`` into ``dW`` (and ``db``)."""
     np.matmul(G.T, Z, out=dW)
     if db is not None:
-        G.sum(axis=0, out=db)
+        np.add.reduce(G, axis=0, out=db)
+
+
+def _views(flat, table):
+    """Per-layer views into ``flat``, laid out by a slice table of ``MLPModel._layout``.
+
+    A Gram layer's entry is its ``m x out`` block ``G``; another layer's is
+    the pair ``(W, b)``, with ``b`` None without a bias.
+    """
+    return [
+        flat[lo:mid].reshape(shape) if gram
+        else (flat[lo:mid].reshape(shape), None if hi is None else flat[mid:hi])
+        for gram, lo, mid, hi, shape in table
+    ]
 
 
 def _push(layers, inputs, slopes, gram_terms, tangent):
@@ -139,6 +165,125 @@ def _param_rng(seed):
     return np.random.Generator(np.random.Philox(key=seed))
 
 
+class Linearization:
+    """A model linearized at one parameter point on one batch, and its products.
+
+    ``MLPModel.forward_trace`` builds it in the forward pass.  It holds the
+    per-layer views ``(W, b)`` into the parameter vector, the layer inputs
+    ``inputs`` and SiLU slopes ``slopes``, the batch size's Gram route
+    ``route`` with the slice tables of a stand-in and of a parameter vector,
+    and ``grams``, the Gram matrices ``K`` built so far by layer index.  The
+    products read all of it directly, so none re-derives a layout or
+    re-slices the parameters; a :class:`~dualgn.linop.JacobianOperator`
+    holds it for one step, and it is freed with the operator.
+    """
+
+    def __init__(self, model, layers, inputs, slopes):
+        self.layers, self.inputs, self.slopes = layers, inputs, slopes
+        self.m = inputs[0].shape[0]
+        self.bias = model.bias
+        self.n_params = model.n_params
+        self.params_table = model._layout(None)[2]
+        self.route, self.size, self.table = model._layout(self.m)
+        self.grams = {}
+
+    def _cotangents(self, V, gram=False, lowest=0):
+        """Yield ``(i, G_i, K_i G_i)`` from the top layer down to ``lowest``.
+
+        ``G_i`` is the cotangent at layer ``i``'s output.  The Gram product is
+        None unless ``gram`` is set and layer ``i`` takes the Gram route.
+        """
+        layers, inputs, slopes, route = self.layers, self.inputs, self.slopes, self.route
+        G = V
+        for i in range(len(layers) - 1, lowest - 1, -1):
+            yield i, G, _gram(self.grams, i, inputs[i], self.bias) @ G if gram and route[i] else None
+            if i > lowest:
+                G = G @ layers[i][0]
+                G *= slopes[i - 1]
+
+    def jvp(self, u, cotangent=None):
+        """``J u`` for a parameter vector ``u``; see :meth:`MLPModel.jvp`."""
+        terms = {}
+        if cotangent is not None and True in self.route:
+            rows = self._cotangents(cotangent, True, self.route.index(True))
+            terms = {i: KG for i, _, KG in rows if KG is not None}
+        return _push(self.layers, self.inputs, self.slopes, terms, _views(u, self.params_table))
+
+    def vjp(self, V):
+        """``J^T V`` for an output block ``V``, a fresh parameter vector."""
+        out = np.empty(self.n_params)
+        grads = _views(out, self.params_table)
+        for i, G, _ in self._cotangents(V):
+            _param_block(G, self.inputs[i], *grads[i])
+        return out
+
+    def compact_vjp(self, V):
+        """Backpropagate ``V`` to a stand-in ``s`` for ``J^T V``.
+
+        Returns ``(s, ||J^T V||^2, terms)``.  ``s`` is a fresh flat array of
+        length ``size``: the cotangent ``G`` at the output of each layer with
+        ``m < fan_in``, and the layer's ``(dW, db)`` share of ``J^T V`` on the
+        others.  ``terms`` maps each Gram layer to ``K G``, which gives that
+        layer's share of the squared norm, ``<G, K G>``, and which
+        :meth:`compact_jvp` and :meth:`compact_dot` reuse.
+        """
+        s = np.empty(self.size)
+        views = _views(s, self.table)
+        terms = {}
+        sq = 0.0
+        for i, G, KG in self._cotangents(V, True):
+            if KG is None:
+                dW, db = views[i]
+                _param_block(G, self.inputs[i], dW, db)
+                sq += float(np.vdot(dW, dW)) + (0.0 if db is None else float(np.vdot(db, db)))
+            else:
+                views[i][...] = G
+                terms[i] = KG
+                sq += float(np.vdot(G, KG))
+        return s, sq, terms
+
+    def compact_jvp(self, s, terms):
+        """``J J^T V`` from the stand-in ``s`` and ``terms`` of ``compact_vjp(V)``.
+
+        ``s`` may be any stand-in whose Gram layers' ``K G`` are ``terms``.
+        """
+        return _push(self.layers, self.inputs, self.slopes, terms, _views(s, self.table))
+
+    def compact_expand(self, s):
+        """The parameter vector ``J^T V`` that the stand-in ``s`` stands for."""
+        if True not in self.route:  # s is laid out as J^T V and is J^T V
+            return s
+        out = np.empty(self.n_params)
+        pieces = zip(self.route, _views(s, self.table), _views(out, self.params_table), self.inputs)
+        for gram, piece, (dW, db), Z in pieces:
+            if gram:
+                _param_block(piece, Z, dW, db)
+                continue
+            dW[...] = piece[0]
+            if db is not None:
+                db[...] = piece[1]
+        return out
+
+    def compact_dot(self, a, b, terms):
+        """``<J^T A, J^T B>`` from the stand-ins ``a`` and ``b`` of ``J^T A`` and ``J^T B``.
+
+        ``terms`` are the Gram products ``K G`` of ``b``, as ``compact_vjp(B)``
+        returns them, so a Gram layer's share is ``<G_a, K G_b>``.
+        """
+        if True not in self.route:  # both are laid out as J^T A and J^T B
+            return float(np.vdot(a, b))
+        total = 0.0
+        pairs = zip(self.route, _views(a, self.table), _views(b, self.table))
+        for i, (gram, pa, pb) in enumerate(pairs):
+            if gram:
+                total += float(np.vdot(pa, terms[i]))
+                continue
+            total += float(np.vdot(pa[0], pb[0]))
+            if pa[1] is not None:
+                total += float(np.vdot(pa[1], pb[1]))
+        return total
+
+
 class MLPModel:
     """Fully connected network, SiLU between layers, affine output layer.
 
@@ -159,7 +304,7 @@ class MLPModel:
         self.out_dim = dims[-1]
         self._shapes = [(dims[i + 1], dims[i]) for i in range(len(dims) - 1)]
         self.n_params = sum(o * (i + self.bias) for o, i in self._shapes)
-        self._layouts = {None: ((False,) * len(self._shapes), self.n_params)}
+        self._layouts = {}
 
     def init_params(self, seed=0):
         """Uniform(-a, a) init per layer with ``a = 1/sqrt(fan_in)``, seeded."""
@@ -176,43 +321,41 @@ class MLPModel:
         """Per-layer views ``(W, b)`` into a flat parameter vector.
 
         Given a batch size ``m``, ``flat`` is a stand-in for ``J^T V`` instead
-        (see ``compact_vjp``), and each layer with ``m < fan_in`` is its
-        ``m x out`` cotangent ``G`` in place of the pair.
+        (see :meth:`Linearization.compact_vjp`), and each layer with
+        ``m < fan_in`` is its ``m x out`` cotangent ``G`` in place of the pair.
         """
         flat = np.asarray(flat, dtype=np.float64)
-        route, size = self._layout(m)
+        _, size, table = self._layout(m)
         if flat.shape != (size,):
             what = "parameter vector" if m is None else "stand-in"
             raise ValueError(f"expected flat {what} of length {size}, got shape {flat.shape}")
-        layers = []
-        pos = 0
-        for (out, fan_in), gram in zip(self._shapes, route):
-            if gram:
-                layers.append(flat[pos : pos + m * out].reshape(m, out))
-                pos += m * out
-                continue
-            W = flat[pos : pos + out * fan_in].reshape(out, fan_in)
-            pos += out * fan_in
-            b = flat[pos : pos + out] if self.bias else None
-            pos += out * self.bias
-            layers.append((W, b))
-        return layers
+        return _views(flat, table)
 
     def _layout(self, m):
-        """``(route, size)`` of a stand-in for ``J^T V`` at batch size ``m``.
+        """``(route, size, table)`` of a stand-in for ``J^T V`` at batch size ``m``.
 
         ``route`` says per layer whether it takes the Gram route, ``m < fan_in``:
         the one place that rule is written.  ``size`` is the stand-in's length
-        (see ``compact_vjp``).  Both are kept per batch size, since products
-        ask for them on every call; ``m=None`` is the parameter vector's layout.
+        (see :meth:`Linearization.compact_vjp`) and ``table`` its slice table
+        for :func:`_views`: per layer ``(gram, lo, mid, hi, shape)``, with the
+        block ``flat[lo:mid]`` of ``shape`` and, off the Gram route, the bias
+        ``flat[mid:hi]`` (``hi`` None without one).  All three are kept per
+        batch size; ``m=None`` is the parameter vector's layout.
         """
         if m not in self._layouts:
-            route = tuple(m < fan_in for _, fan_in in self._shapes)
-            size = sum(
-                m * out if gram else out * (fan_in + self.bias)
-                for (out, fan_in), gram in zip(self._shapes, route)
-            )
-            self._layouts[m] = route, size
+            route = tuple(m is not None and m < fan_in for _, fan_in in self._shapes)
+            table = []
+            pos = 0
+            for (out, fan_in), gram in zip(self._shapes, route):
+                if gram:
+                    table.append((True, pos, pos + m * out, None, (m, out)))
+                    pos += m * out
+                    continue
+                mid = pos + out * fan_in
+                hi = mid + out if self.bias else None
+                table.append((False, pos, mid, hi, (out, fan_in)))
+                pos = mid + out * self.bias
+            self._layouts[m] = route, pos, table
         return self._layouts[m]
 
     def forward(self, params, X):
@@ -225,13 +368,14 @@ class MLPModel:
         return out
 
     def forward_trace(self, params, X, *, slopes=True):
-        """Forward pass returning the output and the layer trace used by jvp/vjp.
+        """Forward pass returning the output and the :class:`Linearization` at ``params``.
 
-        The trace stores, per layer, the layer input and (for hidden layers)
-        the SiLU derivative at the pre-activation, so repeated Jacobian
-        products at a fixed point redo neither the forward pass nor the sigmoid.
-        With ``slopes=False`` the pass skips the derivatives, keeps no layer
-        inputs and returns None for the trace.
+        The linearization stores, per layer, the layer input and (for hidden
+        layers) the SiLU derivative at the pre-activation, so repeated
+        Jacobian products at a fixed point redo neither the forward pass nor
+        the sigmoid.  It views ``params``, which must not change while it is
+        in use.  With ``slopes=False`` the pass skips the derivatives, keeps
+        no layer inputs and returns None in its place.
         """
         layers = self._unpack(params)
         Z = np.asarray(X, dtype=np.float64)
@@ -245,133 +389,32 @@ class MLPModel:
                 Z += b
             if i < len(layers) - 1:
                 derivs.append(_silu(Z, slopes))
-        return Z, (inputs, derivs) if slopes else None
+        return Z, Linearization(self, layers, inputs, derivs) if slopes else None
 
-    def _cotangents(self, layers, trace, V, grams=None, lowest=0):
-        """Yield ``(i, G_i, K_i G_i)`` from the top layer down to ``lowest``.
-
-        ``G_i`` is the cotangent at layer ``i``'s output.  The Gram product is
-        None without ``grams``, a cache of each ``K`` by layer index, and on
-        layers with ``m >= fan_in``.
-        """
-        inputs, slopes = trace
-        route, _ = self._layout(inputs[0].shape[0])
-        G = np.asarray(V, dtype=np.float64)
-        for i in range(len(layers) - 1, lowest - 1, -1):
-            gram = grams is not None and route[i]
-            yield i, G, _gram(grams, i, inputs[i], self.bias) @ G if gram else None
-            if i > lowest:
-                G = G @ layers[i][0]
-                G *= slopes[i - 1]
-
-    def jvp(self, params, X, u, trace=None, cotangent=None, grams=None):
+    def jvp(self, params, X, u, trace=None, cotangent=None):
         """Directional derivative of ``forward`` along the parameter tangent ``u``.
 
-        With ``cotangent`` ``V`` such that ``u = vjp(params, X, V)``, layers
-        with more inputs than samples take their parameter term as ``K G``
-        (see the module docstring); ``grams`` caches each ``K`` by layer
-        index across calls at one trace.
+        ``trace`` is the :class:`Linearization` of ``forward_trace(params,
+        X)``, built here if None; ``u`` is a parameter vector.  With
+        ``cotangent`` ``V`` such that ``u = vjp(params, X, V)``, layers with
+        more inputs than samples take their parameter term as ``K G`` (see
+        the module docstring), from Gram matrices the linearization keeps.
         """
-        layers = self._unpack(params)
         if trace is None:
             _, trace = self.forward_trace(params, X)
-        inputs, slopes = trace
-        m = inputs[0].shape[0]
-        gram = [cotangent is not None and g for g in self._layout(m)[0]]
-        terms = {}
-        if any(gram):
-            grams = {} if grams is None else grams
-            rows = self._cotangents(layers, trace, cotangent, grams, gram.index(True))
-            terms = {i: KG for i, _, KG in rows if KG is not None}
-        return _push(layers, inputs, slopes, terms, self._unpack(u))
+        if cotangent is not None:
+            cotangent = np.asarray(cotangent, dtype=np.float64)
+        return trace.jvp(np.asarray(u, dtype=np.float64), cotangent)
 
     def vjp(self, params, X, V, trace=None):
-        layers = self._unpack(params)
+        """``J^T V``: the output cotangent ``V`` pulled back to a parameter vector."""
         if trace is None:
             _, trace = self.forward_trace(params, X)
-        inputs, _ = trace
-        out = np.empty(self.n_params)
-        grads = self._unpack(out)
-        for i, G, _ in self._cotangents(layers, trace, V):
-            _param_block(G, inputs[i], *grads[i])
-        return out
+        return trace.vjp(np.asarray(V, dtype=np.float64))
 
     def compact_size(self, m):
         """Length of the stand-in for ``J^T V`` at batch size ``m`` (see ``compact_vjp``)."""
         return self._layout(m)[1]
-
-    def compact_vjp(self, params, V, trace, grams):
-        """Backpropagate ``V`` to a stand-in ``s`` for ``J^T V``.
-
-        Returns ``(s, ||J^T V||^2, terms)``.  ``s`` is a fresh flat array of
-        length ``compact_size(m)``: the cotangent ``G`` at the output of each
-        layer with ``m < fan_in``, and the layer's ``(dW, db)`` share of
-        ``J^T V`` on the others.  ``terms`` maps each Gram layer to ``K G``,
-        which gives that layer's share of the squared norm, ``<G, K G>``, and
-        which ``compact_jvp`` and ``compact_dot`` reuse; ``grams`` caches each
-        ``K``.
-        """
-        inputs, _ = trace
-        m = inputs[0].shape[0]
-        s = np.empty(self.compact_size(m))
-        views = self._unpack(s, m)
-        terms = {}
-        sq = 0.0
-        for i, G, KG in self._cotangents(self._unpack(params), trace, V, grams):
-            if KG is None:
-                dW, db = views[i]
-                _param_block(G, inputs[i], dW, db)
-                sq += float(np.vdot(dW, dW)) + (0.0 if db is None else float(np.vdot(db, db)))
-            else:
-                views[i][...] = G
-                terms[i] = KG
-                sq += float(np.vdot(G, KG))
-        return s, sq, terms
-
-    def compact_jvp(self, params, s, terms, trace):
-        """``J J^T V`` from the stand-in ``s`` and ``terms`` of ``compact_vjp(V)``.
-
-        ``s`` may be any stand-in whose Gram layers' ``K G`` are ``terms``.
-        """
-        inputs, slopes = trace
-        views = self._unpack(s, inputs[0].shape[0])
-        return _push(self._unpack(params), inputs, slopes, terms, views)
-
-    def compact_expand(self, params, s, trace):
-        """The parameter vector ``J^T V`` that the stand-in ``s`` stands for."""
-        inputs, _ = trace
-        m = inputs[0].shape[0]
-        if not any(self._layout(m)[0]):  # s is laid out as J^T V and is J^T V
-            return s
-        views = self._unpack(s, m)
-        out = np.empty(self.n_params)
-        for piece, (dW, db), Z in zip(views, self._unpack(out), inputs):
-            if isinstance(piece, tuple):
-                dW[...] = piece[0]
-                if db is not None:
-                    db[...] = piece[1]
-            else:
-                _param_block(piece, Z, dW, db)
-        return out
-
-    def compact_dot(self, params, a, b, terms, trace):
-        """``<J^T A, J^T B>`` from the stand-ins ``a`` and ``b`` of ``J^T A`` and ``J^T B``.
-
-        ``terms`` are the Gram products ``K G`` of ``b``, as ``compact_vjp(B)``
-        returns them, so a Gram layer's share is ``<G_a, K G_b>``.
-        """
-        m = trace[0][0].shape[0]
-        if not any(self._layout(m)[0]):  # both are laid out as J^T A and J^T B
-            return float(np.vdot(a, b))
-        total = 0.0
-        for i, (pa, pb) in enumerate(zip(self._unpack(a, m), self._unpack(b, m))):
-            if not isinstance(pa, tuple):
-                total += float(np.vdot(pa, terms[i]))
-                continue
-            total += float(np.vdot(pa[0], pb[0]))
-            if pa[1] is not None:
-                total += float(np.vdot(pa[1], pb[1]))
-        return total
 
 
 class LinearModel(MLPModel):

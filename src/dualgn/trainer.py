@@ -52,7 +52,7 @@ from .directions import (
 )
 from .exceptions import NumericError
 from .linop import make_jacobian_operator
-from .losses import LOSS_KINDS, LossOracle, loss_value
+from .losses import LOSS_KINDS, LossOracle, loss_eval, loss_value
 from .models import make_model
 
 __all__ = [
@@ -148,6 +148,12 @@ class TrainConfig:
         if self.l2 > 0:
             return Regularizer("l2", self.l2)
         return None
+
+    def subproblem(self):
+        """The step's :class:`SubproblemSpec` (gamma 1 under ``armijo_spl``)
+        and :meth:`regularizer`, which a run builds once."""
+        gamma = 1.0 if self.method == "armijo_spl" else self.gamma
+        return SubproblemSpec(gamma=gamma, tau=self.tau, path=self.path), self.regularizer()
 
 
 @dataclass
@@ -287,37 +293,42 @@ def outer_update(rule, state, w, d, eta, config, out=None):
 _QUIET = dict(over="ignore", invalid="ignore")
 
 
+def _mean(values):
+    # what np.mean computes, without its per-call overhead
+    return float(values.sum() / values.size)
+
+
 @np.errstate(**_QUIET)
-def _batch_step(model, w, Xb, Yb, config, state, work=None):
+def _batch_step(model, w, Xb, Yb, config, state, subproblem, work=None):
     """One minibatch update; returns ``(w_new, record, failure)``.
 
     ``record`` is the step's :class:`RunRecord`.  ``failure`` is None, or the
     message of a non-finite batch loss or a failed direction solve; ``w`` is
-    then returned unchanged and the record has eta 0.  ``work`` is the primal
-    route's CG workspace (see :func:`dualgn.directions.primal_gn_direction`).
+    then returned unchanged and the record has eta 0.  ``subproblem`` is
+    :meth:`TrainConfig.subproblem`, and ``work`` the primal route's CG
+    workspace (see :func:`dualgn.directions.primal_gn_direction`).  The loss
+    at the batch outputs is evaluated once, for the batch loss, the gradient
+    and the softmax alike.
     """
+    spec, reg = subproblem
     oracle = LossOracle(config.loss, Yb)
     opr = make_jacobian_operator(model, w, Xb)
     f = opr.outputs
-    rec = RunRecord(
-        batch_loss=float(np.mean(loss_value(oracle, f))),
-        gamma=1.0 if config.method == "armijo_spl" else config.gamma,
-    )
+    at = loss_eval(oracle, f)
+    rec = RunRecord(batch_loss=_mean(at[0]), gamma=spec.gamma)
     try:
         if not np.isfinite(rec.batch_loss):
             raise NumericError("non-finite batch loss")
         if config.direction == "gradient":
-            d = batch_gradient(opr, oracle, f)
+            d = batch_gradient(opr, oracle, f, at)
             rec.descent_ip = float(np.vdot(d, d))
         else:
-            spec = SubproblemSpec(gamma=rec.gamma, tau=config.tau, path=config.path)
-            reg = config.regularizer()
             if config.path == "primal":
-                res = primal_gn_direction(opr, oracle, f, spec, work=work)
+                res = primal_gn_direction(opr, oracle, f, spec, work=work, at=at)
             elif reg is not None:
-                res = regularized_dual_direction(opr, oracle, f, spec, w, reg)
+                res = regularized_dual_direction(opr, oracle, f, spec, w, reg, at=at)
             else:
-                res = dual_gn_direction(opr, oracle, f, spec)
+                res = dual_gn_direction(opr, oracle, f, spec, at=at)
             d, rec.descent_ip = res.d, res.descent_inner_product
             rec.inner_iters = res.report.iterations
     except NumericError as exc:
@@ -331,7 +342,7 @@ def _batch_step(model, w, Xb, Yb, config, state, work=None):
         if config.direction == "gradient":
             d = rec.gamma * d
     elif config.method == "armijo_spl":
-        h_eval = lambda v: float(np.mean(loss_value(oracle, model.forward(v, Xb))))
+        h_eval = lambda v: _mean(loss_value(oracle, model.forward(v, Xb)))
         rec.eta, _ = _armijo_backtrack(
             h_eval,
             w,
@@ -352,7 +363,9 @@ def _single_step(w, batch, config, model):
     Xb, Yb = (np.asarray(b, dtype=np.float64) for b in batch)
     if model is None:
         model = make_model(config.model, Xb.shape[1], Yb.shape[1])
-    w_new, rec, failure = _batch_step(model, w, Xb, Yb, config, OptimizerState())
+    w_new, rec, failure = _batch_step(
+        model, w, Xb, Yb, config, OptimizerState(), config.subproblem()
+    )
     if failure is not None:
         raise NumericError(failure)
     return w_new, rec
@@ -388,23 +401,27 @@ def armijo_spl_step(w, batch, config, model=None):
 METRICS_CHUNK = 32768
 
 
-def _full_metrics(model, w, X, Y, loss_kind):
+def _full_metrics(model, w, X, Y, loss_kind, oracle=None, labels=None):
     """Mean loss and accuracy of ``model`` at ``w`` on the whole dataset.
 
     The forward pass runs on chunks of ``max(1, METRICS_CHUNK // widest
     layer)`` rows into one n x k output block; the per-sample losses and hits
-    are then n-length arrays with one ``np.mean`` each, as in one pass.
+    are then n-length arrays with one mean each, as in one pass.  ``oracle``
+    (the loss bound to ``Y``) and ``labels`` (``argmax(Y, axis=1)``) are the
+    same at every epoch, so :func:`train` builds them once; None builds them
+    here.
     """
     X = np.asarray(X, dtype=np.float64)
+    if oracle is None:
+        oracle = LossOracle(loss_kind, Y)
+        labels = np.argmax(oracle.y, axis=1)
     rows = max(1, METRICS_CHUNK // max(model.dims[1:]))
     f = np.empty((X.shape[0], model.out_dim))
-    oracle = LossOracle(loss_kind, Y)
     with np.errstate(**_QUIET):  # train() reports a non-finite loss
         for lo in range(0, X.shape[0], rows):
             f[lo : lo + rows] = model.forward(w, X[lo : lo + rows])
-        mean_loss = float(np.mean(loss_value(oracle, f)))
-    acc = float(np.mean(np.argmax(f, axis=1) == np.argmax(Y, axis=1)))
-    return mean_loss, acc
+        mean_loss = _mean(loss_value(oracle, f))
+    return mean_loss, _mean(np.argmax(f, axis=1) == labels)
 
 
 def train(config, dataset, on_record=None):
@@ -420,7 +437,9 @@ def train(config, dataset, on_record=None):
     then ``aborted`` and ``abort_reason`` names the failure and the step.
 
     On the primal route one CG workspace serves every step, so that a
-    steady-state step allocates no solver state of its own.
+    steady-state step allocates no solver state of its own.  The subproblem
+    spec and penalty, and the full-dataset loss oracle and labels of the
+    end-of-epoch metrics, are built once per run.
     """
     if not isinstance(dataset, Dataset):
         dataset = Dataset(dataset[0], dataset[1])
@@ -440,18 +459,23 @@ def train(config, dataset, on_record=None):
     if config.direction == "proxlinear" and config.path == "primal":
         work = cg_workspace((model.n_params,))
 
+    subproblem = config.subproblem()
+    oracle = LossOracle(config.loss, Y)
+    labels = np.argmax(Y, axis=1)
     records = []
     abort_reason = None
-    train_loss, train_acc = _full_metrics(model, w, X, Y, config.loss)
+    train_loss, train_acc = _full_metrics(model, w, X, Y, config.loss, oracle, labels)
 
     for epoch in range(config.epochs):
         perm = shuffle_rng.permutation(n)
         for start in range(0, n, config.batch_size):
             t0 = time.perf_counter()
             idx = perm[start : start + config.batch_size]
-            w, rec, failure = _batch_step(model, w, X[idx], Y[idx], config, state, work)
+            w, rec, failure = _batch_step(
+                model, w, X[idx], Y[idx], config, state, subproblem, work
+            )
             if failure is None and start + config.batch_size >= n:
-                train_loss, train_acc = _full_metrics(model, w, X, Y, config.loss)
+                train_loss, train_acc = _full_metrics(model, w, X, Y, config.loss, oracle, labels)
                 if not np.isfinite(train_loss):
                     failure = "non-finite train loss"
             rec.step, rec.epoch = len(records), epoch

@@ -16,7 +16,7 @@ from .directions import (
     primal_gn_direction,
 )
 from .linop import adjoint_dot_test, finite_diff_jvp, make_jacobian_operator
-from .losses import LOSS_KINDS, LossOracle, loss_grad, softmax
+from .losses import LOSS_KINDS, LossOracle
 from .models import make_model
 
 __all__ = ["SUITES", "run_suite"]

@@ -404,6 +404,21 @@ def test_verify_descent_checks_the_direction_not_its_report(monkeypatch, capsys)
     assert "min normalized descent inner product" in capsys.readouterr().out
 
 
+def test_verify_seed_out_of_range_is_usage_error(recwarn, capsys):
+    # 2**64 - 2 and up overflowed a numpy integer (2**64 - 1 with a warning
+    # first); a negative seed reached numpy's key check
+    for seed in (-1, 2**63, 2**64 - 2, 2**64 - 1):
+        assert main(["verify", "adjoint", "--seed", str(seed)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"usage error: seed must be a nonnegative integer below 2**63, got {seed}\n"
+        )
+        assert captured.out == ""
+    assert len(recwarn) == 0
+    assert main(["verify", "adjoint", "--seed", str(2**63 - 1)]) == 0
+    capsys.readouterr()
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     assert main([]) == 1
     capsys.readouterr()

@@ -679,6 +679,39 @@ def test_dual_direction_is_nonzero_and_descends_at_gamma_1e10():
     assert np.any(res.d) and res.descent_inner_product > 0
 
 
+def _float64_cg_ascent_case(path):
+    # mlp:4,2 on four logistic samples at gamma=1e4, tau=8: the logistic
+    # system has rank m(k-1) = 8, so tau=8 is where CG would have converged in
+    # exact arithmetic; in float64 the dual CG has lost orthogonality by then
+    rng = np.random.Generator(np.random.Philox(key=[3, 5]))
+    X = 10.0 * rng.standard_normal((4, 2))
+    loss = LossOracle("logistic", np.eye(3)[rng.integers(3, size=4)])
+    model = make_model("mlp:4,2", 2, 3)
+    opr = make_jacobian_operator(model, model.init_params(3), X)
+    fn = dual_gn_direction if path == "dual" else primal_gn_direction
+    res = fn(opr, loss, opr.outputs, SubproblemSpec(gamma=1e4, tau=8, path=path))
+    grad = batch_gradient(make_jacobian_operator(model, model.init_params(3), X), loss, opr.outputs)
+    return res, float(np.vdot(res.d, grad))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect: float64 CG loses orthogonality on the dual route, which "
+    "returns <d, grad> = -807.55 at tau=8 here",
+)
+def test_dual_direction_descends_where_float64_cg_loses_orthogonality():
+    _, dg = _float64_cg_ascent_case("dual")
+    assert dg >= 0
+
+
+def test_primal_direction_descends_where_the_dual_cg_loses_orthogonality():
+    # the primal's descent is the CG prefix property <d, J^T g> >= 0, with
+    # nothing subtracted, and holds on the same instance
+    res, dg = _float64_cg_ascent_case("primal")
+    assert dg == pytest.approx(9.2755, rel=1e-4)
+    assert res.descent_inner_product == pytest.approx(dg, rel=1e-12)
+
+
 def test_dual_route_raises_when_alpha_is_below_the_round_off_of_g():
     for gamma in (1e9, 1e10, 1e12):
         with pytest.raises(NumericError, match="round-off of g"):

@@ -139,13 +139,14 @@ def test_gram_matrices_are_built_once_and_only_where_m_is_below_fan_in():
     model, w, X = _instance("mlp:6,3", 8, 2, 4, 12)
     V = np.random.Generator(np.random.Philox(key=120)).standard_normal((4, 2))
     u = model.vjp(w, X, V)
-    grams = {}
-    model.jvp(w, X, u, grams=grams)
+    _, trace = model.forward_trace(w, X)
+    grams = trace.grams
+    model.jvp(w, X, u, trace=trace)
     assert grams == {}
-    first = model.jvp(w, X, u, cotangent=V, grams=grams)
+    first = model.jvp(w, X, u, trace=trace, cotangent=V)
     assert sorted(grams) == [0, 1]
     kept = dict(grams)
-    assert np.array_equal(model.jvp(w, X, u, cotangent=V, grams=grams), first)
+    assert np.array_equal(model.jvp(w, X, u, trace=trace, cotangent=V), first)
     assert all(grams[i] is kept[i] for i in kept)
     Z = np.c_[X, np.ones(4)]
     assert_allclose(grams[0], Z @ Z.T, rtol=1e-12, atol=1e-12)

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dualgn import LinearModel, MLPModel, make_jacobian_operator, make_model
-from dualgn.models import sigmoid
+from dualgn.models import EXP_LIMIT, _silu, sigmoid
 
 
 def test_sigmoid_stable_at_extremes():
@@ -18,11 +18,14 @@ def test_sigmoid_stable_at_extremes():
 
 
 def _two_branch_sigmoid(z):
+    # the textbook form, except below -EXP_LIMIT: there exp(z) is subnormal or
+    # 0, and the sigmoid is 0
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
+    out[z < -EXP_LIMIT] = 0.0
     return out
 
 
@@ -56,6 +59,29 @@ def test_sigmoid_of_a_0d_input_and_of_negative_zero():
     got = sigmoid(block)
     assert np.array_equal(got.view(np.uint64), _two_branch_sigmoid(block).view(np.uint64))
     assert got[0, 0] == 0.5 and not np.signbit(got[0, 0])
+
+
+def _subnormal(a):
+    a = np.abs(a)
+    return (a > 0) & (a < np.finfo(np.float64).tiny)
+
+
+def test_sigmoid_and_silu_make_no_subnormals_below_the_exp_limit():
+    # exp(z) is subnormal for z in (-745.1, -708.4), and both libm and numpy's
+    # SIMD exp are tens of times slower there
+    rng = np.random.Generator(np.random.Philox(key=19))
+    z = np.concatenate([rng.uniform(-745.0, -708.0, 4096), [-np.nextafter(708.0, 709.0), -708.5, -744.9]])
+    with np.errstate(over="raise", invalid="raise", divide="raise", under="raise"):
+        s = sigmoid(z)
+        A = z.copy()
+        slope = _silu(A, True)
+    for out in (s, A, slope):
+        assert np.isfinite(out).all() and not _subnormal(out).any()
+    assert (s == 0.0).all() and (A == 0.0).all() and (slope == 0.0).all()
+    # at and above -EXP_LIMIT it is the textbook value, bit for bit
+    edge = np.array([-708.0, -707.5, 708.0, 709.0])
+    assert np.array_equal(sigmoid(edge)[:3], _two_branch_sigmoid(edge)[:3])
+    assert sigmoid(edge)[3] == 1.0
 
 
 def test_linear_forward_identity_weights():
@@ -188,7 +214,8 @@ def test_vjp_returns_a_fresh_parameter_vector():
     rng = np.random.Generator(np.random.Philox(key=13))
     w = model.init_params(13)
     X = rng.standard_normal((6, 3))
-    _, (inputs, slopes) = model.forward_trace(w, X)
+    _, trace = model.forward_trace(w, X)
+    inputs, slopes = trace.inputs, trace.slopes
     V1, V2 = rng.standard_normal((2, 6, 2))
     g1 = model.vjp(w, X, V1)
     kept = g1.copy()
@@ -217,7 +244,8 @@ def _traced(dims, m, seed):
 def test_forward_trace_slopes_match_the_textbook_form():
     # the forward pass works in place; its arithmetic must not move a bit
     model, w, X, _ = _traced([6, 16, 8, 3], 32, 19)
-    out, (inputs, slopes) = model.forward_trace(w, X)
+    out, trace = model.forward_trace(w, X)
+    inputs, slopes = trace.inputs, trace.slopes
     Z = X
     for i, (W, b) in enumerate(model._unpack(w)):
         assert np.array_equal(inputs[i], Z)
@@ -236,7 +264,8 @@ def test_trace_arrays_alias_nothing():
     for dims in ([5, 7, 6, 3], [5, 3]):
         model, w, X, _ = _traced(dims, 4, 23)
         kept = X.copy()
-        out, (inputs, slopes) = model.forward_trace(w, X)
+        out, trace = model.forward_trace(w, X)
+        inputs, slopes = trace.inputs, trace.slopes
         assert np.array_equal(X, kept) and inputs[0] is X
         arrays = inputs + slopes + [out]
         for i, a in enumerate(arrays):
@@ -251,22 +280,21 @@ def test_products_leave_the_trace_and_their_terms_unchanged():
     for dims, m in (([5, 7, 6, 3], 4), ([5, 7, 6, 3], 6), ([5, 3], 4), ([5, 3], 6)):
         model, w, X, rng = _traced(dims, m, 29)
         out, trace = model.forward_trace(w, X)
-        kept = [a.copy() for a in [out, *trace[0], *trace[1]]]
+        kept = [a.copy() for a in [out, *trace.inputs, *trace.slopes]]
         V, B = rng.standard_normal((2, m, dims[-1]))
         u = model.vjp(w, X, V, trace=trace)
         model.jvp(w, X, u, trace=trace)
         model.jvp(w, X, u, trace=trace, cotangent=V)
-        grams = {}
-        s, _, terms = model.compact_vjp(w, V, trace, grams)
-        sb, _, bterms = model.compact_vjp(w, B, trace, grams)
+        s, _, terms = trace.compact_vjp(V)
+        sb, _, bterms = trace.compact_vjp(B)
         held = {i: KG.copy() for i, KG in terms.items()}
-        first = model.compact_jvp(w, s, terms, trace).copy()
-        assert np.array_equal(model.compact_jvp(w, s, terms, trace), first)
+        first = trace.compact_jvp(s, terms).copy()
+        assert np.array_equal(trace.compact_jvp(s, terms), first)
         assert terms.keys() == held.keys()
         assert all(np.array_equal(terms[i], held[i]) for i in held)
-        model.compact_expand(w, s, trace)
-        model.compact_dot(w, s, sb, bterms, trace)
-        for a, b in zip([out, *trace[0], *trace[1]], kept):
+        trace.compact_expand(s)
+        trace.compact_dot(s, sb, bterms)
+        for a, b in zip([out, *trace.inputs, *trace.slopes], kept):
             assert np.array_equal(a, b)
 
 
@@ -280,13 +308,13 @@ def test_stand_ins_are_parameter_vectors_exactly_when_no_layer_is_on_the_gram_ro
         gram = any(m < fan_in for fan_in in dims[:-1])
         _, trace = model.forward_trace(w, X)
         A, B = rng.standard_normal((2, m, dims[-1]))
-        sa, _, _ = model.compact_vjp(w, A, trace, {})
-        sb, _, bterms = model.compact_vjp(w, B, trace, {})
+        sa, _, _ = trace.compact_vjp(A)
+        sb, _, bterms = trace.compact_vjp(B)
         assert (sa.size < model.n_params) == gram
-        ua, ub = model.compact_expand(w, sa, trace), model.compact_expand(w, sb, trace)
+        ua, ub = trace.compact_expand(sa), trace.compact_expand(sb)
         assert (ua is sa) == (ub is sb) == (not gram)
         assert_allclose(ua, model.vjp(w, X, A), rtol=1e-13, atol=1e-13)
-        dot = model.compact_dot(w, sa, sb, bterms, trace)
+        dot = trace.compact_dot(sa, sb, bterms)
         if gram:
             # a Gram layer's share is <G_a, K G_b>, another rounding of the same sum
             assert dot == pytest.approx(float(np.vdot(ua, ub)), rel=1e-12)
