@@ -6,9 +6,21 @@ layer.  ``LinearModel`` is its single layer without a bias, the multiclass
 linear predictor ``f(x) = W x``.
 
 Each model exposes ``n_params``, ``init_params(seed)``, ``forward(params, X)``
-(outputs only), ``forward_trace(params, X)`` (outputs and a trace), and
-Jacobian products ``jvp`` / ``vjp`` with respect to the flat parameter vector,
-which reuse that trace.  All arithmetic is float64.
+(outputs only), ``forward_trace(params, X)`` (outputs and a
+:class:`Linearization`), and Jacobian products ``jvp`` / ``vjp`` with respect
+to the flat parameter vector, which reuse that linearization.  All arithmetic
+is float64.
+
+The linearization is the per-step state of every product at one point and
+batch: the per-layer views ``(W, b)`` into the parameter vector, the trace of
+layer inputs and SiLU slopes, the batch size's Gram route (below) with the
+slice tables of a stand-in and a parameter vector, and the Gram matrices
+built so far.  The route and slice tables depend only on the batch size, so
+the model keeps them per batch size (``_layout``); everything else belongs to
+the linearization, which the caller holds for as long as it makes products,
+a :class:`~dualgn.linop.JacobianOperator` for one training step.  So no
+product re-slices the parameters or re-derives a layout, and the model keeps
+nothing of a step.
 
 The layer arithmetic runs in place, in the order of the textbook formulas, so
 the results are theirs bit for bit.  A traced hidden layer allocates four
@@ -32,7 +44,8 @@ bias): ``m^2 out`` multiply-adds in place of ``m fan_in out``.  Layers with
 ``m < fan_in`` take that route, where ``K`` is also smaller than the layer
 input the trace already holds; the others keep the plain product.
 
-The same split gives a compact stand-in for ``J^T V`` (``compact_vjp``): a
+The same split gives a compact stand-in for ``J^T V``
+(:meth:`Linearization.compact_vjp`): a
 flat array holding ``G`` on Gram layers and ``(dW, db)`` on the others, never
 longer than ``n_params`` and linear in ``V``.  One backward pass yields it
 together with ``||J^T V||^2`` (``<G, K G>`` on Gram layers) and the products
@@ -40,6 +53,10 @@ together with ``||J^T V||^2`` (``<G, K G>`` on Gram layers) and the products
 ``compact_expand`` assembles a stand-in, or a linear combination of
 stand-ins, into the parameter vector ``J^T V``, and ``compact_dot`` takes
 ``<J^T A, J^T V>`` from two stand-ins and the ``K G`` of ``V``.
+
+The sigmoid clamps its exponent (see ``EXP_LIMIT``), so no SiLU layer makes
+a subnormal, which ``exp`` makes tens of times more slowly than a normal
+number.
 
 Parameter flattening convention: layer by layer, each layer's weight matrix
 (row-major) followed by its bias vector.  The linear model has no bias.
