@@ -197,11 +197,10 @@ class Linearization:
 
     def __init__(self, model, layers, inputs, slopes):
         self.layers, self.inputs, self.slopes = layers, inputs, slopes
-        self.m = inputs[0].shape[0]
         self.bias = model.bias
         self.n_params = model.n_params
         self.params_table = model._layout(None)[2]
-        self.route, self.size, self.table = model._layout(self.m)
+        self.route, self.size, self.table = model._layout(inputs[0].shape[0])
         self.grams = {}
 
     def _cotangents(self, V, gram=False, lowest=0):
@@ -334,19 +333,14 @@ class MLPModel:
                 chunks.append(rng.uniform(-a, a, size=out))
         return np.concatenate(chunks)
 
-    def _unpack(self, flat, m=None):
-        """Per-layer views ``(W, b)`` into a flat parameter vector.
-
-        Given a batch size ``m``, ``flat`` is a stand-in for ``J^T V`` instead
-        (see :meth:`Linearization.compact_vjp`), and each layer with
-        ``m < fan_in`` is its ``m x out`` cotangent ``G`` in place of the pair.
-        """
-        flat = np.asarray(flat, dtype=np.float64)
-        _, size, table = self._layout(m)
-        if flat.shape != (size,):
-            what = "parameter vector" if m is None else "stand-in"
-            raise ValueError(f"expected flat {what} of length {size}, got shape {flat.shape}")
-        return _views(flat, table)
+    def _unpack(self, params):
+        """Per-layer views ``(W, b)`` into a flat parameter vector, checked."""
+        params = np.asarray(params, dtype=np.float64)
+        if params.shape != (self.n_params,):
+            raise ValueError(
+                f"expected flat parameter vector of length {self.n_params}, got shape {params.shape}"
+            )
+        return _views(params, self._layout(None)[2])
 
     def _layout(self, m):
         """``(route, size, table)`` of a stand-in for ``J^T V`` at batch size ``m``.
@@ -428,10 +422,6 @@ class MLPModel:
         if trace is None:
             _, trace = self.forward_trace(params, X)
         return trace.vjp(np.asarray(V, dtype=np.float64))
-
-    def compact_size(self, m):
-        """Length of the stand-in for ``J^T V`` at batch size ``m`` (see ``compact_vjp``)."""
-        return self._layout(m)[1]
 
 
 class LinearModel(MLPModel):

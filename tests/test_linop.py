@@ -177,7 +177,7 @@ def test_compact_products_match_the_parameter_space_products(name, relation, dat
     u = opr.vjp(V)
     s, sq, terms = opr.compact_vjp(V)
     assert (opr.jvp_calls, opr.vjp_calls) == (0, 2)
-    assert s.size == model.compact_size(X.shape[0]) <= model.n_params
+    assert s.size == opr.lin.size <= model.n_params
     assert_allclose(opr.compact_expand(s), u, rtol=1e-13, atol=1e-13 * np.linalg.norm(u))
     if s.size == model.n_params:  # no layer on the Gram route: s is laid out as J^T V
         assert np.array_equal(s, u) and opr.compact_expand(s) is s
