@@ -54,9 +54,9 @@ together with ``||J^T V||^2`` (``<G, K G>`` on Gram layers) and the products
 stand-ins, into the parameter vector ``J^T V``, and ``compact_dot`` takes
 ``<J^T A, J^T V>`` from two stand-ins and the ``K G`` of ``V``.
 
-The sigmoid clamps its exponent (see ``EXP_LIMIT``), so no SiLU layer makes
-a subnormal, which ``exp`` makes tens of times more slowly than a normal
-number.
+The sigmoid sends exponents below ``-EXP_LIMIT`` to -inf, so no SiLU layer
+makes a subnormal, which ``exp`` makes tens of times more slowly than a
+normal number.
 
 Parameter flattening convention: layer by layer, each layer's weight matrix
 (row-major) followed by its bias vector.  The linear model has no bias.
@@ -413,9 +413,12 @@ class MLPModel:
         """
         if trace is None:
             _, trace = self.forward_trace(params, X)
+        u = np.asarray(u, dtype=np.float64)
+        if u.shape != (self.n_params,):
+            raise ValueError(f"expected flat tangent of length {self.n_params}, got shape {u.shape}")
         if cotangent is not None:
             cotangent = np.asarray(cotangent, dtype=np.float64)
-        return trace.jvp(np.asarray(u, dtype=np.float64), cotangent)
+        return trace.jvp(u, cotangent)
 
     def vjp(self, params, X, V, trace=None):
         """``J^T V``: the output cotangent ``V`` pulled back to a parameter vector."""
