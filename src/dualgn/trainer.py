@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cgsolver import _finite, _integer, cg_workspace
+from .cgsolver import _finite, _integer, _seed_range, cg_workspace
 from .data import Dataset
 from .directions import (
     Regularizer,
@@ -114,11 +114,7 @@ class TrainConfig:
         _finite("eta", self.eta)
         self.batch_size = _integer("batch_size", self.batch_size, low=1)
         self.epochs = _integer("epochs", self.epochs)
-        self.seed = _integer("seed", self.seed)
-        if self.seed >= 2**63:
-            raise ValueError(
-                f"seed must be a nonnegative integer below 2**63, got {self.seed}"
-            )
+        self.seed = _seed_range(_integer("seed", self.seed))
         _finite("l1", self.l1, positive=False)
         _finite("l2", self.l2, positive=False)
         if self.l1 > 0 and self.l2 > 0:
@@ -414,6 +410,7 @@ def _full_metrics(model, w, X, Y, loss_kind, oracle=None, labels=None):
     X = np.asarray(X, dtype=np.float64)
     if oracle is None:
         oracle = LossOracle(loss_kind, Y)
+    if labels is None:
         labels = np.argmax(oracle.y, axis=1)
     rows = max(1, METRICS_CHUNK // max(model.dims[1:]))
     f = np.empty((X.shape[0], model.out_dim))

@@ -8,7 +8,7 @@ dedicated exit code.
 
 import numpy as np
 
-from .cgsolver import projected_cg_solve
+from .cgsolver import _seed_range, projected_cg_solve
 from .directions import (
     SubproblemSpec,
     batch_gradient,
@@ -228,7 +228,11 @@ SUITES = {
 
 
 def run_suite(name, seed=0):
-    """Run one suite (or 'all'); returns (ok, lines)."""
+    """Run one suite (or 'all'); returns (ok, lines).
+
+    Raises ValueError on an unknown suite or a seed outside [0, 2**63).
+    """
+    _seed_range(seed)
     if name == "all":
         ok = True
         lines = []

@@ -10,6 +10,7 @@ import pytest
 import dualgn
 from dualgn import cli
 from dualgn.cli import CSV_FIELDS, main
+from dualgn.verify import run_suite
 
 HEADER = "step,epoch,wall_ms,batch_loss,train_loss,train_acc,eta,gamma,inner_iters,jvp_calls,vjp_calls,descent_ip"
 
@@ -416,6 +417,9 @@ def test_verify_seed_out_of_range_is_usage_error(recwarn, capsys):
         assert captured.out == ""
     assert len(recwarn) == 0
     assert main(["verify", "adjoint", "--seed", str(2**63 - 1)]) == 0
+    # called from Python, the suite runner rejects the seed the same way
+    with pytest.raises(ValueError, match=r"below 2\*\*63, got 18446744073709551614"):
+        run_suite("adjoint", seed=2**64 - 2)
     capsys.readouterr()
 
 

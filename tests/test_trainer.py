@@ -537,6 +537,10 @@ def test_full_metrics_run_in_bounded_row_chunks(monkeypatch):
             assert got[1] == float(np.mean(np.argmax(f, 1) == np.argmax(ds.targets, 1)))
             # lists, as the benchmark's tests pass them
             assert _full_metrics(model, w, ds.inputs.tolist(), ds.targets.tolist(), kind) == got
+            # a run's oracle and labels, built once, alone or together
+            oracle, labels = LossOracle(kind, ds.targets), np.argmax(ds.targets, axis=1)
+            assert _full_metrics(model, w, ds.inputs, ds.targets, kind, oracle) == got
+            assert _full_metrics(model, w, ds.inputs, ds.targets, kind, oracle, labels) == got
     # a layer wider than the bound still makes progress, a row at a time
     model = make_model("mlp:40000", 2, 2)
     rows.clear()
