@@ -70,7 +70,8 @@ __all__ = ["LinearModel", "MLPModel", "make_model"]
 # exp of an argument below ln(DBL_MIN) ~ -708.4 returns a subnormal, on a path
 # of libm and numpy's SIMD exp that takes tens of times as long per element.
 # The sigmoid sends every exponent below -EXP_LIMIT to -inf instead, whose exp
-# is exactly 0.
+# is exactly 0.  On the benchmark workloads no pre-activation comes near the
+# limit (the lowest is about -7), so the guard is a single min-reduction there.
 EXP_LIMIT = 708.0
 
 
@@ -92,7 +93,9 @@ def sigmoid(z):
     z = np.asarray(z, dtype=np.float64)
     e = np.abs(z, out=np.empty_like(z))  # an array even for a 0-d z, so it is updated in place
     np.negative(e, out=e)
-    np.copyto(e, -np.inf, where=np.less(e, -EXP_LIMIT))
+    # one reduction on the common path; a NaN takes the guard too, harmlessly
+    if not np.minimum.reduce(e, axis=None) >= -EXP_LIMIT:
+        np.copyto(e, -np.inf, where=np.less(e, -EXP_LIMIT))
     np.exp(e, out=e)
     s = np.greater_equal(z, 0.0, out=np.empty_like(z))
     np.maximum(s, e, out=s)

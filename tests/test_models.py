@@ -82,6 +82,10 @@ def test_sigmoid_and_silu_make_no_subnormals_below_the_exp_limit():
     edge = np.array([-708.0, -707.5, 708.0, 709.0])
     assert np.array_equal(sigmoid(edge)[:3], _two_branch_sigmoid(edge)[:3])
     assert sigmoid(edge)[3] == 1.0
+    # a NaN in the block does not hide the entries below the limit
+    mixed = sigmoid(np.array([[np.nan, -720.0], [-1.0, 2.0]]))
+    assert np.isnan(mixed[0, 0]) and mixed[0, 1] == 0.0
+    assert np.array_equal(mixed[1], _two_branch_sigmoid(np.array([-1.0, 2.0])))
 
 
 def test_linear_forward_identity_weights():
