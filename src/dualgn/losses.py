@@ -78,40 +78,35 @@ def softmax(f):
     return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
-def loss_value(loss, f):
-    """Loss value; scalar for a (k,) input, (m,) for a block."""
-    f = np.asarray(f, dtype=np.float64)
-    if loss.kind == "squared":
-        return 0.5 * np.add.reduce((f - loss.y) ** 2, axis=-1)
-    return logsumexp(f) - np.add.reduce(f * loss.y, axis=-1)
-
-
-def loss_grad(loss, f):
-    """Gradient in f: ``f - y`` (squared) or ``softmax(f) - y`` (logistic)."""
-    f = np.asarray(f, dtype=np.float64)
-    if loss.kind == "squared":
-        return f - loss.y
-    return softmax(f) - loss.y
-
-
 def loss_eval(loss, f):
     """``(values, grad, soft)`` at ``f`` from one pass over the block.
 
-    Bit for bit ``loss_value(loss, f)``, ``loss_grad(loss, f)`` and, for the
-    logistic loss, ``softmax(f)`` (None for the squared loss): the logistic
-    values, gradient and softmax share one max, ``exp`` and row sum, and the
-    squared ones the residual ``f - y``.
+    ``values`` is the loss (scalar for a (k,) input, (m,) for a block),
+    ``grad`` its gradient in ``f`` (``f - y`` or ``softmax(f) - y``), and
+    ``soft`` is ``softmax(f)`` for the logistic loss, bit for bit, and None
+    for the squared one.  The logistic pieces share one max, ``exp`` and row
+    sum, and the squared ones the residual ``f - y``.
     """
     f = np.asarray(f, dtype=np.float64)
     if loss.kind == "squared":
         r = f - loss.y
         return 0.5 * np.add.reduce(r**2, axis=-1), r, None
     fmax = np.maximum.reduce(f, axis=-1, keepdims=True)
-    e = np.exp(np.subtract(f, fmax))
+    e = np.exp(f - fmax)
     esum = np.add.reduce(e, axis=-1, keepdims=True)
     values = (fmax + np.log(esum))[..., 0] - np.add.reduce(f * loss.y, axis=-1)
     soft = np.divide(e, esum, out=e)
     return values, soft - loss.y, soft
+
+
+def loss_value(loss, f):
+    """Loss value; scalar for a (k,) input, (m,) for a block."""
+    return loss_eval(loss, f)[0]
+
+
+def loss_grad(loss, f):
+    """Gradient in f: ``f - y`` (squared) or ``softmax(f) - y`` (logistic)."""
+    return loss_eval(loss, f)[1]
 
 
 def loss_hvp(loss, f, v, soft=None):

@@ -11,7 +11,7 @@ from dualgn import (
     loss_value,
     softmax,
 )
-from dualgn.losses import logsumexp
+from dualgn.losses import loss_eval, logsumexp
 
 
 def test_squared_value_and_grad():
@@ -39,6 +39,24 @@ def test_logsumexp_softmax_consistency():
     F = rng.standard_normal((6, 4)) * 5
     assert_allclose(softmax(F).sum(axis=1), np.ones(6))
     assert_allclose(softmax(F), np.exp(F - logsumexp(F)[:, None]))
+
+
+def test_loss_eval_is_the_textbook_value_gradient_and_softmax_bit_for_bit():
+    rng = np.random.Generator(np.random.Philox(key=4))
+    F = rng.standard_normal((9, 4)) * 30
+    Y = np.eye(4)[rng.integers(0, 4, 9)]
+    for f, y in ((F, Y), (F[0], Y[0])):
+        log = LossOracle("logistic", y)
+        values, grad, soft = loss_eval(log, f)
+        e = np.exp(f - f.max(axis=-1, keepdims=True))
+        textbook = e / e.sum(axis=-1, keepdims=True)
+        assert np.array_equal(soft, textbook) and np.array_equal(soft, softmax(f))
+        assert np.array_equal(grad, textbook - y)
+        assert np.array_equal(values, logsumexp(f) - np.sum(f * y, axis=-1))
+        sq = LossOracle("squared", y)
+        values, grad, soft = loss_eval(sq, f)
+        assert np.array_equal(values, 0.5 * np.sum((f - y) ** 2, axis=-1))
+        assert np.array_equal(grad, f - y) and soft is None
 
 
 def test_loss_hvp_values():
