@@ -54,10 +54,6 @@ together with ``||J^T V||^2`` (``<G, K G>`` on Gram layers) and the products
 stand-ins, into the parameter vector ``J^T V``, and ``compact_dot`` takes
 ``<J^T A, J^T V>`` from two stand-ins and the ``K G`` of ``V``.
 
-The sigmoid sends exponents below ``-EXP_LIMIT`` to -inf, so no SiLU layer
-makes a subnormal, which ``exp`` makes tens of times more slowly than a
-normal number.
-
 Parameter flattening convention: layer by layer, each layer's weight matrix
 (row-major) followed by its bias vector.  The linear model has no bias.
 """
@@ -65,14 +61,6 @@ Parameter flattening convention: layer by layer, each layer's weight matrix
 import numpy as np
 
 __all__ = ["LinearModel", "MLPModel", "make_model"]
-
-
-# exp of an argument below ln(DBL_MIN) ~ -708.4 returns a subnormal, on a path
-# of libm and numpy's SIMD exp that takes tens of times as long per element.
-# The sigmoid sends every exponent below -EXP_LIMIT to -inf instead, whose exp
-# is exactly 0.  On the benchmark workloads no pre-activation comes near the
-# limit (the lowest is about -7), so the guard is a single min-reduction there.
-EXP_LIMIT = 708.0
 
 
 def sigmoid(z):
@@ -84,18 +72,10 @@ def sigmoid(z):
     NaN where ``z`` is NaN.  A branch-free maximum is a SIMD pass, where
     ``np.where`` makes the same select as a data-dependent choice per element,
     at several times the cost of ``exp`` over the whole block.
-
-    Where ``|z| > EXP_LIMIT``, ``e`` is 0 in place of the subnormal or 0
-    that ``exp(-|z|)`` gives: the sigmoid is exactly 0 below ``-EXP_LIMIT``
-    and 1 above ``EXP_LIMIT``, and bit for bit the textbook value elsewhere.
-    So it never makes a subnormal, nor does ``exp`` on the way.
     """
     z = np.asarray(z, dtype=np.float64)
     e = np.abs(z, out=np.empty_like(z))  # an array even for a 0-d z, so it is updated in place
     np.negative(e, out=e)
-    # one reduction on the common path; a NaN takes the guard too, harmlessly
-    if not np.minimum.reduce(e, axis=None) >= -EXP_LIMIT:
-        np.copyto(e, -np.inf, where=np.less(e, -EXP_LIMIT))
     np.exp(e, out=e)
     s = np.greater_equal(z, 0.0, out=np.empty_like(z))
     np.maximum(s, e, out=s)
