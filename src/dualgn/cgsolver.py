@@ -343,9 +343,7 @@ def cg_solve(
     return x, rep
 
 
-def projected_cg_solve(
-    q_apply, c, p_apply, max_iter=None, tol=1e-10, diag_precond=None, callback=None
-):
+def projected_cg_solve(q_apply, c, p_apply, max_iter=None, tol=1e-10):
     """Minimize ``0.5 <x, Qx> - <x, c>`` over the subspace ``{x : P x = x}``.
 
     ``p_apply`` must be an orthogonal projector; idempotence is probed on the
@@ -354,16 +352,10 @@ def projected_cg_solve(
 
     The solve runs CG on the projected operator ``x -> P Q P x`` with
     right-hand side ``P c``, started at zero, so every iterate (and hence the
-    returned solution) lies in the constraint subspace.  With a finite,
-    positive ``diag_precond`` vector ``s`` the system is solved in the scaled
-    variables ``x = P(s * z)`` using the operator ``z -> s * (P Q P)(s * z)``
-    and right-hand side ``s * P c`` (without one, ``s = 1``).  Each residual
-    update is re-projected onto the operator's range ``{s * P y}``, so budgets
-    past convergence stay at the solution, and the projector is re-applied on
-    the way back so feasibility survives the scaling.  The report's
-    ``inner_product_with_rhs`` equals ``<x, c>`` in either parametrization.
-
-    ``callback`` receives original-space iterates.
+    returned solution) lies in the constraint subspace.  Each residual update
+    is re-projected, so budgets past convergence stay at the solution, and the
+    projector is re-applied to the returned solution.  The report's
+    ``inner_product_with_rhs`` is ``<x, c>``.
 
     Returns
     -------
@@ -379,21 +371,7 @@ def projected_cg_solve(
             f"projector failed the idempotence probe: ||P(Pc) - Pc|| = {gap:.3e}"
         )
 
-    s = 1.0
-    if diag_precond is not None:
-        s = np.asarray(diag_precond, dtype=np.float64)
-        if s.shape != c.shape:
-            raise ValueError(
-                f"diag_precond shape {s.shape} does not match rhs shape {c.shape}"
-            )
-        if not np.all(np.isfinite(s) & (s > 0)):
-            raise ValueError("diag_precond entries must be finite and strictly positive")
-
-    op = lambda z: s * p_apply(q_apply(p_apply(s * z)))
-    cb = None if callback is None else (lambda z: callback(p_apply(s * z)))
-    project = lambda r: s * p_apply(r / s)
-    z, rep, _ = cg_kernel(
-        _curvature_product(op), s * pc, max_iter, tol, project=project, callback=cb
-    )
+    op = lambda x: p_apply(q_apply(p_apply(x)))
+    x, rep, _ = cg_kernel(_curvature_product(op), pc, max_iter, tol, project=p_apply)
     rep.vector_op_scalar_count += c.size * rep.operator_calls
-    return p_apply(s * z), rep
+    return p_apply(x), rep

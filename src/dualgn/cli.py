@@ -239,7 +239,3 @@ def main(argv=None):
     except NumericError as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

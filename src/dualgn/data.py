@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cgsolver import _integer
+
 __all__ = [
     "Dataset",
     "synth_blobs",
@@ -27,13 +29,10 @@ class Dataset:
     inputs : ndarray, shape (n, d)
     targets : ndarray, shape (n, k)
         One-hot rows for classification, arbitrary reals for regression.
-    seed : int or None
-        Seed the dataset was generated from, if synthetic.
     """
 
     inputs: np.ndarray
     targets: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
@@ -83,7 +82,7 @@ def synth_blobs(seed, n, d, k, spread):
     inputs = means[labels] + spread * rng.standard_normal((n, d))
     targets = np.zeros((n, k))
     targets[np.arange(n), labels] = 1.0
-    return Dataset(inputs=inputs, targets=targets, seed=seed)
+    return Dataset(inputs=inputs, targets=targets)
 
 
 def _idx_open(path):
@@ -136,15 +135,21 @@ def load_idx_labels(path):
 
 
 def load_idx_dataset(image_path, label_path, num_classes=None):
-    """Load paired IDX image/label files as a :class:`Dataset` with one-hot targets."""
+    """Load paired IDX image/label files as a :class:`Dataset` with one-hot targets.
+
+    ``num_classes`` (default: the largest label plus one) must exceed every
+    label; a ValueError names it otherwise.
+    """
     inputs = load_idx_images(image_path)
     labels = load_idx_labels(label_path)
     if inputs.shape[0] != labels.shape[0]:
         raise ValueError(
             f"image/label count mismatch: {inputs.shape[0]} vs {labels.shape[0]}"
         )
-    if num_classes is None:
-        num_classes = int(labels.max()) + 1 if labels.size else 0
+    top = int(labels.max(initial=-1))
+    num_classes = _integer("num_classes", top + 1 if num_classes is None else num_classes)
+    if top >= num_classes:
+        raise ValueError(f"num_classes {num_classes} does not cover label {top}")
     targets = np.zeros((labels.shape[0], num_classes))
     targets[np.arange(labels.shape[0]), labels] = 1.0
     return Dataset(inputs=inputs, targets=targets)

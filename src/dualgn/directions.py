@@ -102,7 +102,7 @@ class SubproblemSpec:
 
 def soft_threshold(z, t):
     """Elementwise soft-thresholding ``sign(z) * max(|z| - t, 0)``, t >= 0."""
-    if t < 0:
+    if not t >= 0:  # nan fails; inf, where gamma * lam overflows, gives 0
         raise ValueError(f"threshold must be nonnegative, got {t}")
     z = np.asarray(z, dtype=np.float64)
     out = np.abs(z, out=np.empty_like(z))  # the one array it makes
@@ -314,7 +314,9 @@ def _dual_direction(opr, loss, f, spec, w=None, reg=None, callback=None, at=None
     the stand-in of ``J^T alpha``.  A penalty's prox step leaves that range,
     so the penalized route expands the gradient's stand-in into ``J^T g``,
     pushes the right-hand side from it and takes the descent inner product
-    against ``J^T g / m``, formed in its buffer.
+    against ``J^T g / m``, formed in its buffer.  Both map back from the
+    stand-in of ``J^T alpha``; the penalty then takes its prox step from the
+    expanded, scaled direction.
 
     ``alpha = g - beta`` is formed by cancellation: once the solve has run,
     an ``alpha`` at or below the round-off of ``g``, ``||alpha|| <= eps
@@ -422,30 +424,24 @@ def _dual_direction(opr, loss, f, spec, w=None, reg=None, callback=None, at=None
         )
 
     # The map-back makes d, the one p-length array of an unpenalized step,
-    # from the stand-in of J^T alpha; with a penalty, J^T alpha is J^T g less
-    # the kernel's expanded sum of stand-ins.
-    if reg is None:
-        sa = sg - zsum if isinstance(zsum, float) else np.subtract(sg, zsum, out=zsum)
+    # from the stand-in of J^T alpha, the gradient's less the kernel's sum; a
+    # penalty then takes its prox step from w - d.
+    sa = sg - zsum if isinstance(zsum, float) else np.subtract(sg, zsum, out=zsum)
+    if reg is None:  # taken before d is scaled, as d may be sa itself
         descent = opr.compact_dot(sa, sg, gterms) * (gamma / m) / m
-        d = opr.compact_expand(sa)
-        d /= m
-        d *= gamma
-        # alpha's stand-in, the descent dot and the scaled direction
-        ops += 2 * sg.size + 2 * p
-    else:
-        if isinstance(zsum, float):
-            zpar = u - zsum
-        else:
-            zpar = opr.compact_expand(zsum)
-            np.subtract(u, zpar, out=zpar)
-        np.multiply(gamma / m, zpar, out=zpar)
-        d = reg.prox(np.subtract(w, zpar, out=zpar), gamma)
-        del zpar
-        np.subtract(w, d, out=d)
+        ops += sg.size
+    d = opr.compact_expand(sa)
+    d /= m
+    d *= gamma
+    # alpha's stand-in and the scaled direction
+    ops += sg.size + 2 * p
+    if reg is not None:
+        z = reg.prox(np.subtract(w, d, out=d), gamma)
+        d = np.subtract(w, z, out=z)
         u /= m
         descent = float(np.vdot(d, u))
-        # penalty and map-back, gradient and the descent dot
-        ops += 10 * p
+        # w - d, the prox (at most 4 passes), w - z, J^T g / m and the dot
+        ops += 9 * p
     # sigma, beta and alpha
     rep.vector_op_scalar_count += ops + 2 * q
     return DirectionResult(d=d, alpha=alpha, report=rep, descent_inner_product=descent)
@@ -468,8 +464,7 @@ def sdca_closed_form_squared(x, f, y, gamma):
     -------
     (alpha, d) : arrays of shape (k,) and (k * len(x),)
     """
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    _finite("gamma", gamma)
     x = np.asarray(x, dtype=np.float64).ravel()
     f = np.asarray(f, dtype=np.float64).ravel()
     y = np.asarray(y, dtype=np.float64).ravel()

@@ -27,6 +27,8 @@ from functools import partial
 
 import numpy as np
 
+from .cgsolver import _finite, _integer
+
 __all__ = [
     "JacobianOperator",
     "make_jacobian_operator",
@@ -198,8 +200,7 @@ def adjoint_dot_test(opr, seed=0, trials=20):
     ``seed`` and returns the worst relative discrepancy
     ``|<Ju, V> - <u, J*V>| / (1 + |<Ju, V>|)``.  Deterministic per seed.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = _integer("trials", trials, low=1)
     p, m, k = opr.dims
     rng = np.random.Generator(np.random.Philox(key=seed))
     worst = 0.0
@@ -217,8 +218,7 @@ def finite_diff_jvp(model, params, batch, u, eps=1e-6):
 
     Independent of the analytic jvp rule; used to cross-check it.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    _finite("eps", eps)
     params = np.asarray(params, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
     hi = model.forward(params + eps * u, batch)

@@ -60,7 +60,6 @@ __all__ = [
     "OptimizerState",
     "RunRecord",
     "TrainResult",
-    "armijo_search",
     "outer_update",
     "spl_step",
     "armijo_spl_step",
@@ -197,39 +196,16 @@ class TrainResult:
         return self.abort_reason is not None
 
 
-def armijo_search(
-    batch_loss_eval, w, d, g, beta=1e-4, shrink=0.5, eta0=1.0, max_backtracks=30
-):
-    """Backtracking linesearch along ``-d`` for the batch objective.
+def _armijo_backtrack(batch_loss_eval, w, d, h0, dg, beta, shrink, eta0, max_backtracks):
+    """Backtracking line search along ``-d`` for the batch objective ``h``.
 
     Tries ``eta = eta0 * shrink**j`` for ``j = 0, 1, ...`` and returns the
-    first (largest) stepsize with
-
-        h(w - eta d) <= h(w) - beta * eta * <d, g>,
-
-    where ``g`` is the batch gradient at ``w``.  Returns ``(eta, accepted)``;
-    after ``max_backtracks`` rejections the smallest stepsize tried is
-    returned with ``accepted=False``.  Raises ValueError if ``beta`` or
-    ``shrink`` lies outside (0, 1), ``eta0`` is not finite and positive,
-    ``max_backtracks`` is not a nonnegative integer, or ``<d, g>`` is
-    significantly negative.
+    first (largest) stepsize with ``h(w - eta d) <= h0 - beta * eta * dg``,
+    where ``h0 = h(w)`` and ``dg`` is the descent inner product ``<d, grad>``.
+    Returns ``(eta, accepted)``; after ``max_backtracks`` rejections the
+    smallest stepsize tried is returned with ``accepted=False``.  The settings
+    are :class:`TrainConfig`'s, checked there.
     """
-    _unit_open("beta", beta)
-    _unit_open("shrink", shrink)
-    _finite("eta0", eta0)
-    max_backtracks = _integer("max_backtracks", max_backtracks)
-    d = np.asarray(d, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    dg = float(np.vdot(d, g))
-    if dg < -1e-10 * (1.0 + float(np.linalg.norm(d)) * float(np.linalg.norm(g))):
-        raise ValueError(f"not a descent direction: <d, grad> = {dg:.3e}")
-    h0 = float(batch_loss_eval(w))
-    return _armijo_backtrack(
-        batch_loss_eval, w, d, h0, max(dg, 0.0), beta, shrink, eta0, max_backtracks
-    )
-
-
-def _armijo_backtrack(batch_loss_eval, w, d, h0, dg, beta, shrink, eta0, max_backtracks):
     eta = eta0
     for _ in range(max_backtracks + 1):
         if float(batch_loss_eval(w - eta * d)) <= h0 - beta * eta * dg:

@@ -94,6 +94,11 @@ def test_idx_roundtrip(tmp_path):
 
     ds5 = load_idx_dataset(img_path, lbl_path, num_classes=5)
     assert ds5.targets.shape == (4, 5)
+    # a label past num_classes ended in a raw IndexError, and -1 in numpy's
+    # "negative dimensions"
+    for bad in (2, -1, 1.5):
+        with pytest.raises(ValueError, match="num_classes"):
+            load_idx_dataset(img_path, lbl_path, num_classes=bad)
 
 
 def test_idx_gzip(tmp_path):

@@ -58,8 +58,10 @@ def test_soft_threshold_cases():
     assert soft_threshold(np.array([-0.3]), 0.5)[0] == 0.0
     z = np.array([1.0, -2.0, 0.0])
     assert np.array_equal(soft_threshold(z, 0.0), z)
-    with pytest.raises(ValueError, match="nonnegative"):
-        soft_threshold(z, -0.1)
+    for bad in (-0.1, np.nan):  # a nan threshold returned all-nan
+        with pytest.raises(ValueError, match="nonnegative"):
+            soft_threshold(z, bad)
+    assert np.array_equal(soft_threshold(z, np.inf), np.zeros(3))
 
 
 def test_regularizer_prox():
@@ -289,6 +291,13 @@ def test_regularized_none_is_bit_identical():
         assert np.array_equal(plain.d, reg.d)
         assert np.array_equal(plain.alpha, reg.alpha)
         assert plain.report.residual_norms == reg.report.residual_norms
+        # l2 at weight 0 takes the penalized route, whose right-hand side is
+        # pushed from J^T g and whose map-back is d = w - prox(w - d0): equal
+        # up to round-off
+        l2 = regularized_dual_direction(
+            make_jacobian_operator(model, w, X), loss, f, spec, w, Regularizer("l2", 0.0)
+        )
+        assert np.linalg.norm(l2.d - plain.d) <= 1e-12 * np.linalg.norm(plain.d)
 
 
 @pytest.mark.parametrize("loss_kind", ["squared", "logistic"])
@@ -387,8 +396,9 @@ def test_sdca_matches_exact_dual_cg():
 
 
 def test_sdca_validation():
-    with pytest.raises(ValueError, match="gamma"):
-        sdca_closed_form_squared(np.ones(2), np.ones(2), np.ones(2), 0.0)
+    for bad in (0.0, np.inf):  # gamma inf returned a nan d with a RuntimeWarning
+        with pytest.raises(ValueError, match="gamma"):
+            sdca_closed_form_squared(np.ones(2), np.ones(2), np.ones(2), bad)
     with pytest.raises(ValueError, match="shape"):
         sdca_closed_form_squared(np.ones(2), np.ones(2), np.ones(3), 1.0)
 
@@ -779,6 +789,37 @@ def test_primal_descent_inner_product_matches_the_gradient_dot(name, relation, b
     grad = batch_gradient(opr, loss, f)
     scale = 1.0 + np.linalg.norm(res.d) * np.linalg.norm(grad)
     assert abs(res.descent_inner_product - np.vdot(res.d, grad)) <= 1e-12 * scale
+
+
+# The primal route descends at any budget: its <d, grad> is the CG prefix
+# property <d, J^T g> >= 0, with nothing subtracted.  The draws span tau past
+# convergence, gamma over 24 decades, m = 1, k = 1, duplicate and zero rows,
+# inputs up to 1e2 and parameters scaled by 30, which saturates the softmax.
+# The suite turns warnings into errors, so an overflow fails the test too.
+
+
+@pytest.mark.parametrize(
+    "relation, k", [("one", None), ("lt", 1), ("lt", None), ("eq", None), ("gt", None)]
+)
+@given(data=st.data())
+def test_primal_direction_descends(relation, k, data):
+    name = data.draw(st.sampled_from(MODELS))
+    model, w, X, V = data.draw(jacobian_cases(name, relation, scales=(1.0, 1e1, 1e2), k=k))
+    if data.draw(st.booleans()):
+        w = 30.0 * w
+    loss_kind = data.draw(st.sampled_from(["squared", "logistic"]))
+    Y = V if loss_kind == "squared" else np.eye(V.shape[1])[np.argmax(V, axis=1)]
+    loss = LossOracle(loss_kind, Y)
+    spec = SubproblemSpec(
+        gamma=10.0 ** data.draw(st.floats(-12.0, 12.0)),
+        tau=data.draw(st.integers(1, 12)),
+        path="primal",
+    )
+    opr = make_jacobian_operator(model, w, X)
+    d = primal_gn_direction(opr, loss, opr.outputs, spec).d
+    grad = batch_gradient(opr, loss, opr.outputs)
+    scale = 1.0 + np.linalg.norm(d) * np.linalg.norm(grad)
+    assert np.vdot(d, grad) >= -1e-10 * scale
 
 
 @pytest.mark.xfail(

@@ -107,10 +107,12 @@ def test_shape_validation():
 def test_probe_validation():
     model, w, X = _instance("linear", 2, 2, 3, 11)
     opr = make_jacobian_operator(model, w, X)
-    with pytest.raises(ValueError, match="trials"):
-        adjoint_dot_test(opr, trials=0)
-    with pytest.raises(ValueError, match="eps"):
-        finite_diff_jvp(model, w, X, np.zeros(4), eps=0.0)
+    for bad in (0, 1.5):  # 1.5 ended in a raw TypeError
+        with pytest.raises(ValueError, match="trials"):
+            adjoint_dot_test(opr, trials=bad)
+    for bad in (0.0, np.nan, np.inf):  # nan returned nan, and inf warned
+        with pytest.raises(ValueError, match="eps"):
+            finite_diff_jvp(model, w, X, np.zeros(4), eps=bad)
 
 
 # Gram-matrix forward products: given the cotangent V of u = J^T V, layers

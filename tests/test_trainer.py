@@ -14,7 +14,6 @@ from dualgn import (
     Regularizer,
     SubproblemSpec,
     TrainConfig,
-    armijo_search,
     armijo_spl_step,
     batch_gradient,
     dual_gn_direction,
@@ -28,7 +27,7 @@ from dualgn import (
     train,
 )
 from dualgn import directions
-from dualgn.trainer import DIRECTIONS, METHODS, METRICS_CHUNK, _full_metrics
+from dualgn.trainer import DIRECTIONS, METHODS, METRICS_CHUNK, _armijo_backtrack, _full_metrics
 from oracles import adam_trajectory, momentum_trajectory, sgd_trajectory
 
 
@@ -39,8 +38,10 @@ def test_config_validation():
         TrainConfig(direction="hessian")
     with pytest.raises(ValueError, match="gamma"):
         TrainConfig(gamma=-1.0)
-    with pytest.raises(ValueError, match="armijo_beta"):
-        TrainConfig(armijo_beta=1.0)
+    for key, bad in (("armijo_beta", 0.0), ("armijo_beta", 1.0), ("armijo_beta", np.nan),
+                     ("armijo_shrink", 0.0), ("armijo_shrink", 2.0), ("armijo_shrink", np.nan)):
+        with pytest.raises(ValueError, match=re.escape(f"{key} must lie in (0, 1), got {bad}")):
+            TrainConfig(method="armijo_spl", **{key: bad})
     with pytest.raises(ValueError, match="combined"):
         TrainConfig(l1=0.1, l2=0.1)
     with pytest.raises(ValueError, match="proxlinear"):
@@ -53,10 +54,20 @@ def test_config_validation():
     assert TrainConfig().regularizer() is None
 
 
+def _armijo_search(h, w, d, g, max_backtracks=30):
+    """The trainer's line search from eta 1, at TrainConfig's default beta
+    and shrink, with ``h(w)`` and ``<d, g>`` formed here."""
+    config = TrainConfig()
+    return _armijo_backtrack(
+        h, w, d, h(w), float(np.vdot(d, g)), config.armijo_beta, config.armijo_shrink,
+        1.0, max_backtracks,
+    )
+
+
 def test_armijo_quadratic_accepts_full_step():
     h = lambda w: 0.5 * float(w @ w)
     w = np.array([1.0])
-    eta, accepted = armijo_search(h, w, np.array([1.0]), np.array([1.0]))
+    eta, accepted = _armijo_search(h, w, np.array([1.0]), np.array([1.0]))
     assert (eta, accepted) == (1.0, True)
 
 
@@ -67,30 +78,26 @@ def test_armijo_backtracks_once_on_quartic():
     w = np.array([1.0])
     d = np.array([2.0])
     g = np.array([4.0])
-    eta, accepted = armijo_search(h, w, d, g)
+    eta, accepted = _armijo_search(h, w, d, g)
     assert (eta, accepted) == (0.5, True)
-
-
-def test_armijo_rejects_ascent_direction():
-    h = lambda w: 0.5 * float(w @ w)
-    with pytest.raises(ValueError, match="descent"):
-        armijo_search(h, np.array([1.0]), np.array([-1.0]), np.array([1.0]))
 
 
 def test_armijo_zero_direction_accepts_eta0():
     h = lambda w: 0.5 * float(w @ w)
-    eta, accepted = armijo_search(h, np.array([1.0]), np.zeros(1), np.zeros(1))
+    eta, accepted = _armijo_search(h, np.array([1.0]), np.zeros(1), np.zeros(1))
     assert (eta, accepted) == (1.0, True)
 
 
 def test_armijo_exhaustion_returns_smallest_eta():
     # a function that rises in every direction from w rejects every trial
     h = lambda w: float(abs(w[0] - 1.0))
-    eta, accepted = armijo_search(
+    eta, accepted = _armijo_search(
         h, np.array([1.0]), np.array([1.0]), np.array([1.0]), max_backtracks=3
     )
     assert not accepted
     assert eta == pytest.approx(0.5**3)
+    w, d = np.array([1.0]), np.array([1.0])
+    assert _armijo_backtrack(h, w, d, h(w), 1.0, 1e-4, 0.25, 2.0, 1) == (0.5, False)
 
 
 def test_backtrack_budget_must_be_a_nonnegative_integer():
@@ -101,11 +108,8 @@ def test_backtrack_budget_must_be_a_nonnegative_integer():
     assert TrainConfig(armijo_max_backtracks=3.0).armijo_max_backtracks == 3
     h = lambda w: float(abs(w[0] - 1.0))
     w, d, g = np.array([1.0]), np.array([1.0]), np.array([1.0])
-    for bad in (-1, 1.5):
-        with pytest.raises(ValueError, match="max_backtracks"):
-            armijo_search(h, w, d, g, max_backtracks=bad)
     # a zero budget still tries eta0 once
-    assert armijo_search(h, w, d, g, max_backtracks=0) == (1.0, False)
+    assert _armijo_search(h, w, d, g, max_backtracks=0) == (1.0, False)
 
 
 def test_seed_must_be_a_nonnegative_integer():
@@ -332,21 +336,6 @@ def test_primal_workspace_is_one_block_for_the_whole_run(monkeypatch):
     assert all(b is blocks[0] for b in blocks)
     assert blocks[0].shape == (3, result.model.n_params)
     assert not np.shares_memory(result.params, blocks[0])
-
-
-def test_armijo_search_checks_its_settings():
-    # with every trial rejected, shrink 0 divided by zero, shrink 2 returned
-    # eta0 * 8 after three backtracks, and eta0 -1 stepped along +d
-    h = lambda w: float(abs(w[0] - 1.0))
-    w, d, g = np.array([1.0]), np.array([1.0]), np.array([1.0])
-    for key, bad in (("beta", 0.0), ("beta", 1.0), ("beta", np.nan), ("shrink", 0.0),
-                     ("shrink", 2.0), ("shrink", np.nan)):
-        with pytest.raises(ValueError, match=re.escape(f"{key} must lie in (0, 1), got {bad}")):
-            armijo_search(h, w, d, g, max_backtracks=0, **{key: bad})
-    for bad in (-1.0, 0.0, np.inf, np.nan):
-        with pytest.raises(ValueError, match=f"eta0 must be a finite positive number, got {bad}"):
-            armijo_search(h, w, d, g, eta0=bad)
-    assert armijo_search(h, w, d, g, shrink=0.25, eta0=2.0, max_backtracks=1) == (0.5, False)
 
 
 def test_momentum_mu_zero_equals_sgd():
