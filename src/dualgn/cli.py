@@ -4,7 +4,10 @@ and the built-in verification suites.
 Exit codes: 0 success, 1 usage error, 2 numeric abort, 3 verification
 failure.  Settings come from defaults, then a ``key = value`` config file
 (``--config``), then flags; ``DUALGN_SEED`` in the environment supplies the
-seed when neither file nor flag sets one.
+seed when neither file nor flag sets one.  The run settings are the fields of
+:class:`~dualgn.trainer.TrainConfig`: each is a config-file key and a flag
+(``batch_size`` is ``--batch-size``) of the field's type, beside ``data``,
+``out`` and ``grid``.
 """
 
 import argparse
@@ -28,10 +31,9 @@ CSV_FIELDS = [f.name for f in dataclasses.fields(RunRecord)]
 DEFAULT_DATA = "blobs:512,2,3,0.2"
 DEFAULT_OUT = "metrics.csv"
 
-_INT_KEYS = ("tau", "batch_size", "epochs", "seed")
-_FLOAT_KEYS = ("gamma", "eta", "l1", "l2")
-_STR_KEYS = ("method", "direction", "path", "loss", "model", "data", "out", "grid")
-_ALL_KEYS = _INT_KEYS + _FLOAT_KEYS + _STR_KEYS
+_TYPES = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+_CHOICES = {"method": METHODS, "direction": DIRECTIONS, "path": PATHS, "loss": LOSS_KINDS}
+_ALL_KEYS = (*_TYPES, "data", "out", "grid")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,19 +49,11 @@ def _build_parser():
 
     run_p = sub.add_parser("run", help="train a model and write per-step CSV metrics")
     run_p.add_argument("--config", help="key = value settings file")
-    run_p.add_argument("--method", choices=METHODS)
-    run_p.add_argument("--direction", choices=DIRECTIONS)
-    run_p.add_argument("--path", choices=PATHS)
-    run_p.add_argument("--loss", choices=LOSS_KINDS)
-    run_p.add_argument("--model", help="linear | mlp:<h1,h2,...>")
-    run_p.add_argument("--gamma", type=float)
-    run_p.add_argument("--eta", type=float)
-    run_p.add_argument("--tau", type=int)
-    run_p.add_argument("--batch-size", type=int)
-    run_p.add_argument("--epochs", type=int)
-    run_p.add_argument("--seed", type=int)
-    run_p.add_argument("--l1", type=float)
-    run_p.add_argument("--l2", type=float)
+    for name, kind in _TYPES.items():
+        run_p.add_argument(
+            "--" + name.replace("_", "-"), type=kind, choices=_CHOICES.get(name),
+            help="linear | mlp:<h1,h2,...>" if name == "model" else None,
+        )
     run_p.add_argument(
         "--grid",
         help="comma list sweeping gamma (spl) or eta (sgd/momentum/adam); "
@@ -78,13 +72,9 @@ def _build_parser():
 
 def _convert(key, value):
     try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
+        return _TYPES.get(key, str)(value)
     except ValueError:
         raise UsageError(f"key {key!r}: cannot parse number from {value!r}") from None
-    return value
 
 
 def _read_config_file(path):

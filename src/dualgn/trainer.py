@@ -37,6 +37,7 @@ way are not raised.
 
 import time
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -70,14 +71,15 @@ METHODS = ("spl", "armijo_spl", "sgd", "momentum", "adam")
 DIRECTIONS = ("gradient", "proxlinear")
 
 
-def _unit_open(name, value):
-    if not 0 < value < 1:
-        raise ValueError(f"{name} must lie in (0, 1), got {value}")
-
-
 @dataclass
 class TrainConfig:
-    """Everything that determines a training run (except the data)."""
+    """Everything that determines a training run (except the data).
+
+    The fields are the run's settings; :mod:`dualgn.cli` derives its ``run``
+    flags and config-file keys from them.  The class constants are the usual
+    settings of the momentum and Adam rules and of the Armijo line search,
+    which no run varies.
+    """
 
     method: str = "spl"
     direction: str = "proxlinear"
@@ -92,13 +94,13 @@ class TrainConfig:
     seed: int = 0
     l1: float = 0.0
     l2: float = 0.0
-    momentum_mu: float = 0.9
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    armijo_beta: float = 1e-4
-    armijo_shrink: float = 0.5
-    armijo_max_backtracks: int = 30
+    momentum_mu: ClassVar[float] = 0.9
+    adam_beta1: ClassVar[float] = 0.9
+    adam_beta2: ClassVar[float] = 0.999
+    adam_eps: ClassVar[float] = 1e-8
+    armijo_beta: ClassVar[float] = 1e-4
+    armijo_shrink: ClassVar[float] = 0.5
+    armijo_max_backtracks: ClassVar[int] = 30
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -118,15 +120,6 @@ class TrainConfig:
         _finite("l2", self.l2, positive=False)
         if self.l1 > 0 and self.l2 > 0:
             raise ValueError("l1 and l2 penalties cannot be combined")
-        _unit_open("armijo_beta", self.armijo_beta)
-        _unit_open("armijo_shrink", self.armijo_shrink)
-        self.armijo_max_backtracks = _integer(
-            "armijo_max_backtracks", self.armijo_max_backtracks
-        )
-        for name in ("momentum_mu", "adam_beta1", "adam_beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
-        _finite("adam_eps", self.adam_eps)
         if (self.l1 > 0 or self.l2 > 0) and (
             self.direction != "proxlinear"
             or self.path != "dual"
@@ -203,8 +196,8 @@ def _armijo_backtrack(batch_loss_eval, w, d, h0, dg, beta, shrink, eta0, max_bac
     first (largest) stepsize with ``h(w - eta d) <= h0 - beta * eta * dg``,
     where ``h0 = h(w)`` and ``dg`` is the descent inner product ``<d, grad>``.
     Returns ``(eta, accepted)``; after ``max_backtracks`` rejections the
-    smallest stepsize tried is returned with ``accepted=False``.  The settings
-    are :class:`TrainConfig`'s, checked there.
+    smallest stepsize tried is returned with ``accepted=False``.  Training
+    searches from ``eta0 = 1`` with :class:`TrainConfig`'s constants.
     """
     eta = eta0
     for _ in range(max_backtracks + 1):

@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -8,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import dualgn
-from dualgn import cli
+from dualgn import TrainConfig, TrainResult, cli
 from dualgn.cli import CSV_FIELDS, main
 from dualgn.verify import run_suite
 
@@ -158,6 +160,48 @@ def test_config_file_flag_precedence(tmp_path, monkeypatch):
     code = _run(["run", "--config", str(cfg), "--out", str(out)], monkeypatch)
     assert code == 0
     assert _read(out)[1][CSV_FIELDS.index("gamma")] == "0.25"
+
+
+def test_every_train_config_field_is_a_run_flag_and_a_config_key(tmp_path, monkeypatch, capsys):
+    # a TrainConfig field that neither a flag nor a config file can set is a
+    # setting no run varies; such settings are class constants instead
+    samples = {
+        "method": "adam", "direction": "gradient", "path": "primal", "loss": "logistic",
+        "model": "mlp:4", "gamma": 0.5, "eta": 0.25, "tau": 3, "batch_size": 8,
+        "epochs": 2, "seed": 7, "l1": 0.01, "l2": 0.02,
+    }
+    fields = dataclasses.fields(TrainConfig)
+    assert [f.name for f in fields] == list(samples)
+    seen = []
+    monkeypatch.setattr(
+        cli, "train", lambda config, dataset, on_record: seen.append(config) or TrainResult([])
+    )
+    cfg = tmp_path / "run.cfg"
+    for f in fields:
+        cfg.write_text(f"{f.name} = {samples[f.name]}\n")
+        flag = "--" + f.name.replace("_", "-")
+        for args in ([flag, str(samples[f.name])], ["--config", str(cfg)]):
+            seen.clear()
+            assert _run(["run", *args, "--out", str(tmp_path / "x.csv")], monkeypatch) == 0
+            value = getattr(seen[0], f.name)
+            assert type(value) is f.type and value == samples[f.name], (args, value)
+
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    flags = set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out))
+    assert flags - {"--help", "--config", "--data", "--out", "--grid"} == {
+        "--" + f.name.replace("_", "-") for f in fields
+    }
+    cfg.write_text("momentum_mu = 0.5\n")
+    assert _run(["run", "--config", str(cfg)], monkeypatch) == 1
+    assert "unknown key 'momentum_mu'" in capsys.readouterr().err
+    with pytest.raises(TypeError):
+        TrainConfig(momentum_mu=0.5)
+    constants = ("momentum_mu", "adam_beta1", "adam_beta2", "adam_eps", "armijo_beta",
+                 "armijo_shrink", "armijo_max_backtracks")
+    assert [getattr(TrainConfig, name) for name in constants] == [
+        0.9, 0.9, 0.999, 1e-8, 1e-4, 0.5, 30
+    ]
 
 
 def test_env_seed_fallback(tmp_path, monkeypatch):

@@ -1,4 +1,3 @@
-import re
 import tracemalloc
 
 import numpy as np
@@ -38,10 +37,6 @@ def test_config_validation():
         TrainConfig(direction="hessian")
     with pytest.raises(ValueError, match="gamma"):
         TrainConfig(gamma=-1.0)
-    for key, bad in (("armijo_beta", 0.0), ("armijo_beta", 1.0), ("armijo_beta", np.nan),
-                     ("armijo_shrink", 0.0), ("armijo_shrink", 2.0), ("armijo_shrink", np.nan)):
-        with pytest.raises(ValueError, match=re.escape(f"{key} must lie in (0, 1), got {bad}")):
-            TrainConfig(method="armijo_spl", **{key: bad})
     with pytest.raises(ValueError, match="combined"):
         TrainConfig(l1=0.1, l2=0.1)
     with pytest.raises(ValueError, match="proxlinear"):
@@ -101,11 +96,6 @@ def test_armijo_exhaustion_returns_smallest_eta():
 
 
 def test_backtrack_budget_must_be_a_nonnegative_integer():
-    # at -1 the loop never ran and every step took eta = eta0 / shrink = 2
-    for bad in (-1, 1.5):
-        with pytest.raises(ValueError, match="armijo_max_backtracks"):
-            TrainConfig(method="armijo_spl", armijo_max_backtracks=bad)
-    assert TrainConfig(armijo_max_backtracks=3.0).armijo_max_backtracks == 3
     h = lambda w: float(abs(w[0] - 1.0))
     w, d, g = np.array([1.0]), np.array([1.0]), np.array([1.0])
     # a zero budget still tries eta0 once
@@ -122,17 +112,9 @@ def test_seed_must_be_a_nonnegative_integer():
 
 def test_float_settings_must_be_finite_with_the_right_sign():
     for key, bad in (("gamma", np.inf), ("gamma", np.nan), ("gamma", 0.0), ("eta", np.inf),
-                     ("eta", -0.1), ("l1", np.nan), ("l1", -0.1), ("l2", np.inf),
-                     ("adam_eps", np.nan), ("adam_eps", np.inf), ("adam_eps", 0.0)):
+                     ("eta", -0.1), ("l1", np.nan), ("l1", -0.1), ("l2", np.inf)):
         with pytest.raises(ValueError, match=f"{key} must be a finite"):
             TrainConfig(**{key: bad})
-    # momentum_mu nan trained until the loss went non-finite, and adam_beta2
-    # inf let a RuntimeWarning escape from the update
-    for key in ("momentum_mu", "adam_beta1", "adam_beta2"):
-        for bad in (np.nan, np.inf, 1.0, -0.1):
-            with pytest.raises(ValueError, match=re.escape(f"{key} must lie in [0, 1)")):
-                TrainConfig(**{key: bad})
-        assert getattr(TrainConfig(**{key: 0.0}), key) == 0.0
     for bad in (np.inf, np.nan, -1e-3):
         with pytest.raises(ValueError, match="tol must be a finite nonnegative number"):
             SubproblemSpec(tol=bad)
@@ -336,17 +318,6 @@ def test_primal_workspace_is_one_block_for_the_whole_run(monkeypatch):
     assert all(b is blocks[0] for b in blocks)
     assert blocks[0].shape == (3, result.model.n_params)
     assert not np.shares_memory(result.params, blocks[0])
-
-
-def test_momentum_mu_zero_equals_sgd():
-    config = TrainConfig(method="momentum", momentum_mu=0.0)
-    w = np.array([1.0, -2.0])
-    s1, s2 = OptimizerState(), OptimizerState()
-    for _ in range(3):
-        a = outer_update("momentum", s1, w, _quad_grad(w), 0.1, config)
-        b = outer_update("sgd", s2, w, _quad_grad(w), 0.1, config)
-        assert_allclose(a, b, rtol=1e-15)
-        w = a
 
 
 def test_adam_first_step_closed_form():
