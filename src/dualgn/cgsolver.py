@@ -31,10 +31,12 @@ SHADOW_EPS = np.finfo(np.float64).eps
 
 # The kernel's recurrences stream their vectors a block of this many float64
 # (128 KiB) at a time, so each block of a scaled operand is still in cache
-# when it is accumulated; an update's three blocks take 384 KiB.  On the
-# mlp784 primal direction (p = 203,530; a 2-core Xeon with 2 MiB of L2 per
-# core), 4096 timed 15% slower, 32768 and 65536 2-3% faster, and one
-# whole-vector block 3% slower.
+# when it is accumulated.  A right-hand side longer than one block gets a
+# scratch of one block, which every block of an update reuses, so an update
+# touches 384 KiB of cache and its workspace holds two vectors and a block,
+# not three vectors.  On the mlp784 primal direction (p = 203,530; a 2-core
+# Xeon with 2 MiB of L2 per core), 4096 timed 15% slower, 32768 and 65536
+# 2-3% faster, and one whole-vector block 3% slower.
 BLOCK = 16384
 
 
@@ -66,17 +68,19 @@ def _axpy(y, a, x, tmp):
     """``y += a * x`` a block at a time, with ``a * x`` formed in ``tmp``.
 
     Elementwise the same arithmetic as ``y += np.multiply(a, x, out=tmp)``.
-    ``y`` and ``tmp`` must be C-contiguous, so that their flat views write
-    through to them; ``x`` may have any layout.
+    ``tmp`` has ``y``'s shape when ``y`` is one block, and is a flat scratch
+    of at least ``BLOCK`` scalars that every block reuses when it is longer.
+    ``y`` must be C-contiguous, so that its flat view writes through to it;
+    ``x`` may have any layout.
     """
     if y.size <= BLOCK:  # one block: no flat views or slices to make
         y += np.multiply(a, x, out=tmp)
         return
-    y, x, tmp = y.reshape(-1), x.reshape(-1), tmp.reshape(-1)
+    y, x = y.reshape(-1), x.reshape(-1)
     for i in range(0, y.size, BLOCK):
         j = i + BLOCK
         blk = y[i:j]  # a view: y[i:j] += ... would copy the block back onto itself
-        blk += np.multiply(a, x[i:j], out=tmp[i:j])
+        blk += np.multiply(a, x[i:j], out=tmp[: blk.size])
 
 
 def _aypx(y, a, x):
@@ -98,8 +102,35 @@ def _aypx(y, a, x):
 
 def cg_workspace(shape):
     """An uninitialized workspace for :func:`cg_kernel` on right-hand sides of
-    ``shape``: the residual, the direction and one scratch array."""
-    return np.empty((3, *shape))
+    ``shape``: the residual, the direction and a scratch.
+
+    Up to ``BLOCK`` scalars it is one ``(3, *shape)`` block.  Past that it is
+    the tuple ``(r, p, tmp)``: the rows of one ``(2, *shape)`` block and a
+    scratch of ``BLOCK`` scalars.
+    """
+    if math.prod(shape) <= BLOCK:
+        return np.empty((3, *shape))
+    return (*np.empty((2, *shape)), np.empty(BLOCK))
+
+
+def _check_work(work, shape):
+    """Raise ValueError unless ``work`` has the layout that
+    :func:`cg_workspace` gives ``shape``, in C-contiguous float64 arrays."""
+    small = math.prod(shape) <= BLOCK
+    want = (3, *shape) if small else (shape, shape, (BLOCK,))
+    if _layout(work) != want:
+        what = "a float64 array of shape" if small else "a tuple of float64 arrays of shapes"
+        raise ValueError(f"work must be {what} {want}, C-contiguous, got {_layout(work)}")
+
+
+def _layout(work):
+    """A tuple's items' layouts, a C-contiguous float64 array's shape, or
+    else a description of ``work``."""
+    if isinstance(work, tuple):
+        return tuple(map(_layout, work))
+    if isinstance(work, np.ndarray) and work.dtype == np.float64 and work.flags.c_contiguous:
+        return work.shape
+    return f"{work.dtype} {work.shape}" if isinstance(work, np.ndarray) else type(work).__name__
 
 
 @dataclass
@@ -168,16 +199,17 @@ def cg_kernel(
     and ``product`` must copy what they keep of it.  The three recurrences
     stream their vectors ``BLOCK`` scalars at a time, on flat views of the
     C-contiguous state, with the same elementwise arithmetic as unblocked
-    updates.  ``r`` and ``p`` live in ``work``, a block from
-    :func:`cg_workspace` of ``c``'s shape (None: a fresh one), which holds
-    the residual, the direction and a scratch array that receives ``a_t p``
-    and ``a_t y`` on their way into ``x`` and ``r``.  ``work`` holds nothing
-    from one solve to the next, so a caller that owns it can reuse it for
-    every solve of a run; a ``product`` or ``callback`` must then not keep
-    ``r`` or ``p`` across solves either.  The scratch holds nothing while
-    ``product`` runs, so an operator may use ``work[2]`` for its own
-    arithmetic, but must not return it.  ``x`` is always a fresh C-ordered
-    array, whatever ``c``'s layout.  Outside the ``advance`` path the kernel
+    updates.  ``r`` and ``p`` live in ``work``, from :func:`cg_workspace` of
+    ``c``'s shape (None: a fresh one), which holds the residual, the
+    direction and a scratch that receives ``a_t p`` and ``a_t y`` on their
+    way into ``x`` and ``r``: whole when ``c`` is one block, and a block at
+    a time, in a scratch of one block, when it is longer.  ``work`` holds
+    nothing from one solve to the next, so a caller that owns it can reuse
+    it for every solve of a run; a ``product`` or ``callback`` must then not
+    keep ``r`` or ``p`` across solves either.  The scratch holds nothing
+    while ``product`` runs, so an operator may pass ``work[2]`` to
+    :func:`_axpy` for its own arithmetic, but must not return it.  ``x`` is
+    always a fresh C-ordered array, whatever ``c``'s layout.  Outside the ``advance`` path the kernel
     never writes into ``y``, so an operator may return its argument or a
     stored array.  The ``advance`` path consumes each ``y``: after
     ``advance(y)`` the kernel scales ``y`` by ``a_t`` in place and adds it
@@ -210,7 +242,7 @@ def cg_kernel(
     ||c||)``, or on curvature breakdown (``<p, Qp> <= BREAKDOWN_EPS``),
     returning the current iterate.  The kernel does not check its arguments:
     ``max_iter`` is a nonnegative integer, ``tol`` a finite nonnegative
-    number and ``work`` of the right shape, as the public solvers and
+    number and ``work`` of the right layout, as the public solvers and
     :class:`~dualgn.directions.SubproblemSpec` check them.  A non-finite initial
     residual, curvature or residual raises :class:`NumericError` naming
     ``label``.  ``callback(x)`` is invoked after each iterate update.  The
@@ -321,7 +353,8 @@ def cg_solve(
     then ignored), and the caller counts its curvature's vector work.
     Without one, ``q_apply(p)`` returns ``Q p`` and the solver takes and
     counts ``<p, Q p>``.  ``work`` is the kernel's residual, direction and
-    scratch block (see :func:`cg_kernel`); None allocates one for this solve.
+    scratch, of the layout :func:`cg_workspace` gives ``c``'s shape (see
+    :func:`cg_kernel`); None allocates one for this solve.
 
     Returns
     -------
@@ -329,11 +362,8 @@ def cg_solve(
     """
     c = np.asarray(c, dtype=np.float64)
     max_iter = _budget(max_iter, tol, c.size)
-    if work is not None and (work.shape != (3,) + c.shape or work.dtype != np.float64):
-        raise ValueError(
-            f"work must be a float64 array of shape {(3,) + c.shape}, got "
-            f"{work.dtype} {work.shape}"
-        )
+    if work is not None:
+        _check_work(work, c.shape)
     product = q_apply if shadow is not None else _curvature_product(q_apply)
     x, rep, _ = cg_kernel(
         product, c, max_iter, tol, callback=callback, shadow=shadow, work=work

@@ -209,12 +209,13 @@ def primal_gn_direction(opr, loss, f, spec, work=None, at=None):
     shift and curvature dots and the shadow's block arithmetic, so primal
     and dual counters measure the same class of work.
 
-    ``work`` is the CG workspace, a ``(3, p)`` block from
-    :func:`dualgn.cgsolver.cg_workspace` that holds the kernel's residual,
-    its direction and a scratch vector, through which the plain product also
-    adds its ridge shift; None allocates one for this call.  Nothing in it
-    outlives the call, and the operator keeps neither the residual nor the
-    direction, so a caller may pass one block to every step of a run (as
+    ``work`` is the CG workspace from :func:`dualgn.cgsolver.cg_workspace`
+    of shape ``(p,)``, which holds the kernel's residual, its direction and a
+    scratch (a vector up to ``BLOCK`` parameters, one block past that),
+    through which the plain product also adds its ridge shift; None
+    allocates one for this call.  Nothing in it outlives the call, and the
+    operator keeps neither the residual nor the direction, so a caller may
+    pass one workspace to every step of a run (as
     :func:`dualgn.trainer.train` does).  ``d`` never lies in it.
 
     ``at`` is :func:`dualgn.losses.loss_eval` at ``f``, if the caller has it;
@@ -375,8 +376,11 @@ def _dual_direction(opr, loss, f, spec, w=None, reg=None, callback=None, at=None
     # where shift is the prox displacement of the penalty.  Without one it is
     # pushed from the gradient's stand-in; with one, from the p-vector.
     # Vector work outside the kernel is counted in passes over p-vectors,
-    # stand-ins and output blocks, with q one pass of to_beta or scaled.
+    # stand-ins and output blocks, with q one pass of to_beta (a copy on the
+    # squared route) and h one pass that only the logistic route makes:
+    # beta / sigma, the re-projection's division, and S P takes three.
     q = (3 if logistic else 1) * blk
+    h = blk if logistic else 0
     ops = 0
     rhs = None
     if tau > 0 and reg is None:
@@ -404,13 +408,13 @@ def _dual_direction(opr, loss, f, spec, w=None, reg=None, callback=None, at=None
             callback=None if callback is None else (lambda x: callback(to_beta(x))),
             label="dual CG",
         )
-        # the right-hand side; P(s x), beta / sigma and the curvature dots
-        # per product; the shifted forward product, S P and the re-projection
-        # S P S^-1 per residual update
+        # S P of the right-hand side; P(s x), beta / sigma and the curvature
+        # dots per product; the shifted forward product, S P and the
+        # re-projection S P S^-1 per residual update
         ops += (
-            q
-            + rep.operator_calls * (sg.size + q + 2 * blk)
-            + (len(rep.residual_norms) - 1) * (2 * q + 3 * blk)
+            3 * h
+            + rep.operator_calls * (sg.size + q + blk + h)
+            + (len(rep.residual_norms) - 1) * (2 * blk + 7 * h)
         )
     else:
         x, rep, zsum = np.zeros((m, k)), CGReport(), 0.0

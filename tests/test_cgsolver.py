@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dualgn import NumericError, cg_solve, projected_cg_solve
-from dualgn.cgsolver import BLOCK
+from dualgn.cgsolver import BLOCK, cg_workspace
 from oracles import dense_kkt_zero_sum
 
 
@@ -223,6 +223,33 @@ def test_workspace_leaves_the_solve_unchanged():
     for bad in (np.empty((2, 9)), np.empty((3, 8)), np.empty((3, 9), dtype=np.float32)):
         with pytest.raises(ValueError, match="work must be a float64 array of shape"):
             cg_solve(lambda v: Q @ v, c, work=bad)
+
+    # past one block the residual and direction are the rows of one block
+    # and the scratch is one BLOCK, which every block of an update reuses
+    for shape, seed in (((2 * BLOCK + 7,), 34), ((BLOCK // 2 + 5, 3), 35)):
+        q_apply, c = _low_rank_spd(shape, seed)
+        work = cg_workspace(shape)
+        assert [a.shape for a in work] == [shape, shape, (BLOCK,)]
+        assert work[0].base is work[1].base and work[0].base.shape == (2, *shape)
+        for a in work:
+            a.fill(np.nan)
+        for max_iter in (0, 1, 4, 9):
+            got = cg_solve(q_apply, c, max_iter=max_iter, tol=0.0, work=work)
+            _same_solve(got, cg_solve(q_apply, c, max_iter=max_iter, tol=0.0))
+            assert not any(np.shares_memory(got[0], a) for a in work)
+        r, p, tmp = work
+        for bad in (
+            np.empty((3, *shape)),  # a whole vector of scratch
+            (r, p),
+            [r, p, tmp],
+            (r, p, np.empty(BLOCK - 1)),
+            (r, p, np.empty(BLOCK, dtype=np.float32)),
+            (r, p.astype(np.float32), tmp),
+            (r, np.empty(2 * c.size)[::2].reshape(shape), tmp),  # not C-contiguous
+            (r, p, tmp.reshape(128, 128)),
+        ):
+            with pytest.raises(ValueError, match="work must be a tuple of float64 arrays of shapes"):
+                cg_solve(q_apply, c, work=bad)
 
 
 def _textbook_cg(q_apply, c, max_iter):

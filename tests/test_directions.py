@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -22,6 +24,7 @@ from dualgn import (
     soft_threshold,
 )
 from dualgn import models
+from dualgn.cgsolver import BLOCK, cg_workspace
 from oracles import dense_direction, ista_l1
 from strategies import MODELS, jacobian_cases
 
@@ -606,20 +609,32 @@ def test_primal_builds_gram_matrices_only_where_m_is_below_fan_in(monkeypatch):
 
 @pytest.mark.parametrize("loss_kind", ["squared", "logistic"])
 def test_primal_workspace_leaves_the_direction_unchanged(loss_kind):
-    # one block with stale contents serves every call, as in a training run
-    model, w, X, _, loss, f = _instance("mlp:40", 30, 3, 6, 71, loss_kind)
-    work = np.full((3, model.n_params), np.nan)
-    for tau in (0, 1, 4, 18, 60):
-        for gamma in (0.3, 1e2):
-            spec = SubproblemSpec(gamma=gamma, tau=tau, path="primal")
-            oprs = [make_jacobian_operator(model, w, X) for _ in range(2)]
-            got = primal_gn_direction(oprs[0], loss, f, spec, work=work)
-            want = primal_gn_direction(oprs[1], loss, f, spec)
-            assert np.array_equal(got.d, want.d)
-            assert vars(got.report) == vars(want.report)
-            assert got.descent_inner_product == want.descent_inner_product
-            assert (oprs[0].jvp_calls, oprs[0].vjp_calls) == (oprs[1].jvp_calls, oprs[1].vjp_calls)
-            assert not np.shares_memory(got.d, work)
+    # one workspace with stale contents serves every call, as in a training
+    # run: a (3, p) block, and past one BLOCK of parameters two vectors and a
+    # block of scratch, through which the plain products past tau = m*k add
+    # their ridge shift
+    for name, d in (("mlp:40", 30), ("mlp:64", 300)):
+        model, w, X, _, loss, f = _instance(name, d, 3, 6, 71, loss_kind)
+        p = model.n_params
+        work = cg_workspace((p,))
+        assert (p <= BLOCK) == isinstance(work, np.ndarray)
+        for a in work:
+            a.fill(np.nan)
+        for tau in (0, 1, 4, 18, 60):
+            for gamma in (0.3, 1e2):
+                spec = SubproblemSpec(gamma=gamma, tau=tau, path="primal")
+                oprs = [make_jacobian_operator(model, w, X) for _ in range(2)]
+                got = primal_gn_direction(oprs[0], loss, f, spec, work=work)
+                want = primal_gn_direction(oprs[1], loss, f, spec)
+                assert np.array_equal(got.d, want.d)
+                assert vars(got.report) == vars(want.report)
+                assert got.descent_inner_product == want.descent_inner_product
+                assert (oprs[0].jvp_calls, oprs[0].vjp_calls) == (oprs[1].jvp_calls, oprs[1].vjp_calls)
+                assert not any(np.shares_memory(got.d, a) for a in work)
+        spec = SubproblemSpec(gamma=1.0, tau=4, path="primal")
+        for bad in (np.empty((3, p - 1)), np.empty((3, p), dtype=np.float32), (*work[:2], work[2][:-1])):
+            with pytest.raises(ValueError, match="work must be a"):
+                primal_gn_direction(make_jacobian_operator(model, w, X), loss, f, spec, work=bad)
 
 
 def test_primal_vector_op_count_per_iteration():
@@ -648,6 +663,43 @@ def test_primal_vector_op_count_per_iteration():
             counts.append(res.report.vector_op_scalar_count)
         assert counts[0] == 4 * p
         assert list(np.diff(counts)) == want
+
+
+def test_dual_vector_op_count_per_iteration():
+    # Criterion 9's p = 80 instance.  The layer's fan-in exceeds m, so a
+    # stand-in is the m x k cotangent, and every count below is in m*k
+    # passes but the scaled direction's 2p.  tau = 0 counts the stand-in
+    # dots (2), the scaled direction, beta and alpha (2 on squared, where
+    # to_beta is a copy; 6 on logistic with sigma).  A product counts P(s x)
+    # (1 on squared, 3 on logistic), the curvature dots (2) and, on
+    # logistic, beta / sigma (1).  Iteration 1 adds the kernel's r0, p0,
+    # <r0, r0>, <x, c>, x and scaled stand-in (6), the right-hand side's
+    # forward product (2), one product and, on logistic, S P of the
+    # right-hand side (3).  Each later iteration adds one product and one
+    # residual update: the kernel's r, <r, r>, p, x and scaled stand-in (5),
+    # the shifted forward product (2) and, on logistic, S P and the
+    # re-projection (7).  On squared, scaled and the re-projection are
+    # identities and charge nothing.
+    model = make_model("linear", 40, 2)
+    p, m, k = model.n_params, 4, 2
+    mk = m * k
+    rng = np.random.Generator(np.random.Philox(key=[909, 40]))
+    w = model.init_params(9)
+    X = rng.standard_normal((m, 40))
+    for kind, start, first, later in (
+        ("squared", 2 * p + 4 * mk, 11 * mk, 10 * mk),
+        ("logistic", 2 * p + 8 * mk, 17 * mk, 20 * mk),
+    ):
+        Y = rng.standard_normal((m, k)) if kind == "squared" else np.eye(k)[rng.integers(0, k, size=m)]
+        loss = LossOracle(kind, Y)
+        counts = []
+        for tau in range(31):
+            opr = make_jacobian_operator(model, w, X)
+            res = dual_gn_direction(opr, loss, opr.outputs, SubproblemSpec(gamma=0.9, tau=tau))
+            assert res.report.iterations == tau
+            counts.append(res.report.vector_op_scalar_count)
+        assert counts[0] == start
+        assert list(np.diff(counts)) == [first] + [later] * 29
 
 
 def _extreme_gamma_direction(gamma):
@@ -820,6 +872,50 @@ def test_primal_direction_descends(relation, k, data):
     grad = batch_gradient(opr, loss, opr.outputs)
     scale = 1.0 + np.linalg.norm(d) * np.linalg.norm(grad)
     assert np.vdot(d, grad) >= -1e-10 * scale
+
+
+def _seeded_descent_margins(path):
+    """``<d, grad> / (1 + ||d|| ||grad||)`` over a fixed grid of 1728 solves:
+    linear, mlp:4 and mlp:4,2 on d = 2, k = 3, m = 4; Philox keys ``[0..3,
+    5]``; input scales 10 and 100; both losses; gamma 1e2, 1e3 and 1e4; and
+    every tau from 1 to 12."""
+    fn = primal_gn_direction if path == "primal" else dual_gn_direction
+    margins = []
+    for name in ("linear", "mlp:4", "mlp:4,2"):
+        model = make_model(name, 2, 3)
+        for key in range(4):
+            w = model.init_params(key)
+            for scale, kind in itertools.product((10, 100), ("squared", "logistic")):
+                rng = np.random.Generator(np.random.Philox(key=[key, 5]))
+                X = scale * rng.standard_normal((4, 2))
+                Y = rng.standard_normal((4, 3)) if kind == "squared" else np.eye(3)[rng.integers(0, 3, 4)]
+                loss = LossOracle(kind, Y)
+                for gamma, tau in itertools.product((1e2, 1e3, 1e4), range(1, 13)):
+                    opr = make_jacobian_operator(model, w, X)
+                    d = fn(opr, loss, opr.outputs, SubproblemSpec(gamma=gamma, tau=tau, path=path)).d
+                    grad = batch_gradient(opr, loss, opr.outputs)
+                    margins.append(np.vdot(d, grad) / (1.0 + np.linalg.norm(d) * np.linalg.norm(grad)))
+    return np.array(margins)
+
+
+def test_primal_descends_on_the_seeded_search():
+    # the primal's CG prefix property held on every solve (least margin 0.018)
+    margins = _seeded_descent_margins("primal")
+    assert margins.size == 1728
+    assert np.count_nonzero(margins < -1e-10) == 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect: float64 CG loses orthogonality on the dual route, which "
+    "ascends in 45 of the 1728 seeded solves, the worst at -0.80 of 1 + ||d|| ||grad||",
+)
+def test_dual_descends_on_the_seeded_search():
+    # 35 of the ascents are on the squared loss and 10 on the logistic; the
+    # smallest tau that ascends is 6
+    margins = _seeded_descent_margins("dual")
+    assert margins.size == 1728
+    assert np.count_nonzero(margins < -1e-10) == 0
 
 
 @pytest.mark.xfail(

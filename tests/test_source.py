@@ -64,7 +64,7 @@ def test_every_imported_name_is_used(path):
 
 # Total code lines in src/dualgn.  A change that adds code raises this in its
 # own diff and says why in CHANGES.md.
-CODE_LINE_BUDGET = 1586
+CODE_LINE_BUDGET = 1598
 
 _NOT_CODE = {
     tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,

@@ -26,6 +26,7 @@ from dualgn import (
     train,
 )
 from dualgn import directions
+from dualgn.cgsolver import BLOCK
 from dualgn.trainer import DIRECTIONS, METHODS, METRICS_CHUNK, _armijo_backtrack, _full_metrics
 from oracles import adam_trajectory, momentum_trajectory, sgd_trajectory
 
@@ -296,28 +297,59 @@ def test_steady_state_primal_step_allocation_budget(method):
 
 
 def test_primal_workspace_is_one_block_for_the_whole_run(monkeypatch):
+    # p = 83 is one (3, p) block; p = 19,459 is past BLOCK, where the
+    # workspace holds two vectors and one block of scratch
     blocks = []
     solve = directions.cg_solve
 
     def spy(q_apply, c, *args, work=None, **kwargs):
         def q(d, D):
             blocks.append(work)
-            assert np.shares_memory(d, work)
+            assert any(np.shares_memory(d, a) for a in work)
             return q_apply(d, D)
 
         return solve(q, c, *args, work=work, **kwargs)
 
     monkeypatch.setattr(directions, "cg_solve", spy)
-    data = synth_blobs(0, n=48, d=6, k=3, spread=0.5)
+    for d_in, model in ((6, "mlp:8"), (300, "mlp:64")):
+        blocks.clear()
+        data = synth_blobs(0, n=48, d=d_in, k=3, spread=0.5)
+        config = TrainConfig(
+            method="momentum", path="primal", loss="logistic", model=model, tau=3,
+            batch_size=16, epochs=2,
+        )
+        result = train(config, data)
+        p = result.model.n_params
+        assert len(blocks) == 6 * 3
+        assert all(b is blocks[0] for b in blocks)
+        if p <= BLOCK:
+            assert blocks[0].shape == (3, p)
+        else:
+            assert [a.shape for a in blocks[0]] == [(p,), (p,), (BLOCK,)]
+        assert not any(np.shares_memory(result.params, a) for a in blocks[0])
+
+
+def test_primal_round_allocation_budget_past_one_block():
+    # A whole primal training round, workspace included, on a problem with
+    # p = 128,259 parameters (7.8 BLOCKs).  At tau = 16 each solve drops its
+    # shadow after 8 iterations, so its last 8 products are plain ones, which
+    # add their ridge shift through the scratch.  The workspace's scratch is
+    # one block: measured 7.42 vectors, against 8.30 with a whole scratch
+    # vector.
+    data = synth_blobs(0, n=48, d=2000, k=3, spread=0.5)
     config = TrainConfig(
-        method="momentum", path="primal", loss="logistic", model="mlp:8", tau=3,
-        batch_size=16, epochs=2,
+        method="momentum", path="primal", loss="logistic", model="mlp:64", tau=16,
+        batch_size=16, epochs=1, eta=0.05,
     )
-    result = train(config, data)
-    assert len(blocks) == 6 * 3
-    assert all(b is blocks[0] for b in blocks)
-    assert blocks[0].shape == (3, result.model.n_params)
-    assert not np.shares_memory(result.params, blocks[0])
+    p = make_model(config.model, 2000, 3).n_params
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        train(config, data)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * p) <= 7.5
 
 
 def test_adam_first_step_closed_form():
