@@ -189,7 +189,8 @@ def primal_gn_direction(opr, loss, f, spec, work=None, at=None):
     Each CG iteration applies ``d -> J^T H (J d) + (m/gamma) d``: one forward
     product, one batched loss Hessian product and one transposed product.
     Starting from zero, every truncation is a descent direction for the batch
-    objective, and ``<d, grad>`` is the kernel's ``<d, J^T g>`` over ``m``.
+    objective, and ``<d, grad>`` is the kernel's ``<d, J^T g>`` over ``m``,
+    which it sums from each product's ``<J d, g>``, an m*k dot.
 
     Every CG vector lies in the range of ``J^T``: ``c = J^T g``, and the
     operator maps ``J^T D`` to ``J^T (H J d + (m/gamma) D)``.  So the kernel
@@ -200,9 +201,10 @@ def primal_gn_direction(opr, loss, f, spec, work=None, at=None):
     shadow is live a product makes no parameter-length pass of its own: the
     shadow of ``Q d`` is ``Y = H J d + (m/gamma) D``, ``Q d`` is the one
     transposed product ``J^T Y``, ridge shift included, and the curvature
-    ``<d, Q d>`` is ``<J d, Y>``.  Past convergence the kernel drops the
-    shadow and the product is the plain one, ``J^T H J d + (m/gamma) d`` with
-    curvature ``<J d, H J d> + (m/gamma) <d, d>``.
+    ``<d, Q d>`` is ``<J d, Y>``.  Once the residual is at ``eps^(3/4)`` of
+    its start the kernel drops the shadow and the product is the plain one,
+    ``J^T H J d + (m/gamma) d`` with curvature ``<J d, H J d> + (m/gamma)
+    <d, d>``.
 
     The report's ``vector_op_scalar_count`` covers all vector arithmetic
     outside the jvp/vjp/Hessian oracles, including the operator's ridge
@@ -213,9 +215,11 @@ def primal_gn_direction(opr, loss, f, spec, work=None, at=None):
     of shape ``(p,)``, which holds the kernel's residual, its direction and a
     scratch (a vector up to ``BLOCK`` parameters, one block past that),
     through which the plain product also adds its ridge shift; None
-    allocates one for this call.  Nothing in it outlives the call, and the
-    operator keeps neither the residual nor the direction, so a caller may
-    pass one workspace to every step of a run (as
+    allocates one for this call.  Its layout is checked first, and the
+    right-hand side ``J^T g`` is then written straight into its residual
+    row, so the step keeps no copy of it.  Nothing in it outlives the call,
+    and the operator keeps neither the residual nor the direction, so a
+    caller may pass one workspace to every step of a run (as
     :func:`dualgn.trainer.train` does).  ``d`` never lies in it.
 
     ``at`` is :func:`dualgn.losses.loss_eval` at ``f``, if the caller has it;
@@ -223,33 +227,33 @@ def primal_gn_direction(opr, loss, f, spec, work=None, at=None):
     """
     f = _check_outputs(opr, loss, f)
     p, m, _ = opr.dims
+    work = cg_workspace((p,), work)  # checked before J^T g is written into it
 
     g, soft = _at_outputs(loss, f, at)
-    c = opr.vjp(g)
+    c = opr.vjp(g, out=work[0])  # the kernel's residual row
 
     shift = m / spec.gamma
     plain = 0  # products made after the kernel dropped the shadow
-    if work is None:
-        work = cg_workspace((p,))
 
     def product(d, D):
         nonlocal plain
         jd = opr.jvp(d, cotangent=D)
         hjd = loss_hvp(loss, f, jd, soft)
+        jg = float(np.vdot(jd, g))
         if D is not None:
             ys = hjd + shift * D
-            return float(np.vdot(jd, ys)), opr.vjp(ys), ys
+            return float(np.vdot(jd, ys)), opr.vjp(ys), ys, jg
         plain += 1
         quad = float(np.vdot(jd, hjd)) + shift * float(np.vdot(d, d))
         qd = opr.vjp(hjd)
         _axpy(qd, shift, d, work[2])  # the kernel's free scratch
-        return quad, qd, None
+        return quad, qd, None, jg
 
     d, rep = cg_solve(product, c, max_iter=spec.tau, tol=spec.tol, shadow=g, work=work)
-    # shadowed: the shift-add and <J d, Y>; plain: the shift-add, <d, d> and
-    # <J d, H J d>
+    # <J d, g> per product; shadowed: the shift-add and <J d, Y>; plain: the
+    # shift-add, <d, d> and <J d, H J d>
     shadowed = rep.operator_calls - plain
-    rep.vector_op_scalar_count += 3 * g.size * shadowed + (3 * p + g.size) * plain
+    rep.vector_op_scalar_count += 4 * g.size * shadowed + (3 * p + 2 * g.size) * plain
     return DirectionResult(
         d=d,
         alpha=None,
@@ -302,8 +306,9 @@ def _dual_direction(opr, loss, f, spec, w=None, reg=None, callback=None, at=None
     ||J^T beta||^2 / mu``.  Its residual product adds the forward product
     ``J J^T beta``, pushed from ``s`` and the per-layer Gram products the
     backward pass left.  The scaled system ``S P (H^+ + J J^T / mu) P S`` is
-    singular for the logistic loss, so each residual update is re-projected
-    onto its range ``S P``.  See :func:`cg_kernel` for the cost schedule.
+    singular for the logistic loss, so residual updates near round-off are
+    re-projected onto its range ``S P`` (see :func:`cg_kernel`), and only
+    those that run are counted.  See :func:`cg_kernel` for the cost schedule.
 
     The gradient's transposed product is taken in the same compact form.
     Without a penalty every parameter-space vector of the step lies in the
@@ -359,13 +364,20 @@ def _dual_direction(opr, loss, f, spec, w=None, reg=None, callback=None, at=None
         return z
 
     hw = terms = None  # H^+ beta and the forward terms of the latest product
+    projected = 0  # residual updates the kernel re-projected
 
     def product(x, _):
         nonlocal hw, terms
         beta = to_beta(x)
         hw = beta / sig if logistic else beta
         s, sq, terms = opr.compact_vjp(beta)
-        return float(np.vdot(beta, hw)) + mu_inv * sq, s, None
+        return float(np.vdot(beta, hw)) + mu_inv * sq, s, None, None
+
+    def reproject(r):
+        """``S P S^-1 r``, in the kernel's own residual ``r``."""
+        nonlocal projected
+        projected += 1
+        return scaled(np.divide(r, sroot, out=r))
 
     def advance(s):
         y = mu_inv * opr.compact_jvp(s, terms)
@@ -403,18 +415,18 @@ def _dual_direction(opr, loss, f, spec, w=None, reg=None, callback=None, at=None
             tau,
             spec.tol,
             advance=advance,
-            # S P S^-1 r, with the residual r the kernel's own
-            project=(lambda r: scaled(np.divide(r, sroot, out=r))) if logistic else None,
+            project=reproject if logistic else None,
             callback=None if callback is None else (lambda x: callback(to_beta(x))),
             label="dual CG",
         )
         # S P of the right-hand side; P(s x), beta / sigma and the curvature
-        # dots per product; the shifted forward product, S P and the
-        # re-projection S P S^-1 per residual update
+        # dots per product; the shifted forward product and S P per residual
+        # update; S P S^-1 per re-projection
         ops += (
             3 * h
             + rep.operator_calls * (sg.size + q + blk + h)
-            + (len(rep.residual_norms) - 1) * (2 * blk + 7 * h)
+            + (len(rep.residual_norms) - 1) * (2 * blk + 3 * h)
+            + 4 * blk * projected
         )
     else:
         x, rep, zsum = np.zeros((m, k)), CGReport(), 0.0

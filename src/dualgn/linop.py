@@ -83,7 +83,8 @@ class JacobianOperator:
         from ``V``, so the result matches ``J u`` only as closely as ``u = J^T
         V`` holds: a ``V`` carried through recurrences beside ``u`` drifts
         from it by round-off, which is why the primal CG stops passing its
-        shadow once its residual is that small.
+        shadow once that drift is no longer small against its residual (see
+        :data:`dualgn.cgsolver.SHADOW_EPS`).
         """
         p, m, k = self.dims
         u = np.asarray(u, dtype=np.float64)
@@ -99,17 +100,25 @@ class JacobianOperator:
             raise ValueError(f"jvp produced shape {out.shape}, expected ({m}, {k})")
         return out
 
-    def vjp(self, V):
+    def vjp(self, V, out=None):
         """Map an output cotangent block (m, k) to a flat parameter vector (p,).
 
         This is the sum over samples of the per-sample adjoint products.
+        ``out``, if given, is a C-contiguous float64 vector of length ``p``
+        that receives the product and is returned: a model operator writes
+        into it, and another copies its adjoint's result into it.
         """
         p = self.dims[0]
         V = self._block(V)
         self.vjp_calls += 1
-        out = self.adjoint(V)
-        if self.lin is None and out.shape != (p,):
-            raise ValueError(f"vjp produced shape {out.shape}, expected ({p},)")
+        if self.lin is not None:
+            return self.adjoint(V, out=out)
+        v = self.adjoint(V)
+        if v.shape != (p,):
+            raise ValueError(f"vjp produced shape {v.shape}, expected ({p},)")
+        if out is None:
+            return v
+        np.copyto(out, v)
         return out
 
     def compact_vjp(self, V):
