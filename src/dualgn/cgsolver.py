@@ -115,19 +115,19 @@ def cg_workspace(shape, work=None):
     """A workspace for :func:`cg_kernel` on right-hand sides of ``shape``:
     the residual, the direction and a scratch.
 
-    Up to ``BLOCK`` scalars it is one ``(3, *shape)`` block.  Past that it is
-    the tuple ``(r, p, tmp)``: the rows of one ``(2, *shape)`` block and a
-    scratch of ``BLOCK`` scalars.  With ``work`` None the workspace is new
-    and uninitialized; else ``work`` is returned, and a ValueError is raised
-    unless it has that layout, in C-contiguous float64 arrays.
+    It is the tuple ``(r, p, tmp)``: ``r`` and ``p`` are the rows of one
+    ``(2, *shape)`` block, and ``tmp`` has ``shape`` up to ``BLOCK`` scalars
+    and is one block of ``BLOCK`` scalars past that.  With ``work`` None the
+    workspace is new and uninitialized; else ``work`` is returned, and a
+    ValueError is raised unless it has that layout, in C-contiguous float64
+    arrays.
     """
-    small = math.prod(shape) <= BLOCK
+    want = (shape, shape, shape if math.prod(shape) <= BLOCK else (BLOCK,))
     if work is None:
-        return np.empty((3, *shape)) if small else (*np.empty((2, *shape)), np.empty(BLOCK))
-    want = (3, *shape) if small else (shape, shape, (BLOCK,))
+        return (*np.empty((2, *shape)), np.empty(want[2]))
     if _layout(work) != want:
-        what = "a float64 array of shape" if small else "a tuple of float64 arrays of shapes"
-        raise ValueError(f"work must be {what} {want}, C-contiguous, got {_layout(work)}")
+        raise ValueError(f"work must be a tuple of float64 arrays of shapes {want}, "
+                         f"C-contiguous, got {_layout(work)}")
     return work
 
 
@@ -210,13 +210,13 @@ def cg_kernel(
     stream their vectors ``BLOCK`` scalars at a time, on flat views of the
     C-contiguous state, with the same elementwise arithmetic as unblocked
     updates.  ``r`` and ``p`` live in ``work``, from :func:`cg_workspace` of
-    ``c``'s shape (None: a fresh one), which holds the residual, the
-    direction and a scratch that receives ``a_t p`` and ``a_t y`` on their
-    way into ``x`` and ``r``: whole when ``c`` is one block, and a block at
-    a time, in a scratch of one block, when it is longer.  ``work`` holds
-    nothing from one solve to the next, so a caller that owns it can reuse
-    it for every solve of a run; a ``product`` or ``callback`` must then not
-    keep ``r`` or ``p`` across solves either.  The scratch holds nothing
+    ``c``'s shape (None: a fresh one), which holds the residual and the
+    direction, the two rows of one block, and a scratch that receives ``a_t
+    p`` and ``a_t y`` on their way into ``x`` and ``r``: whole when ``c`` is
+    one block, and a block at a time, in a scratch of one block, when it is
+    longer.  ``work`` holds nothing from one solve to the next, so a caller
+    that owns it can reuse it for every solve of a run; a ``product`` or
+    ``callback`` must then not keep ``r`` or ``p`` across solves either.  The scratch holds nothing
     while ``product`` runs, so an operator may pass ``work[2]`` to
     :func:`_axpy` for its own arithmetic, but must not return it.  ``x`` is
     always a fresh C-ordered array, whatever ``c``'s layout.  Outside the ``advance`` path the kernel
@@ -383,7 +383,7 @@ def cg_solve(
     ``<J p, S>``'s vector work; ``c`` may then be ``work``'s residual row.
     Without one, ``q_apply(p)`` returns ``Q p`` and the solver takes and
     counts ``<p, Q p>``.  ``work`` is the kernel's residual, direction and
-    scratch, of the layout :func:`cg_workspace` gives ``c``'s shape (see
+    scratch ``(r, p, tmp)``, from :func:`cg_workspace` of ``c``'s shape (see
     :func:`cg_kernel`); None allocates one for this solve.
 
     Returns

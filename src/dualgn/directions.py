@@ -211,15 +211,15 @@ def primal_gn_direction(opr, loss, f, spec, work=None, at=None):
     shift and curvature dots and the shadow's block arithmetic, so primal
     and dual counters measure the same class of work.
 
-    ``work`` is the CG workspace from :func:`dualgn.cgsolver.cg_workspace`
-    of shape ``(p,)``, which holds the kernel's residual, its direction and a
-    scratch (a vector up to ``BLOCK`` parameters, one block past that),
-    through which the plain product also adds its ridge shift; None
-    allocates one for this call.  Its layout is checked first, and the
-    right-hand side ``J^T g`` is then written straight into its residual
-    row, so the step keeps no copy of it.  Nothing in it outlives the call,
-    and the operator keeps neither the residual nor the direction, so a
-    caller may pass one workspace to every step of a run (as
+    ``work`` is the CG workspace ``(r, p, tmp)`` from
+    :func:`dualgn.cgsolver.cg_workspace` of shape ``(p,)``: the kernel's
+    residual and direction, and a scratch (a vector up to ``BLOCK``
+    parameters, one block past that), through which the plain product also
+    adds its ridge shift; None allocates one for this call.  Its layout is
+    checked first, and the right-hand side ``J^T g`` is then written straight
+    into its residual ``r``, so the step keeps no copy of it.  Nothing in it
+    outlives the call, and the operator keeps neither the residual nor the
+    direction, so a caller may pass one workspace to every step of a run (as
     :func:`dualgn.trainer.train` does).  ``d`` never lies in it.
 
     ``at`` is :func:`dualgn.losses.loss_eval` at ``f``, if the caller has it;

@@ -160,11 +160,6 @@ def _push(layers, inputs, slopes, gram_terms, tangent):
     return dZ
 
 
-def _param_rng(seed):
-    # Philox is counter based, so the stream is reproducible across platforms.
-    return np.random.Generator(np.random.Philox(key=seed))
-
-
 class Linearization:
     """A model linearized at one parameter point on one batch, and its products.
 
@@ -308,7 +303,8 @@ class MLPModel:
 
     def init_params(self, seed=0):
         """Uniform(-a, a) init per layer with ``a = 1/sqrt(fan_in)``, seeded."""
-        rng = _param_rng(seed)
+        # Philox is counter based, so the stream is reproducible across platforms.
+        rng = np.random.Generator(np.random.Philox(key=seed))
         chunks = []
         for out, fan_in in self._shapes:
             a = 1.0 / np.sqrt(fan_in)

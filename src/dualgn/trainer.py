@@ -189,18 +189,20 @@ class TrainResult:
         return self.abort_reason is not None
 
 
-def _armijo_backtrack(batch_loss_eval, w, d, h0, dg, beta, shrink, eta0, max_backtracks):
+def _armijo_backtrack(batch_loss_eval, w, d, h0, dg):
     """Backtracking line search along ``-d`` for the batch objective ``h``.
 
-    Tries ``eta = eta0 * shrink**j`` for ``j = 0, 1, ...`` and returns the
-    first (largest) stepsize with ``h(w - eta d) <= h0 - beta * eta * dg``,
-    where ``h0 = h(w)`` and ``dg`` is the descent inner product ``<d, grad>``.
-    Returns ``(eta, accepted)``; after ``max_backtracks`` rejections the
-    smallest stepsize tried is returned with ``accepted=False``.  Training
-    searches from ``eta0 = 1`` with :class:`TrainConfig`'s constants.
+    Tries ``eta = shrink**j`` for ``j = 0, 1, ...`` and returns the first
+    (largest) stepsize with ``h(w - eta d) <= h0 - beta * eta * dg``, where
+    ``h0 = h(w)``, ``dg`` is the descent inner product ``<d, grad>``, and
+    ``beta`` and ``shrink`` are :class:`TrainConfig`'s ``armijo_beta`` and
+    ``armijo_shrink``.  Returns ``(eta, accepted)``; after
+    ``TrainConfig.armijo_max_backtracks`` rejections the smallest stepsize
+    tried is returned with ``accepted=False``.
     """
-    eta = eta0
-    for _ in range(max_backtracks + 1):
+    beta, shrink = TrainConfig.armijo_beta, TrainConfig.armijo_shrink
+    eta = 1.0
+    for _ in range(TrainConfig.armijo_max_backtracks + 1):
         if float(batch_loss_eval(w - eta * d)) <= h0 - beta * eta * dg:
             return eta, True
         eta *= shrink
@@ -308,17 +310,7 @@ def _batch_step(model, w, Xb, Yb, config, state, subproblem, work=None):
             d = rec.gamma * d
     elif config.method == "armijo_spl":
         h_eval = lambda v: _mean(loss_value(oracle, model.forward(v, Xb)))
-        rec.eta, _ = _armijo_backtrack(
-            h_eval,
-            w,
-            d,
-            rec.batch_loss,
-            max(rec.descent_ip, 0.0),
-            config.armijo_beta,
-            config.armijo_shrink,
-            1.0,
-            config.armijo_max_backtracks,
-        )
+        rec.eta, _ = _armijo_backtrack(h_eval, w, d, rec.batch_loss, max(rec.descent_ip, 0.0))
     else:
         rule, rec.eta = config.method, config.eta
     return outer_update(rule, state, w, d, rec.eta, config, out=d), rec, None

@@ -45,15 +45,25 @@ def _make_instance(model_name, in_dim, out_dim, m, seed):
     return model, w, X, Y
 
 
+def _cases(seed, kinds):
+    """Each of ``_INSTANCES`` under each loss kind in ``kinds``, in that order.
+
+    Yields ``(i, model, w, X, loss, opr)``: instance ``i``, drawn from seed
+    ``seed + i``, its loss oracle and a new Jacobian operator at ``w``.
+    """
+    for i, (name, d, k, m) in enumerate(_INSTANCES):
+        for kind in kinds:
+            model, w, X, Y = _make_instance(name, d, k, m, seed + i)
+            yield i, model, w, X, LossOracle(kind, Y), make_jacobian_operator(model, w, X)
+
+
 def adjoint_suite(seed=0):
     """Adjoint identity <Ju, V> == <u, J^T V> and finite-difference jvp."""
     lines = []
     ok = True
     worst_adj = 0.0
     worst_fd = 0.0
-    for i, (name, d, k, m) in enumerate(_INSTANCES):
-        model, w, X, _ = _make_instance(name, d, k, m, seed + i)
-        opr = make_jacobian_operator(model, w, X)
+    for i, model, w, X, _, opr in _cases(seed, LOSS_KINDS[:1]):  # the loss is unused
         worst_adj = max(worst_adj, adjoint_dot_test(opr, seed=seed + i, trials=20))
         rng = np.random.Generator(np.random.Philox(key=[seed + i, 11]))
         for _ in range(5):
@@ -76,24 +86,20 @@ def descent_suite(seed=0):
     lines = []
     worst = np.inf
     count = 0
-    for i, (name, d, k, m) in enumerate(_INSTANCES):
-        for loss_kind in LOSS_KINDS:
-            model, w, X, Y = _make_instance(name, d, k, m, seed + i)
-            oracle = LossOracle(loss_kind, Y)
-            opr = make_jacobian_operator(model, w, X)
-            grad = batch_gradient(opr, oracle, opr.outputs)
-            for path in ("primal", "dual"):
-                for tau in (1, 2, 4, 8):
-                    spec = SubproblemSpec(gamma=0.7, tau=tau, path=path)
-                    fn = primal_gn_direction if path == "primal" else dual_gn_direction
-                    res = fn(opr, oracle, opr.outputs, spec)
-                    # <d, grad> in parameter space, independent of how the
-                    # route computes its own descent inner product
-                    scale = 1.0 + float(
-                        np.linalg.norm(res.d) * np.linalg.norm(grad)
-                    )
-                    worst = min(worst, float(np.vdot(res.d, grad)) / scale)
-                    count += 1
+    for _, _, _, _, oracle, opr in _cases(seed, LOSS_KINDS):
+        grad = batch_gradient(opr, oracle, opr.outputs)
+        for path in ("primal", "dual"):
+            for tau in (1, 2, 4, 8):
+                spec = SubproblemSpec(gamma=0.7, tau=tau, path=path)
+                fn = primal_gn_direction if path == "primal" else dual_gn_direction
+                res = fn(opr, oracle, opr.outputs, spec)
+                # <d, grad> in parameter space, independent of how the
+                # route computes its own descent inner product
+                scale = 1.0 + float(
+                    np.linalg.norm(res.d) * np.linalg.norm(grad)
+                )
+                worst = min(worst, float(np.vdot(res.d, grad)) / scale)
+                count += 1
     ok = worst >= DESCENT_TOL
     lines.append(
         f"min normalized descent inner product {worst:.3e} over {count} solves "
@@ -106,29 +112,25 @@ def duality_suite(seed=0):
     """Primal and dual routes agree when both CG solves run to convergence."""
     lines = []
     worst = 0.0
-    for i, (name, d, k, m) in enumerate(_INSTANCES):
-        for loss_kind in LOSS_KINDS:
-            model, w, X, Y = _make_instance(name, d, k, m, seed + i)
-            oracle = LossOracle(loss_kind, Y)
-            opr = make_jacobian_operator(model, w, X)
-            p = model.n_params
-            res_p = primal_gn_direction(
-                opr,
-                oracle,
-                opr.outputs,
-                SubproblemSpec(gamma=2.5, tau=4 * p, path="primal", tol=1e-14),
-            )
-            res_d = dual_gn_direction(
-                opr,
-                oracle,
-                opr.outputs,
-                SubproblemSpec(gamma=2.5, tau=4 * m * k, path="dual", tol=1e-14),
-            )
-            rel = float(
-                np.linalg.norm(res_p.d - res_d.d)
-                / max(1.0, np.linalg.norm(res_d.d))
-            )
-            worst = max(worst, rel)
+    for _, _, _, _, oracle, opr in _cases(seed, LOSS_KINDS):
+        p, m, k = opr.dims
+        res_p = primal_gn_direction(
+            opr,
+            oracle,
+            opr.outputs,
+            SubproblemSpec(gamma=2.5, tau=4 * p, path="primal", tol=1e-14),
+        )
+        res_d = dual_gn_direction(
+            opr,
+            oracle,
+            opr.outputs,
+            SubproblemSpec(gamma=2.5, tau=4 * m * k, path="dual", tol=1e-14),
+        )
+        rel = float(
+            np.linalg.norm(res_p.d - res_d.d)
+            / max(1.0, np.linalg.norm(res_d.d))
+        )
+        worst = max(worst, rel)
     ok = worst <= DUALITY_TOL
     lines.append(
         f"max primal/dual direction mismatch {worst:.3e} (tol {DUALITY_TOL:.0e})"
@@ -142,10 +144,7 @@ def constraints_suite(seed=0):
     ok = True
 
     worst_feas = 0.0
-    for i, (name, d, k, m) in enumerate(_INSTANCES):
-        model, w, X, Y = _make_instance(name, d, k, m, seed + i)
-        oracle = LossOracle("logistic", Y)
-        opr = make_jacobian_operator(model, w, X)
+    for _, _, _, _, oracle, opr in _cases(seed, ("logistic",)):
         iterates = []
         dual_gn_direction(
             opr,

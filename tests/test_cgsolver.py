@@ -213,40 +213,34 @@ def test_budget_and_tolerance_are_checked_by_both_solvers():
 
 
 def test_workspace_leaves_the_solve_unchanged():
-    # a block the caller keeps starts each solve with stale contents
+    # a workspace the caller keeps starts each solve with stale contents; the
+    # residual and direction are the rows of one block, and the scratch has
+    # c's shape up to one block and past it is one BLOCK, which every block
+    # of an update reuses
     Q, c = _spd(9, 33)
-    work = np.full((3, 9), np.nan)
-    for max_iter in (0, 1, 4, 9, 30):
-        got = cg_solve(lambda v: Q @ v, c, max_iter=max_iter, tol=0.0, work=work)
-        _same_solve(got, cg_solve(lambda v: Q @ v, c, max_iter=max_iter, tol=0.0))
-        assert not np.shares_memory(got[0], work)
-    for bad in (np.empty((2, 9)), np.empty((3, 8)), np.empty((3, 9), dtype=np.float32)):
-        with pytest.raises(ValueError, match="work must be a float64 array of shape"):
-            cg_solve(lambda v: Q @ v, c, work=bad)
-
-    # past one block the residual and direction are the rows of one block
-    # and the scratch is one BLOCK, which every block of an update reuses
+    cases = [((9,), lambda v: Q @ v, c, (9,))]
     for shape, seed in (((2 * BLOCK + 7,), 34), ((BLOCK // 2 + 5, 3), 35)):
-        q_apply, c = _low_rank_spd(shape, seed)
+        cases.append((shape, *_low_rank_spd(shape, seed), (BLOCK,)))
+    for shape, q_apply, c, scratch in cases:
         work = cg_workspace(shape)
-        assert [a.shape for a in work] == [shape, shape, (BLOCK,)]
+        assert [a.shape for a in work] == [shape, shape, scratch]
         assert work[0].base is work[1].base and work[0].base.shape == (2, *shape)
         for a in work:
             a.fill(np.nan)
-        for max_iter in (0, 1, 4, 9):
+        for max_iter in (0, 1, 4, 9, 30):
             got = cg_solve(q_apply, c, max_iter=max_iter, tol=0.0, work=work)
             _same_solve(got, cg_solve(q_apply, c, max_iter=max_iter, tol=0.0))
             assert not any(np.shares_memory(got[0], a) for a in work)
         r, p, tmp = work
         for bad in (
-            np.empty((3, *shape)),  # a whole vector of scratch
+            np.empty((3, *shape)),  # the three as one block
             (r, p),
             [r, p, tmp],
-            (r, p, np.empty(BLOCK - 1)),
-            (r, p, np.empty(BLOCK, dtype=np.float32)),
+            (r, p, np.empty(tmp.size - 1)),
+            (r, p, tmp.astype(np.float32)),
             (r, p.astype(np.float32), tmp),
             (r, np.empty(2 * c.size)[::2].reshape(shape), tmp),  # not C-contiguous
-            (r, p, tmp.reshape(128, 128)),
+            (r, p, tmp[None]),
         ):
             with pytest.raises(ValueError, match="work must be a tuple of float64 arrays of shapes"):
                 cg_solve(q_apply, c, work=bad)

@@ -204,6 +204,61 @@ def test_every_train_config_field_is_a_run_flag_and_a_config_key(tmp_path, monke
     ]
 
 
+@pytest.mark.parametrize("penalty", ["--l1", "--l2"])
+def test_penalized_run_writes_its_csv(penalty, tmp_path, monkeypatch):
+    out = tmp_path / "m.csv"
+    code = _run(
+        ["run", "--data", "blobs:32,2,3,0.3", "--batch-size", "16", "--epochs", "2",
+         "--method", "momentum", "--loss", "logistic", penalty, "0.01", "--out", str(out)],
+        monkeypatch,
+    )
+    assert code == 0
+    rows = _read(out)
+    assert rows[0] == CSV_FIELDS and len(rows) == 1 + 4
+
+
+def test_bad_config_files_are_usage_errors(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "x.csv"
+    cfg = tmp_path / "run.cfg"
+    for text, message in (
+        (None, f"cannot read config file {cfg}"),
+        ("method = spl\ngamma 0.5\n", f"{cfg}:2: expected `key = value`, got 'gamma 0.5'"),
+        ("gamma = half\n", "key 'gamma': cannot parse number from 'half'"),
+    ):
+        if text is not None:
+            cfg.write_text(text)
+        code = _run(["run", "--config", str(cfg), "--out", str(out)], monkeypatch)
+        assert code == 1
+        assert f"usage error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_empty_grid_is_usage_error(tmp_path, monkeypatch, capsys):
+    for grid in ("", " , ,"):
+        code = _run(["run", "--grid", grid, "--out", str(tmp_path / "g.csv")], monkeypatch)
+        assert code == 1
+        assert "usage error: grid: empty value list" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_grid_point_that_aborts_exits_2(tmp_path, monkeypatch, capsys):
+    # the gamma=1e14 run of test_dual_alpha_at_round_off_aborts_with_diagnostic_row
+    # aborts; the other point trains, and both write their CSV
+    out = tmp_path / "g.csv"
+    code = _run(
+        ["run", "--data", "blobs:32,16,3,1e2", "--loss", "squared", "--model", "linear",
+         "--method", "spl", "--tau", "12", "--batch-size", "4", "--epochs", "1",
+         "--grid", "0.5,1e14", "--out", str(out)],
+        monkeypatch,
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("aborted at gamma=1e14: dual variable alpha")
+    assert err.count("aborted") == 1
+    assert len(_read(tmp_path / "g_g0.5.csv")) == 1 + 8
+    assert _read(tmp_path / "g_g1e14.csv")[0] == CSV_FIELDS
+
+
 def test_env_seed_fallback(tmp_path, monkeypatch):
     base = ["run", "--data", "blobs:32,2,2,0.3", "--batch-size", "16", "--epochs", "1"]
     out_env = tmp_path / "env.csv"
@@ -422,6 +477,27 @@ def test_verify_cost_suite_runs(capsys):
 def test_verify_unknown_suite_is_usage_error(capsys):
     assert main(["verify", "spectral"]) == 1
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite, line", [
+    ("duality", "max primal/dual direction mismatch"),
+    ("constraints", "projected CG vs dense KKT error"),
+    ("all", "[cost] ok"),
+])
+def test_verify_duality_constraints_and_all_run(suite, line, capsys):
+    assert main(["verify", suite]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith(f"suite {suite}: ok\n") and line in out
+    if suite == "all":
+        assert [ln for ln in out.splitlines() if ln.startswith("[")] == [
+            "[adjoint] ok", "[descent] ok", "[duality] ok", "[constraints] ok", "[cost] ok"
+        ]
+
+
+def test_run_suite_rejects_an_unknown_name():
+    # the CLI's argument choices stop an unknown name before run_suite sees it
+    with pytest.raises(ValueError, match="unknown suite 'spectral'"):
+        run_suite("spectral")
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):

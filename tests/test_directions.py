@@ -610,14 +610,14 @@ def test_primal_builds_gram_matrices_only_where_m_is_below_fan_in(monkeypatch):
 @pytest.mark.parametrize("loss_kind", ["squared", "logistic"])
 def test_primal_workspace_leaves_the_direction_unchanged(loss_kind):
     # one workspace with stale contents serves every call, as in a training
-    # run: a (3, p) block, and past one BLOCK of parameters two vectors and a
-    # block of scratch, through which the plain products past tau = m*k add
-    # their ridge shift
+    # run: two vectors and a scratch, a third vector up to one BLOCK of
+    # parameters and one block past that, through which the plain products
+    # past tau = m*k add their ridge shift
     for name, d in (("mlp:40", 30), ("mlp:64", 300)):
         model, w, X, _, loss, f = _instance(name, d, 3, 6, 71, loss_kind)
         p = model.n_params
         work = cg_workspace((p,))
-        assert (p <= BLOCK) == isinstance(work, np.ndarray)
+        assert [a.shape for a in work] == [(p,), (p,), (p,) if p <= BLOCK else (BLOCK,)]
         for a in work:
             a.fill(np.nan)
         for tau in (0, 1, 4, 18, 60):
@@ -632,7 +632,8 @@ def test_primal_workspace_leaves_the_direction_unchanged(loss_kind):
                 assert (oprs[0].jvp_calls, oprs[0].vjp_calls) == (oprs[1].jvp_calls, oprs[1].vjp_calls)
                 assert not any(np.shares_memory(got.d, a) for a in work)
         spec = SubproblemSpec(gamma=1.0, tau=4, path="primal")
-        for bad in (np.empty((3, p - 1)), np.empty((3, p), dtype=np.float32), (*work[:2], work[2][:-1])):
+        for bad in (np.empty((3, p)), (work[0], work[1].astype(np.float32), work[2]),
+                    (*work[:2], work[2][:-1])):
             with pytest.raises(ValueError, match="work must be a"):
                 primal_gn_direction(make_jacobian_operator(model, w, X), loss, f, spec, work=bad)
 

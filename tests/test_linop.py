@@ -166,6 +166,21 @@ def test_bare_operator_ignores_cotangent():
     assert opr.jvp_calls == 2
 
 
+def test_bare_operator_checks_its_products_shapes():
+    A = np.arange(6.0).reshape(3, 2)
+    good = JacobianOperator(lambda u: (A @ u).reshape(3, 1), lambda V: A.T @ V.ravel(), (2, 3, 1))
+    bad = JacobianOperator(lambda u: A @ u, lambda V: np.append(A.T @ V.ravel(), 0.0), (2, 3, 1))
+    u, V = np.ones(2), np.ones((3, 1))
+    with pytest.raises(ValueError, match=r"jvp produced shape \(3,\), expected \(3, 1\)"):
+        bad.jvp(u)
+    for out in (None, np.empty(2)):
+        with pytest.raises(ValueError, match=r"vjp produced shape \(3,\), expected \(2,\)"):
+            bad.vjp(V, out=out)
+    # a good adjoint's product is copied into out
+    out = np.empty(2)
+    assert good.vjp(V, out=out) is out and np.array_equal(out, A.T @ V.ravel())
+
+
 # Compact transposed products: a stand-in s for J^T V, with ||J^T V||^2, the
 # forward product J J^T V from s, and the expansion of s into J^T V.
 

@@ -116,6 +116,16 @@ def test_constraint_project_properties():
     assert_allclose(constraint_project(sq, B), B)
 
 
+def test_squared_constraint_project_copies_into_out():
+    sq = LossOracle("squared", np.zeros((4, 3)))
+    B = np.random.Generator(np.random.Philox(key=6)).standard_normal((4, 3))
+    out = np.full((4, 3), np.nan)
+    assert constraint_project(sq, B, out=out) is out
+    assert np.array_equal(out, B)
+    assert constraint_project(sq, B, out=B) is B
+    assert constraint_project(sq, B) is B  # no copy without out
+
+
 def test_conjugate_values():
     loss = LossOracle("squared", np.array([0.0, 1.0]))
     assert conjugate_value(loss, np.array([1.0, 0.0])) == 0.5

@@ -324,6 +324,14 @@ def test_bad_param_vector_shape():
         model.forward(np.zeros(5), np.ones((1, 2)))
 
 
+def test_bad_tangent_shape():
+    model = MLPModel([2, 3, 2])
+    w = model.init_params(0)
+    for bad in (np.zeros(model.n_params - 1), np.zeros((1, model.n_params))):
+        with pytest.raises(ValueError, match=f"expected flat tangent of length {model.n_params}"):
+            model.jvp(w, np.ones((1, 2)), bad)
+
+
 def test_make_model_parsing():
     assert isinstance(make_model("linear", 3, 2), LinearModel)
     assert make_model("mlp:8", 2, 3).dims == [2, 8, 3]

@@ -50,14 +50,9 @@ def test_config_validation():
     assert TrainConfig().regularizer() is None
 
 
-def _armijo_search(h, w, d, g, max_backtracks=30):
-    """The trainer's line search from eta 1, at TrainConfig's default beta
-    and shrink, with ``h(w)`` and ``<d, g>`` formed here."""
-    config = TrainConfig()
-    return _armijo_backtrack(
-        h, w, d, h(w), float(np.vdot(d, g)), config.armijo_beta, config.armijo_shrink,
-        1.0, max_backtracks,
-    )
+def _armijo_search(h, w, d, g):
+    """The trainer's line search, with ``h(w)`` and ``<d, g>`` formed here."""
+    return _armijo_backtrack(h, w, d, h(w), float(np.vdot(d, g)))
 
 
 def test_armijo_quadratic_accepts_full_step():
@@ -84,23 +79,31 @@ def test_armijo_zero_direction_accepts_eta0():
     assert (eta, accepted) == (1.0, True)
 
 
-def test_armijo_exhaustion_returns_smallest_eta():
+def test_armijo_exhaustion_returns_smallest_eta(monkeypatch):
     # a function that rises in every direction from w rejects every trial
     h = lambda w: float(abs(w[0] - 1.0))
-    eta, accepted = _armijo_search(
-        h, np.array([1.0]), np.array([1.0]), np.array([1.0]), max_backtracks=3
-    )
+    w, d, g = np.array([1.0]), np.array([1.0]), np.array([1.0])
+    monkeypatch.setattr(TrainConfig, "armijo_max_backtracks", 3)
+    eta, accepted = _armijo_search(h, w, d, g)
     assert not accepted
     assert eta == pytest.approx(0.5**3)
-    w, d = np.array([1.0]), np.array([1.0])
-    assert _armijo_backtrack(h, w, d, h(w), 1.0, 1e-4, 0.25, 2.0, 1) == (0.5, False)
+    # the search reads its shrink and budget from TrainConfig
+    monkeypatch.setattr(TrainConfig, "armijo_shrink", 0.25)
+    monkeypatch.setattr(TrainConfig, "armijo_max_backtracks", 1)
+    assert _armijo_backtrack(h, w, d, h(w), 1.0) == (0.25, False)
 
 
-def test_backtrack_budget_must_be_a_nonnegative_integer():
+def test_backtrack_budget_must_be_a_nonnegative_integer(monkeypatch):
     h = lambda w: float(abs(w[0] - 1.0))
     w, d, g = np.array([1.0]), np.array([1.0]), np.array([1.0])
-    # a zero budget still tries eta0 once
-    assert _armijo_search(h, w, d, g, max_backtracks=0) == (1.0, False)
+    # a zero budget still tries eta 1 once
+    monkeypatch.setattr(TrainConfig, "armijo_max_backtracks", 0)
+    assert _armijo_search(h, w, d, g) == (1.0, False)
+
+
+def test_unknown_loss_is_rejected():
+    with pytest.raises(ValueError, match=r"loss must be one of \('squared', 'logistic'\), got 'hinge'"):
+        TrainConfig(loss="hinge")
 
 
 def test_seed_must_be_a_nonnegative_integer():
@@ -297,8 +300,8 @@ def test_steady_state_primal_step_allocation_budget(method):
 
 
 def test_primal_workspace_is_one_block_for_the_whole_run(monkeypatch):
-    # p = 83 is one (3, p) block; p = 19,459 is past BLOCK, where the
-    # workspace holds two vectors and one block of scratch
+    # p = 83 is one block, where the scratch is a third vector; p = 19,459
+    # is past BLOCK, where the scratch is one block
     blocks = []
     solve = directions.cg_solve
 
@@ -322,10 +325,7 @@ def test_primal_workspace_is_one_block_for_the_whole_run(monkeypatch):
         p = result.model.n_params
         assert len(blocks) == 6 * 3
         assert all(b is blocks[0] for b in blocks)
-        if p <= BLOCK:
-            assert blocks[0].shape == (3, p)
-        else:
-            assert [a.shape for a in blocks[0]] == [(p,), (p,), (BLOCK,)]
+        assert [a.shape for a in blocks[0]] == [(p,), (p,), (p,) if p <= BLOCK else (BLOCK,)]
         assert not any(np.shares_memory(result.params, a) for a in blocks[0])
 
 
@@ -397,6 +397,26 @@ def test_spl_step_matches_direction_call():
     assert np.array_equal(w_new, w - res.d)
     with pytest.raises(ValueError, match="spl_step"):
         spl_step(w, (X, Y), TrainConfig(method="sgd"))
+
+
+@pytest.mark.parametrize("kind, lam", [("l1", 0.01), ("l2", 0.3)])
+@pytest.mark.parametrize("loss_kind", ["squared", "logistic"])
+def test_penalized_spl_step_matches_the_regularized_direction(kind, lam, loss_kind):
+    ds = synth_blobs(4, n=8, d=2, k=3, spread=0.3)
+    X, Y = ds.inputs, ds.targets
+    config = TrainConfig(method="spl", gamma=0.6, tau=3, model="mlp:4", loss=loss_kind,
+                         **{kind: lam})
+    model = make_model("mlp:4", 2, 3)
+    w = model.init_params(7)
+    w_new = spl_step(w, (X, Y), config, model=model)
+    opr = make_jacobian_operator(model, w, X)
+    res = regularized_dual_direction(
+        opr, LossOracle(loss_kind, Y), opr.outputs, SubproblemSpec(gamma=0.6, tau=3), w,
+        Regularizer(kind, lam),
+    )
+    assert np.array_equal(w_new, w - res.d)
+    unpenalized = TrainConfig(method="spl", gamma=0.6, tau=3, model="mlp:4", loss=loss_kind)
+    assert not np.array_equal(w_new, spl_step(w, (X, Y), unpenalized, model=model))
 
 
 def test_spl_step_norm_monotone_in_gamma():
@@ -647,6 +667,21 @@ def test_every_update_rule_records_its_step(method, direction):
         assert rec.inner_iters == (tau if direction == "proxlinear" else 0)
         assert (rec.jvp_calls - jvp, rec.vjp_calls - vjp) == per_step
         jvp, vjp = rec.jvp_calls, rec.vjp_calls
+
+
+@pytest.mark.parametrize("method", ["spl", "momentum"])
+@pytest.mark.parametrize("loss_kind", ["squared", "logistic"])
+@pytest.mark.parametrize("penalty", [{"l1": 0.01}, {"l2": 0.3}], ids=["l1", "l2"])
+def test_penalized_training_runs_end_to_end(penalty, loss_kind, method):
+    ds = synth_blobs(3, n=30, d=2, k=3, spread=0.3)
+    config = TrainConfig(method=method, loss=loss_kind, model="mlp:4", gamma=0.5, eta=0.05,
+                         tau=3, batch_size=10, epochs=2, seed=3, **penalty)
+    res = train(config, ds)
+    assert not res.aborted and len(res.records) == 6
+    for rec in res.records:
+        assert np.all(np.isfinite(list(vars(rec).values())))
+        assert rec.inner_iters == 3
+    assert np.all(np.isfinite(res.params))
 
 
 @pytest.mark.parametrize("method", ["sgd", "momentum"])
