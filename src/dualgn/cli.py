@@ -99,7 +99,11 @@ def _read_config_file(path):
 
 
 def _assemble(args, env):
-    """Merge defaults < config file < flags; returns (config, data, out, grid)."""
+    """Merge defaults < config file < flags; returns (config, data, out, grid).
+
+    ``grid`` is None or :func:`_grid_points` of the ``--grid`` value, so a
+    bad grid is rejected before any data is built.
+    """
     settings = {}
     if args.config:
         settings.update(_read_config_file(args.config))
@@ -118,7 +122,28 @@ def _assemble(args, env):
         make_model(config.model, 1, 2)  # eager model-spec validation
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    return config, data_spec, out, grid
+    return config, data_spec, out, None if grid is None else _grid_points(config, grid)
+
+
+def _grid_points(config, grid):
+    """``(key, [(token, config), ...])``: the swept setting and its checked points."""
+    tokens = [t.strip() for t in grid.split(",") if t.strip()]
+    if not tokens:
+        raise UsageError("grid: empty value list")
+    if config.method == "armijo_spl":
+        raise UsageError(
+            "grid: armijo_spl fixes gamma=1 and searches the stepsize itself; "
+            "nothing to sweep"
+        )
+    key = "gamma" if config.method == "spl" else "eta"
+    points = []  # every value is checked before the first run writes a file
+    for token in tokens:
+        value = _convert(key, token)
+        try:
+            points.append((token, dataclasses.replace(config, **{key: value})))
+        except ValueError as exc:
+            raise UsageError(f"grid value {token!r}: {exc}") from None
+    return key, points
 
 
 def _load_data(spec, seed):
@@ -179,22 +204,7 @@ def _cmd_run(args, env):
             return 2
         return 0
 
-    tokens = [t.strip() for t in grid.split(",") if t.strip()]
-    if not tokens:
-        raise UsageError("grid: empty value list")
-    if config.method == "armijo_spl":
-        raise UsageError(
-            "grid: armijo_spl fixes gamma=1 and searches the stepsize itself; "
-            "nothing to sweep"
-        )
-    key = "gamma" if config.method == "spl" else "eta"
-    points = []  # every value is checked before the first run writes a file
-    for token in tokens:
-        value = _convert(key, token)
-        try:
-            points.append((token, dataclasses.replace(config, **{key: value})))
-        except ValueError as exc:
-            raise UsageError(f"grid value {token!r}: {exc}") from None
+    key, points = grid
     root, ext = os.path.splitext(out)
     code = 0
     for token, point in points:

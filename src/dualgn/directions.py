@@ -29,9 +29,11 @@ gradient's ``J^T g`` as compact per-layer stand-ins: the ``m x out``
 cotangent of each layer whose fan-in exceeds the batch size ``m``, the
 layer's parameter block otherwise.  Without a penalty it pushes its
 right-hand side from the gradient's stand-in, maps back and takes its
-descent inner product in stand-in space, so when every layer's fan-in
-exceeds ``m`` its one parameter-length array is the returned direction,
-expanded once from the stand-in of ``J^T alpha`` and scaled by ``gamma/m``.
+descent inner product in stand-in space, and returns the direction as the
+stand-in of ``J^T alpha`` with its scale ``gamma/m``.  When every layer's
+fan-in exceeds ``m`` it makes no parameter-length array: the direction is
+expanded when read, or streamed a bounded block at a time into the update
+(:meth:`DirectionResult.pieces`, :func:`dualgn.trainer.outer_update`).
 
 ``regularized_dual_direction`` extends the dual route to composite objectives
 with an l1 or l2 penalty on the parameters via a prox step on the mapped-back
@@ -132,7 +134,6 @@ class Regularizer:
         return np.asarray(z, dtype=np.float64)
 
 
-@dataclass
 class DirectionResult:
     """A computed direction plus its audit trail.
 
@@ -141,12 +142,59 @@ class DirectionResult:
     inner-solver :class:`CGReport`, and ``descent_inner_product`` the value
     ``<d, grad>`` against the batch gradient, nonnegative for the
     unregularized routes at any iteration budget.
+
+    An unpenalized dual direction is kept as the stand-in of ``J^T alpha``
+    on its operator, with its scale ``gamma / m``, until something reads
+    ``d``; :meth:`pieces` streams it without building ``d``.
     """
 
-    d: np.ndarray
-    alpha: object
-    report: CGReport
-    descent_inner_product: float
+    def __init__(self, d, alpha, report, descent_inner_product, standin=None):
+        self._d, self._standin = d, standin  # standin: (opr, s, m, gamma)
+        self.alpha, self.report = alpha, report
+        self.descent_inner_product = descent_inner_product
+
+    @property
+    def d(self):
+        """The direction as one parameter vector, built on the first read."""
+        if self._d is None:
+            opr, s, m, gamma = self._standin
+            d = opr.compact_expand(s)  # may be s itself
+            d /= m
+            d *= gamma
+            self.d = d
+        return self._d
+
+    @d.setter
+    def d(self, value):
+        self._d, self._standin = value, None
+
+    @property
+    def streams(self):
+        """Whether :meth:`pieces` expands ``d`` from a shorter stand-in: a
+        layer on the Gram route keeps its ``m x out`` cotangent, so an update
+        that streams the pieces holds no direction vector.  Otherwise ``d``
+        is built, or building it allocates nothing: it is the stand-in
+        itself, scaled in place."""
+        return self._standin is not None and self._standin[1].size < self._standin[0].dims[0]
+
+    def pieces(self):
+        """Yield ``(lo, hi, block)``, the direction on ``[lo, hi)``, in parameter order.
+
+        If the direction :attr:`streams`, each block is expanded from the
+        stand-in when it is asked for (see
+        :meth:`~dualgn.linop.JacobianOperator.compact_pieces`) and scaled
+        (``/= m; *= gamma``, as ``d`` is), in a scratch that the next block
+        reuses; otherwise the one block is ``d``.  The blocks are the
+        caller's to overwrite.
+        """
+        if not self.streams:
+            yield 0, self.d.size, self.d
+            return
+        opr, s, m, gamma = self._standin
+        for lo, hi, blk in opr.compact_pieces(s):
+            blk /= m
+            blk *= gamma
+            yield lo, hi, blk
 
 
 def _check_outputs(opr, loss, f):
@@ -316,8 +364,9 @@ def _dual_direction(opr, loss, f, spec, w=None, reg=None, callback=None, at=None
     the gradient's stand-in, the stand-in of ``J^T alpha`` is formed as the
     gradient's minus the kernel's sum of stand-ins, and the descent inner
     product ``(gamma / m^2) <J^T alpha, J^T g>`` is taken from the two
-    stand-ins; the step's one parameter-length array is ``d``, expanded from
-    the stand-in of ``J^T alpha``.  A penalty's prox step leaves that range,
+    stand-ins; the result keeps ``d`` as the stand-in of ``J^T alpha``, which
+    it expands when ``d`` is read or streams in pieces (see
+    :class:`DirectionResult`).  A penalty's prox step leaves that range,
     so the penalized route expands the gradient's stand-in into ``J^T g``,
     pushes the right-hand side from it and takes the descent inner product
     against ``J^T g / m``, formed in its buffer.  Both map back from the
@@ -439,28 +488,26 @@ def _dual_direction(opr, loss, f, spec, w=None, reg=None, callback=None, at=None
             f"{np.sqrt(aa):.3e}, ||g|| = {np.sqrt(gg):.3e}) in dual CG"
         )
 
-    # The map-back makes d, the one p-length array of an unpenalized step,
-    # from the stand-in of J^T alpha, the gradient's less the kernel's sum; a
-    # penalty then takes its prox step from w - d.
+    # The map-back: the stand-in of J^T alpha is the gradient's less the
+    # kernel's sum, and d its expansion scaled by gamma / m, which an
+    # unpenalized result makes only when read; a penalty then takes its prox
+    # step from w - d.
     sa = sg - zsum if isinstance(zsum, float) else np.subtract(sg, zsum, out=zsum)
-    if reg is None:  # taken before d is scaled, as d may be sa itself
-        descent = opr.compact_dot(sa, sg, gterms) * (gamma / m) / m
-        ops += sg.size
-    d = opr.compact_expand(sa)
-    d /= m
-    d *= gamma
-    # alpha's stand-in and the scaled direction
-    ops += sg.size + 2 * p
-    if reg is not None:
-        z = reg.prox(np.subtract(w, d, out=d), gamma)
-        d = np.subtract(w, z, out=z)
-        u /= m
-        descent = float(np.vdot(d, u))
-        # w - d, the prox (at most 4 passes), w - z, J^T g / m and the dot
-        ops += 9 * p
-    # sigma, beta and alpha
-    rep.vector_op_scalar_count += ops + 2 * q
-    return DirectionResult(d=d, alpha=alpha, report=rep, descent_inner_product=descent)
+    res = DirectionResult(None, alpha, rep, None, standin=(opr, sa, m, gamma))
+    # alpha's stand-in and the scaled direction; sigma, beta and alpha
+    ops += sg.size + 2 * p + 2 * q
+    if reg is None:
+        res.descent_inner_product = opr.compact_dot(sa, sg, gterms) * (gamma / m) / m
+        rep.vector_op_scalar_count += ops + sg.size
+        return res
+    d = res.d
+    z = reg.prox(np.subtract(w, d, out=d), gamma)
+    res.d = np.subtract(w, z, out=z)
+    u /= m
+    res.descent_inner_product = float(np.vdot(res.d, u))
+    # w - d, the prox (at most 4 passes), w - z, J^T g / m and the dot
+    rep.vector_op_scalar_count += ops + 9 * p
+    return res
 
 
 def sdca_closed_form_squared(x, f, y, gamma):

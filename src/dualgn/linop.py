@@ -11,8 +11,9 @@ matrices where that is cheaper (see :mod:`dualgn.models`).  A transposed
 product may also be taken in a compact form, a stand-in for ``J^T V`` that is
 linear in ``V`` and holds no more scalars than ``p``: it can be pushed
 forward, dotted with another stand-in and expanded into the parameter vector,
-so a caller whose vectors all lie in the range of ``J^T`` makes no
-``p``-length pass but the last expansion.
+whole or a bounded block at a time, so a caller whose vectors all lie in the
+range of ``J^T`` makes no ``p``-length pass but the last expansion, and need
+not hold its result.
 
 An operator built by :func:`make_jacobian_operator` holds the one per-step
 state of its products, the model's :class:`~dualgn.models.Linearization`
@@ -154,6 +155,17 @@ class JacobianOperator:
         Counts no product, and may return ``s`` itself.
         """
         return s if self.lin is None else self.lin.compact_expand(s)
+
+    def compact_pieces(self, s):
+        """``(lo, hi, block)`` of the parameter vector behind a stand-in ``s``.
+
+        The blocks cover it once in parameter order, and each is the
+        caller's until it asks for the next (see
+        :meth:`~dualgn.models.Linearization.compact_pieces`).  Only an
+        operator with ``lin`` has them: another's stand-in is the parameter
+        vector.  Counts no product.
+        """
+        return self.lin.compact_pieces(s)
 
     def compact_dot(self, a, b, terms):
         """``<J^T A, J^T B>`` from stand-ins ``a`` and ``b`` (or sums of them).

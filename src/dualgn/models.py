@@ -50,9 +50,11 @@ flat array holding ``G`` on Gram layers and ``(dW, db)`` on the others, never
 longer than ``n_params`` and linear in ``V``.  One backward pass yields it
 together with ``||J^T V||^2`` (``<G, K G>`` on Gram layers) and the products
 ``K G``, from which ``compact_jvp`` pushes ``J J^T V`` forward;
-``compact_expand`` assembles a stand-in, or a linear combination of
-stand-ins, into the parameter vector ``J^T V``, and ``compact_dot`` takes
-``<J^T A, J^T V>`` from two stand-ins and the ``K G`` of ``V``.
+``compact_pieces`` expands a stand-in, or a linear combination of
+stand-ins, into the parameter vector ``J^T V`` a bounded block at a time,
+``compact_expand`` assembles those blocks into one vector, and
+``compact_dot`` takes ``<J^T A, J^T V>`` from two stand-ins and the ``K G``
+of ``V``.
 
 Parameter flattening convention: layer by layer, each layer's weight matrix
 (row-major) followed by its bias vector.  The linear model has no bias.
@@ -60,7 +62,18 @@ Parameter flattening convention: layer by layer, each layer's weight matrix
 
 import numpy as np
 
+from .cgsolver import BLOCK
+
 __all__ = ["LinearModel", "MLPModel", "make_model"]
+
+# A layer's parameter block is made and expanded in chunks of at most this
+# many float64 (1 MiB), so an update that streams an expansion holds one
+# chunk of it.  Each chunk's product packs the whole layer input again, so
+# fewer, larger chunks cost less: on a 2-core Xeon with one BLAS thread the
+# mlp784 block (64 x 256)^T (64 x 784) took 400-402 us whole, 410-414 us in
+# two chunks of 128 rows, 421-425 us in chunks of 167 and 89, and 442-459 us
+# in chunks of 83 rows (a PIECE of 4 BLOCKs).
+PIECE = 8 * BLOCK
 
 
 def sigmoid(z):
@@ -111,9 +124,30 @@ def _gram(grams, i, Z, bias):
     return grams[i]
 
 
+def _rows(out, fan_in):
+    """Rows per chunk of a layer's ``out x fan_in`` weight block.
+
+    As few chunks as keep each within ``PIECE`` scalars (one row past that),
+    all of one size but the last.
+    """
+    chunks = -(-out // max(1, PIECE // fan_in))
+    return -(-out // chunks)
+
+
 def _param_block(G, Z, dW, db):
-    """Write a layer's share ``G^T Z`` (and ``G^T 1``) of ``J^T V`` into ``dW`` (and ``db``)."""
-    np.matmul(G.T, Z, out=dW)
+    """Write a layer's share ``G^T Z`` (and ``G^T 1``) of ``J^T V`` into ``dW`` (and ``db``).
+
+    ``G^T Z`` is made in chunks of :func:`_rows` rows.  A chunked product's
+    bits depend on the chunk shape, so every product that forms a parameter
+    block (``vjp``, ``compact_vjp`` and the expansion of a stand-in) comes
+    through here on the same schedule, and they agree bit for bit.
+    """
+    if dW.size <= PIECE:  # one chunk
+        np.matmul(G.T, Z, out=dW)
+    else:
+        rows = _rows(*dW.shape)
+        for r in range(0, dW.shape[0], rows):
+            np.matmul(G[:, r : r + rows].T, Z, out=dW[r : r + rows])
     if db is not None:
         np.add.reduce(G, axis=0, out=db)
 
@@ -245,19 +279,48 @@ class Linearization:
         return _push(self.layers, self.inputs, self.slopes, terms, _views(s, self.table))
 
     def compact_expand(self, s):
-        """The parameter vector ``J^T V`` that the stand-in ``s`` stands for."""
+        """The parameter vector ``J^T V`` that the stand-in ``s`` stands for.
+
+        Assembled from :meth:`compact_pieces`; with no Gram layer it is ``s``.
+        """
         if True not in self.route:  # s is laid out as J^T V and is J^T V
             return s
         out = np.empty(self.n_params)
-        pieces = zip(self.route, _views(s, self.table), _views(out, self.params_table), self.inputs)
-        for gram, piece, (dW, db), Z in pieces:
-            if gram:
-                _param_block(piece, Z, dW, db)
-                continue
-            dW[...] = piece[0]
-            if db is not None:
-                db[...] = piece[1]
+        for lo, hi, blk in self.compact_pieces(s):
+            out[lo:hi] = blk
         return out
+
+    def compact_pieces(self, s):
+        """Yield ``(lo, hi, block)``: ``J^T V`` on ``[lo, hi)`` for the stand-in ``s``.
+
+        The blocks come in parameter order and cover it once: each layer's
+        weights in the row chunks of :func:`_param_block`, then its bias.  A
+        Gram layer's chunk is ``G^T Z`` and its bias ``G^T 1``; another
+        layer's blocks are copied from ``s``.  Each is written into one
+        scratch of at most ``PIECE`` scalars (a bias past that), which the
+        next block reuses.  So the caller may overwrite a block until it asks
+        for the next one, and ``s`` is left as it was.
+        """
+        shapes = [shape for *_, shape in self.params_table]
+        scratch = np.empty(max(max(_rows(o, f) * f, o) for o, f in shapes))
+        pieces = zip(self.route, _views(s, self.table), self.params_table, self.inputs)
+        for gram, piece, (_, lo, mid, hi, (rows_out, fan_in)), Z in pieces:
+            rows = _rows(rows_out, fan_in)
+            for r in range(0, rows_out, rows):
+                n = min(rows, rows_out - r)
+                blk = scratch[: n * fan_in]
+                if gram:
+                    _param_block(piece[:, r : r + rows], Z, blk.reshape(n, fan_in), None)
+                else:
+                    blk.reshape(n, fan_in)[...] = piece[0][r : r + rows]
+                yield lo + r * fan_in, lo + (r + n) * fan_in, blk
+            if hi is not None:
+                blk = scratch[: hi - mid]
+                if gram:
+                    np.add.reduce(piece, axis=0, out=blk)
+                else:
+                    blk[...] = piece[1]
+                yield mid, hi, blk
 
     def compact_dot(self, a, b, terms):
         """``<J^T A, J^T B>`` from the stand-ins ``a`` and ``b`` of ``J^T A`` and ``J^T B``.

@@ -41,9 +41,10 @@ from typing import ClassVar
 
 import numpy as np
 
-from .cgsolver import _finite, _integer, _seed_range, cg_workspace
+from .cgsolver import CGReport, _finite, _integer, _seed_range, cg_workspace
 from .data import Dataset
 from .directions import (
+    DirectionResult,
     Regularizer,
     SubproblemSpec,
     batch_gradient,
@@ -213,45 +214,58 @@ def outer_update(rule, state, w, d, eta, config, out=None):
     """Apply one sgd/momentum/adam update with direction ``d``; returns new w.
 
     This is the only place a training step is applied; ``spl`` and
-    ``armijo_spl`` use the ``sgd`` rule ``w - eta d``.
+    ``armijo_spl`` use the ``sgd`` rule ``w - eta d``.  ``d`` is a parameter
+    vector or a :class:`~dualgn.directions.DirectionResult`, whose
+    :meth:`~dualgn.directions.DirectionResult.pieces` the rule is applied to
+    one at a time: an unpenalized dual direction is then never held whole.
 
     ``state`` is mutated in place, its arrays included.  Momentum uses the
     heavy-ball recursion ``v <- mu v + d``; adam uses bias-corrected first
     and second moments.  The new parameters are written into ``out`` and
     returned.  The default ``out=None`` writes them into a fresh array and
     leaves ``w`` and ``d`` as they were; ``out=d`` reuses the direction's
-    buffer, with the same values.
+    buffer, with the same values.  ``out=w`` updates the parameters in place:
+    a result's blocks then hold each piece's step, and an array ``d`` is left
+    as it was at the cost of one scratch vector.
     """
     if rule not in ("sgd", "momentum", "adam"):
         raise ValueError(f"unknown update rule {rule!r}")
-    w, d = np.asarray(w, dtype=np.float64), np.asarray(d, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    own = isinstance(d, DirectionResult)
+    pieces = d.pieces() if own else ((0, w.size, np.asarray(d, dtype=np.float64)),)
     if out is None:
         out = np.empty_like(w)
-    step = d
-    if rule == "momentum":
-        if state.velocity is None:
-            state.velocity = np.zeros_like(w)
-        state.velocity *= config.momentum_mu
-        state.velocity += d
-        step = state.velocity
+    if rule == "momentum" and state.velocity is None:
+        state.velocity = np.zeros_like(w)
     if rule == "adam":
         if state.adam_m is None:
             state.adam_m = np.zeros_like(w)
             state.adam_v = np.zeros_like(w)
         b1, b2 = config.adam_beta1, config.adam_beta2
         state.t += 1
-        state.adam_m *= b1
-        state.adam_m += (1.0 - b1) * d
-        state.adam_v *= b2
-        state.adam_v += (1.0 - b2) * d * d
-        denom = np.sqrt(state.adam_v / (1.0 - b2 ** state.t))
-        denom += config.adam_eps
-        np.divide(state.adam_m, 1.0 - b1 ** state.t, out=out)  # mhat
-        out *= eta
-        out /= denom
-    else:
-        np.multiply(eta, step, out=out)
-    return np.subtract(w, out, out=out)
+    for lo, hi, blk in pieces:
+        # where eta times the step is formed before it is taken from w
+        t = out[lo:hi] if out is not w else blk if own else np.empty(hi - lo)
+        step = blk
+        if rule == "momentum":
+            step = state.velocity[lo:hi]
+            step *= config.momentum_mu
+            step += blk
+        if rule == "adam":
+            m, v = state.adam_m[lo:hi], state.adam_v[lo:hi]
+            m *= b1
+            m += (1.0 - b1) * blk
+            v *= b2
+            v += (1.0 - b2) * blk * blk
+            denom = np.sqrt(v / (1.0 - b2 ** state.t))
+            denom += config.adam_eps
+            np.divide(m, 1.0 - b1 ** state.t, out=t)  # mhat
+            t *= eta
+            t /= denom
+        else:
+            np.multiply(eta, step, out=t)
+        np.subtract(w[lo:hi], t, out=out[lo:hi])
+    return out
 
 
 # A diverging step overflows into a non-finite loss, residual or curvature,
@@ -266,14 +280,17 @@ def _mean(values):
 
 
 @np.errstate(**_QUIET)
-def _batch_step(model, w, Xb, Yb, config, state, subproblem, work=None):
+def _batch_step(model, w, Xb, Yb, config, state, subproblem, work=None, out=None):
     """One minibatch update; returns ``(w_new, record, failure)``.
 
     ``record`` is the step's :class:`RunRecord`.  ``failure`` is None, or the
     message of a non-finite batch loss or a failed direction solve; ``w`` is
     then returned unchanged and the record has eta 0.  ``subproblem`` is
-    :meth:`TrainConfig.subproblem`, and ``work`` the primal route's CG
-    workspace (see :func:`dualgn.directions.primal_gn_direction`).  The loss
+    :meth:`TrainConfig.subproblem`, ``work`` the primal route's CG
+    workspace (see :func:`dualgn.directions.primal_gn_direction`), and
+    ``out`` the array that receives ``w_new`` when the direction streams (see
+    :attr:`dualgn.directions.DirectionResult.streams`); a built direction
+    receives it instead.  The loss
     at the batch outputs is evaluated once, for the batch loss, the gradient
     and the softmax alike.
     """
@@ -287,17 +304,15 @@ def _batch_step(model, w, Xb, Yb, config, state, subproblem, work=None):
         if not np.isfinite(rec.batch_loss):
             raise NumericError("non-finite batch loss")
         if config.direction == "gradient":
-            d = batch_gradient(opr, oracle, f, at)
-            rec.descent_ip = float(np.vdot(d, d))
+            g = batch_gradient(opr, oracle, f, at)
+            res = DirectionResult(g, None, CGReport(), float(np.vdot(g, g)))
+        elif config.path == "primal":
+            res = primal_gn_direction(opr, oracle, f, spec, work=work, at=at)
+        elif reg is not None:
+            res = regularized_dual_direction(opr, oracle, f, spec, w, reg, at=at)
         else:
-            if config.path == "primal":
-                res = primal_gn_direction(opr, oracle, f, spec, work=work, at=at)
-            elif reg is not None:
-                res = regularized_dual_direction(opr, oracle, f, spec, w, reg, at=at)
-            else:
-                res = dual_gn_direction(opr, oracle, f, spec, at=at)
-            d, rec.descent_ip = res.d, res.descent_inner_product
-            rec.inner_iters = res.report.iterations
+            res = dual_gn_direction(opr, oracle, f, spec, at=at)
+        rec.descent_ip, rec.inner_iters = res.descent_inner_product, res.report.iterations
     except NumericError as exc:
         return w, rec, str(exc)
     finally:
@@ -307,13 +322,17 @@ def _batch_step(model, w, Xb, Yb, config, state, subproblem, work=None):
     if config.method == "spl":
         rec.eta = 1.0
         if config.direction == "gradient":
-            d = rec.gamma * d
+            res.d *= rec.gamma
     elif config.method == "armijo_spl":
         h_eval = lambda v: _mean(loss_value(oracle, model.forward(v, Xb)))
-        rec.eta, _ = _armijo_backtrack(h_eval, w, d, rec.batch_loss, max(rec.descent_ip, 0.0))
+        rec.eta, _ = _armijo_backtrack(h_eval, w, res.d, rec.batch_loss, max(rec.descent_ip, 0.0))
     else:
         rule, rec.eta = config.method, config.eta
-    return outer_update(rule, state, w, d, rec.eta, config, out=d), rec, None
+    # A step that has built d writes the new parameters over it, and the
+    # vector they replace is freed: a freed direction at the top of the heap
+    # would be trimmed by glibc and faulted back in by the next step.
+    out = out if res.streams else res.d
+    return outer_update(rule, state, w, res, rec.eta, config, out=out), rec, None
 
 
 def _single_step(w, batch, config, model):
@@ -395,7 +414,10 @@ def train(config, dataset, on_record=None):
     then ``aborted`` and ``abort_reason`` names the failure and the step.
 
     On the primal route one CG workspace serves every step, so that a
-    steady-state step allocates no solver state of its own.  The subproblem
+    steady-state step allocates no solver state of its own.  An unpenalized
+    dual step without a line search whose direction streams updates the
+    parameter vector in place (``out=w`` in :func:`outer_update`), so it
+    holds no direction vector.  The subproblem
     spec and penalty, and the full-dataset loss oracle and labels of the
     end-of-epoch metrics, are built once per run.
     """
@@ -430,7 +452,7 @@ def train(config, dataset, on_record=None):
             t0 = time.perf_counter()
             idx = perm[start : start + config.batch_size]
             w, rec, failure = _batch_step(
-                model, w, X[idx], Y[idx], config, state, subproblem, work
+                model, w, X[idx], Y[idx], config, state, subproblem, work, out=w
             )
             if failure is None and start + config.batch_size >= n:
                 train_loss, train_acc = _full_metrics(model, w, X, Y, config.loss, oracle, labels)

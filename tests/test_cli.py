@@ -627,3 +627,22 @@ def test_python_dash_m_runs_the_cli_from_a_checkout(tmp_path):
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 1
     assert "usage error" in proc.stderr
+
+
+def test_bad_grid_is_rejected_before_the_data_is_built(tmp_path, monkeypatch, capsys):
+    def no_data(spec, seed):
+        raise AssertionError("the data was built before the grid was checked")
+
+    monkeypatch.setattr(cli, "_load_data", no_data)
+    cases = [
+        ([], "", "usage error: grid: empty value list"),
+        (["--method", "armijo_spl"], "0.1,1", "usage error: grid: armijo_spl fixes gamma=1"),
+        (["--method", "spl"], "0.5,nan", "usage error: grid value 'nan': gamma must be"),
+        (["--method", "sgd"], "nan", "usage error: grid value 'nan': eta must be"),
+    ]
+    for flags, grid, message in cases:
+        out = tmp_path / "g.csv"
+        code = _run(["run", *flags, "--grid", grid, "--out", str(out)], monkeypatch)
+        assert code == 1
+        assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
