@@ -153,8 +153,7 @@ class CGReport:
         ``residual_norms[0]`` is the initial residual norm ``||c||``; one
         entry is appended per residual update (see :func:`cg_kernel`).
     inner_product_with_rhs : float
-        ``<x, c>`` at exit (on the shadow path, summed from the products; see
-        :func:`cg_kernel`).  On a PSD system this is nonnegative up to
+        ``<x, c>`` at exit.  On a PSD system this is nonnegative up to
         round-off for every iteration count.
     vector_op_scalar_count : int
         Scalar operations spent on vector arithmetic (model products and
@@ -185,9 +184,9 @@ def cg_kernel(
         p_t = r_t + b_t p_{t-1}
 
     ``p_t`` is formed only when iteration ``t + 1`` runs.  ``product(p, ps)``
-    returns ``(<p, Q p>, y, ys, js)`` for one product ``y`` of ``p``, and
-    ``y`` is ``Q p`` unless ``advance`` is given (``ys`` and ``js`` serve
-    the shadow below).  Then ``advance(y)`` is ``Q p`` for
+    returns ``(<p, Q p>, y, ys)`` for one product ``y`` of ``p``, and ``y``
+    is ``Q p`` unless ``advance`` is given (``ys`` serves the shadow
+    below).  Then ``advance(y)`` is ``Q p`` for
     the latest ``p``, skipped on iteration ``max_iter`` (its residual would
     feed no iteration), and the kernel returns ``ysum = sum_t a_t y_t`` (else
     ``0.0``).  On the dual route ``y`` is a compact stand-in for ``J^T
@@ -239,14 +238,11 @@ def cg_kernel(
     :mod:`dualgn.models`).  The shadow holds only up to round-off, so it is
     dropped, and ``ps`` is None from then on, once ``||r||^2 <= SHADOW_EPS
     ||c||^2``.  In particular ``tau = 0`` performs no CG work and, on the
-    dual route, returns exactly ``gamma`` times the batch gradient.  On the
-    shadow path ``js`` is ``<J p, S>``, taken from the product's forward
-    product ``J p`` (shadowed or not), and the report's
-    ``inner_product_with_rhs`` is ``<x, c> = sum_t a_t <J p_{t-1}, S>``, so
-    the kernel keeps nothing of ``c`` once ``r`` holds it.  ``c`` may then
-    be ``work``'s residual row itself, which the caller has filled, and is
-    not copied.  Without a shadow ``js`` is ignored, ``c`` must not lie in
-    ``work`` and the inner product is ``vdot(x, c)``.
+    dual route, returns exactly ``gamma`` times the batch gradient.  The
+    report's ``inner_product_with_rhs`` is ``vdot(x, c)`` with or without a
+    shadow: a sum of ``a_t <J J^T ps, S>`` over shadowed products would
+    follow the shadow, not ``x``, and miss ``<x, c>`` by the drift.  So
+    ``c`` is kept, and must not lie in ``work``.
 
     ``project(r)`` maps a residual update back onto the range of a singular
     ``Q``: past convergence, null-space round-off in the recursive residual
@@ -272,17 +268,15 @@ def cg_kernel(
     n = c.size
     r, p, tmp = cg_workspace(c.shape) if work is None else work
     x = np.zeros(c.shape)  # C order, so the blocked updates write through
-    copy = not np.may_share_memory(c, r)
-    if copy:
-        np.copyto(r, c)
+    np.copyto(r, c)
     np.copyto(p, r)
     rr = rr0 = float(np.vdot(r, r))
     if not math.isfinite(rr):
         raise NumericError(f"non-finite initial residual in {label}")
-    # r0 unless c is r, p0 and <r0, r0>
-    rep = CGReport(residual_norms=[math.sqrt(rr)], vector_op_scalar_count=(2 + copy) * n)
+    # r0, p0 and <r0, r0>
+    rep = CGReport(residual_norms=[math.sqrt(rr)], vector_op_scalar_count=3 * n)
     threshold = tol * max(1.0, rep.residual_norms[0])
-    ysum = ip = 0.0
+    ysum = 0.0
     reproject = None  # project, from the first residual at round-off on
     rs = ps = shadow  # never updated in place
 
@@ -294,7 +288,7 @@ def cg_kernel(
             if ps is not None:
                 ps = rs + b * ps
                 rep.vector_op_scalar_count += ps.size
-        quad, y, ys, js = product(p, ps)
+        quad, y, ys = product(p, ps)
         rep.operator_calls += 1
         if not math.isfinite(quad):
             raise NumericError(f"non-finite curvature product at {label} iteration {it}")
@@ -302,8 +296,6 @@ def cg_kernel(
             break
         a = rr / quad
         _axpy(x, a, p, tmp)
-        if shadow is not None:
-            ip += a * js
         rep.vector_op_scalar_count += n
         rep.iterations = it
         if callback is not None:
@@ -340,10 +332,8 @@ def cg_kernel(
         b = rr_new / rr
         rr = rr_new
 
-    if shadow is None:
-        ip = float(np.vdot(x, c))
-        rep.vector_op_scalar_count += n
-    rep.inner_product_with_rhs = ip
+    rep.inner_product_with_rhs = float(np.vdot(x, c))
+    rep.vector_op_scalar_count += n
     return x, rep, ysum
 
 
@@ -358,7 +348,7 @@ def _budget(max_iter, tol, n):
 def _curvature_product(q_apply):
     def product(p, _):
         qp = q_apply(p)
-        return float(np.vdot(p, qp)), qp, None, None
+        return float(np.vdot(p, qp)), qp, None
 
     return product
 
@@ -378,9 +368,8 @@ def cg_solve(
     shape to itself.  ``callback(x)`` is invoked after each iterate update.
     With a ``shadow`` ``S`` of ``c`` (see :func:`cg_kernel`), ``q_apply(p,
     ps)`` is the kernel's ``product``: it returns ``(<p, Q p>, Q p, shadow of
-    Q p, <J p, S>)``, where ``ps`` is the shadow of ``p`` or None (the shadow
-    of ``Q p`` is then ignored), and the caller counts its curvature's and
-    ``<J p, S>``'s vector work; ``c`` may then be ``work``'s residual row.
+    Q p)``, where ``ps`` is the shadow of ``p`` or None (the shadow of ``Q
+    p`` is then ignored), and the caller counts its curvature's vector work.
     Without one, ``q_apply(p)`` returns ``Q p`` and the solver takes and
     counts ``<p, Q p>``.  ``work`` is the kernel's residual, direction and
     scratch ``(r, p, tmp)``, from :func:`cg_workspace` of ``c``'s shape (see

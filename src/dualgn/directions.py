@@ -237,8 +237,7 @@ def primal_gn_direction(opr, loss, f, spec, work=None, at=None):
     Each CG iteration applies ``d -> J^T H (J d) + (m/gamma) d``: one forward
     product, one batched loss Hessian product and one transposed product.
     Starting from zero, every truncation is a descent direction for the batch
-    objective, and ``<d, grad>`` is the kernel's ``<d, J^T g>`` over ``m``,
-    which it sums from each product's ``<J d, g>``, an m*k dot.
+    objective, and ``<d, grad>`` is the kernel's ``<d, J^T g>`` over ``m``.
 
     Every CG vector lies in the range of ``J^T``: ``c = J^T g``, and the
     operator maps ``J^T D`` to ``J^T (H J d + (m/gamma) D)``.  So the kernel
@@ -264,9 +263,9 @@ def primal_gn_direction(opr, loss, f, spec, work=None, at=None):
     residual and direction, and a scratch (a vector up to ``BLOCK``
     parameters, one block past that), through which the plain product also
     adds its ridge shift; None allocates one for this call.  Its layout is
-    checked first, and the right-hand side ``J^T g`` is then written straight
-    into its residual ``r``, so the step keeps no copy of it.  Nothing in it
-    outlives the call, and the operator keeps neither the residual nor the
+    checked before any product is made.  The right-hand side ``J^T g`` is
+    kept beside it for the final ``<d, J^T g>``.  Nothing in it outlives the
+    call, and the operator keeps neither the residual nor the
     direction, so a caller may pass one workspace to every step of a run (as
     :func:`dualgn.trainer.train` does).  ``d`` never lies in it.
 
@@ -275,10 +274,10 @@ def primal_gn_direction(opr, loss, f, spec, work=None, at=None):
     """
     f = _check_outputs(opr, loss, f)
     p, m, _ = opr.dims
-    work = cg_workspace((p,), work)  # checked before J^T g is written into it
+    work = cg_workspace((p,), work)
 
     g, soft = _at_outputs(loss, f, at)
-    c = opr.vjp(g, out=work[0])  # the kernel's residual row
+    c = opr.vjp(g)
 
     shift = m / spec.gamma
     plain = 0  # products made after the kernel dropped the shadow
@@ -287,21 +286,20 @@ def primal_gn_direction(opr, loss, f, spec, work=None, at=None):
         nonlocal plain
         jd = opr.jvp(d, cotangent=D)
         hjd = loss_hvp(loss, f, jd, soft)
-        jg = float(np.vdot(jd, g))
         if D is not None:
             ys = hjd + shift * D
-            return float(np.vdot(jd, ys)), opr.vjp(ys), ys, jg
+            return float(np.vdot(jd, ys)), opr.vjp(ys), ys
         plain += 1
         quad = float(np.vdot(jd, hjd)) + shift * float(np.vdot(d, d))
         qd = opr.vjp(hjd)
         _axpy(qd, shift, d, work[2])  # the kernel's free scratch
-        return quad, qd, None, jg
+        return quad, qd, None
 
     d, rep = cg_solve(product, c, max_iter=spec.tau, tol=spec.tol, shadow=g, work=work)
-    # <J d, g> per product; shadowed: the shift-add and <J d, Y>; plain: the
-    # shift-add, <d, d> and <J d, H J d>
+    # shadowed: the shift-add and <J d, Y>; plain: the shift-add, <d, d> and
+    # <J d, H J d>
     shadowed = rep.operator_calls - plain
-    rep.vector_op_scalar_count += 4 * g.size * shadowed + (3 * p + 2 * g.size) * plain
+    rep.vector_op_scalar_count += 3 * g.size * shadowed + (3 * p + g.size) * plain
     return DirectionResult(
         d=d,
         alpha=None,
@@ -420,7 +418,7 @@ def _dual_direction(opr, loss, f, spec, w=None, reg=None, callback=None, at=None
         beta = to_beta(x)
         hw = beta / sig if logistic else beta
         s, sq, terms = opr.compact_vjp(beta)
-        return float(np.vdot(beta, hw)) + mu_inv * sq, s, None, None
+        return float(np.vdot(beta, hw)) + mu_inv * sq, s, None
 
     def reproject(r):
         """``S P S^-1 r``, in the kernel's own residual ``r``."""

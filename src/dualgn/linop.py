@@ -1,30 +1,26 @@
-"""Matrix-free Jacobian operators for a model at a fixed point and batch.
+"""The Jacobian operator of a model at a fixed point and batch.
 
 A :class:`JacobianOperator` bundles the batched Jacobian-vector product
 (parameter space -> output block) and its adjoint (output block -> parameter
 space) for a model linearized at ``params`` on a batch, without ever forming
-the Jacobian matrix.  Every jvp/vjp call increments a counter, so solver cost
-contracts can be checked against what actually ran.  A forward product of a
-tangent that is a transposed product ``u = J^T V`` may be given ``V`` as
-well, and the model operator then evaluates it through per-layer Gram
-matrices where that is cheaper (see :mod:`dualgn.models`).  A transposed
-product may also be taken in a compact form, a stand-in for ``J^T V`` that is
-linear in ``V`` and holds no more scalars than ``p``: it can be pushed
-forward, dotted with another stand-in and expanded into the parameter vector,
-whole or a bounded block at a time, so a caller whose vectors all lie in the
-range of ``J^T`` makes no ``p``-length pass but the last expansion, and need
-not hold its result.
-
-An operator built by :func:`make_jacobian_operator` holds the one per-step
-state of its products, the model's :class:`~dualgn.models.Linearization`
-from one forward pass: the parameter layer views, the layer inputs and SiLU
-slopes, the batch size's Gram route and stand-in slice table, and the Gram
-matrices built so far.  Its products read that state directly, and it is
+the Jacobian matrix.  :func:`make_jacobian_operator` builds it from one traced
+forward pass, and it holds the model outputs and the model's
+:class:`~dualgn.models.Linearization`: the parameter layer views, the layer
+inputs and SiLU slopes, the batch size's Gram route and stand-in slice table,
+and the Gram matrices built so far.  Its products read that state, and it is
 freed with the operator, so nothing of a step outlives it on the model.
-Other operators take the parameter vector itself as their stand-in.
-"""
 
-from functools import partial
+Every product increments a counter, so solver cost contracts can be checked
+against what actually ran.  A forward product of a tangent that is a
+transposed product ``u = J^T V`` may be given ``V`` as well, and is then
+evaluated through per-layer Gram matrices where that is cheaper (see
+:mod:`dualgn.models`).  A transposed product may also be taken in a compact
+form, a stand-in for ``J^T V`` that is linear in ``V`` and holds no more
+scalars than ``p``: it can be pushed forward, dotted with another stand-in and
+expanded into the parameter vector, whole or a bounded block at a time, so a
+caller whose vectors all lie in the range of ``J^T`` makes no ``p``-length
+pass but the last expansion, and need not hold its result.
+"""
 
 import numpy as np
 
@@ -41,29 +37,30 @@ __all__ = [
 class JacobianOperator:
     """Batched Jacobian of a model at a fixed (params, batch) pair.
 
+    Built by :func:`make_jacobian_operator` only.  :meth:`jvp` and :meth:`vjp`
+    call the model's own ``jvp`` and ``vjp`` at the linearization, so a
+    wrapper on those methods (such as a profiler's) sees every such product;
+    the ``compact_*`` products go to the linearization directly.
+
     Attributes
     ----------
     dims : tuple (p, m, k)
         Parameter count, batch size, output dimension.
-    outputs : ndarray, shape (m, k), or None
-        Model outputs at the linearization point, when the builder has them.
+    model, params, X
+        The model, the parameter vector and the batch it is linearized at.
+    outputs : ndarray, shape (m, k)
+        Model outputs at the linearization point.
+    lin : Linearization
+        The model's per-step state from the same forward pass.
     jvp_calls, vjp_calls : int
-        Number of batched product evaluations so far; each call to
-        :meth:`jvp` / :meth:`vjp` adds exactly one.
-    lin : Linearization or None
-        The model's per-step state, on an operator built by
-        :func:`make_jacobian_operator`.  ``apply(u, cotangent=V)`` then
-        takes the Gram route given ``u = adjoint(V)``, and the ``compact_*``
-        products come from it; without it the stand-in for ``J^T V`` is
-        ``adjoint(V)`` itself and cotangents are ignored.
+        Number of batched product evaluations so far; each forward or
+        transposed product, plain or compact, adds exactly one.
     """
 
-    def __init__(self, apply, adjoint, dims, lin=None):
-        self.apply = apply
-        self.adjoint = adjoint
-        self.lin = lin
-        self.dims = tuple(int(x) for x in dims)
-        self.outputs = None
+    def __init__(self, model, params, X, outputs, lin):
+        self.model, self.params, self.X = model, params, X
+        self.outputs, self.lin = outputs, lin
+        self.dims = (model.n_params, X.shape[0], model.out_dim)
         self.jvp_calls = 0
         self.vjp_calls = 0
 
@@ -78,27 +75,18 @@ class JacobianOperator:
         """Map a flat parameter tangent (p,) to an output block (m, k).
 
         ``cotangent``, if given, must be a block ``V`` with ``u = J^T V``, such
-        as the argument of the :meth:`vjp` call that returned ``u``.  A model
-        operator uses it; others ignore it.  Either way the call counts as one
-        forward product.  Layers that take the Gram route compute their terms
-        from ``V``, so the result matches ``J u`` only as closely as ``u = J^T
-        V`` holds: a ``V`` carried through recurrences beside ``u`` drifts
-        from it by round-off, which is why the primal CG stops passing its
-        shadow once that drift is no longer small against its residual (see
-        :data:`dualgn.cgsolver.SHADOW_EPS`).
+        as the argument of the :meth:`vjp` call that returned ``u``.  Either
+        way the call counts as one forward product.  Layers that take the
+        Gram route compute their terms from ``V``, so the result matches ``J
+        u`` only as closely as ``u = J^T V`` holds: a ``V`` carried through
+        recurrences beside ``u`` drifts from it by round-off, which is why the
+        primal CG stops passing its shadow once that drift is no longer small
+        against its residual (see :data:`dualgn.cgsolver.SHADOW_EPS`).
         """
-        p, m, k = self.dims
-        u = np.asarray(u, dtype=np.float64)
-        if u.shape != (p,):
-            raise ValueError(f"tangent must have shape ({p},), got {u.shape}")
         if cotangent is not None:
             cotangent = self._block(cotangent)
+        out = self.model.jvp(self.params, self.X, u, self.lin, cotangent)
         self.jvp_calls += 1
-        if self.lin is not None:
-            return self.apply(u, cotangent=cotangent)
-        out = self.apply(u)
-        if out.shape != (m, k):
-            raise ValueError(f"jvp produced shape {out.shape}, expected ({m}, {k})")
         return out
 
     def vjp(self, V, out=None):
@@ -106,35 +94,21 @@ class JacobianOperator:
 
         This is the sum over samples of the per-sample adjoint products.
         ``out``, if given, is a C-contiguous float64 vector of length ``p``
-        that receives the product and is returned: a model operator writes
-        into it, and another copies its adjoint's result into it.
+        that receives the product and is returned.
         """
-        p = self.dims[0]
         V = self._block(V)
         self.vjp_calls += 1
-        if self.lin is not None:
-            return self.adjoint(V, out=out)
-        v = self.adjoint(V)
-        if v.shape != (p,):
-            raise ValueError(f"vjp produced shape {v.shape}, expected ({p},)")
-        if out is None:
-            return v
-        np.copyto(out, v)
-        return out
+        return self.model.vjp(self.params, self.X, V, self.lin, out)
 
     def compact_vjp(self, V):
         """A stand-in ``s`` for ``J^T V``, with ``||J^T V||^2`` and forward terms.
 
-        Returns ``(s, sq, terms)``.  ``s`` is a flat array, linear in ``V``
-        (the :meth:`vjp` result itself on an operator without ``lin``);
+        Returns ``(s, sq, terms)``.  ``s`` is a flat array, linear in ``V``;
         :meth:`compact_jvp` pushes it forward with ``terms`` and
         :meth:`compact_expand` turns it, or a linear combination of such
         stand-ins, into the parameter vector.  Counts as one transposed
         product.
         """
-        if self.lin is None:
-            v = self.vjp(V)
-            return v, float(np.vdot(v, v)), None
         V = self._block(V)
         self.vjp_calls += 1
         return self.lin.compact_vjp(V)
@@ -144,8 +118,6 @@ class JacobianOperator:
 
         Counts as one forward product.
         """
-        if self.lin is None:
-            return self.jvp(s)
         self.jvp_calls += 1
         return self.lin.compact_jvp(s, terms)
 
@@ -154,16 +126,15 @@ class JacobianOperator:
 
         Counts no product, and may return ``s`` itself.
         """
-        return s if self.lin is None else self.lin.compact_expand(s)
+        return self.lin.compact_expand(s)
 
     def compact_pieces(self, s):
         """``(lo, hi, block)`` of the parameter vector behind a stand-in ``s``.
 
         The blocks cover it once in parameter order, and each is the
         caller's until it asks for the next (see
-        :meth:`~dualgn.models.Linearization.compact_pieces`).  Only an
-        operator with ``lin`` has them: another's stand-in is the parameter
-        vector.  Counts no product.
+        :meth:`~dualgn.models.Linearization.compact_pieces`).  Counts no
+        product.
         """
         return self.lin.compact_pieces(s)
 
@@ -172,8 +143,6 @@ class JacobianOperator:
 
         ``terms`` are those of :meth:`compact_vjp` ``(B)``.  Counts no product.
         """
-        if self.lin is None:
-            return float(np.vdot(a, b))
         return self.lin.compact_dot(a, b, terms)
 
 
@@ -190,9 +159,7 @@ def make_jacobian_operator(model, params, batch):
     Returns
     -------
     JacobianOperator with ``dims == (p, m, k)``, holding the model outputs
-    and the model's linearization from one traced forward pass.  Its
-    ``apply`` and ``adjoint`` are the model's ``jvp`` and ``vjp`` at that
-    linearization.
+    and the model's linearization from one traced forward pass.
     """
     X = np.asarray(batch, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -202,16 +169,8 @@ def make_jacobian_operator(model, params, batch):
             f"batch feature dim {X.shape[1]} does not match model input dim {model.in_dim}"
         )
     params = np.asarray(params, dtype=np.float64)
-    dims = (model.n_params, X.shape[0], model.out_dim)
     outputs, lin = model.forward_trace(params, X)
-    opr = JacobianOperator(
-        partial(model.jvp, params, X, trace=lin),
-        partial(model.vjp, params, X, trace=lin),
-        dims,
-        lin,
-    )
-    opr.outputs = outputs
-    return opr
+    return JacobianOperator(model, params, X, outputs, lin)
 
 
 def adjoint_dot_test(opr, seed=0, trials=20):

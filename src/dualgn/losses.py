@@ -6,10 +6,9 @@ Two loss kinds:
 * ``logistic``: l(f) = logsumexp(f) - <f, y> with one-hot ``y``
 
 Beyond value/gradient/Hessian-vector products, this module exposes the
-projector onto the range of the curvature (``constraint_project``) and the
-convex conjugate value.  On that range the curvature pseudo-inverse is the
-identity (squared) or division by the softmax (logistic), which the dual
-solver applies inline.
+projector onto the range of the curvature (``constraint_project``).  On that
+range the curvature pseudo-inverse is the identity (squared) or division by
+the softmax (logistic), which the dual solver applies inline.
 
 All functions operate on a single sample ``f`` of shape (k,), and broadcast
 row-wise when given a block of shape (m, k) with matching targets.
@@ -26,7 +25,6 @@ __all__ = [
     "loss_grad",
     "loss_hvp",
     "constraint_project",
-    "conjugate_value",
 ]
 
 LOSS_KINDS = ("squared", "logistic")
@@ -34,9 +32,6 @@ LOSS_KINDS = ("squared", "logistic")
 # Softmax entries are floored at this value before any division by them, so
 # the curvature pseudo-inverse stays finite for very confident predictions.
 SOFTMAX_FLOOR = 1e-12
-
-# Feasibility slack when deciding whether mu = y + alpha lies on the simplex.
-SIMPLEX_TOL = 1e-9
 
 # Row reductions call the ufunc's reduce directly: np.sum, np.max and their
 # ndarray methods reach the same reduce, with the same result, through Python
@@ -141,23 +136,3 @@ def constraint_project(loss, beta, out=None):
         return beta if out is None else out
     # sum / k is what mean computes, without mean's per-call overhead
     return np.subtract(beta, np.add.reduce(beta, axis=-1, keepdims=True) / beta.shape[-1], out=out)
-
-
-def conjugate_value(loss, alpha):
-    """Convex conjugate l*(alpha); scalar for (k,), (m,) row-wise for blocks.
-
-    Squared: ``0.5 ||alpha||^2 + <alpha, y>``.  Logistic: the negative
-    entropy of ``mu = y + alpha`` when ``mu`` lies on the probability
-    simplex (within ``SIMPLEX_TOL``), else ``+inf``; ``0 log 0 := 0``.
-    """
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if loss.kind == "squared":
-        return 0.5 * np.sum(alpha**2, axis=-1) + np.sum(alpha * loss.y, axis=-1)
-    mu = loss.y + alpha
-    feasible = (np.abs(mu.sum(axis=-1) - 1.0) <= SIMPLEX_TOL) & np.all(
-        mu >= -SIMPLEX_TOL, axis=-1
-    )
-    mu_clip = np.maximum(mu, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(mu_clip > 0.0, mu_clip * np.log(mu_clip), 0.0)
-    return np.where(feasible, terms.sum(axis=-1), np.inf)

@@ -1,11 +1,50 @@
-"""Independent dense references the tests check against.
+"""Independent references the tests check against.
 
-Everything here goes through dense numpy linear algebra or plain textbook
-recursions, never through the package's CG loops or dual solvers, so
-agreement between the two is meaningful.
+Everything here goes through dense numpy linear algebra, plain textbook
+recursions or the model's plain products, never through the package's CG
+loops, dual solvers or Gram-route products, so agreement between the two is
+meaningful.
 """
 
 import numpy as np
+
+# Feasibility slack when deciding whether mu = y + alpha lies on the simplex.
+SIMPLEX_TOL = 1e-9
+
+
+class PlainOperator:
+    """The plain products of a model operator, with its product protocol.
+
+    Takes every forward product from the parameter tangent alone, ignoring a
+    cotangent, so no layer takes the Gram route; the stand-in for ``J^T V``
+    is the :meth:`vjp` result itself, with no ``terms``.  Counts calls as the
+    model operator does, one per product, plain or compact.
+    """
+
+    def __init__(self, opr):
+        self.lin, self.dims, self.outputs = opr.lin, opr.dims, opr.outputs
+        self.jvp_calls = self.vjp_calls = 0
+
+    def jvp(self, u, cotangent=None):
+        self.jvp_calls += 1
+        return self.lin.jvp(u)
+
+    def vjp(self, V, out=None):
+        self.vjp_calls += 1
+        return self.lin.vjp(V, out)
+
+    def compact_vjp(self, V):
+        v = self.vjp(V)
+        return v, float(np.vdot(v, v)), None
+
+    def compact_jvp(self, s, terms):
+        return self.jvp(s)
+
+    def compact_expand(self, s):
+        return s
+
+    def compact_dot(self, a, b, terms):
+        return float(np.vdot(a, b))
 
 
 def materialize_jacobian(model, w, X):
@@ -131,3 +170,23 @@ def adam_trajectory(w0, grad_fn, eta, steps, b1=0.9, b2=0.999, eps=1e-8):
         w = w - eta * mhat / (np.sqrt(vhat) + eps)
         out.append(w.copy())
     return out
+
+
+def conjugate_value(loss, alpha):
+    """Convex conjugate l*(alpha); scalar for (k,), (m,) row-wise for blocks.
+
+    Squared: ``0.5 ||alpha||^2 + <alpha, y>``.  Logistic: the negative
+    entropy of ``mu = y + alpha`` when ``mu`` lies on the probability
+    simplex (within ``SIMPLEX_TOL``), else ``+inf``; ``0 log 0 := 0``.
+    """
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if loss.kind == "squared":
+        return 0.5 * np.sum(alpha**2, axis=-1) + np.sum(alpha * loss.y, axis=-1)
+    mu = loss.y + alpha
+    feasible = (np.abs(mu.sum(axis=-1) - 1.0) <= SIMPLEX_TOL) & np.all(
+        mu >= -SIMPLEX_TOL, axis=-1
+    )
+    mu_clip = np.maximum(mu, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(mu_clip > 0.0, mu_clip * np.log(mu_clip), 0.0)
+    return np.where(feasible, terms.sum(axis=-1), np.inf)

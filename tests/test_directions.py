@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dualgn import (
-    JacobianOperator,
     LossOracle,
     NumericError,
     Regularizer,
@@ -25,7 +24,7 @@ from dualgn import (
 )
 from dualgn import models
 from dualgn.cgsolver import BLOCK, cg_workspace
-from oracles import dense_direction, ista_l1
+from oracles import PlainOperator, dense_direction, ista_l1
 from strategies import MODELS, jacobian_cases
 
 
@@ -424,15 +423,13 @@ def test_non_finite_inner_product_raises():
     # an operator that corrupts the second forward product poisons the
     # residual update, which the dual loop must detect and name
     model, w, X, _, loss, f = _instance("linear", 3, 2, 4, 79)
-    base = make_jacobian_operator(model, w, X)
-    calls = {"jvp": 0}
 
-    def poisoned(u):
-        calls["jvp"] += 1
-        out = base.apply(u)
-        return np.full_like(out, np.nan) if calls["jvp"] >= 2 else out
+    class Poisoned(PlainOperator):
+        def jvp(self, u, cotangent=None):
+            out = super().jvp(u)
+            return np.full_like(out, np.nan) if self.jvp_calls >= 2 else out
 
-    opr = JacobianOperator(poisoned, base.adjoint, base.dims)
+    opr = Poisoned(make_jacobian_operator(model, w, X))
     with pytest.raises(NumericError, match="dual CG iteration 1"):
         dual_gn_direction(opr, loss, f, SubproblemSpec(gamma=1.0, tau=3))
 
@@ -489,15 +486,15 @@ def test_gram_forward_products_leave_the_dual_direction_unchanged(loss_kind):
     for reg in (Regularizer(), Regularizer("l2", 0.3), Regularizer("l1", 0.01)):
         spec = SubproblemSpec(gamma=2.0, tau=6, path="dual")
         opr = make_jacobian_operator(model, w, X)
-        plain = JacobianOperator(opr.apply, opr.adjoint, opr.dims)
+        plain = PlainOperator(opr)
         res = regularized_dual_direction(opr, loss, f, spec, w, reg)
         ref = regularized_dual_direction(plain, loss, f, spec, w, reg)
         assert np.linalg.norm(res.d - ref.d) <= 1e-12 * np.linalg.norm(ref.d)
         assert (opr.jvp_calls, opr.vjp_calls) == (plain.jvp_calls, plain.vjp_calls) == (6, 7)
 
 
-# The dual route carries J^T beta as the operator's compact stand-in; a bare
-# JacobianOperator's stand-in is the parameter vector itself, which is the
+# The dual route carries J^T beta as the operator's compact stand-in; the
+# plain oracle's stand-in is the parameter vector itself, which is the
 # reference.
 
 
@@ -517,12 +514,12 @@ def test_compact_products_leave_the_dual_direction_unchanged(name, relation, dat
     f = opr.outputs
     # budgets below convergence: a solve's residual stays above 1e-3 of its
     # start, where float64 CG is not yet sensitive to round-off
-    probe = JacobianOperator(opr.apply, opr.adjoint, opr.dims)
+    probe = PlainOperator(opr)
     spec = SubproblemSpec(gamma=gamma, tau=2 * m * k)
     norms = regularized_dual_direction(probe, loss, f, spec, w, reg).report.residual_norms
     assume(norms and norms[0] > 0)  # a zero Jacobian (one zero input row, no bias) has no dual system
     spec.tau = data.draw(st.integers(1, max(1, sum(r > 1e-3 * norms[0] for r in norms[1:]))))
-    plain = JacobianOperator(opr.apply, opr.adjoint, opr.dims)
+    plain = PlainOperator(opr)
     res = regularized_dual_direction(opr, loss, f, spec, w, reg)
     ref = regularized_dual_direction(plain, loss, f, spec, w, reg)
     assert np.linalg.norm(res.d - ref.d) <= 1e-12 * np.linalg.norm(ref.d)
@@ -552,11 +549,11 @@ def test_gram_forward_products_leave_the_primal_direction_unchanged(name, relati
     opr = make_jacobian_operator(model, w, X)
     # budgets below convergence: a plain solve's residual stays above 1e-3 of
     # its start, where float64 CG is not yet sensitive to round-off
-    probe = JacobianOperator(opr.apply, opr.adjoint, opr.dims)
+    probe = PlainOperator(opr)
     spec = SubproblemSpec(gamma=gamma, tau=2 * m * k, path="primal")
     norms = primal_gn_direction(probe, loss, opr.outputs, spec).report.residual_norms
     spec.tau = data.draw(st.integers(1, max(1, sum(r > 1e-3 * norms[0] for r in norms[1:]))))
-    plain = JacobianOperator(opr.apply, opr.adjoint, opr.dims)
+    plain = PlainOperator(opr)
     res = primal_gn_direction(opr, loss, opr.outputs, spec)
     ref = primal_gn_direction(plain, loss, opr.outputs, spec)
     assert np.linalg.norm(res.d - ref.d) <= 1e-12 * np.linalg.norm(ref.d)
@@ -577,7 +574,7 @@ def test_primal_stays_accurate_past_convergence(loss_kind, gamma):
         for tau in (m * k, 2 * m * k, 4 * m * k):
             spec = SubproblemSpec(gamma=gamma, tau=tau, path="primal")
             opr = make_jacobian_operator(model, w, X)
-            plain = JacobianOperator(opr.apply, opr.adjoint, opr.dims)
+            plain = PlainOperator(opr)
             gram, ref = (
                 np.linalg.norm(primal_gn_direction(o, loss, f, spec).d - want) / np.linalg.norm(want)
                 for o in (opr, plain)
@@ -641,20 +638,18 @@ def test_primal_workspace_leaves_the_direction_unchanged(loss_kind):
 def test_primal_vector_op_count_per_iteration():
     # Criterion 9's p = 80 instance, where the residual falls below
     # eps^(3/4) of its start at iteration 4 and the kernel drops the shadow.
-    # J^T g is made in the kernel's residual, so tau = 0 counts p0 and
-    # <r0, r0>, and <d, J^T g> comes from the products.  An iteration adds
-    # the kernel's p-length passes (x; r and <r, r>; p from the second on)
-    # and the shadow's m*k updates (rs while it is kept, ps from the second
-    # on).  Every product adds <J d, g> (m*k).  A shadowed product adds its
-    # shift-add (2 m*k) and <J d, Y> (m*k); a plain one its shift-add (2p),
-    # <d, d> and <J d, H J d> (m*k).
+    # tau = 0 counts r0, p0, <r0, r0> and <x, c>.  An iteration adds the
+    # kernel's p-length passes (x; r and <r, r>; p from the second on) and
+    # the shadow's m*k updates (rs while it is kept, ps from the second on).
+    # A shadowed product adds its shift-add (2 m*k) and <J d, Y> (m*k); a
+    # plain one its shift-add (2p), <d, d> and <J d, H J d> (m*k).
     model = make_model("linear", 40, 2)
     p, m, k = model.n_params, 4, 2
     mk = m * k
     rng = np.random.Generator(np.random.Philox(key=[909, 40]))
     w = model.init_params(9)
     X = rng.standard_normal((m, 40))
-    want = [3 * p + 5 * mk] + [4 * p + 6 * mk] * 2 + [4 * p + 5 * mk] + [7 * p + 2 * mk] * 26
+    want = [3 * p + 4 * mk] + [4 * p + 5 * mk] * 2 + [4 * p + 4 * mk] + [7 * p + mk] * 26
     for kind in ("squared", "logistic"):
         Y = rng.standard_normal((m, k)) if kind == "squared" else np.eye(k)[rng.integers(0, k, size=m)]
         loss = LossOracle(kind, Y)
@@ -664,7 +659,7 @@ def test_primal_vector_op_count_per_iteration():
             res = primal_gn_direction(opr, loss, opr.outputs, SubproblemSpec(gamma=0.9, tau=tau, path="primal"))
             assert res.report.iterations == tau
             counts.append(res.report.vector_op_scalar_count)
-        assert counts[0] == 2 * p
+        assert counts[0] == 4 * p
         assert list(np.diff(counts)) == want
 
 
@@ -789,15 +784,15 @@ def test_dual_route_raises_when_alpha_is_below_the_round_off_of_g():
 
 # The unpenalized dual route takes <d, grad> = (gamma/m^2) <J^T alpha, J^T g>
 # from the stand-ins of J^T alpha and J^T g (a Gram layer's share is
-# <G_alpha, K G_g>); a bare JacobianOperator's stand-in is the parameter
-# vector, so its dot is the plain one.
+# <G_alpha, K G_g>); the plain oracle's stand-in is the parameter vector, so
+# its dot is the plain one.
 
 
-@pytest.mark.parametrize("bare", [False, True])
+@pytest.mark.parametrize("plain", [False, True])
 @pytest.mark.parametrize("relation", ["lt", "eq", "gt"])
 @pytest.mark.parametrize("name", MODELS)
 @given(data=st.data())
-def test_descent_inner_product_matches_the_gradient_dot(name, relation, bare, data):
+def test_descent_inner_product_matches_the_gradient_dot(name, relation, plain, data):
     model, w, X, V = data.draw(jacobian_cases(name, relation, scales=(1.0, 1e1, 1e2)))
     m, k = V.shape
     loss_kind = data.draw(st.sampled_from(["squared", "logistic"]))
@@ -808,8 +803,8 @@ def test_descent_inner_product_matches_the_gradient_dot(name, relation, bare, da
         tau=data.draw(st.sampled_from([0, 1, 3, 8])),
     )
     opr = make_jacobian_operator(model, w, X)
-    if bare:
-        opr = JacobianOperator(opr.apply, opr.adjoint, opr.dims)
+    if plain:
+        opr = PlainOperator(opr)
     f = model.forward(w, X)
     res = dual_gn_direction(opr, loss, f, spec)
     grad = batch_gradient(opr, loss, f)
@@ -817,19 +812,18 @@ def test_descent_inner_product_matches_the_gradient_dot(name, relation, bare, da
     assert abs(res.descent_inner_product - np.vdot(res.d, grad)) <= 1e-12 * scale
 
 
-# The primal route takes <d, grad> as the CG kernel's <d, J^T g> / m, which
-# the kernel sums from each product's <J d, g>.  It has a test of its own
-# because a change to the body of the test above changes that test's
-# derandomized draws, and one of the new draws trips the dual defect pinned
-# by the strict xfail below.  Budgets up to 4 m*k run past the point where
-# the kernel drops its shadow, so the plain products' <J d, g> is covered.
+# The primal route takes <d, grad> as the CG kernel's <d, J^T g> / m.  It has
+# a test of its own because a change to the body of the test above changes
+# that test's derandomized draws, and one of the new draws trips the dual
+# defect pinned by the strict xfail below.  Budgets up to 4 m*k run past the
+# point where the kernel drops its shadow.
 
 
-@pytest.mark.parametrize("bare", [False, True])
+@pytest.mark.parametrize("plain", [False, True])
 @pytest.mark.parametrize("relation", ["lt", "eq", "gt"])
 @pytest.mark.parametrize("name", MODELS)
 @given(data=st.data())
-def test_primal_descent_inner_product_matches_the_gradient_dot(name, relation, bare, data):
+def test_primal_descent_inner_product_matches_the_gradient_dot(name, relation, plain, data):
     model, w, X, V = data.draw(jacobian_cases(name, relation, scales=(1.0, 1e1, 1e2)))
     m, k = V.shape
     loss_kind = data.draw(st.sampled_from(["squared", "logistic"]))
@@ -841,13 +835,42 @@ def test_primal_descent_inner_product_matches_the_gradient_dot(name, relation, b
         path="primal",
     )
     opr = make_jacobian_operator(model, w, X)
-    if bare:
-        opr = JacobianOperator(opr.apply, opr.adjoint, opr.dims)
+    if plain:
+        opr = PlainOperator(opr)
     f = model.forward(w, X)
     res = primal_gn_direction(opr, loss, f, spec)
     grad = batch_gradient(opr, loss, f)
     scale = 1.0 + np.linalg.norm(res.d) * np.linalg.norm(grad)
     assert abs(res.descent_inner_product - np.vdot(res.d, grad)) <= 1e-12 * scale
+
+
+def test_primal_descent_inner_product_is_the_dot_with_the_returned_direction():
+    # A draw of the test above.  The first layer (fan-in 3 and a bias, m = 2)
+    # is on the Gram route, and the inputs are of size 1e2.  By iteration 4
+    # the shadow has drifted from the CG direction by 4e-10 of it, so a <d,
+    # J^T g> summed from the shadowed forward products missed vdot(d, grad)
+    # by 1.02e-12 of 1 + ||d|| ||grad||.
+    model = make_model("mlp:1", 3, 3)
+    w = np.array([
+        0.5014656827651839, -0.48594246546220676, -0.13529858344433698, 0.345214720529754,
+        0.5161785219675163, -0.31443619642875165, -0.946034708099655, -0.2078421207620753,
+        -0.33542501075385855, 0.32624917453101077,
+    ])
+    X = np.array([
+        [101.22937017490639, 75.36967787531172, 5.585145804087592],
+        [-67.26423961318683, 9.804493922480564, -107.4703628527185],
+    ])
+    loss = LossOracle("squared", np.array([
+        [0.22844511456019465, 0.3324214034822929, -0.5810301757695361],
+        [0.46620811033746845, -0.3346756487002874, -0.736678635860569],
+    ]))
+    f = model.forward(w, X)
+    for tau in (4, 8):
+        opr = make_jacobian_operator(model, w, X)
+        res = primal_gn_direction(opr, loss, f, SubproblemSpec(gamma=10.0, tau=tau, path="primal"))
+        grad = batch_gradient(opr, loss, f)
+        scale = 1.0 + np.linalg.norm(res.d) * np.linalg.norm(grad)
+        assert abs(res.descent_inner_product - np.vdot(res.d, grad)) <= 1e-14 * scale
 
 
 # The primal route descends at any budget: its <d, grad> is the CG prefix

@@ -5,13 +5,16 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dualgn import (
-    JacobianOperator,
+    LossOracle,
+    SubproblemSpec,
     adjoint_dot_test,
     finite_diff_jvp,
     make_jacobian_operator,
     make_model,
+    primal_gn_direction,
 )
-from oracles import fd_jacobian, materialize_jacobian
+from dualgn import models
+from oracles import PlainOperator, fd_jacobian, materialize_jacobian
 from strategies import MODELS, jacobian_cases
 
 
@@ -96,8 +99,18 @@ def test_shape_validation():
     opr = make_jacobian_operator(model, w, X)
     with pytest.raises(ValueError, match="tangent"):
         opr.jvp(np.zeros(5))
-    with pytest.raises(ValueError, match="cotangent"):
-        opr.vjp(np.zeros((4, 3)))
+    u = np.ones(model.n_params)
+    for bad in (np.zeros((4, 3)), np.zeros(8)):
+        with pytest.raises(ValueError, match="cotangent"):
+            opr.vjp(bad)
+        with pytest.raises(ValueError, match="cotangent"):
+            opr.jvp(u, cotangent=bad)
+        with pytest.raises(ValueError, match="cotangent"):
+            opr.compact_vjp(bad)
+    assert (opr.jvp_calls, opr.vjp_calls) == (0, 0)  # a rejected call counts nothing
+    V = np.ones((4, 2))
+    out = np.empty(model.n_params)
+    assert opr.vjp(V, out=out) is out and np.array_equal(out, model.vjp(w, X, V))
     with pytest.raises(ValueError, match="nonempty"):
         make_jacobian_operator(model, w, np.zeros((0, 3)))
     with pytest.raises(ValueError, match="feature dim"):
@@ -154,33 +167,6 @@ def test_gram_matrices_are_built_once_and_only_where_m_is_below_fan_in():
     assert_allclose(grams[0], Z @ Z.T, rtol=1e-12, atol=1e-12)
 
 
-def test_bare_operator_ignores_cotangent():
-    A = np.arange(6.0).reshape(3, 2)
-    opr = JacobianOperator(lambda u: (A @ u).reshape(3, 1), lambda V: A.T @ V.ravel(), (2, 3, 1))
-    V = np.ones((3, 1))
-    u = opr.vjp(V)
-    assert np.array_equal(opr.jvp(u, cotangent=V), opr.jvp(u))
-    assert opr.jvp_calls == 2
-    with pytest.raises(ValueError, match="cotangent"):
-        opr.jvp(u, cotangent=np.ones((2, 1)))
-    assert opr.jvp_calls == 2
-
-
-def test_bare_operator_checks_its_products_shapes():
-    A = np.arange(6.0).reshape(3, 2)
-    good = JacobianOperator(lambda u: (A @ u).reshape(3, 1), lambda V: A.T @ V.ravel(), (2, 3, 1))
-    bad = JacobianOperator(lambda u: A @ u, lambda V: np.append(A.T @ V.ravel(), 0.0), (2, 3, 1))
-    u, V = np.ones(2), np.ones((3, 1))
-    with pytest.raises(ValueError, match=r"jvp produced shape \(3,\), expected \(3, 1\)"):
-        bad.jvp(u)
-    for out in (None, np.empty(2)):
-        with pytest.raises(ValueError, match=r"vjp produced shape \(3,\), expected \(2,\)"):
-            bad.vjp(V, out=out)
-    # a good adjoint's product is copied into out
-    out = np.empty(2)
-    assert good.vjp(V, out=out) is out and np.array_equal(out, A.T @ V.ravel())
-
-
 # Compact transposed products: a stand-in s for J^T V, with ||J^T V||^2, the
 # forward product J J^T V from s, and the expansion of s into J^T V.
 
@@ -222,15 +208,55 @@ def test_compact_stand_in_holds_cotangents_on_gram_layers_only():
     assert np.array_equal(s[-8:], opr.vjp(V)[-8:])
 
 
-def test_bare_operator_uses_the_parameter_vector_as_its_stand_in():
-    A = np.arange(6.0).reshape(3, 2)
-    opr = JacobianOperator(lambda u: (A @ u).reshape(3, 1), lambda V: A.T @ V.ravel(), (2, 3, 1))
-    V = np.ones((3, 1))
-    s, sq, terms = opr.compact_vjp(V)
-    assert np.array_equal(s, A.T @ V.ravel()) and terms is None
-    assert sq == float(np.vdot(s, s))
-    assert opr.compact_expand(s) is s
-    assert np.array_equal(opr.compact_jvp(s, terms), (A @ s).reshape(3, 1))
+# The plain oracle (tests/oracles.py) is the reference for the Gram route: it
+# has the operator's product protocol, takes every forward product from the
+# parameter tangent alone and uses the transposed product as its stand-in.
+
+
+@pytest.mark.parametrize("relation", ["lt", "eq", "gt"])
+@pytest.mark.parametrize("name", MODELS)
+@given(data=st.data())
+def test_plain_operator_matches_the_model_operator(name, relation, data):
+    model, w, X, V = data.draw(jacobian_cases(name, relation))
+    opr = make_jacobian_operator(model, w, X)
+    plain = PlainOperator(opr)
+    assert plain.dims == opr.dims and plain.outputs is opr.outputs
+    u = plain.vjp(V)
+    assert np.array_equal(u, opr.vjp(V))
+    out = np.empty(model.n_params)
+    assert plain.vjp(V, out=out) is out and np.array_equal(out, u)
+    # the cotangent is ignored, so no layer takes the Gram route
+    ju = plain.jvp(u, cotangent=V)
+    assert np.array_equal(ju, plain.jvp(u)) and np.array_equal(ju, opr.jvp(u))
+    s, sq, terms = plain.compact_vjp(V)
+    assert np.array_equal(s, u) and sq == float(np.vdot(u, u)) and terms is None
+    assert plain.compact_expand(s) is s
+    assert np.array_equal(plain.compact_jvp(s, terms), ju)
+    assert plain.compact_dot(s, s, terms) == sq
+    # one count per product, plain or compact
+    assert (plain.jvp_calls, plain.vjp_calls) == (3, 3)
     assert (opr.jvp_calls, opr.vjp_calls) == (1, 1)
-    with pytest.raises(ValueError, match="cotangent"):
-        opr.compact_vjp(np.ones((2, 1)))
+
+
+def test_primal_products_reach_the_model_methods(monkeypatch):
+    # The benchmark's traced run times the model's products by wrapping
+    # MLPModel.jvp and MLPModel.vjp (benchmarks/spans.py), so the operator
+    # must call them: a primal direction's tau forward and tau + 1 transposed
+    # products all pass through them, Gram-route products included.
+    calls = {"jvp": 0, "vjp": 0}
+    for attr in calls:
+
+        def counted(*args, _attr=attr, _original=getattr(models.MLPModel, attr), **kwargs):
+            calls[_attr] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(models.MLPModel, attr, counted)
+    # fan-ins 8, 6 and 3 at m = 4: the first two layers take the Gram route
+    model, w, X = _instance("mlp:6,3", 8, 2, 4, 13)
+    loss = LossOracle("squared", np.random.Generator(np.random.Philox(key=130)).standard_normal((4, 2)))
+    for tau in (0, 1, 3):
+        calls.update(jvp=0, vjp=0)
+        opr = make_jacobian_operator(model, w, X)
+        res = primal_gn_direction(opr, loss, opr.outputs, SubproblemSpec(tau=tau, path="primal"))
+        assert res.report.iterations == tau
+        assert (calls["jvp"], calls["vjp"]) == (opr.jvp_calls, opr.vjp_calls) == (tau, tau + 1)

@@ -4,7 +4,6 @@ from numpy.testing import assert_allclose
 
 from dualgn import (
     LossOracle,
-    conjugate_value,
     constraint_project,
     loss_grad,
     loss_hvp,
@@ -12,6 +11,7 @@ from dualgn import (
     softmax,
 )
 from dualgn.losses import loss_eval, logsumexp
+from oracles import conjugate_value
 
 
 def test_squared_value_and_grad():

@@ -420,9 +420,10 @@ def test_primal_round_allocation_budget_past_one_block():
     # p = 128,259 parameters (7.8 BLOCKs).  At tau = 16 each solve drops its
     # shadow after 11 iterations, so its last 5 products (15 in the round)
     # are plain ones, which add their ridge shift through the scratch.  The
-    # workspace's scratch is one block, and J^T g is made in its residual
-    # and not kept: measured 6.42 vectors, against 7.42 with J^T g kept
-    # beside the workspace and 8.30 with a whole scratch vector as well.
+    # workspace's scratch is one block, and J^T g is kept beside it for the
+    # final <d, J^T g>: measured 7.42 vectors, against 8.30 with a whole
+    # scratch vector, and 6.42 when J^T g was made in the residual and <d,
+    # J^T g> summed from the products, which missed vdot(d, J^T g).
     data = synth_blobs(0, n=48, d=2000, k=3, spread=0.5)
     config = TrainConfig(
         method="momentum", path="primal", loss="logistic", model="mlp:64", tau=16,
@@ -436,7 +437,7 @@ def test_primal_round_allocation_budget_past_one_block():
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak / (8 * p) <= 6.5
+    assert peak / (8 * p) <= 7.5
 
 
 def test_dual_round_allocation_budget_past_several_chunks():
