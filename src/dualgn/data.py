@@ -1,6 +1,7 @@
 """Datasets: synthetic Gaussian blobs and the IDX binary image/label format."""
 
 import gzip
+import math
 import struct
 from dataclasses import dataclass
 
@@ -85,52 +86,55 @@ def synth_blobs(seed, n, d, k, spread):
     return Dataset(inputs=inputs, targets=targets)
 
 
-def _idx_open(path):
-    if str(path).endswith(".gz"):
-        return gzip.open(path, "rb")
-    return open(path, "rb")
+def _read_idx(path, magic, kind, dims):
+    """The ``dims`` sizes in an IDX file's header and its uint8 body.
 
-
-def _idx_header(fh, size, path):
-    header = fh.read(size)
-    if len(header) != size:
-        raise ValueError(f"{path}: truncated header")
-    return header
-
-
-def _idx_body(fh, size, path, what):
-    # Read what the file holds, never the size the header declares: a bad
-    # header may declare more bytes than can be requested at all.
-    raw = fh.read()
+    The one reader of both loaders: it opens ``path`` (gzip if it ends in
+    ``.gz``), checks the big-endian ``magic`` number and reads the body as
+    the file holds it, never by the size the header declares: a bad header
+    may declare more bytes than can be requested at all.  The sizes are
+    Python integers, so their product cannot overflow; body bytes past it
+    are ignored.  A short header, another magic number or a body shorter
+    than the sizes' product raises a ValueError that names ``path`` and, in
+    the last two, ``kind``.
+    """
+    with gzip.open(path, "rb") if str(path).endswith(".gz") else open(path, "rb") as fh:
+        header = fh.read(4 * (dims + 1))
+        if len(header) != 4 * (dims + 1):
+            raise ValueError(f"{path}: truncated header")
+        found, *sizes = struct.unpack(f">{dims + 1}I", header)
+        if found != magic:
+            raise ValueError(f"{path}: bad {kind} magic 0x{found:08x}, expected 0x{magic:08x}")
+        raw = fh.read()
+    size = math.prod(sizes)
     if len(raw) < size:
-        raise ValueError(f"{path}: truncated {what} data")
-    return np.frombuffer(raw, dtype=np.uint8, count=size)
+        raise ValueError(f"{path}: truncated {kind} data")
+    return sizes, np.frombuffer(raw, dtype=np.uint8, count=size)
 
 
 def load_idx_images(path):
-    """Read an IDX image file into a (n, rows*cols) float64 array in [0, 1]."""
-    with _idx_open(path) as fh:
-        magic, n, rows, cols = struct.unpack(">IIII", _idx_header(fh, 16, path))
-        if magic != _IDX_IMAGE_MAGIC:
-            raise ValueError(
-                f"{path}: bad image magic 0x{magic:08x}, expected 0x{_IDX_IMAGE_MAGIC:08x}"
-            )
-        if rows == 0 or cols == 0:
-            raise ValueError(f"{path}: empty {rows}x{cols} images")
-        raw = _idx_body(fh, n * rows * cols, path, "image")
-    pixels = raw.astype(np.float64) / 255.0
-    return pixels.reshape(n, rows * cols)
+    """Read an IDX image file into a (n, rows*cols) float64 array in [0, 1].
+
+    The header, magic number and body are checked by the reader that
+    :func:`load_idx_labels` shares.  Images with no rows or no columns raise
+    a ValueError too, and so do zero images whose row length no array can
+    hold.
+    """
+    (n, rows, cols), raw = _read_idx(path, _IDX_IMAGE_MAGIC, "image", 3)
+    if rows == 0 or cols == 0:
+        raise ValueError(f"{path}: empty {rows}x{cols} images")
+    if rows * cols > np.iinfo(np.intp).max:  # only n = 0 gets here
+        raise ValueError(f"{path}: {rows}x{cols} images are too large for an array")
+    return (raw.astype(np.float64) / 255.0).reshape(n, rows * cols)
 
 
 def load_idx_labels(path):
-    """Read an IDX label file into a (n,) int array."""
-    with _idx_open(path) as fh:
-        magic, n = struct.unpack(">II", _idx_header(fh, 8, path))
-        if magic != _IDX_LABEL_MAGIC:
-            raise ValueError(
-                f"{path}: bad label magic 0x{magic:08x}, expected 0x{_IDX_LABEL_MAGIC:08x}"
-            )
-        raw = _idx_body(fh, n, path, "label")
+    """Read an IDX label file into a (n,) int array.
+
+    The header, magic number and body are checked by the reader that
+    :func:`load_idx_images` shares.
+    """
+    _, raw = _read_idx(path, _IDX_LABEL_MAGIC, "label", 1)
     return raw.astype(np.int64)
 
 

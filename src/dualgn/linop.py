@@ -89,16 +89,14 @@ class JacobianOperator:
         self.jvp_calls += 1
         return out
 
-    def vjp(self, V, out=None):
-        """Map an output cotangent block (m, k) to a flat parameter vector (p,).
+    def vjp(self, V):
+        """Map an output cotangent block (m, k) to a fresh flat parameter vector (p,).
 
         This is the sum over samples of the per-sample adjoint products.
-        ``out``, if given, is a C-contiguous float64 vector of length ``p``
-        that receives the product and is returned.
         """
         V = self._block(V)
         self.vjp_calls += 1
-        return self.model.vjp(self.params, self.X, V, self.lin, out)
+        return self.model.vjp(self.params, self.X, V, self.lin)
 
     def compact_vjp(self, V):
         """A stand-in ``s`` for ``J^T V``, with ``||J^T V||^2`` and forward terms.

@@ -59,13 +59,6 @@ class LossOracle:
         self.y = np.asarray(self.y, dtype=np.float64)
 
 
-def logsumexp(f):
-    """Row-wise log(sum(exp)), shifted by the max for stability."""
-    f = np.asarray(f, dtype=np.float64)
-    fmax = np.maximum.reduce(f, axis=-1, keepdims=True)
-    return (fmax + np.log(np.add.reduce(np.exp(f - fmax), axis=-1, keepdims=True)))[..., 0]
-
-
 def softmax(f):
     """Row-wise softmax, shifted by the max for stability."""
     f = np.asarray(f, dtype=np.float64)

@@ -237,10 +237,9 @@ class Linearization:
             terms = {i: KG for i, _, KG in rows if KG is not None}
         return _push(self.layers, self.inputs, self.slopes, terms, _views(u, self.params_table))
 
-    def vjp(self, V, out=None):
-        """``J^T V`` for an output block ``V``, written into ``out`` (None: a
-        fresh parameter vector)."""
-        out = np.empty(self.n_params) if out is None else out
+    def vjp(self, V):
+        """``J^T V`` for an output block ``V``, as a fresh parameter vector."""
+        out = np.empty(self.n_params)
         grads = _views(out, self.params_table)
         for i, G, _ in self._cotangents(V):
             _param_block(G, self.inputs[i], *grads[i])
@@ -463,15 +462,14 @@ class MLPModel:
             cotangent = np.asarray(cotangent, dtype=np.float64)
         return trace.jvp(u, cotangent)
 
-    def vjp(self, params, X, V, trace=None, out=None):
-        """``J^T V``: the output cotangent ``V`` pulled back to a parameter vector.
+    def vjp(self, params, X, V, trace=None):
+        """``J^T V``: the output cotangent ``V`` pulled back to a fresh parameter vector.
 
-        ``out``, if given, is a C-contiguous float64 vector of length
-        ``n_params`` that receives the product and is returned.
+        ``trace`` is as in :meth:`jvp`.
         """
         if trace is None:
             _, trace = self.forward_trace(params, X)
-        return trace.vjp(np.asarray(V, dtype=np.float64), out)
+        return trace.vjp(np.asarray(V, dtype=np.float64))
 
 
 class LinearModel(MLPModel):

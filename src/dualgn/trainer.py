@@ -210,7 +210,7 @@ def _armijo_backtrack(batch_loss_eval, w, d, h0, dg):
     return eta / shrink, False
 
 
-def outer_update(rule, state, w, d, eta, config, out=None):
+def outer_update(rule, state, w, d, eta, out=None):
     """Apply one sgd/momentum/adam update with direction ``d``; returns new w.
 
     This is the only place a training step is applied; ``spl`` and
@@ -221,7 +221,9 @@ def outer_update(rule, state, w, d, eta, config, out=None):
 
     ``state`` is mutated in place, its arrays included.  Momentum uses the
     heavy-ball recursion ``v <- mu v + d``; adam uses bias-corrected first
-    and second moments.  The new parameters are written into ``out`` and
+    and second moments.  ``mu``, Adam's ``beta1``, ``beta2`` and ``eps`` are
+    :class:`TrainConfig`'s ``momentum_mu``, ``adam_beta1``, ``adam_beta2``
+    and ``adam_eps``.  The new parameters are written into ``out`` and
     returned.  The default ``out=None`` writes them into a fresh array and
     leaves ``w`` and ``d`` as they were; ``out=d`` reuses the direction's
     buffer, with the same values.  ``out=w`` updates the parameters in place:
@@ -241,7 +243,7 @@ def outer_update(rule, state, w, d, eta, config, out=None):
         if state.adam_m is None:
             state.adam_m = np.zeros_like(w)
             state.adam_v = np.zeros_like(w)
-        b1, b2 = config.adam_beta1, config.adam_beta2
+        b1, b2 = TrainConfig.adam_beta1, TrainConfig.adam_beta2
         state.t += 1
     for lo, hi, blk in pieces:
         # where eta times the step is formed before it is taken from w
@@ -249,7 +251,7 @@ def outer_update(rule, state, w, d, eta, config, out=None):
         step = blk
         if rule == "momentum":
             step = state.velocity[lo:hi]
-            step *= config.momentum_mu
+            step *= TrainConfig.momentum_mu
             step += blk
         if rule == "adam":
             m, v = state.adam_m[lo:hi], state.adam_v[lo:hi]
@@ -258,7 +260,7 @@ def outer_update(rule, state, w, d, eta, config, out=None):
             v *= b2
             v += (1.0 - b2) * blk * blk
             denom = np.sqrt(v / (1.0 - b2 ** state.t))
-            denom += config.adam_eps
+            denom += TrainConfig.adam_eps
             np.divide(m, 1.0 - b1 ** state.t, out=t)  # mhat
             t *= eta
             t /= denom
@@ -292,7 +294,10 @@ def _batch_step(model, w, Xb, Yb, config, state, subproblem, work=None, out=None
     :attr:`dualgn.directions.DirectionResult.streams`); a built direction
     receives it instead.  The loss
     at the batch outputs is evaluated once, for the batch loss, the gradient
-    and the softmax alike.
+    and the softmax alike.  The record's ``descent_ip`` is ``<d, grad>`` for
+    the direction ``d`` that the update rule is given: ``gamma * grad`` on a
+    gradient-source ``spl`` step.  :func:`outer_update` applies the step,
+    with the rules' constants read from :class:`TrainConfig` itself.
     """
     spec, reg = subproblem
     oracle = LossOracle(config.loss, Yb)
@@ -323,6 +328,7 @@ def _batch_step(model, w, Xb, Yb, config, state, subproblem, work=None, out=None
         rec.eta = 1.0
         if config.direction == "gradient":
             res.d *= rec.gamma
+            rec.descent_ip *= rec.gamma
     elif config.method == "armijo_spl":
         h_eval = lambda v: _mean(loss_value(oracle, model.forward(v, Xb)))
         rec.eta, _ = _armijo_backtrack(h_eval, w, res.d, rec.batch_loss, max(rec.descent_ip, 0.0))
@@ -332,7 +338,7 @@ def _batch_step(model, w, Xb, Yb, config, state, subproblem, work=None, out=None
     # vector they replace is freed: a freed direction at the top of the heap
     # would be trimmed by glibc and faulted back in by the next step.
     out = out if res.streams else res.d
-    return outer_update(rule, state, w, res, rec.eta, config, out=out), rec, None
+    return outer_update(rule, state, w, res, rec.eta, out=out), rec, None
 
 
 def _single_step(w, batch, config, model):
@@ -414,7 +420,9 @@ def train(config, dataset, on_record=None):
     then ``aborted`` and ``abort_reason`` names the failure and the step.
 
     On the primal route one CG workspace serves every step, so that a
-    steady-state step allocates no solver state of its own.  An unpenalized
+    steady-state step allocates no CG residual, direction or scratch of its
+    own; it does make a fresh ``J^T g`` for the exact descent inner product
+    (see :func:`dualgn.directions.primal_gn_direction`).  An unpenalized
     dual step without a line search whose direction streams updates the
     parameter vector in place (``out=w`` in :func:`outer_update`), so it
     holds no direction vector.  The subproblem

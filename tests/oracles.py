@@ -29,9 +29,9 @@ class PlainOperator:
         self.jvp_calls += 1
         return self.lin.jvp(u)
 
-    def vjp(self, V, out=None):
+    def vjp(self, V):
         self.vjp_calls += 1
-        return self.lin.vjp(V, out)
+        return self.lin.vjp(V)
 
     def compact_vjp(self, V):
         v = self.vjp(V)
@@ -69,6 +69,13 @@ def fd_jacobian(model, w, X, eps=1e-6):
         fm = model.forward(w - e, X)
         cols.append(((fp - fm) / (2 * eps)).ravel())
     return np.stack(cols, axis=1)
+
+
+def logsumexp(f):
+    """Row-wise log(sum(exp)), shifted by the max for stability."""
+    f = np.asarray(f, dtype=np.float64)
+    fmax = np.maximum.reduce(f, axis=-1, keepdims=True)
+    return (fmax + np.log(np.add.reduce(np.exp(f - fmax), axis=-1, keepdims=True)))[..., 0]
 
 
 def softmax_rows(F):

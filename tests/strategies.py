@@ -1,5 +1,8 @@
 """Hypothesis strategies shared by the test modules."""
 
+import math
+import struct
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -39,3 +42,42 @@ def jacobian_cases(draw, name, relation, scales=(1.0, 1e2, 1e3), k=None):
     elif rows == "zero":
         X[0] = 0.0
     return model, model.init_params(seed), X, rng.standard_normal((m, k))
+
+
+IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC = 0x00000803, 0x00000801
+# bodies past this many bytes are drawn short, so their files are truncated
+IDX_BODY_CAP = 64
+
+
+@st.composite
+def idx_files(draw):
+    """An IDX file for one of the two loaders, as ``(images, payload, gz)``.
+
+    ``images`` says whether the file is for the image loader (three sizes in
+    its header) or the label loader (one).  The magic number is mostly that
+    loader's, else the other loader's or any 32-bit value; each size is
+    mostly 0 to 4, else ``2**32 - 1`` or any 32-bit value.  The body holds
+    the sizes' product in bytes, plus up to two trailing ones, unless that
+    product passes ``IDX_BODY_CAP``: then it is shorter.  The payload may be
+    cut at any header or body byte, and the file may be gzipped (``gz``), in
+    which case the cut payload is compressed whole.
+    """
+    images = draw(st.booleans())
+    u32 = st.integers(0, 2**32 - 1)
+    own, other = IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC
+    if not images:
+        own, other = other, own
+    magic = draw(st.sampled_from([own, own, own, other, None]))
+    magic = draw(u32) if magic is None else magic
+    sizes = []
+    for _ in range(3 if images else 1):
+        size = draw(st.sampled_from([0, 1, 2, 3, 4, 2**32 - 1, None]))
+        sizes.append(draw(u32) if size is None else size)
+    size = math.prod(sizes)
+    if size <= IDX_BODY_CAP:
+        body = draw(st.binary(min_size=size, max_size=size + 2))
+    else:
+        body = draw(st.binary(max_size=IDX_BODY_CAP))
+    payload = struct.pack(f">{len(sizes) + 1}I", magic, *sizes) + body
+    cut = draw(st.none() | st.integers(0, len(payload)))
+    return images, payload[:cut], draw(st.booleans())

@@ -1,8 +1,10 @@
 import gzip
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from dualgn import (
     Dataset,
@@ -11,6 +13,7 @@ from dualgn import (
     load_idx_labels,
     synth_blobs,
 )
+from strategies import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, idx_files
 
 
 def test_blobs_balance_and_one_hot():
@@ -204,3 +207,53 @@ def test_idx_trailing_bytes_are_ignored(tmp_path):
     labels = tmp_path / "lbl.idx"
     _write_idx(labels, struct.pack(">II", 0x00000801, 2), bytes([3, 1, 9]))
     assert list(load_idx_labels(labels)) == [3, 1]
+
+
+def _idx_outcome(images, payload):
+    """What the IDX format makes of ``payload`` for the image loader
+    (``images``) or the label loader: the array, or the message of the
+    ValueError it raises, after the path."""
+    dims = 3 if images else 1
+    head = 4 * (dims + 1)
+    if len(payload) < head:
+        return "truncated header"
+    magic, *sizes = struct.unpack(f">{dims + 1}I", payload[:head])
+    kind, want = ("image", IDX_IMAGE_MAGIC) if images else ("label", IDX_LABEL_MAGIC)
+    if magic != want:
+        return f"bad {kind} magic 0x{magic:08x}, expected 0x{want:08x}"
+    size = math.prod(sizes)
+    if len(payload) - head < size:
+        return f"truncated {kind} data"
+    body = np.frombuffer(payload[head : head + size], dtype=np.uint8)
+    if not images:
+        return body.astype(np.int64)
+    n, rows, cols = sizes
+    if rows == 0 or cols == 0:
+        return f"empty {rows}x{cols} images"
+    if rows * cols >= 2**63:
+        return f"{rows}x{cols} images are too large for an array"
+    return body.reshape(n, rows * cols) / 255.0
+
+
+@example(case=(True, struct.pack(">IIII", IDX_IMAGE_MAGIC, 0, 2**32 - 1, 2**32 - 1), False))
+@example(case=(False, struct.pack(">II", IDX_LABEL_MAGIC, 0), True))
+@settings(max_examples=150)
+@given(case=idx_files())
+def test_idx_loaders_return_the_declared_arrays_or_their_own_errors(tmp_path_factory, case):
+    # Drawn byte strings: either the declared array comes back, bit for bit,
+    # or a ValueError with the reader's message for the file; nothing else
+    # escapes.  The first example is zero images whose row length no array
+    # can hold, for which numpy's reshape raises its own ValueError.
+    images, payload, gz = case
+    path = tmp_path_factory.getbasetemp() / ("fuzz.idx.gz" if gz else "fuzz.idx")
+    _write_idx(path, payload, b"")
+    want = _idx_outcome(images, payload)
+    load = load_idx_images if images else load_idx_labels
+    if isinstance(want, str):
+        with pytest.raises(ValueError) as err:
+            load(path)
+        assert str(err.value) == f"{path}: {want}"
+    else:
+        got = load(path)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)

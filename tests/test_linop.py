@@ -109,8 +109,7 @@ def test_shape_validation():
             opr.compact_vjp(bad)
     assert (opr.jvp_calls, opr.vjp_calls) == (0, 0)  # a rejected call counts nothing
     V = np.ones((4, 2))
-    out = np.empty(model.n_params)
-    assert opr.vjp(V, out=out) is out and np.array_equal(out, model.vjp(w, X, V))
+    assert np.array_equal(opr.vjp(V), model.vjp(w, X, V))
     with pytest.raises(ValueError, match="nonempty"):
         make_jacobian_operator(model, w, np.zeros((0, 3)))
     with pytest.raises(ValueError, match="feature dim"):
@@ -223,8 +222,6 @@ def test_plain_operator_matches_the_model_operator(name, relation, data):
     assert plain.dims == opr.dims and plain.outputs is opr.outputs
     u = plain.vjp(V)
     assert np.array_equal(u, opr.vjp(V))
-    out = np.empty(model.n_params)
-    assert plain.vjp(V, out=out) is out and np.array_equal(out, u)
     # the cotangent is ignored, so no layer takes the Gram route
     ju = plain.jvp(u, cotangent=V)
     assert np.array_equal(ju, plain.jvp(u)) and np.array_equal(ju, opr.jvp(u))
@@ -234,7 +231,7 @@ def test_plain_operator_matches_the_model_operator(name, relation, data):
     assert np.array_equal(plain.compact_jvp(s, terms), ju)
     assert plain.compact_dot(s, s, terms) == sq
     # one count per product, plain or compact
-    assert (plain.jvp_calls, plain.vjp_calls) == (3, 3)
+    assert (plain.jvp_calls, plain.vjp_calls) == (3, 2)
     assert (opr.jvp_calls, opr.vjp_calls) == (1, 1)
 
 

@@ -10,8 +10,8 @@ from dualgn import (
     loss_value,
     softmax,
 )
-from dualgn.losses import loss_eval, logsumexp
-from oracles import conjugate_value
+from dualgn.losses import loss_eval
+from oracles import conjugate_value, logsumexp
 
 
 def test_squared_value_and_grad():

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +31,9 @@ from dualgn import (
 from dualgn import directions
 from dualgn.cgsolver import BLOCK
 from dualgn.models import PIECE
-from dualgn.trainer import DIRECTIONS, METHODS, METRICS_CHUNK, _armijo_backtrack, _full_metrics
+from dualgn.trainer import (
+    DIRECTIONS, METHODS, METRICS_CHUNK, _armijo_backtrack, _full_metrics, _single_step,
+)
 from oracles import adam_trajectory, momentum_trajectory, sgd_trajectory
 
 
@@ -147,14 +150,13 @@ def _quad_grad(w):
 
 @pytest.mark.parametrize("rule", ["sgd", "momentum", "adam"])
 def test_outer_update_matches_textbook_recursion(rule):
-    config = TrainConfig(method=rule if rule != "sgd" else "sgd")
     w0 = np.array([1.0, -2.0])
     eta = 0.1
     state = OptimizerState()
     w = w0.copy()
     ours = []
     for _ in range(3):
-        w = outer_update(rule, state, w, _quad_grad(w), eta, config)
+        w = outer_update(rule, state, w, _quad_grad(w), eta)
         ours.append(w.copy())
     if rule == "sgd":
         want = sgd_trajectory(w0, _quad_grad, eta, 3)
@@ -193,11 +195,11 @@ def test_outer_update_in_place_matches_out_of_place_formulas(rule):
         d = rng.standard_normal(40)
         w0, d0 = w_fresh.copy(), d.copy()
         w_ref = _out_of_place_update(rule, ref, w_ref, d, 0.05, config)
-        got = outer_update(rule, fresh, w_fresh, d, 0.05, config)
+        got = outer_update(rule, fresh, w_fresh, d, 0.05)
         assert np.array_equal(got, w_ref)
         assert np.array_equal(w_fresh, w0) and np.array_equal(d, d0)
         w_fresh = got
-        w_reuse = outer_update(rule, reuse, w_reuse, d, 0.05, config, out=d)
+        w_reuse = outer_update(rule, reuse, w_reuse, d, 0.05, out=d)
         assert np.array_equal(w_reuse, w_ref)
         state = (reuse.velocity, reuse.adam_m, reuse.adam_v)
         if arrays is not None:
@@ -265,18 +267,17 @@ def test_direction_pieces_are_the_whole_direction_bit_for_bit(data):
     spec = SubproblemSpec(gamma=gamma, tau=data.draw(st.integers(1, 3)))
     f = op.outputs
     direction = dual_gn_direction(opr(), loss, f, spec).d
-    config = TrainConfig()
     for rule in ("sgd", "momentum", "adam"):
         ref = OptimizerState()
-        w_ref = outer_update(rule, ref, w, 0.5 * direction, 0.05, config)
-        w_ref = outer_update(rule, ref, w_ref, direction, 0.05, config)
+        w_ref = outer_update(rule, ref, w, 0.5 * direction, 0.05)
+        w_ref = outer_update(rule, ref, w_ref, direction, 0.05)
         for out in (None, "w", "d"):
             state = OptimizerState()
-            v = outer_update(rule, state, w, 0.5 * direction, 0.05, config)
+            v = outer_update(rule, state, w, 0.5 * direction, 0.05)
             res = dual_gn_direction(opr(), loss, f, spec)
             target = {None: None, "w": v, "d": res.d if out == "d" else None}[out]
             v0 = v.copy()
-            got = outer_update(rule, state, v, res, 0.05, config, out=target)
+            got = outer_update(rule, state, v, res, 0.05, out=target)
             assert np.array_equal(got, w_ref)
             assert got is target if out else not np.shares_memory(got, v)
             if out is None:  # the parameters and the direction are left as they were
@@ -464,18 +465,17 @@ def test_dual_round_allocation_budget_past_several_chunks():
 
 
 def test_adam_first_step_closed_form():
-    config = TrainConfig(method="adam")
     w = np.array([1.0, -3.0])
     c = np.array([0.4, -0.2])
     state = OptimizerState()
-    out = outer_update("adam", state, w, c, 0.05, config)
-    want = w - 0.05 * c / (np.abs(c) + config.adam_eps)
+    out = outer_update("adam", state, w, c, 0.05)
+    want = w - 0.05 * c / (np.abs(c) + TrainConfig.adam_eps)
     assert_allclose(out, want, rtol=1e-12)
 
 
 def test_unknown_rule_rejected():
     with pytest.raises(ValueError, match="unknown update rule"):
-        outer_update("rmsprop", OptimizerState(), np.zeros(2), np.zeros(2), 0.1, TrainConfig())
+        outer_update("rmsprop", OptimizerState(), np.zeros(2), np.zeros(2), 0.1)
 
 
 def _tiny_batch(seed=0, m=8, d=2, k=2):
@@ -781,6 +781,40 @@ def test_every_update_rule_records_its_step(method, direction):
         assert rec.inner_iters == (tau if direction == "proxlinear" else 0)
         assert (rec.jvp_calls - jvp, rec.vjp_calls - vjp) == per_step
         jvp, vjp = rec.jvp_calls, rec.vjp_calls
+
+
+_ROUTES = [
+    (method, direction, route)
+    for method in METHODS
+    for direction in DIRECTIONS
+    for route in (("dual", "primal", "l1", "l2") if direction == "proxlinear" else ("dual",))
+    if route in ("dual", "primal") or method != "armijo_spl"
+]
+
+
+@pytest.mark.parametrize("method, direction, route", _ROUTES)
+def test_descent_ip_is_the_taken_direction_dot_the_gradient(method, direction, route):
+    # A step from a fresh state moves w to w - eta d along the direction d
+    # whose <d, grad> it logs, under every rule but adam's, which is fed the
+    # same d as sgd.  A gradient-source spl step takes d = gamma grad.
+    ds = synth_blobs(3, n=30, d=2, k=3, spread=0.3)
+    X, Y = ds.inputs[:10], ds.targets[:10]
+    path = "primal" if route == "primal" else "dual"
+    penalty = {route: 0.01 if route == "l1" else 0.3} if route in ("l1", "l2") else {}
+    config = TrainConfig(method=method, direction=direction, path=path, loss="logistic",
+                         model="mlp:4", gamma=0.5, eta=0.05, tau=3, **penalty)
+    model = make_model("mlp:4", 2, 3)
+    w = model.init_params(3)
+    opr = make_jacobian_operator(model, w, X)
+    grad = batch_gradient(opr, LossOracle("logistic", Y), opr.outputs)
+    w_new, rec = _single_step(w.copy(), (X, Y), config, model)
+    if method == "adam":
+        w_new, _ = _single_step(w.copy(), (X, Y), replace(config, method="sgd"), model)
+    d = (w - w_new) / rec.eta
+    want = float(np.vdot(d, grad))
+    assert abs(rec.descent_ip - want) <= 1e-12 * (1.0 + np.linalg.norm(d) * np.linalg.norm(grad))
+    if method == "spl" and direction == "gradient":
+        assert_allclose(d, 0.5 * grad, rtol=1e-12)
 
 
 @pytest.mark.parametrize("method", ["spl", "momentum"])
