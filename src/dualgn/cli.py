@@ -99,10 +99,11 @@ def _read_config_file(path):
 
 
 def _assemble(args, env):
-    """Merge defaults < config file < flags; returns (config, data, out, grid).
+    """Merge defaults < config file < flags; returns (config, data, runs).
 
-    ``grid`` is None or :func:`_grid_points` of the ``--grid`` value, so a
-    bad grid is rejected before any data is built.
+    ``runs`` lists each run as ``(csv_path, abort_suffix, config)``: the one
+    run ``[(out, "", config)]``, or :func:`_grid_points` of the ``--grid``
+    value, so a bad grid is rejected before any data is built.
     """
     settings = {}
     if args.config:
@@ -122,11 +123,18 @@ def _assemble(args, env):
         make_model(config.model, 1, 2)  # eager model-spec validation
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    return config, data_spec, out, None if grid is None else _grid_points(config, grid)
+    runs = [(out, "", config)] if grid is None else _grid_points(config, grid, out)
+    return config, data_spec, runs
 
 
-def _grid_points(config, grid):
-    """``(key, [(token, config), ...])``: the swept setting and its checked points."""
+def _grid_points(config, grid, out):
+    """The runs of a ``--grid`` value, as ``(csv_path, abort_suffix, config)``.
+
+    Each value of the swept setting ``key`` (gamma under ``spl``, else eta)
+    is checked before the first run writes a file; its run writes
+    ``{root}_g{token}{ext}`` of ``out`` (``.csv`` if ``out`` has no
+    extension), and an abort reads `` at {key}={token}``.
+    """
     tokens = [t.strip() for t in grid.split(",") if t.strip()]
     if not tokens:
         raise UsageError("grid: empty value list")
@@ -136,14 +144,16 @@ def _grid_points(config, grid):
             "nothing to sweep"
         )
     key = "gamma" if config.method == "spl" else "eta"
-    points = []  # every value is checked before the first run writes a file
+    root, ext = os.path.splitext(out)
+    runs = []
     for token in tokens:
         value = _convert(key, token)
         try:
-            points.append((token, dataclasses.replace(config, **{key: value})))
+            point = dataclasses.replace(config, **{key: value})
         except ValueError as exc:
             raise UsageError(f"grid value {token!r}: {exc}") from None
-    return key, points
+        runs.append((f"{root}_g{token}{ext or '.csv'}", f" at {key}={token}", point))
+    return runs
 
 
 def _load_data(spec, seed):
@@ -173,44 +183,41 @@ def _load_data(spec, seed):
 
 
 def _run_one(config, dataset, out_path):
-    """Train once, streaming records to ``out_path`` row by row."""
+    """Train once, streaming records to ``out_path`` row by row.
+
+    Running out of memory, as a model too large to allocate does, is a usage
+    error that names the model, and the file is removed.
+    """
     try:
         fh = open(out_path, "w", newline="")
     except OSError as exc:
         raise UsageError(f"cannot write {out_path}: {exc}") from None
-    with fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_FIELDS)
-        fh.flush()
-
-        def emit(rec):
-            writer.writerow([getattr(rec, field) for field in CSV_FIELDS])
+    try:
+        with fh:
+            writer = csv.writer(fh)
+            writer.writerow(CSV_FIELDS)
             fh.flush()
 
-        result = train(config, dataset, on_record=emit)
-    return result
+            def emit(rec):
+                writer.writerow([getattr(rec, field) for field in CSV_FIELDS])
+                fh.flush()
+
+            return train(config, dataset, on_record=emit)
+    except MemoryError as exc:
+        os.remove(out_path)
+        raise UsageError(f"model {config.model!r} does not fit in memory: {exc}") from None
 
 
 def _cmd_run(args, env):
-    config, data_spec, out, grid = _assemble(args, env)
+    config, data_spec, runs = _assemble(args, env)
     dataset = _load_data(data_spec, config.seed)
     if config.batch_size > dataset.n:
         raise UsageError(f"batch_size {config.batch_size} exceeds dataset size {dataset.n}")
-
-    if grid is None:
-        result = _run_one(config, dataset, out)
-        if result.aborted:
-            print(f"aborted: {result.abort_reason}", file=sys.stderr)
-            return 2
-        return 0
-
-    key, points = grid
-    root, ext = os.path.splitext(out)
     code = 0
-    for token, point in points:
-        result = _run_one(point, dataset, f"{root}_g{token}{ext or '.csv'}")
+    for out_path, suffix, run_config in runs:
+        result = _run_one(run_config, dataset, out_path)
         if result.aborted:
-            print(f"aborted at {key}={token}: {result.abort_reason}", file=sys.stderr)
+            print(f"aborted{suffix}: {result.abort_reason}", file=sys.stderr)
             code = 2
     return code
 

@@ -3,6 +3,7 @@
 import gzip
 import math
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +61,8 @@ def synth_blobs(seed, n, d, k, spread):
     All randomness comes from a Philox counter-based generator keyed on
     ``seed``, so the dataset is a pure function of its arguments.
 
-    Returns a :class:`Dataset` with one-hot targets (n, k).
+    Returns a :class:`Dataset` with one-hot targets (n, k).  A ``spread``
+    so large that a sample overflows raises a ValueError.
     """
     if n < k:
         raise ValueError(f"need at least one sample per cluster: n={n} < k={k}")
@@ -80,7 +82,10 @@ def synth_blobs(seed, n, d, k, spread):
     labels = np.repeat(np.arange(k), counts)
     labels = labels[rng.permutation(n)]
 
-    inputs = means[labels] + spread * rng.standard_normal((n, d))
+    with np.errstate(over="ignore"):
+        inputs = means[labels] + spread * rng.standard_normal((n, d))
+    if not np.isfinite(inputs).all():
+        raise ValueError(f"spread {spread} overflows the samples")
     targets = np.zeros((n, k))
     targets[np.arange(n), labels] = 1.0
     return Dataset(inputs=inputs, targets=targets)
@@ -89,27 +94,31 @@ def synth_blobs(seed, n, d, k, spread):
 def _read_idx(path, magic, kind, dims):
     """The ``dims`` sizes in an IDX file's header and its uint8 body.
 
-    The one reader of both loaders: it opens ``path`` (gzip if it ends in
-    ``.gz``), checks the big-endian ``magic`` number and reads the body as
-    the file holds it, never by the size the header declares: a bad header
-    may declare more bytes than can be requested at all.  The sizes are
-    Python integers, so their product cannot overflow; body bytes past it
-    are ignored.  A short header, another magic number or a body shorter
+    The one reader of both loaders: it reads all of ``path`` (through gzip
+    if it ends in ``.gz``), then checks the big-endian ``magic`` number and
+    takes the body from what the file holds, never by the size the header
+    declares: a bad header may declare more bytes than can be requested at
+    all.  The sizes are Python integers, so their product cannot overflow;
+    body bytes past it are ignored.  A damaged gzip stream (cut, corrupt or
+    not gzip at all), a short header, another magic number or a body shorter
     than the sizes' product raises a ValueError that names ``path`` and, in
     the last two, ``kind``.
     """
     with gzip.open(path, "rb") if str(path).endswith(".gz") else open(path, "rb") as fh:
-        header = fh.read(4 * (dims + 1))
-        if len(header) != 4 * (dims + 1):
-            raise ValueError(f"{path}: truncated header")
-        found, *sizes = struct.unpack(f">{dims + 1}I", header)
-        if found != magic:
-            raise ValueError(f"{path}: bad {kind} magic 0x{found:08x}, expected 0x{magic:08x}")
-        raw = fh.read()
+        try:
+            raw = fh.read()
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+            raise ValueError(f"{path}: damaged gzip file: {exc}") from None
+    head = 4 * (dims + 1)
+    if len(raw) < head:
+        raise ValueError(f"{path}: truncated header")
+    found, *sizes = struct.unpack_from(f">{dims + 1}I", raw)
+    if found != magic:
+        raise ValueError(f"{path}: bad {kind} magic 0x{found:08x}, expected 0x{magic:08x}")
     size = math.prod(sizes)
-    if len(raw) < size:
+    if len(raw) - head < size:
         raise ValueError(f"{path}: truncated {kind} data")
-    return sizes, np.frombuffer(raw, dtype=np.uint8, count=size)
+    return sizes, np.frombuffer(raw, dtype=np.uint8, count=size, offset=head)
 
 
 def load_idx_images(path):

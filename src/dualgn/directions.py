@@ -270,8 +270,11 @@ def primal_gn_direction(opr, loss, f, spec, work=None, at=None):
     :func:`dualgn.trainer.train` does).  ``d`` never lies in it.
 
     ``at`` is :func:`dualgn.losses.loss_eval` at ``f``, if the caller has it;
-    every product reuses its softmax.
+    every product reuses its softmax.  A ``spec`` whose ``path`` is not
+    "primal" raises a ValueError.
     """
+    if spec.path != "primal":
+        raise ValueError(f"the primal route needs path='primal', got {spec.path!r}")
     f = _check_outputs(opr, loss, f)
     p, m, _ = opr.dims
     work = cg_workspace((p,), work)
@@ -374,8 +377,11 @@ def _dual_direction(opr, loss, f, spec, w=None, reg=None, callback=None, at=None
     ``alpha = g - beta`` is formed by cancellation: once the solve has run,
     an ``alpha`` at or below the round-off of ``g``, ``||alpha|| <= eps
     ||g||``, carries no digits of the direction and raises
-    :class:`NumericError`.
+    :class:`NumericError`.  A ``spec`` whose ``path`` is not "dual" raises a
+    ValueError.
     """
+    if spec.path != "dual":
+        raise ValueError(f"the dual route needs path='dual', got {spec.path!r}")
     f = _check_outputs(opr, loss, f)
     p, m, k = opr.dims
     blk = m * k

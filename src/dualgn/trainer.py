@@ -214,8 +214,8 @@ def outer_update(rule, state, w, d, eta, out=None):
     """Apply one sgd/momentum/adam update with direction ``d``; returns new w.
 
     This is the only place a training step is applied; ``spl`` and
-    ``armijo_spl`` use the ``sgd`` rule ``w - eta d``.  ``d`` is a parameter
-    vector or a :class:`~dualgn.directions.DirectionResult`, whose
+    ``armijo_spl`` use the ``sgd`` rule ``w - eta d``.  ``d`` is a
+    :class:`~dualgn.directions.DirectionResult`, whose
     :meth:`~dualgn.directions.DirectionResult.pieces` the rule is applied to
     one at a time: an unpenalized dual direction is then never held whole.
 
@@ -225,16 +225,13 @@ def outer_update(rule, state, w, d, eta, out=None):
     :class:`TrainConfig`'s ``momentum_mu``, ``adam_beta1``, ``adam_beta2``
     and ``adam_eps``.  The new parameters are written into ``out`` and
     returned.  The default ``out=None`` writes them into a fresh array and
-    leaves ``w`` and ``d`` as they were; ``out=d`` reuses the direction's
-    buffer, with the same values.  ``out=w`` updates the parameters in place:
-    a result's blocks then hold each piece's step, and an array ``d`` is left
-    as it was at the cost of one scratch vector.
+    leaves ``w`` and ``d`` as they were; ``out=d.d`` reuses a built
+    direction's buffer, with the same values.  ``out=w`` updates the
+    parameters in place, and the result's blocks then hold each piece's step.
     """
     if rule not in ("sgd", "momentum", "adam"):
         raise ValueError(f"unknown update rule {rule!r}")
     w = np.asarray(w, dtype=np.float64)
-    own = isinstance(d, DirectionResult)
-    pieces = d.pieces() if own else ((0, w.size, np.asarray(d, dtype=np.float64)),)
     if out is None:
         out = np.empty_like(w)
     if rule == "momentum" and state.velocity is None:
@@ -245,9 +242,9 @@ def outer_update(rule, state, w, d, eta, out=None):
             state.adam_v = np.zeros_like(w)
         b1, b2 = TrainConfig.adam_beta1, TrainConfig.adam_beta2
         state.t += 1
-    for lo, hi, blk in pieces:
+    for lo, hi, blk in d.pieces():
         # where eta times the step is formed before it is taken from w
-        t = out[lo:hi] if out is not w else blk if own else np.empty(hi - lo)
+        t = out[lo:hi] if out is not w else blk
         step = blk
         if rule == "momentum":
             step = state.velocity[lo:hi]
@@ -383,21 +380,17 @@ def armijo_spl_step(w, batch, config, model=None):
 METRICS_CHUNK = 32768
 
 
-def _full_metrics(model, w, X, Y, loss_kind, oracle=None, labels=None):
-    """Mean loss and accuracy of ``model`` at ``w`` on the whole dataset.
+def _full_metrics(model, w, X, Y, loss_kind):
+    """Mean ``loss_kind`` loss against ``Y`` and accuracy of ``model`` at
+    ``w`` on the whole dataset ``X``.
 
     The forward pass runs on chunks of ``max(1, METRICS_CHUNK // widest
     layer)`` rows into one n x k output block; the per-sample losses and hits
-    are then n-length arrays with one mean each, as in one pass.  ``oracle``
-    (the loss bound to ``Y``) and ``labels`` (``argmax(Y, axis=1)``) are the
-    same at every epoch, so :func:`train` builds them once; None builds them
-    here.
+    are then n-length arrays with one mean each, as in one pass.
     """
     X = np.asarray(X, dtype=np.float64)
-    if oracle is None:
-        oracle = LossOracle(loss_kind, Y)
-    if labels is None:
-        labels = np.argmax(oracle.y, axis=1)
+    oracle = LossOracle(loss_kind, Y)
+    labels = np.argmax(oracle.y, axis=1)
     rows = max(1, METRICS_CHUNK // max(model.dims[1:]))
     f = np.empty((X.shape[0], model.out_dim))
     with np.errstate(**_QUIET):  # train() reports a non-finite loss
@@ -425,9 +418,8 @@ def train(config, dataset, on_record=None):
     (see :func:`dualgn.directions.primal_gn_direction`).  An unpenalized
     dual step without a line search whose direction streams updates the
     parameter vector in place (``out=w`` in :func:`outer_update`), so it
-    holds no direction vector.  The subproblem
-    spec and penalty, and the full-dataset loss oracle and labels of the
-    end-of-epoch metrics, are built once per run.
+    holds no direction vector.  The subproblem spec and penalty are built
+    once per run.
     """
     if not isinstance(dataset, Dataset):
         dataset = Dataset(dataset[0], dataset[1])
@@ -448,11 +440,9 @@ def train(config, dataset, on_record=None):
         work = cg_workspace((model.n_params,))
 
     subproblem = config.subproblem()
-    oracle = LossOracle(config.loss, Y)
-    labels = np.argmax(Y, axis=1)
     records = []
     abort_reason = None
-    train_loss, train_acc = _full_metrics(model, w, X, Y, config.loss, oracle, labels)
+    train_loss, train_acc = _full_metrics(model, w, X, Y, config.loss)
 
     for epoch in range(config.epochs):
         perm = shuffle_rng.permutation(n)
@@ -463,7 +453,7 @@ def train(config, dataset, on_record=None):
                 model, w, X[idx], Y[idx], config, state, subproblem, work, out=w
             )
             if failure is None and start + config.batch_size >= n:
-                train_loss, train_acc = _full_metrics(model, w, X, Y, config.loss, oracle, labels)
+                train_loss, train_acc = _full_metrics(model, w, X, Y, config.loss)
                 if not np.isfinite(train_loss):
                     failure = "non-finite train loss"
             rec.step, rec.epoch = len(records), epoch

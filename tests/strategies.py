@@ -1,5 +1,6 @@
 """Hypothesis strategies shared by the test modules."""
 
+import gzip
 import math
 import struct
 
@@ -51,16 +52,19 @@ IDX_BODY_CAP = 64
 
 @st.composite
 def idx_files(draw):
-    """An IDX file for one of the two loaders, as ``(images, payload, gz)``.
+    """An IDX file for one of the two loaders, as ``(images, data, gz)``.
 
     ``images`` says whether the file is for the image loader (three sizes in
     its header) or the label loader (one).  The magic number is mostly that
     loader's, else the other loader's or any 32-bit value; each size is
     mostly 0 to 4, else ``2**32 - 1`` or any 32-bit value.  The body holds
     the sizes' product in bytes, plus up to two trailing ones, unless that
-    product passes ``IDX_BODY_CAP``: then it is shorter.  The payload may be
-    cut at any header or body byte, and the file may be gzipped (``gz``), in
-    which case the cut payload is compressed whole.
+    product passes ``IDX_BODY_CAP``: then it is shorter.  This payload may
+    be cut at any header or body byte, and it is the file's ``data`` unless
+    the file is gzipped (``gz``).  A gzipped file holds the payload
+    compressed whole, and then maybe cut at any byte or with one byte
+    changed: most such changes damage the gzip stream, but one in its time
+    stamp or OS byte does not.
     """
     images = draw(st.booleans())
     u32 = st.integers(0, 2**32 - 1)
@@ -79,5 +83,13 @@ def idx_files(draw):
     else:
         body = draw(st.binary(max_size=IDX_BODY_CAP))
     payload = struct.pack(f">{len(sizes) + 1}I", magic, *sizes) + body
-    cut = draw(st.none() | st.integers(0, len(payload)))
-    return images, payload[:cut], draw(st.booleans())
+    payload = payload[: draw(st.none() | st.integers(0, len(payload)))]
+    if not draw(st.booleans()):
+        return images, payload, False
+    data = bytearray(gzip.compress(payload, mtime=0))
+    damage = draw(st.sampled_from([None, "cut", "flip"]))
+    if damage == "cut":
+        del data[draw(st.integers(0, len(data) - 1)) :]
+    elif damage == "flip":
+        data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
+    return images, bytes(data), True

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import gzip
 import os
 import re
 import struct
@@ -459,6 +460,54 @@ def test_bad_model_is_usage_error(tmp_path, monkeypatch, capsys):
         err = capsys.readouterr().err
         assert f"usage error: bad mlp hidden dims in '{spec}'" in err
         assert not out.exists()
+
+
+def _gzipped_images(path, damage):
+    """A gzipped IDX file of two 1x2 images, cut short or with its first
+    deflate block's type bits set to the reserved value 3."""
+    data = bytearray(gzip.compress(struct.pack(">IIII", 0x00000803, 2, 1, 2) + bytes(4), mtime=0))
+    if damage == "cut":
+        del data[-3:]
+    else:
+        data[10] = 0xFF  # gzip.compress writes a 10-byte header
+    path.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize(
+    "case, named",
+    [
+        # numpy's MemoryError from init_params, after a header-only CSV was written
+        pytest.param(
+            ["--model", "mlp:10000000000000"],
+            "model 'mlp:10000000000000' does not fit in memory",
+            id="huge-model",
+        ),
+        # numpy's overflow RuntimeWarning from synth_blobs, then a numeric abort
+        pytest.param(
+            ["--data", "blobs:64,2,3,1e308"], "spread 1e+308 overflows the samples",
+            id="overflowing-spread",
+        ),
+        pytest.param("cut", "damaged gzip file: Compressed file ended", id="cut-gz"),  # EOFError
+        pytest.param("corrupt", "damaged gzip file: Error -3", id="corrupt-gz"),  # zlib.error
+    ],
+)
+def test_unusable_inputs_exit_1_without_traceback_warning_or_csv(
+    case, named, tmp_path, monkeypatch, capsys
+):
+    # warnings are errors in this suite, so an escaping warning fails it too
+    flags = case
+    if isinstance(case, str):
+        images, labels = tmp_path / "img.idx.gz", tmp_path / "lab.idx"
+        _gzipped_images(images, case)
+        labels.write_bytes(struct.pack(">II", 0x00000801, 2) + bytes([0, 1]))
+        flags = ["--data", f"idx:{images},{labels}", "--batch-size", "2"]
+    out = tmp_path / "x.csv"
+    code = _run(["run", *flags, "--out", str(out)], monkeypatch)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("usage error:") and named in err
+    assert "Traceback" not in err and "Warning" not in err
+    assert not out.exists()
 
 
 def test_verify_suite_runs(capsys):

@@ -1,6 +1,8 @@
 import gzip
+import io
 import math
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -235,19 +237,37 @@ def _idx_outcome(images, payload):
     return body.reshape(n, rows * cols) / 255.0
 
 
+def _gzip_outcome(images, data):
+    """:func:`_idx_outcome` of what gzip makes of the bytes ``data``, or the
+    message of the reader's ValueError for a damaged stream."""
+    try:
+        with gzip.GzipFile(fileobj=io.BytesIO(data)) as fh:
+            payload = fh.read()
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        return f"damaged gzip file: {exc}"
+    return _idx_outcome(images, payload)
+
+
+_LABELS_GZ = gzip.compress(struct.pack(">II", IDX_LABEL_MAGIC, 1) + bytes(1), mtime=0)
+
+
 @example(case=(True, struct.pack(">IIII", IDX_IMAGE_MAGIC, 0, 2**32 - 1, 2**32 - 1), False))
-@example(case=(False, struct.pack(">II", IDX_LABEL_MAGIC, 0), True))
+@example(case=(False, gzip.compress(struct.pack(">II", IDX_LABEL_MAGIC, 0), mtime=0), True))
+@example(case=(False, _LABELS_GZ[:-3], True))  # cut in the gzip trailer: EOFError
+@example(case=(False, _LABELS_GZ[:10] + b"\xff" + _LABELS_GZ[11:], True))  # zlib.error
 @settings(max_examples=150)
 @given(case=idx_files())
 def test_idx_loaders_return_the_declared_arrays_or_their_own_errors(tmp_path_factory, case):
     # Drawn byte strings: either the declared array comes back, bit for bit,
     # or a ValueError with the reader's message for the file; nothing else
     # escapes.  The first example is zero images whose row length no array
-    # can hold, for which numpy's reshape raises its own ValueError.
-    images, payload, gz = case
+    # can hold, for which numpy's reshape raises its own ValueError; the last
+    # two are gzip streams cut short and corrupt, which raised gzip's EOFError
+    # and zlib.error.
+    images, data, gz = case
     path = tmp_path_factory.getbasetemp() / ("fuzz.idx.gz" if gz else "fuzz.idx")
-    _write_idx(path, payload, b"")
-    want = _idx_outcome(images, payload)
+    path.write_bytes(data)
+    want = _gzip_outcome(images, data) if gz else _idx_outcome(images, data)
     load = load_idx_images if images else load_idx_labels
     if isinstance(want, str):
         with pytest.raises(ValueError) as err:

@@ -55,6 +55,21 @@ def test_spec_validation():
         SubproblemSpec(tol=-1e-3)
 
 
+def test_each_route_rejects_the_other_routes_spec():
+    # a primal spec silently ran the dual route, and a dual spec the primal
+    model, w, X, _, loss, f = _instance("mlp:3", 2, 2, 4, 6)
+    opr = make_jacobian_operator(model, w, X)
+    with pytest.raises(ValueError, match="primal route needs path='primal', got 'dual'"):
+        primal_gn_direction(opr, loss, f, SubproblemSpec(path="dual"))
+    with pytest.raises(ValueError, match="dual route needs path='dual', got 'primal'"):
+        dual_gn_direction(opr, loss, f, SubproblemSpec(path="primal"))
+    with pytest.raises(ValueError, match="dual route needs path='dual', got 'primal'"):
+        regularized_dual_direction(
+            opr, loss, f, SubproblemSpec(path="primal"), w, Regularizer("l2", 0.1)
+        )
+    assert (opr.jvp_calls, opr.vjp_calls) == (0, 0)
+
+
 def test_soft_threshold_cases():
     assert soft_threshold(np.array([1.2]), 0.5)[0] == pytest.approx(0.7)
     assert soft_threshold(np.array([-0.3]), 0.5)[0] == 0.0

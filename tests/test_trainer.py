@@ -29,7 +29,8 @@ from dualgn import (
     train,
 )
 from dualgn import directions
-from dualgn.cgsolver import BLOCK
+from dualgn.cgsolver import BLOCK, CGReport
+from dualgn.directions import DirectionResult
 from dualgn.models import PIECE
 from dualgn.trainer import (
     DIRECTIONS, METHODS, METRICS_CHUNK, _armijo_backtrack, _full_metrics, _single_step,
@@ -148,6 +149,11 @@ def _quad_grad(w):
     return np.array([2.0, 0.5]) * w
 
 
+def _direction(d):
+    """The vector ``d`` as the direction result that ``outer_update`` takes."""
+    return DirectionResult(d, None, CGReport(), 0.0)
+
+
 @pytest.mark.parametrize("rule", ["sgd", "momentum", "adam"])
 def test_outer_update_matches_textbook_recursion(rule):
     w0 = np.array([1.0, -2.0])
@@ -156,7 +162,7 @@ def test_outer_update_matches_textbook_recursion(rule):
     w = w0.copy()
     ours = []
     for _ in range(3):
-        w = outer_update(rule, state, w, _quad_grad(w), eta)
+        w = outer_update(rule, state, w, _direction(_quad_grad(w)), eta)
         ours.append(w.copy())
     if rule == "sgd":
         want = sgd_trajectory(w0, _quad_grad, eta, 3)
@@ -195,11 +201,11 @@ def test_outer_update_in_place_matches_out_of_place_formulas(rule):
         d = rng.standard_normal(40)
         w0, d0 = w_fresh.copy(), d.copy()
         w_ref = _out_of_place_update(rule, ref, w_ref, d, 0.05, config)
-        got = outer_update(rule, fresh, w_fresh, d, 0.05)
+        got = outer_update(rule, fresh, w_fresh, _direction(d), 0.05)
         assert np.array_equal(got, w_ref)
         assert np.array_equal(w_fresh, w0) and np.array_equal(d, d0)
         w_fresh = got
-        w_reuse = outer_update(rule, reuse, w_reuse, d, 0.05, out=d)
+        w_reuse = outer_update(rule, reuse, w_reuse, _direction(d), 0.05, out=d)
         assert np.array_equal(w_reuse, w_ref)
         state = (reuse.velocity, reuse.adam_m, reuse.adam_v)
         if arrays is not None:
@@ -269,11 +275,11 @@ def test_direction_pieces_are_the_whole_direction_bit_for_bit(data):
     direction = dual_gn_direction(opr(), loss, f, spec).d
     for rule in ("sgd", "momentum", "adam"):
         ref = OptimizerState()
-        w_ref = outer_update(rule, ref, w, 0.5 * direction, 0.05)
-        w_ref = outer_update(rule, ref, w_ref, direction, 0.05)
+        w_ref = outer_update(rule, ref, w, _direction(0.5 * direction), 0.05)
+        w_ref = outer_update(rule, ref, w_ref, _direction(direction), 0.05)
         for out in (None, "w", "d"):
             state = OptimizerState()
-            v = outer_update(rule, state, w, 0.5 * direction, 0.05)
+            v = outer_update(rule, state, w, _direction(0.5 * direction), 0.05)
             res = dual_gn_direction(opr(), loss, f, spec)
             target = {None: None, "w": v, "d": res.d if out == "d" else None}[out]
             v0 = v.copy()
@@ -468,7 +474,7 @@ def test_adam_first_step_closed_form():
     w = np.array([1.0, -3.0])
     c = np.array([0.4, -0.2])
     state = OptimizerState()
-    out = outer_update("adam", state, w, c, 0.05)
+    out = outer_update("adam", state, w, _direction(c), 0.05)
     want = w - 0.05 * c / (np.abs(c) + TrainConfig.adam_eps)
     assert_allclose(out, want, rtol=1e-12)
 
@@ -664,10 +670,6 @@ def test_full_metrics_run_in_bounded_row_chunks(monkeypatch):
             assert got[1] == float(np.mean(np.argmax(f, 1) == np.argmax(ds.targets, 1)))
             # lists, as the benchmark's tests pass them
             assert _full_metrics(model, w, ds.inputs.tolist(), ds.targets.tolist(), kind) == got
-            # a run's oracle and labels, built once, alone or together
-            oracle, labels = LossOracle(kind, ds.targets), np.argmax(ds.targets, axis=1)
-            assert _full_metrics(model, w, ds.inputs, ds.targets, kind, oracle) == got
-            assert _full_metrics(model, w, ds.inputs, ds.targets, kind, oracle, labels) == got
     # a layer wider than the bound still makes progress, a row at a time
     model = make_model("mlp:40000", 2, 2)
     rows.clear()
