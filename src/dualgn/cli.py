@@ -131,7 +131,8 @@ def _grid_points(config, grid, out):
     """The runs of a ``--grid`` value, as ``(csv_path, abort_suffix, config)``.
 
     Each value of the swept setting ``key`` (gamma under ``spl``, else eta)
-    is checked before the first run writes a file; its run writes
+    is checked before the first run writes a file, and a value that appears
+    twice (``0.1,1e-1``) is a usage error; its run writes
     ``{root}_g{token}{ext}`` of ``out`` (``.csv`` if ``out`` has no
     extension), and an abort reads `` at {key}={token}``.
     """
@@ -152,6 +153,8 @@ def _grid_points(config, grid, out):
             point = dataclasses.replace(config, **{key: value})
         except ValueError as exc:
             raise UsageError(f"grid value {token!r}: {exc}") from None
+        if any(getattr(run, key) == value for *_, run in runs):
+            raise UsageError(f"grid value {token!r}: {key}={value} appears twice")
         runs.append((f"{root}_g{token}{ext or '.csv'}", f" at {key}={token}", point))
     return runs
 

@@ -29,11 +29,12 @@ gradient's ``J^T g`` as compact per-layer stand-ins: the ``m x out``
 cotangent of each layer whose fan-in exceeds the batch size ``m``, the
 layer's parameter block otherwise.  Without a penalty it pushes its
 right-hand side from the gradient's stand-in, maps back and takes its
-descent inner product in stand-in space, and returns the direction as the
-stand-in of ``J^T alpha`` with its scale ``gamma/m``.  When every layer's
-fan-in exceeds ``m`` it makes no parameter-length array: the direction is
-expanded when read, or streamed a bounded block at a time into the update
-(:meth:`DirectionResult.pieces`, :func:`dualgn.trainer.outer_update`).
+descent inner product in stand-in space, and after a CG update returns the
+direction as the stand-in of ``J^T alpha`` scaled by ``gamma/m``.  When every
+layer's fan-in exceeds ``m`` it makes no parameter-length array: the
+direction is expanded when read, or streamed a bounded block at a time into
+the update (:meth:`DirectionResult.pieces`,
+:func:`dualgn.trainer.outer_update`).
 
 ``regularized_dual_direction`` extends the dual route to composite objectives
 with an l1 or l2 penalty on the parameters via a prox step on the mapped-back
@@ -143,13 +144,14 @@ class DirectionResult:
     ``<d, grad>`` against the batch gradient, nonnegative for the
     unregularized routes at any iteration budget.
 
-    An unpenalized dual direction is kept as the stand-in of ``J^T alpha``
-    on its operator, with its scale ``gamma / m``, until something reads
-    ``d``; :meth:`pieces` streams it without building ``d``.
+    An unpenalized dual direction whose solve made an update is kept as its
+    stand-in on its operator, ``J^T alpha`` already scaled by ``gamma / m``,
+    until something reads ``d``; :meth:`pieces` streams it without building
+    ``d``.
     """
 
     def __init__(self, d, alpha, report, descent_inner_product, standin=None):
-        self._d, self._standin = d, standin  # standin: (opr, s, m, gamma)
+        self._d, self._standin = d, standin  # standin: (opr, s)
         self.alpha, self.report = alpha, report
         self.descent_inner_product = descent_inner_product
 
@@ -157,11 +159,8 @@ class DirectionResult:
     def d(self):
         """The direction as one parameter vector, built on the first read."""
         if self._d is None:
-            opr, s, m, gamma = self._standin
-            d = opr.compact_expand(s)  # may be s itself
-            d /= m
-            d *= gamma
-            self.d = d
+            opr, s = self._standin
+            self.d = opr.compact_expand(s)  # may be s itself
         return self._d
 
     @d.setter
@@ -174,7 +173,7 @@ class DirectionResult:
         layer on the Gram route keeps its ``m x out`` cotangent, so an update
         that streams the pieces holds no direction vector.  Otherwise ``d``
         is built, or building it allocates nothing: it is the stand-in
-        itself, scaled in place."""
+        itself."""
         return self._standin is not None and self._standin[1].size < self._standin[0].dims[0]
 
     def pieces(self):
@@ -182,19 +181,15 @@ class DirectionResult:
 
         If the direction :attr:`streams`, each block is expanded from the
         stand-in when it is asked for (see
-        :meth:`~dualgn.linop.JacobianOperator.compact_pieces`) and scaled
-        (``/= m; *= gamma``, as ``d`` is), in a scratch that the next block
-        reuses; otherwise the one block is ``d``.  The blocks are the
-        caller's to overwrite.
+        :meth:`~dualgn.linop.JacobianOperator.compact_pieces`), in a scratch
+        that the next block reuses; otherwise the one block is ``d``.  The
+        blocks are the caller's to overwrite.
         """
         if not self.streams:
             yield 0, self.d.size, self.d
             return
-        opr, s, m, gamma = self._standin
-        for lo, hi, blk in opr.compact_pieces(s):
-            blk /= m
-            blk *= gamma
-            yield lo, hi, blk
+        opr, s = self._standin
+        yield from opr.compact_pieces(s)
 
 
 def _check_outputs(opr, loss, f):
@@ -363,16 +358,21 @@ def _dual_direction(opr, loss, f, spec, w=None, reg=None, callback=None, at=None
     Without a penalty every parameter-space vector of the step lies in the
     range of ``J^T``, so the right-hand side ``J J^T g / mu`` is pushed from
     the gradient's stand-in, the stand-in of ``J^T alpha`` is formed as the
-    gradient's minus the kernel's sum of stand-ins, and the descent inner
-    product ``(gamma / m^2) <J^T alpha, J^T g>`` is taken from the two
-    stand-ins; the result keeps ``d`` as the stand-in of ``J^T alpha``, which
-    it expands when ``d`` is read or streams in pieces (see
-    :class:`DirectionResult`).  A penalty's prox step leaves that range,
-    so the penalized route expands the gradient's stand-in into ``J^T g``,
-    pushes the right-hand side from it and takes the descent inner product
-    against ``J^T g / m``, formed in its buffer.  Both map back from the
-    stand-in of ``J^T alpha``; the penalty then takes its prox step from the
-    expanded, scaled direction.
+    gradient's minus the kernel's sum of stand-ins.  After a CG update that
+    stand-in takes the scale ``gamma / m`` in place, so ``d`` is its
+    expansion with no parameter-length scaling pass, and the descent inner
+    product ``(1 / m) <d, J^T g>`` is taken from the scaled stand-in and the
+    gradient's; the result keeps ``d`` as the scaled stand-in, which it
+    expands when ``d`` is read or streams in pieces (see
+    :class:`DirectionResult`).  A solve that made no update (``tau = 0``, a
+    zero right-hand side, or breakdown at the first product) returns ``d =
+    gamma * batch_gradient``, formed in :func:`batch_gradient`'s order, so
+    it is that bit for bit.  A penalty's prox step leaves the range of
+    ``J^T``, so the penalized route expands the gradient's stand-in into
+    ``J^T g``, pushes the right-hand side from it and takes the descent inner
+    product against ``J^T g / m``, formed in its buffer.  Both map back from
+    the stand-in of ``J^T alpha``; the penalty then takes its prox step from
+    the expanded, scaled direction.
 
     ``alpha = g - beta`` is formed by cancellation: once the solve has run,
     an ``alpha`` at or below the round-off of ``g``, ``||alpha|| <= eps
@@ -493,15 +493,27 @@ def _dual_direction(opr, loss, f, spec, w=None, reg=None, callback=None, at=None
         )
 
     # The map-back: the stand-in of J^T alpha is the gradient's less the
-    # kernel's sum, and d its expansion scaled by gamma / m, which an
-    # unpenalized result makes only when read; a penalty then takes its prox
-    # step from w - d.
+    # kernel's sum.  After an update it takes the scale gamma / m in place,
+    # and d is its expansion, which an unpenalized result makes only when
+    # read.  Without one, d is gamma times the batch gradient, formed in
+    # batch_gradient's order.  A penalty then takes its prox step from w - d.
     sa = sg - zsum if isinstance(zsum, float) else np.subtract(sg, zsum, out=zsum)
-    res = DirectionResult(None, alpha, rep, None, standin=(opr, sa, m, gamma))
-    # alpha's stand-in and the scaled direction; sigma, beta and alpha
-    ops += sg.size + 2 * p + 2 * q
+    # alpha's stand-in; sigma, beta and alpha
+    ops += sg.size + 2 * q
+    if rep.iterations:
+        sa *= gamma / m
+        res, scale = DirectionResult(None, alpha, rep, None, standin=(opr, sa)), 1.0
+        ops += sa.size
+    else:
+        d = opr.compact_expand(sa)  # may be sa itself
+        d /= m
+        d *= gamma
+        res = DirectionResult(d, alpha, rep, None)
+        # alpha's stand-in is the gradient's, whose dot carries the scale
+        sa, scale = sg, gamma / m
+        ops += 2 * p
     if reg is None:
-        res.descent_inner_product = opr.compact_dot(sa, sg, gterms) * (gamma / m) / m
+        res.descent_inner_product = opr.compact_dot(sa, sg, gterms) * scale / m
         rep.vector_op_scalar_count += ops + sg.size
         return res
     d = res.d

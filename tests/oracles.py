@@ -197,3 +197,17 @@ def conjugate_value(loss, alpha):
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(mu_clip > 0.0, mu_clip * np.log(mu_clip), 0.0)
     return np.where(feasible, terms.sum(axis=-1), np.inf)
+
+
+def assembled(pieces, p):
+    """The blocks of ``pieces``, ``(lo, hi, block)`` as
+    :meth:`dualgn.directions.DirectionResult.pieces` yields them, copied into
+    one vector, after checking that they cover ``[0, p)`` once, in order."""
+    out = np.full(p, np.nan)
+    pos = 0
+    for lo, hi, blk in pieces:
+        assert lo == pos < hi and blk.shape == (hi - lo,)
+        out[lo:hi] = blk
+        pos = hi
+    assert pos == p
+    return out

@@ -93,3 +93,29 @@ def idx_files(draw):
     elif damage == "flip":
         data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
     return images, bytes(data), True
+
+
+# --grid tokens beside the drawn floats: non-finite, zero, negative, huge,
+# fractional and unparsable values, and empty items
+GRID_TOKENS = [
+    "nan", "inf", "-inf", "0", "-0.0", "-1", "1e308", "1e400", "1e-300", "0.5", "0.05", "3", "x", "", " ",
+]
+
+
+@st.composite
+def grid_values(draw):
+    """A ``--grid`` value: one to four comma-separated tokens, and maybe a
+    repeat of one of them, as written or spelled another way with the same
+    value (``0.5`` and ``5.00000000000000000e-01``)."""
+    token = st.sampled_from(GRID_TOKENS) | st.floats(1e-3, 10).map(repr) | st.floats().map(repr)
+    tokens = draw(st.lists(token, min_size=1, max_size=4))
+    repeat = draw(st.sampled_from([None, "same", "spelled"]))
+    if repeat is not None:
+        t = draw(st.sampled_from(tokens))
+        if repeat == "spelled":
+            try:
+                t = f"{float(t):.17e}"
+            except ValueError:
+                pass
+        tokens.insert(draw(st.integers(0, len(tokens))), t)
+    return ",".join(tokens)

@@ -1,19 +1,25 @@
+import contextlib
 import csv
 import dataclasses
 import gzip
+import io
 import os
 import re
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import dualgn
 from dualgn import TrainConfig, TrainResult, cli
 from dualgn.cli import CSV_FIELDS, main
 from dualgn.verify import run_suite
+from strategies import grid_values
 
 HEADER = "step,epoch,wall_ms,batch_loss,train_loss,train_acc,eta,gamma,inner_iters,jvp_calls,vjp_calls,descent_ip"
 
@@ -510,6 +516,31 @@ def test_unusable_inputs_exit_1_without_traceback_warning_or_csv(
     assert not out.exists()
 
 
+@given(method=st.sampled_from(["spl", "sgd", "momentum", "adam", "armijo_spl"]), grid=grid_values())
+def test_drawn_grids_exit_0_to_3_without_traceback_warning_or_stray_csv(method, grid):
+    # Warnings are errors in this suite, so an escaping warning fails it too.
+    # A usage error leaves no CSV; otherwise each value has its CSV, and an
+    # aborted point's CSV ends in its diagnostic row.
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(["run", "--data", "blobs:16,2,3,0.3", "--batch-size", "8", "--epochs", "1",
+                     "--seed", "0", "--method", method, f"--grid={grid}",
+                     "--out", os.path.join(tmp, "g.csv")])
+        files = {name: _read(os.path.join(tmp, name)) for name in os.listdir(tmp)}
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err and "Warning" not in err
+    if code == 1:
+        assert err.startswith("usage error:") and files == {}
+        return
+    tokens = [t.strip() for t in grid.split(",") if t.strip()]
+    assert sorted(files) == sorted(f"g_g{t}.csv" for t in tokens)
+    aborted = re.findall(r"^aborted at \w+=(\S+): ", err, flags=re.M)
+    assert (code == 2) == bool(aborted)
+    for token in aborted:
+        rows = files[f"g_g{token}.csv"]
+        assert rows[0] == CSV_FIELDS and len(rows) >= 2
+
+
 def test_verify_suite_runs(capsys):
     assert main(["verify", "adjoint"]) == 0
     out = capsys.readouterr().out
@@ -688,6 +719,10 @@ def test_bad_grid_is_rejected_before_the_data_is_built(tmp_path, monkeypatch, ca
         (["--method", "armijo_spl"], "0.1,1", "usage error: grid: armijo_spl fixes gamma=1"),
         (["--method", "spl"], "0.5,nan", "usage error: grid value 'nan': gamma must be"),
         (["--method", "sgd"], "nan", "usage error: grid value 'nan': eta must be"),
+        # a repeated value used to train its point twice, the second run
+        # overwriting g_g0.1.csv; values are compared after parsing
+        (["--method", "sgd"], "0.1,0.1", "usage error: grid value '0.1': eta=0.1 appears twice"),
+        (["--method", "spl"], "0.5,1,5e-1", "usage error: grid value '5e-1': gamma=0.5 appears twice"),
     ]
     for flags, grid, message in cases:
         out = tmp_path / "g.csv"

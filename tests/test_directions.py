@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -22,9 +23,9 @@ from dualgn import (
     sdca_closed_form_squared,
     soft_threshold,
 )
-from dualgn import models
-from dualgn.cgsolver import BLOCK, cg_workspace
-from oracles import PlainOperator, dense_direction, ista_l1
+from dualgn import directions, models
+from dualgn.cgsolver import BLOCK, cg_kernel, cg_workspace
+from oracles import PlainOperator, assembled, dense_direction, ista_l1
 from strategies import MODELS, jacobian_cases
 
 
@@ -547,6 +548,78 @@ def test_compact_products_leave_the_dual_direction_unchanged(name, relation, dat
     assert np.array_equal(dual_gn_direction(opr, loss, f, spec).d, spec.gamma * grad)
 
 
+# After a CG update the dual scales the stand-in of J^T alpha by gamma / m
+# and expands it, where it used to expand the stand-in and scale d: gamma *
+# (J^T alpha / m).  With gamma and m powers of two, as on every benchmark
+# workload (gamma = 1, m in {32, 64, 128}), both orders round alike.
+
+
+@pytest.mark.parametrize("relation", ["lt", "eq", "gt"])
+@pytest.mark.parametrize("name", MODELS)
+@given(data=st.data())
+def test_dual_direction_scaled_on_its_stand_in_matches_the_scaled_expansion(name, relation, data):
+    model, w, X, V = data.draw(jacobian_cases(name, relation, scales=(1.0,)))
+    m, k = V.shape
+    loss_kind = data.draw(st.sampled_from(["squared", "logistic"][: 1 + (k > 1)]))
+    gamma = data.draw(st.sampled_from([0.25, 1.0, 4.0, 0.3, 7.0]))
+    Y = V if loss_kind == "squared" else np.eye(k)[np.argmax(V, axis=1)]
+    loss = LossOracle(loss_kind, Y)
+    spec = SubproblemSpec(gamma=gamma, tau=data.draw(st.integers(1, 3)))
+    sums = []  # the kernel's sum of stand-ins, as it returned it
+
+    def kernel(*args, **kwargs):
+        x, rep, ysum = cg_kernel(*args, **kwargs)
+        sums.append(np.copy(ysum))
+        return x, rep, ysum
+
+    results = []
+    for _ in range(2):  # one result streams its pieces, the other builds d
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(directions, "cg_kernel", kernel)
+            opr = make_jacobian_operator(model, w, X)
+            results.append(dual_gn_direction(opr, loss, opr.outputs, spec))
+    ref = make_jacobian_operator(model, w, X)
+    sg, _, terms = ref.compact_vjp(loss_grad(loss, ref.outputs))
+    s = sg - sums[0] if sums else sg  # the stand-in of J^T alpha
+    old = gamma * (ref.compact_expand(s) / m)
+    pieced, built = assembled(results[0].pieces(), model.n_params), results[1].d
+    if all(math.frexp(v)[0] == 0.5 for v in (gamma, m)):
+        assert np.array_equal(pieced, old) and np.array_equal(built, old)
+        assert results[0].descent_inner_product == ref.compact_dot(s, sg, terms) * (gamma / m) / m
+    else:
+        for got in (pieced, built):
+            assert np.linalg.norm(got - old) <= 1e-15 * np.linalg.norm(old)
+
+
+def test_dual_direction_without_an_update_is_gamma_times_the_batch_gradient():
+    # A solve makes no update at tau = 0, on a zero right-hand side (J^T g =
+    # 0 with g != 0: zero inputs to a layer without a bias) and on breakdown
+    # at its first product (outputs of 1e-155 against zero targets, whose
+    # curvature is below BREAKDOWN_EPS).  Each returns gamma * batch_gradient
+    # in batch_gradient's order, also where gamma / m is no power of two and
+    # the first layer is on the Gram route (d = 7 > m = 3).
+    rng = np.random.Generator(np.random.Philox(key=[31, 7]))
+    cases = []
+    for name in ("mlp:5", "linear"):
+        for kind in ("squared", "logistic"):
+            model, w, X, _, loss, _ = _instance(name, 7, 3, 3, 29, kind)
+            cases.append((model, w, X, loss, 0, 0))
+    model = make_model("linear", 7, 3)
+    cases.append((model, model.init_params(1), np.zeros((3, 7)),
+                  LossOracle("squared", rng.standard_normal((3, 3))), 4, 0))
+    model, w, X, *_ = _instance("linear", 7, 3, 3, 29)
+    cases.append((model, 1e-155 * w, X, LossOracle("squared", np.zeros((3, 3))), 4, 1))
+    for model, w, X, loss, tau, calls in cases:
+        for gamma in (1.0, 1.7):
+            opr = make_jacobian_operator(model, w, X)
+            grad = batch_gradient(make_jacobian_operator(model, w, X), loss, opr.outputs)
+            res = dual_gn_direction(opr, loss, opr.outputs, SubproblemSpec(gamma=gamma, tau=tau))
+            assert (res.report.iterations, res.report.operator_calls) == (0, calls)
+            assert np.array_equal(assembled(res.pieces(), model.n_params), gamma * grad)
+            assert np.array_equal(res.d, gamma * grad)
+            assert np.any(grad) == (tau == 0 or calls == 1)
+
+
 # The primal route carries an output-space shadow D of its CG direction d =
 # J^T D, so its forward products also go through the Gram matrices.
 
@@ -688,7 +761,8 @@ def test_dual_vector_op_count_per_iteration():
     # logistic, beta / sigma (1).  Iteration 1 adds the kernel's r0, p0,
     # <r0, r0>, <x, c>, x and scaled stand-in (6), the right-hand side's
     # forward product (2), one product and, on logistic, S P of the
-    # right-hand side (3).  Each later iteration adds one product and one
+    # right-hand side (3); and from there on gamma / m scales the stand-in
+    # of J^T alpha (1), not the direction (2p).  Each later iteration adds one product and one
     # residual update: the kernel's r, <r, r>, p, x and scaled stand-in (5),
     # the shifted forward product (2) and, on logistic, S P (3).  The
     # logistic residual falls below sqrt(eps) of its start at iteration 4,
@@ -702,8 +776,8 @@ def test_dual_vector_op_count_per_iteration():
     w = model.init_params(9)
     X = rng.standard_normal((m, 40))
     for kind, start, first, later in (
-        ("squared", 2 * p + 4 * mk, 11 * mk, [10 * mk] * 29),
-        ("logistic", 2 * p + 8 * mk, 17 * mk, [16 * mk] * 3 + [21 * mk] * 26),
+        ("squared", 2 * p + 4 * mk, 12 * mk - 2 * p, [10 * mk] * 29),
+        ("logistic", 2 * p + 8 * mk, 18 * mk - 2 * p, [16 * mk] * 3 + [21 * mk] * 26),
     ):
         Y = rng.standard_normal((m, k)) if kind == "squared" else np.eye(k)[rng.integers(0, k, size=m)]
         loss = LossOracle(kind, Y)

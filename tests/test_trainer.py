@@ -35,7 +35,7 @@ from dualgn.models import PIECE
 from dualgn.trainer import (
     DIRECTIONS, METHODS, METRICS_CHUNK, _armijo_backtrack, _full_metrics, _single_step,
 )
-from oracles import adam_trajectory, momentum_trajectory, sgd_trajectory
+from oracles import adam_trajectory, assembled, momentum_trajectory, sgd_trajectory
 
 
 def test_config_validation():
@@ -213,20 +213,6 @@ def test_outer_update_in_place_matches_out_of_place_formulas(rule):
         arrays = state
 
 
-def _assembled(pieces, p):
-    """The blocks of ``pieces`` copied into one vector, after checking that
-    they cover ``[0, p)`` once, in order, each at most ``PIECE`` scalars
-    (a bias past that)."""
-    out = np.full(p, np.nan)
-    pos = 0
-    for lo, hi, blk in pieces:
-        assert lo == pos < hi and blk.shape == (hi - lo,)
-        out[lo:hi] = blk
-        pos = hi
-    assert pos == p
-    return out
-
-
 @given(data=st.data())
 def test_direction_pieces_are_the_whole_direction_bit_for_bit(data):
     # One layer spans 2-3 row chunks: the first, on either side of the Gram
@@ -259,7 +245,7 @@ def test_direction_pieces_are_the_whole_direction_bit_for_bit(data):
     op = opr()
     s, _, _ = op.compact_vjp(V)
     s0 = s.copy()
-    whole = _assembled(op.compact_pieces(s), p)
+    whole = assembled(op.compact_pieces(s), p)
     assert np.array_equal(whole, op.compact_expand(s))
     assert np.array_equal(whole, op.vjp(V))
     assert np.array_equal(s, s0)
@@ -267,7 +253,7 @@ def test_direction_pieces_are_the_whole_direction_bit_for_bit(data):
     op = opr()
     grad = batch_gradient(opr(), loss, op.outputs)
     res = dual_gn_direction(op, loss, op.outputs, SubproblemSpec(gamma=gamma, tau=0))
-    assert np.array_equal(_assembled(res.pieces(), p), gamma * grad)
+    assert np.array_equal(assembled(res.pieces(), p), gamma * grad)
     assert np.array_equal(res.d, gamma * grad)
     # each rule over the pieces is the rule over the whole vector
     spec = SubproblemSpec(gamma=gamma, tau=data.draw(st.integers(1, 3)))
