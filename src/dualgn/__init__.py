@@ -6,8 +6,8 @@ by CG on the parameter-space normal equations or by an equivalent CG on a
 small output-space dual system, and wires the directions into standard
 stochastic training loops with full cost and descent accounting.
 
-The public names are each module's own ``__all__``; ``cli`` and ``verify``
-are reached by module path.
+The public names are each module's own ``__all__``; ``cli`` is reached by
+module path.
 """
 
 from . import cgsolver, data, directions, exceptions, linop, losses, models, trainer

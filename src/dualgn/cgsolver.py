@@ -62,13 +62,6 @@ def _integer(name, value, low=0):
     return int(value)
 
 
-def _seed_range(seed):
-    """Reject a seed outside [0, 2**63), the range a run's Philox keys take."""
-    if not 0 <= seed < 2**63:
-        raise ValueError(f"seed must be a nonnegative integer below 2**63, got {seed}")
-    return seed
-
-
 def _finite(name, value, positive=True):
     if not (np.isfinite(value) and (value > 0 if positive else value >= 0)):
         kind = "positive" if positive else "nonnegative"

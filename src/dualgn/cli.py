@@ -1,10 +1,9 @@
-"""Command-line front end: training runs, gamma/eta grids, CSV metrics,
-and the built-in verification suites.
+"""Command-line front end: training runs, gamma/eta grids and CSV metrics.
 
-Exit codes: 0 success, 1 usage error, 2 numeric abort, 3 verification
-failure.  Settings come from defaults, then a ``key = value`` config file
-(``--config``), then flags; ``DUALGN_SEED`` in the environment supplies the
-seed when neither file nor flag sets one.  The run settings are the fields of
+Exit codes: 0 success, 1 usage error, 2 numeric abort.  Settings come from
+defaults, then a ``key = value`` config file (``--config``) that sets each key
+at most once, then flags; ``DUALGN_SEED`` in the environment supplies the seed
+when neither file nor flag sets one.  The run settings are the fields of
 :class:`~dualgn.trainer.TrainConfig`: each is a config-file key and a flag
 (``batch_size`` is ``--batch-size``) of the field's type, beside ``data``,
 ``out`` and ``grid``.
@@ -22,7 +21,6 @@ from .exceptions import NumericError, UsageError
 from .losses import LOSS_KINDS
 from .models import make_model
 from .trainer import DIRECTIONS, METHODS, RunRecord, TrainConfig, train
-from .verify import SUITES, run_suite
 
 __all__ = ["main", "CSV_FIELDS"]
 
@@ -63,10 +61,6 @@ def _build_parser():
         "--data", help=f"blobs:<n,d,k,spread> or idx:<images,labels> (default {DEFAULT_DATA})"
     )
     run_p.add_argument("--out", help=f"CSV path (default {DEFAULT_OUT})")
-
-    ver_p = sub.add_parser("verify", help="run a built-in verification suite")
-    ver_p.add_argument("suite", choices=sorted(SUITES) + ["all"])
-    ver_p.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -83,7 +77,7 @@ def _read_config_file(path):
             text = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from None
-    settings = {}
+    settings, set_on = {}, {}
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -94,6 +88,9 @@ def _read_config_file(path):
         key = key.replace("-", "_")
         if key not in _ALL_KEYS:
             raise UsageError(f"{path}:{line_no}: unknown key {key!r}")
+        if key in set_on:
+            raise UsageError(f"{path}:{line_no}: key {key!r} is already set on line {set_on[key]}")
+        set_on[key] = line_no
         settings[key] = _convert(key, value)
     return settings
 
@@ -225,23 +222,10 @@ def _cmd_run(args, env):
     return code
 
 
-def _cmd_verify(args):
-    try:
-        ok, lines = run_suite(args.suite, seed=args.seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    for line in lines:
-        print(line)
-    print(f"suite {args.suite}: {'ok' if ok else 'FAILED'}")
-    return 0 if ok else 3
-
-
 def main(argv=None):
     """CLI entry point; returns the process exit code."""
     try:
         args = _build_parser().parse_args(argv)
-        if args.command == "verify":
-            return _cmd_verify(args)
         return _cmd_run(args, os.environ)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -62,7 +62,8 @@ def synth_blobs(seed, n, d, k, spread):
     ``seed``, so the dataset is a pure function of its arguments.
 
     Returns a :class:`Dataset` with one-hot targets (n, k).  A ``spread``
-    so large that a sample overflows raises a ValueError.
+    so large that a sample overflows raises a ValueError, and so do sizes
+    whose (n, d) inputs or (n, k) targets no float64 array can hold.
     """
     if n < k:
         raise ValueError(f"need at least one sample per cluster: n={n} < k={k}")
@@ -72,6 +73,8 @@ def synth_blobs(seed, n, d, k, spread):
         raise ValueError(f"need at least one input dimension, got d={d}")
     if not 0 < spread < np.inf:
         raise ValueError(f"spread must be finite and positive, got {spread}")
+    if n * max(d, k) > np.iinfo(np.intp).max // 8:
+        raise ValueError(f"{n} samples of {d} inputs and {k} classes do not fit in an array")
     rng = np.random.Generator(np.random.Philox(key=seed))
 
     means = rng.standard_normal((k, d))

@@ -364,7 +364,13 @@ class MLPModel:
         self._layouts = {}
 
     def init_params(self, seed=0):
-        """Uniform(-a, a) init per layer with ``a = 1/sqrt(fan_in)``, seeded."""
+        """Uniform(-a, a) init per layer with ``a = 1/sqrt(fan_in)``, seeded.
+
+        Raises MemoryError, as an allocation that fails does, when the
+        parameter vector is too long for any float64 array.
+        """
+        if self.n_params > np.iinfo(np.intp).max // 8:
+            raise MemoryError(f"{self.n_params} parameters are more than an array can hold")
         # Philox is counter based, so the stream is reproducible across platforms.
         rng = np.random.Generator(np.random.Philox(key=seed))
         chunks = []

@@ -41,7 +41,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .cgsolver import CGReport, _finite, _integer, _seed_range, cg_workspace
+from .cgsolver import CGReport, _finite, _integer, cg_workspace
 from .data import Dataset
 from .directions import (
     DirectionResult,
@@ -116,7 +116,9 @@ class TrainConfig:
         _finite("eta", self.eta)
         self.batch_size = _integer("batch_size", self.batch_size, low=1)
         self.epochs = _integer("epochs", self.epochs)
-        self.seed = _seed_range(_integer("seed", self.seed))
+        self.seed = _integer("seed", self.seed)
+        if self.seed >= 2**63:  # past the range a run's Philox keys take
+            raise ValueError(f"seed must be a nonnegative integer below 2**63, got {self.seed}")
         _finite("l1", self.l1, positive=False)
         _finite("l2", self.l2, positive=False)
         if self.l1 > 0 and self.l2 > 0:

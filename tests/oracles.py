@@ -3,7 +3,8 @@
 Everything here goes through dense numpy linear algebra, plain textbook
 recursions or the model's plain products, never through the package's CG
 loops, dual solvers or Gram-route products, so agreement between the two is
-meaningful.
+meaningful.  The one exception is :func:`adjoint_dot_test`, a probe that pits
+an operator's forward products against its own transposed ones.
 """
 
 import numpy as np
@@ -69,6 +70,38 @@ def fd_jacobian(model, w, X, eps=1e-6):
         fm = model.forward(w - e, X)
         cols.append(((fp - fm) / (2 * eps)).ravel())
     return np.stack(cols, axis=1)
+
+
+def adjoint_dot_test(opr, seed=0):
+    """Check <J u, V> == <u, J* V> on random probes.
+
+    Draws 20 Gaussian pairs (u, V) from a Philox stream keyed on ``seed``
+    and returns the worst relative discrepancy
+    ``|<Ju, V> - <u, J*V>| / (1 + |<Ju, V>|)``.  Deterministic per seed.
+    """
+    p, m, k = opr.dims
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    worst = 0.0
+    for _ in range(20):
+        u = rng.standard_normal(p)
+        V = rng.standard_normal((m, k))
+        lhs = float(np.vdot(opr.jvp(u), V))
+        rhs = float(np.vdot(u, opr.vjp(V)))
+        worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
+    return worst
+
+
+def finite_diff_jvp(model, params, batch, u):
+    """Central-difference estimate ``(f(w + eps u) - f(w - eps u)) / (2 eps)``
+    with the step ``eps = 1e-6``.
+
+    Independent of the analytic jvp rule; used to cross-check it.
+    """
+    params = np.asarray(params, dtype=np.float64)
+    u = np.asarray(u, dtype=np.float64)
+    hi = model.forward(params + 1e-6 * u, batch)
+    lo = model.forward(params - 1e-6 * u, batch)
+    return (hi - lo) / 2e-6
 
 
 def logsumexp(f):

@@ -119,3 +119,68 @@ def grid_values(draw):
                 pass
         tokens.insert(draw(st.integers(0, len(tokens))), t)
     return ",".join(tokens)
+
+
+# A part of a blob spec that is bad: zero, negative, unparsable, empty, or at
+# or past 2**63, where numpy's integers end.  The huge sizes must be rejected
+# before anything is allocated, so no moderately large size is drawn.
+BAD_BLOB_PARTS = ["0", "-1", "x", "", "1.5", str(2**63), str(2**64), "99999999999999999999"]
+# valid n, d, k and spread, kept to runs of a few steps; a spread of 1e150
+# makes a run that aborts, and 1e308 one whose samples overflow
+BLOB_PARTS = (["16", "24"], ["1", "3"], ["2", "3"], ["0.3", "2", "1e150", "1e308"])
+
+
+@st.composite
+def blob_specs(draw):
+    """A ``blobs:n,d,k,spread`` data spec of valid small parts, with one of
+    them replaced by one of ``BAD_BLOB_PARTS``, or one part missing or one
+    too many, or neither."""
+    parts = [draw(st.sampled_from(valid)) for valid in BLOB_PARTS]
+    damage = draw(st.sampled_from([None, "missing", "extra", 0, 1, 2, 3]))
+    if damage == "missing":
+        del parts[draw(st.integers(0, 3))]
+    elif damage == "extra":
+        parts.append("1")
+    elif damage is not None:
+        parts[damage] = draw(st.sampled_from(BAD_BLOB_PARTS))
+    return "blobs:" + ",".join(parts)
+
+
+# config-file keys and values, valid and not, kept to runs of a few steps
+CONFIG_VALUES = {
+    "method": ["spl", "sgd", "armijo_spl", "newton"],
+    "model": ["linear", "mlp:3", "mlp:x", "mlp:99999999999999999999", "mlp:4611686018427387904"],
+    "gamma": ["0.5", "2", "0", "nan", "x"],
+    "tau": ["1", "3", "0", "-1"],
+    "batch_size": ["8", "16", "0", "1e3"],
+    "seed": ["0", "7", "-1", str(2**63)],
+    "loss": ["squared", "logistic"],
+}
+
+
+@st.composite
+def config_files(draw):
+    """A config file's text and whether it sets a key twice.
+
+    Each of up to five lines sets a key of ``CONFIG_VALUES`` (maybe one set
+    before) or an unknown key, or is a setting with its ``=`` missing, a
+    comment or a blank line.  A key is written in either spelling
+    (``batch_size`` or ``batch-size``), and a setting may end in a comment.
+    """
+    lines, keys = [], []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["set", "again", "unknown", "no_equals", "comment", "blank"]))
+        if kind in ("comment", "blank"):
+            lines.append("# note" if kind == "comment" else "")
+            continue
+        key = draw(st.sampled_from(keys if kind == "again" and keys else sorted(CONFIG_VALUES)))
+        value = draw(st.sampled_from(CONFIG_VALUES.get(key, ["9"])))
+        if kind == "unknown":
+            key = draw(st.sampled_from(["warp_factor", "momentum_mu"]))
+        if kind != "no_equals":
+            keys.append(key)
+        if draw(st.booleans()):
+            key = key.replace("_", "-")
+        tail = draw(st.sampled_from(["", "  # note"]))
+        lines.append(f"{key} {value}" if kind == "no_equals" else f"{key} = {value}{tail}")
+    return "\n".join(lines) + "\n", len(set(keys)) < len(keys)

@@ -12,14 +12,13 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dualgn
 from dualgn import TrainConfig, TrainResult, cli
 from dualgn.cli import CSV_FIELDS, main
-from dualgn.verify import run_suite
-from strategies import grid_values
+from strategies import blob_specs, config_files, grid_values
 
 HEADER = "step,epoch,wall_ms,batch_loss,train_loss,train_acc,eta,gamma,inner_iters,jvp_calls,vjp_calls,descent_ip"
 
@@ -231,6 +230,10 @@ def test_bad_config_files_are_usage_errors(tmp_path, monkeypatch, capsys):
         (None, f"cannot read config file {cfg}"),
         ("method = spl\ngamma 0.5\n", f"{cfg}:2: expected `key = value`, got 'gamma 0.5'"),
         ("gamma = half\n", "key 'gamma': cannot parse number from 'half'"),
+        # a key set twice used to take the later value silently
+        ("batch_size = 8\nbatch-size = 16\n", f"{cfg}:2: key 'batch_size' is already set on line 1"),
+        ("# a\nbatch-size = 8\nmethod = sgd\nbatch_size = 8\n",
+         f"{cfg}:4: key 'batch_size' is already set on line 2"),
     ):
         if text is not None:
             cfg.write_text(text)
@@ -488,6 +491,24 @@ def _gzipped_images(path, damage):
             "model 'mlp:10000000000000' does not fit in memory",
             id="huge-model",
         ),
+        # numpy's ValueError from init_params at the data's input size, after a
+        # header-only CSV was written
+        pytest.param(
+            ["--model", "mlp:99999999999999999999"],
+            "model 'mlp:99999999999999999999' does not fit in memory",
+            id="model-too-wide-for-an-array",
+        ),
+        pytest.param(
+            ["--model", "mlp:4611686018427387904"],
+            "model 'mlp:4611686018427387904' does not fit in memory",
+            id="model-too-wide-for-the-data",
+        ),
+        # a TypeError from np.repeat: n // k made an object array
+        pytest.param(
+            ["--data", "blobs:99999999999999999999,2,3,0.3"],
+            "99999999999999999999 samples of 2 inputs and 3 classes do not fit in an array",
+            id="huge-blob-count",
+        ),
         # numpy's overflow RuntimeWarning from synth_blobs, then a numeric abort
         pytest.param(
             ["--data", "blobs:64,2,3,1e308"], "spread 1e+308 overflows the samples",
@@ -511,9 +532,25 @@ def test_unusable_inputs_exit_1_without_traceback_warning_or_csv(
     code = _run(["run", *flags, "--out", str(out)], monkeypatch)
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("usage error:") and named in err
+    assert err.startswith("usage error:") and err.count("\n") == 1 and named in err
     assert "Traceback" not in err and "Warning" not in err
     assert not out.exists()
+
+
+def _drawn_run(args, config=None):
+    """``main(["run", *args])`` writing ``m.csv`` in a new directory, and a
+    ``run.cfg`` of text ``config`` there if given: the exit code, stderr and
+    the rows of each CSV left behind, by name."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
+        if config is not None:
+            with open(os.path.join(tmp, "run.cfg"), "w") as fh:
+                fh.write(config)
+            args = [*args, "--config", os.path.join(tmp, "run.cfg")]
+        code = main(["run", *args, "--out", os.path.join(tmp, "m.csv")])
+        files = {
+            name: _read(os.path.join(tmp, name)) for name in os.listdir(tmp) if name.endswith(".csv")
+        }
+    return code, err.getvalue(), files
 
 
 @given(method=st.sampled_from(["spl", "sgd", "momentum", "adam", "armijo_spl"]), grid=grid_values())
@@ -521,106 +558,58 @@ def test_drawn_grids_exit_0_to_3_without_traceback_warning_or_stray_csv(method, 
     # Warnings are errors in this suite, so an escaping warning fails it too.
     # A usage error leaves no CSV; otherwise each value has its CSV, and an
     # aborted point's CSV ends in its diagnostic row.
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
-        code = main(["run", "--data", "blobs:16,2,3,0.3", "--batch-size", "8", "--epochs", "1",
-                     "--seed", "0", "--method", method, f"--grid={grid}",
-                     "--out", os.path.join(tmp, "g.csv")])
-        files = {name: _read(os.path.join(tmp, name)) for name in os.listdir(tmp)}
-    err = err.getvalue()
-    assert code in (0, 1, 2, 3)
+    code, err, files = _drawn_run(["--data", "blobs:16,2,3,0.3", "--batch-size", "8", "--epochs", "1",
+                                   "--seed", "0", "--method", method, f"--grid={grid}"])
+    assert code in (0, 1, 2)
     assert "Traceback" not in err and "Warning" not in err
     if code == 1:
         assert err.startswith("usage error:") and files == {}
         return
     tokens = [t.strip() for t in grid.split(",") if t.strip()]
-    assert sorted(files) == sorted(f"g_g{t}.csv" for t in tokens)
+    assert sorted(files) == sorted(f"m_g{t}.csv" for t in tokens)
     aborted = re.findall(r"^aborted at \w+=(\S+): ", err, flags=re.M)
     assert (code == 2) == bool(aborted)
     for token in aborted:
-        rows = files[f"g_g{token}.csv"]
+        rows = files[f"m_g{token}.csv"]
         assert rows[0] == CSV_FIELDS and len(rows) >= 2
 
 
-def test_verify_suite_runs(capsys):
-    assert main(["verify", "adjoint"]) == 0
-    out = capsys.readouterr().out
-    assert "suite adjoint: ok" in out
-    assert "adjoint max relative error" in out
+def _assert_run_contract(code, err, files):
+    # Warnings are errors in this suite, so an escaping warning fails it too.
+    # A usage error is one line and leaves no CSV; an abort's CSV ends in its
+    # diagnostic row, the step the message names.
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err and "Warning" not in err
+    if code == 1:
+        assert err.startswith("usage error:") and err.count("\n") == 1 and files == {}
+        return
+    rows = files["m.csv"]
+    assert rows[0] == CSV_FIELDS and len(rows) >= 2
+    if code == 2:
+        assert rows[-1][0] == err.rsplit(" ", 1)[1].strip()
 
 
-def test_verify_cost_suite_runs(capsys):
-    assert main(["verify", "cost"]) == 0
-    out = capsys.readouterr().out
-    assert "suite cost: ok" in out
+@settings(max_examples=100)
+@given(spec=blob_specs())
+@example("blobs:99999999999999999999,2,3,0.3")  # a raw TypeError from np.repeat
+@example("blobs:18446744073709551616,2,3,0.3")  # a segfault in np.repeat
+def test_drawn_blob_specs_exit_0_to_2_without_traceback_warning_or_stray_csv(spec):
+    _assert_run_contract(*_drawn_run(["--data", spec, "--batch-size", "8", "--epochs", "1"]))
 
 
-def test_verify_unknown_suite_is_usage_error(capsys):
-    assert main(["verify", "spectral"]) == 1
-    assert "usage error" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("suite, line", [
-    ("duality", "max primal/dual direction mismatch"),
-    ("constraints", "projected CG vs dense KKT error"),
-    ("all", "[cost] ok"),
-])
-def test_verify_duality_constraints_and_all_run(suite, line, capsys):
-    assert main(["verify", suite]) == 0
-    out = capsys.readouterr().out
-    assert out.endswith(f"suite {suite}: ok\n") and line in out
-    if suite == "all":
-        assert [ln for ln in out.splitlines() if ln.startswith("[")] == [
-            "[adjoint] ok", "[descent] ok", "[duality] ok", "[constraints] ok", "[cost] ok"
-        ]
-
-
-def test_run_suite_rejects_an_unknown_name():
-    # the CLI's argument choices stop an unknown name before run_suite sees it
-    with pytest.raises(ValueError, match="unknown suite 'spectral'"):
-        run_suite("spectral")
-
-
-def test_verify_failure_exit_code(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "run_suite", lambda name, seed=0: (False, ["boom"]))
-    assert main(["verify", "adjoint"]) == 3
-    out = capsys.readouterr().out
-    assert "FAILED" in out
-
-
-def test_verify_descent_checks_the_direction_not_its_report(monkeypatch, capsys):
-    # A dual route that returned -d while still reporting the descent inner
-    # product of d must fail the suite: it measures <d, grad> in parameter space.
-    from dualgn import verify
-
-    route = verify.dual_gn_direction
-
-    def flipped(*args, **kwargs):
-        res = route(*args, **kwargs)
-        res.d = -res.d
-        return res
-
-    assert main(["verify", "descent"]) == 0
-    monkeypatch.setattr(verify, "dual_gn_direction", flipped)
-    assert main(["verify", "descent"]) == 3
-    assert "min normalized descent inner product" in capsys.readouterr().out
-
-
-def test_verify_seed_out_of_range_is_usage_error(recwarn, capsys):
-    # 2**64 - 2 and up overflowed a numpy integer (2**64 - 1 with a warning
-    # first); a negative seed reached numpy's key check
-    for seed in (-1, 2**63, 2**64 - 2, 2**64 - 1):
-        assert main(["verify", "adjoint", "--seed", str(seed)]) == 1
-        captured = capsys.readouterr()
-        assert captured.err == (
-            f"usage error: seed must be a nonnegative integer below 2**63, got {seed}\n"
-        )
-        assert captured.out == ""
-    assert len(recwarn) == 0
-    assert main(["verify", "adjoint", "--seed", str(2**63 - 1)]) == 0
-    # called from Python, the suite runner rejects the seed the same way
-    with pytest.raises(ValueError, match=r"below 2\*\*63, got 18446744073709551614"):
-        run_suite("adjoint", seed=2**64 - 2)
-    capsys.readouterr()
+@settings(max_examples=100)
+@given(drawn=config_files())
+# a key set twice took the later value silently, and these models ended in a
+# raw ValueError from init_params after the CSV header was written
+@example(("batch_size = 8\nbatch-size = 16\n", True))
+@example(("model = mlp:99999999999999999999\n", False))
+@example(("model = mlp:4611686018427387904\n", False))
+def test_drawn_config_files_exit_0_to_2_and_reject_a_repeated_key(drawn):
+    text, repeated = drawn
+    code, err, files = _drawn_run(["--data", "blobs:32,2,3,0.3", "--epochs", "1"], text)
+    _assert_run_contract(code, err, files)
+    if repeated:
+        assert code == 1
 
 
 def test_missing_subcommand_is_usage_error(capsys):

@@ -7,14 +7,18 @@ from numpy.testing import assert_allclose
 from dualgn import (
     LossOracle,
     SubproblemSpec,
-    adjoint_dot_test,
-    finite_diff_jvp,
     make_jacobian_operator,
     make_model,
     primal_gn_direction,
 )
 from dualgn import models
-from oracles import PlainOperator, fd_jacobian, materialize_jacobian
+from oracles import (
+    PlainOperator,
+    adjoint_dot_test,
+    fd_jacobian,
+    finite_diff_jvp,
+    materialize_jacobian,
+)
 from strategies import MODELS, jacobian_cases
 
 
