@@ -612,6 +612,47 @@ def test_drawn_config_files_exit_0_to_2_and_reject_a_repeated_key(drawn):
         assert code == 1
 
 
+def test_verify_unknown_suite_is_usage_error(capsys):
+    # `verify` is retired, so it is an unknown command: one usage-error line,
+    # with or without a suite name
+    for args in (["verify"], ["verify", "spectral"]):
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "usage error: argument command: invalid choice: 'verify' (choose from 'run')\n"
+        )
+        assert captured.out == ""
+
+
+def test_verify_failure_exit_code(capsys):
+    # Exit code 3 reported a failed verify suite and went with the subcommand:
+    # each former suite call is a usage error, and the codes are 0, 1 and 2.
+    assert "Exit codes: 0 success, 1 usage error, 2 numeric abort." in " ".join(cli.__doc__.split())
+    for suite in ("adjoint", "descent", "duality", "constraints", "cost", "all"):
+        assert main(["verify", suite, "--seed", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error:") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
+
+def test_verify_seed_out_of_range_is_usage_error(tmp_path, monkeypatch, recwarn, capsys):
+    # The seeds this test gave the retired `verify --seed` reach the same range
+    # check, now TrainConfig's alone, through `run`: 2**64 - 2 and up overflowed
+    # a numpy integer (2**64 - 1 with a warning first); a negative seed reached
+    # numpy's key check.
+    out = tmp_path / "x.csv"
+    base = ["run", "--data", "blobs:16,2,3,0.2", "--batch-size", "8", "--epochs", "1",
+            "--out", str(out)]
+    for seed in (-1, 2**63, 2**64 - 2, 2**64 - 1):
+        assert _run([*base, f"--seed={seed}"], monkeypatch) == 1
+        captured = capsys.readouterr()
+        bound = "" if seed < 0 else " below 2**63"
+        assert captured.err == f"usage error: seed must be a nonnegative integer{bound}, got {seed}\n"
+        assert captured.out == "" and not out.exists()
+    assert len(recwarn) == 0
+    assert _run([*base, f"--seed={2**63 - 1}"], monkeypatch) == 0
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     assert main([]) == 1
     capsys.readouterr()

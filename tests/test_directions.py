@@ -169,6 +169,41 @@ def test_descent_for_every_prefix(path, loss_kind):
             assert res.descent_inner_product >= floor
 
 
+# One instance per model family: criterion 2 solves only one-hidden-layer
+# MLPs, and criterion 3 measures <d, grad> only on linear and mlp:4.
+_FAMILIES = [("linear", 3, 2, 5), ("mlp:5", 3, 2, 6), ("mlp:4,4", 2, 3, 4)]
+
+
+@pytest.mark.parametrize("loss_kind", ["squared", "logistic"])
+@pytest.mark.parametrize("name,d,k,m", _FAMILIES)
+def test_exact_solves_agree_on_each_model_family(name, d, k, m, loss_kind):
+    model, w, X, _, loss, f = _instance(name, d, k, m, 37, loss_kind)
+    gamma = 2.5
+    res_p = primal_gn_direction(
+        make_jacobian_operator(model, w, X), loss, f,
+        SubproblemSpec(gamma=gamma, tau=4 * model.n_params, path="primal", tol=1e-14),
+    )
+    res_d = dual_gn_direction(
+        make_jacobian_operator(model, w, X), loss, f,
+        SubproblemSpec(gamma=gamma, tau=4 * m * k, tol=1e-14),
+    )
+    assert np.linalg.norm(res_p.d - res_d.d) / max(1.0, np.linalg.norm(res_d.d)) <= 1e-6
+
+
+@pytest.mark.parametrize("name,d,k,m", _FAMILIES)
+def test_truncated_directions_descend_in_parameter_space(name, d, k, m):
+    # <d, grad> from the returned direction, not the route's own report of it
+    for loss_kind in ("squared", "logistic"):
+        model, w, X, _, loss, f = _instance(name, d, k, m, 41, loss_kind)
+        grad = batch_gradient(make_jacobian_operator(model, w, X), loss, f)
+        for path, fn in (("primal", primal_gn_direction), ("dual", dual_gn_direction)):
+            for tau in (1, 2, 4, 8):
+                res = fn(make_jacobian_operator(model, w, X), loss, f,
+                         SubproblemSpec(gamma=0.7, tau=tau, path=path))
+                floor = -1e-10 * (1.0 + np.linalg.norm(res.d) * np.linalg.norm(grad))
+                assert float(np.vdot(res.d, grad)) >= floor
+
+
 @pytest.mark.parametrize("path", ["primal", "dual"])
 @pytest.mark.parametrize("loss_kind", ["squared", "logistic"])
 def test_operator_call_budget(path, loss_kind):
