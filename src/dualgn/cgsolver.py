@@ -72,12 +72,11 @@ def _axpy(y, a, x, tmp):
     """``y += a * x`` a block at a time, with ``a * x`` formed in ``tmp``.
 
     Elementwise the same arithmetic as ``y += np.multiply(a, x, out=tmp)``.
-    ``tmp`` has ``y``'s shape when ``y`` is one block, and is a flat scratch
-    of at least ``BLOCK`` scalars that every block reuses when it is longer.
-    ``y`` must be C-contiguous, so that its flat view writes through to it;
-    ``x`` may have any layout.
+    ``tmp`` has ``y``'s shape, or is a flat scratch of at least ``min(y.size,
+    BLOCK)`` scalars that every block reuses.  ``y`` must be C-contiguous,
+    so that its flat view writes through to it; ``x`` may have any layout.
     """
-    if y.size <= BLOCK:  # one block: no flat views or slices to make
+    if tmp.shape == y.shape:  # one pass: no flat views or slices to make
         y += np.multiply(a, x, out=tmp)
         return
     y, x = y.reshape(-1), x.reshape(-1)
@@ -208,10 +207,11 @@ def cg_kernel(
     one block, and a block at a time, in a scratch of one block, when it is
     longer.  ``work`` holds nothing from one solve to the next, so a caller
     that owns it can reuse it for every solve of a run; a ``product`` or
-    ``callback`` must then not keep ``r`` or ``p`` across solves either.  The scratch holds nothing
-    while ``product`` runs, so an operator may pass ``work[2]`` to
-    :func:`_axpy` for its own arithmetic, but must not return it.  ``x`` is
-    always a fresh C-ordered array, whatever ``c``'s layout.  Outside the ``advance`` path the kernel
+    ``callback`` must then not keep ``r`` or ``p`` across solves either.
+    The scratch holds nothing while ``product`` or a stream (below) runs, so
+    an operator may pass ``work[2]`` to :func:`_axpy` for its own
+    arithmetic, but must not return it.  ``x`` is always a fresh C-ordered
+    array, whatever ``c``'s layout.  Outside the ``advance`` path the kernel
     never writes into ``y``, so an operator may return its argument or a
     stored array.  The ``advance`` path consumes each ``y``: after
     ``advance(y)`` the kernel scales ``y`` by ``a_t`` in place and adds it
@@ -234,8 +234,29 @@ def cg_kernel(
     dual route, returns exactly ``gamma`` times the batch gradient.  The
     report's ``inner_product_with_rhs`` is ``vdot(x, c)`` with or without a
     shadow: a sum of ``a_t <J J^T ps, S>`` over shadowed products would
-    follow the shadow, not ``x``, and miss ``<x, c>`` by the drift.  So
-    ``c`` is kept, and must not lie in ``work``.
+    follow the shadow, not ``x``, and miss ``<x, c>`` by the drift.  So an
+    array ``c`` is kept, and must not lie in ``work``; a streamed one is
+    formed again.
+
+    ``c`` may be streamed: a callable ``c(consume)`` that hands the blocks of
+    a flat right-hand side to ``consume(lo, hi, block)``, which may overwrite
+    each block, as :meth:`~dualgn.linop.JacobianOperator.vjp` streams a
+    transposed product.  ``work`` is then required, the blocks are written
+    straight into its residual and direction, and each ``y`` is streamed
+    too.  Once ``a_t`` is known the kernel subtracts ``a_t`` times each
+    block of ``y`` from the residual, bit for bit the update by an array
+    ``y``, and it skips this deferred update on iteration ``max_iter``, as
+    it skips ``advance``.  So ``product`` gives ``<p, Q p>`` without ``Q
+    p``, as a shadow does; the stream must read ``p`` as it was when
+    ``product`` returned, and the kernel leaves it so until the stream has
+    run.  Once an iteration has moved ``x``, ``<x, c>`` is summed a block at
+    a time over ``c`` streamed again: the product that iteration
+    ``max_iter`` does not make pays for it.  On the primal route ``tau`` iterations then
+    still cost ``tau`` forward products and ``tau + 1`` transposed ones.  A
+    solve that stops on its residual (``tol``, or a residual of exactly 0)
+    makes one transposed product more, as its last residual update ran, and
+    one that breaks down at its first product one fewer.  At full budget the report holds ``tau`` residual
+    norms, as on the dual route, not ``tau + 1``.
 
     ``project(r)`` maps a residual update back onto the range of a singular
     ``Q``: past convergence, null-space round-off in the recursive residual
@@ -258,11 +279,20 @@ def cg_kernel(
 
     Returns ``(x, CGReport, ysum)``.
     """
-    n = c.size
+    stream = callable(c)
     r, p, tmp = cg_workspace(c.shape) if work is None else work
-    x = np.zeros(c.shape)  # C order, so the blocked updates write through
-    np.copyto(r, c)
-    np.copyto(p, r)
+    n = r.size
+    x = np.zeros(r.shape)  # C order, so the blocked updates write through
+    if stream:
+
+        def fill(lo, hi, blk):
+            r[lo:hi] = blk
+            p[lo:hi] = blk
+
+        c(fill)
+    else:
+        np.copyto(r, c)
+        np.copyto(p, r)
     rr = rr0 = float(np.vdot(r, r))
     if not math.isfinite(rr):
         raise NumericError(f"non-finite initial residual in {label}")
@@ -304,7 +334,12 @@ def cg_kernel(
             if qp is None:
                 break
             y = qp
-        _axpy(r, -a, y, tmp)  # r - a y, bit for bit
+        if not stream:
+            _axpy(r, -a, y, tmp)  # r - a y, bit for bit
+        elif it == max_iter:  # this residual would feed no iteration
+            break
+        else:  # r - a y a block at a time, with a y formed in the block: bit for bit
+            y(lambda lo, hi, blk: np.add(r[lo:hi], np.multiply(-a, blk, out=blk), out=r[lo:hi]))
         del y  # freed before the next product is made
         rr_new = float(np.vdot(r, r))
         rep.vector_op_scalar_count += 2 * n
@@ -325,7 +360,12 @@ def cg_kernel(
         b = rr_new / rr
         rr = rr_new
 
-    rep.inner_product_with_rhs = float(np.vdot(x, c))
+    if stream and rep.iterations:  # r has left c: stream c again
+        parts = []
+        c(lambda lo, hi, blk: parts.append(float(np.vdot(x[lo:hi], blk))))
+        rep.inner_product_with_rhs = math.fsum(parts)
+    else:
+        rep.inner_product_with_rhs = float(np.vdot(x, r if stream else c))
     rep.vector_op_scalar_count += n
     return x, rep, ysum
 
@@ -368,19 +408,28 @@ def cg_solve(
     scratch ``(r, p, tmp)``, from :func:`cg_workspace` of ``c``'s shape (see
     :func:`cg_kernel`); None allocates one for this solve.
 
+    ``c`` may also be a stream ``c(consume)`` of a flat right-hand side (see
+    :func:`cg_kernel`), as the primal route passes it.  It then needs a
+    ``shadow`` and a ``work``, whose shape it takes, and ``q_apply(p, ps)``
+    returns ``Q p`` as a stream as well.
+
     Returns
     -------
     (x, CGReport)
     """
-    c = np.asarray(c, dtype=np.float64)
-    max_iter = _budget(max_iter, tol, c.size)
-    work = cg_workspace(c.shape, work)
+    if not callable(c):
+        c = np.asarray(c, dtype=np.float64)
+    elif shadow is None or work is None:
+        raise ValueError("a streamed right-hand side needs a shadow and a work tuple")
+    shape = np.shape(work[0]) if callable(c) else c.shape
+    max_iter = _budget(max_iter, tol, math.prod(shape))
+    work = cg_workspace(shape, work)
     product = q_apply if shadow is not None else _curvature_product(q_apply)
     x, rep, _ = cg_kernel(
         product, c, max_iter, tol, callback=callback, shadow=shadow, work=work
     )
     if shadow is None:
-        rep.vector_op_scalar_count += c.size * rep.operator_calls  # <p, Qp>
+        rep.vector_op_scalar_count += x.size * rep.operator_calls  # <p, Qp>
     return x, rep
 
 

@@ -185,27 +185,42 @@ def _load_data(spec, seed):
 def _run_one(config, dataset, out_path):
     """Train once, streaming records to ``out_path`` row by row.
 
-    Running out of memory, as a model too large to allocate does, is a usage
-    error that names the model, and the file is removed.
+    The path is opened for appending first, which changes no file, so an
+    unwritable path is a usage error before training starts.  The file is
+    written, header first, from the run's first record on (or at the end of
+    a run without records).  Running out of memory, as a model too large to
+    allocate does, is a usage error that names the model: a file that was
+    there before and has no record yet is left as it was, and any other is
+    removed.
     """
+    made = not os.path.exists(out_path)
     try:
-        fh = open(out_path, "w", newline="")
+        open(out_path, "a").close()
     except OSError as exc:
         raise UsageError(f"cannot write {out_path}: {exc}") from None
-    try:
-        with fh:
+    fh = writer = None
+
+    def emit(rec):
+        nonlocal fh, writer
+        if fh is None:
+            fh = open(out_path, "w", newline="")
             writer = csv.writer(fh)
             writer.writerow(CSV_FIELDS)
-            fh.flush()
+        if rec is not None:
+            writer.writerow([getattr(rec, field) for field in CSV_FIELDS])
+        fh.flush()
 
-            def emit(rec):
-                writer.writerow([getattr(rec, field) for field in CSV_FIELDS])
-                fh.flush()
-
-            return train(config, dataset, on_record=emit)
+    try:
+        result = train(config, dataset, on_record=emit)
+        emit(None)
+        return result
     except MemoryError as exc:
-        os.remove(out_path)
+        if made or fh is not None:
+            os.remove(out_path)
         raise UsageError(f"model {config.model!r} does not fit in memory: {exc}") from None
+    finally:
+        if fh is not None:
+            fh.close()
 
 
 def _cmd_run(args, env):

@@ -24,7 +24,9 @@ docstring gives the dual route's cost schedule (``tau`` JVPs and ``tau + 1``
 VJPs, as on the primal route), and both take their JVPs of transposed
 products through per-layer Gram matrices.  While its output-space shadow
 is live, a primal CG product makes no parameter-length pass beside its two
-model products.  The dual route carries ``J^T beta`` and the
+model products, and the primal route streams every transposed product into
+the CG state a chunk at a time, so it holds no parameter vector of one.  The
+dual route carries ``J^T beta`` and the
 gradient's ``J^T g`` as compact per-layer stand-ins: the ``m x out``
 cotangent of each layer whose fan-in exceeds the batch size ``m``, the
 layer's parameter block otherwise.  Without a penalty it pushes its
@@ -248,6 +250,16 @@ def primal_gn_direction(opr, loss, f, spec, work=None, at=None):
     ``J^T H J d + (m/gamma) d`` with curvature ``<J d, H J d> + (m/gamma)
     <d, d>``.
 
+    No transposed product is made whole.  Each is streamed (see
+    :meth:`dualgn.linop.JacobianOperator.vjp`): ``J^T g`` into the kernel's
+    residual and direction, and ``Q d`` into the residual update, a block at
+    a time once the kernel knows its step, with a plain product's ridge
+    shift added to each block through the kernel's scratch.  The product
+    that the final iteration does not make streams ``J^T g`` again for the
+    exact ``<d, J^T g>``, so ``tau`` iterations cost ``tau`` forward and
+    ``tau + 1`` transposed products (one more when ``spec.tol`` stops the
+    solve early), and ``d`` has the bits of the solve with whole products.
+
     The report's ``vector_op_scalar_count`` covers all vector arithmetic
     outside the jvp/vjp/Hessian oracles, including the operator's ridge
     shift and curvature dots and the shadow's block arithmetic, so primal
@@ -256,11 +268,9 @@ def primal_gn_direction(opr, loss, f, spec, work=None, at=None):
     ``work`` is the CG workspace ``(r, p, tmp)`` from
     :func:`dualgn.cgsolver.cg_workspace` of shape ``(p,)``: the kernel's
     residual and direction, and a scratch (a vector up to ``BLOCK``
-    parameters, one block past that), through which the plain product also
-    adds its ridge shift; None allocates one for this call.  Its layout is
-    checked before any product is made.  The right-hand side ``J^T g`` is
-    kept beside it for the final ``<d, J^T g>``.  Nothing in it outlives the
-    call, and the operator keeps neither the residual nor the
+    parameters, one block past that); None allocates one for this call.  Its
+    layout is checked before any product is made.  Nothing in it outlives
+    the call, and the operator keeps neither the residual nor the
     direction, so a caller may pass one workspace to every step of a run (as
     :func:`dualgn.trainer.train` does).  ``d`` never lies in it.
 
@@ -275,10 +285,8 @@ def primal_gn_direction(opr, loss, f, spec, work=None, at=None):
     work = cg_workspace((p,), work)
 
     g, soft = _at_outputs(loss, f, at)
-    c = opr.vjp(g)
-
     shift = m / spec.gamma
-    plain = 0  # products made after the kernel dropped the shadow
+    plain = shifted = 0  # plain products, and those whose update ran
 
     def product(d, D):
         nonlocal plain
@@ -286,18 +294,27 @@ def primal_gn_direction(opr, loss, f, spec, work=None, at=None):
         hjd = loss_hvp(loss, f, jd, soft)
         if D is not None:
             ys = hjd + shift * D
-            return float(np.vdot(jd, ys)), opr.vjp(ys), ys
+            return float(np.vdot(jd, ys)), lambda consume: opr.vjp(ys, consume), ys
         plain += 1
-        quad = float(np.vdot(jd, hjd)) + shift * float(np.vdot(d, d))
-        qd = opr.vjp(hjd)
-        _axpy(qd, shift, d, work[2])  # the kernel's free scratch
-        return quad, qd, None
 
-    d, rep = cg_solve(product, c, max_iter=spec.tau, tol=spec.tol, shadow=g, work=work)
-    # shadowed: the shift-add and <J d, Y>; plain: the shift-add, <d, d> and
-    # <J d, H J d>
+        def qd(consume):
+            nonlocal shifted
+            shifted += 1
+
+            def add_shift(lo, hi, blk):
+                _axpy(blk, shift, d[lo:hi], work[2])  # the kernel's free scratch
+                consume(lo, hi, blk)
+
+            opr.vjp(hjd, add_shift)
+
+        return float(np.vdot(jd, hjd)) + shift * float(np.vdot(d, d)), qd, None
+
+    rhs = lambda consume: opr.vjp(g, consume)
+    d, rep = cg_solve(product, rhs, max_iter=spec.tau, tol=spec.tol, shadow=g, work=work)
+    # shadowed: the shift-add and <J d, Y>; plain: <d, d> and <J d, H J d>,
+    # and the shift-add where its update ran
     shadowed = rep.operator_calls - plain
-    rep.vector_op_scalar_count += 3 * g.size * shadowed + (3 * p + g.size) * plain
+    rep.vector_op_scalar_count += 3 * g.size * shadowed + (p + g.size) * plain + 2 * p * shifted
     return DirectionResult(
         d=d,
         alpha=None,

@@ -19,7 +19,8 @@ form, a stand-in for ``J^T V`` that is linear in ``V`` and holds no more
 scalars than ``p``: it can be pushed forward, dotted with another stand-in and
 expanded into the parameter vector, whole or a bounded block at a time, so a
 caller whose vectors all lie in the range of ``J^T`` makes no ``p``-length
-pass but the last expansion, and need not hold its result.
+pass but the last expansion, and need not hold its result.  A plain transposed
+product can be streamed a block at a time in the same way.
 """
 
 import numpy as np
@@ -82,14 +83,19 @@ class JacobianOperator:
         self.jvp_calls += 1
         return out
 
-    def vjp(self, V):
+    def vjp(self, V, consume=None):
         """Map an output cotangent block (m, k) to a fresh flat parameter vector (p,).
 
         This is the sum over samples of the per-sample adjoint products.
+        With ``consume`` no vector is made: the model's ``vjp`` hands each
+        block of it to ``consume(lo, hi, block)`` in parameter order, in one
+        scratch of at most a chunk, and None is returned (see
+        :meth:`~dualgn.models.MLPModel.vjp`).  Either way the call counts as
+        one transposed product.
         """
         V = self._block(V)
         self.vjp_calls += 1
-        return self.model.vjp(self.params, self.X, V, self.lin)
+        return self.model.vjp(self.params, self.X, V, self.lin, consume)
 
     def compact_vjp(self, V):
         """A stand-in ``s`` for ``J^T V``, with ``||J^T V||^2`` and forward terms.

@@ -54,7 +54,8 @@ together with ``||J^T V||^2`` (``<G, K G>`` on Gram layers) and the products
 stand-ins, into the parameter vector ``J^T V`` a bounded block at a time,
 ``compact_expand`` assembles those blocks into one vector, and
 ``compact_dot`` takes ``<J^T A, J^T V>`` from two stand-ins and the ``K G``
-of ``V``.
+of ``V``.  ``vjp`` can hand out ``J^T V`` on that block schedule too, so a
+caller that reduces it a block at a time holds no parameter vector of it.
 
 Parameter flattening convention: layer by layer, each layer's weight matrix
 (row-major) followed by its bias vector.  The linear model has no bias.
@@ -237,8 +238,19 @@ class Linearization:
             terms = {i: KG for i, _, KG in rows if KG is not None}
         return _push(self.layers, self.inputs, self.slopes, terms, _views(u, self.params_table))
 
-    def vjp(self, V):
-        """``J^T V`` for an output block ``V``, as a fresh parameter vector."""
+    def vjp(self, V, consume=None):
+        """``J^T V`` for an output block ``V``, as a fresh parameter vector.
+
+        With ``consume``, the vector is not made: each block of it goes to
+        ``consume(lo, hi, block)`` as :meth:`compact_pieces` hands out the
+        blocks of a stand-in, on the same schedule and so with the same bits,
+        and the call returns None.
+        """
+        if consume is not None:
+            cotangents = [G for _, G, _ in self._cotangents(V)][::-1]
+            for lo, hi, blk in self._blocks((True,) * len(cotangents), cotangents):
+                consume(lo, hi, blk)
+            return None
         out = np.empty(self.n_params)
         grads = _views(out, self.params_table)
         for i, G, _ in self._cotangents(V):
@@ -300,9 +312,14 @@ class Linearization:
         next block reuses.  So the caller may overwrite a block until it asks
         for the next one, and ``s`` is left as it was.
         """
+        return self._blocks(self.route, _views(s, self.table))
+
+    def _blocks(self, route, pieces):
+        """The blocks of :meth:`compact_pieces` from per-layer ``pieces``: a
+        cotangent ``G`` where ``route`` is set, else a ``(dW, db)`` to copy."""
         shapes = [shape for *_, shape in self.params_table]
         scratch = np.empty(max(max(_rows(o, f) * f, o) for o, f in shapes))
-        pieces = zip(self.route, _views(s, self.table), self.params_table, self.inputs)
+        pieces = zip(route, pieces, self.params_table, self.inputs)
         for gram, piece, (_, lo, mid, hi, (rows_out, fan_in)), Z in pieces:
             rows = _rows(rows_out, fan_in)
             for r in range(0, rows_out, rows):
@@ -468,14 +485,20 @@ class MLPModel:
             cotangent = np.asarray(cotangent, dtype=np.float64)
         return trace.jvp(u, cotangent)
 
-    def vjp(self, params, X, V, trace=None):
+    def vjp(self, params, X, V, trace=None, consume=None):
         """``J^T V``: the output cotangent ``V`` pulled back to a fresh parameter vector.
 
-        ``trace`` is as in :meth:`jvp`.
+        ``trace`` is as in :meth:`jvp`.  With ``consume`` the product is
+        streamed and None returned: each block of ``J^T V`` goes to
+        ``consume(lo, hi, block)`` in parameter order, the row chunks of
+        :func:`_param_block` and then the bias of each layer, in one scratch
+        of at most ``PIECE`` scalars (a bias past that) that the next block
+        reuses (see :meth:`Linearization.vjp`).  A block has the bits of the
+        same slice of the whole product, and ``consume`` may overwrite it.
         """
         if trace is None:
             _, trace = self.forward_trace(params, X)
-        return trace.vjp(np.asarray(V, dtype=np.float64))
+        return trace.vjp(np.asarray(V, dtype=np.float64), consume)
 
 
 class LinearModel(MLPModel):

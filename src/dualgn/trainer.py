@@ -416,8 +416,9 @@ def train(config, dataset, on_record=None):
 
     On the primal route one CG workspace serves every step, so that a
     steady-state step allocates no CG residual, direction or scratch of its
-    own; it does make a fresh ``J^T g`` for the exact descent inner product
-    (see :func:`dualgn.directions.primal_gn_direction`).  An unpenalized
+    own, and its transposed products are streamed into the workspace, so it
+    makes no ``J^T g`` or product vector either, only a chunk of one (see
+    :func:`dualgn.directions.primal_gn_direction`).  An unpenalized
     dual step without a line search whose direction streams updates the
     parameter vector in place (``out=w`` in :func:`outer_update`), so it
     holds no direction vector.  The subproblem spec and penalty are built

@@ -3,11 +3,16 @@
 Everything here goes through dense numpy linear algebra, plain textbook
 recursions or the model's plain products, never through the package's CG
 loops, dual solvers or Gram-route products, so agreement between the two is
-meaningful.  The one exception is :func:`adjoint_dot_test`, a probe that pits
-an operator's forward products against its own transposed ones.
+meaningful.  Two exceptions: :func:`adjoint_dot_test`, a probe that pits an
+operator's forward products against its own transposed ones, and
+:func:`kept_vector_primal`, the primal route's solve as it was with whole
+transposed products, which pins the streamed route to it.
 """
 
 import numpy as np
+
+from dualgn import cg_solve, loss_grad, loss_hvp, softmax
+from dualgn.cgsolver import cg_workspace
 
 # Feasibility slack when deciding whether mu = y + alpha lies on the simplex.
 SIMPLEX_TOL = 1e-9
@@ -18,8 +23,9 @@ class PlainOperator:
 
     Takes every forward product from the parameter tangent alone, ignoring a
     cotangent, so no layer takes the Gram route; the stand-in for ``J^T V``
-    is the :meth:`vjp` result itself, with no ``terms``.  Counts calls as the
-    model operator does, one per product, plain or compact.
+    is the :meth:`vjp` result itself, with no ``terms``.  :meth:`vjp` streams
+    its blocks to a ``consume`` as the model operator's does.  Counts calls as
+    the model operator does, one per product, plain, streamed or compact.
     """
 
     def __init__(self, opr):
@@ -30,9 +36,9 @@ class PlainOperator:
         self.jvp_calls += 1
         return self.lin.jvp(u)
 
-    def vjp(self, V):
+    def vjp(self, V, consume=None):
         self.vjp_calls += 1
-        return self.lin.vjp(V)
+        return self.lin.vjp(V, consume)
 
     def compact_vjp(self, V):
         v = self.vjp(V)
@@ -46,6 +52,35 @@ class PlainOperator:
 
     def compact_dot(self, a, b, terms):
         return float(np.vdot(a, b))
+
+
+def kept_vector_primal(opr, loss, f, spec):
+    """The primal direction from whole transposed products: ``(d, report)``.
+
+    The algorithm of :func:`dualgn.primal_gn_direction` before it streamed
+    its transposed products: ``c = J^T g`` is made whole and kept for ``<d,
+    c>``, and each product returns ``Q d`` whole, from ``opr.vjp`` of the
+    shadow ``Y = H J d + (m/gamma) D`` while the kernel keeps it, else of
+    ``H J d`` with ``(m/gamma) d`` added, for ``cg_solve`` to subtract.  Its
+    report's ``inner_product_with_rhs / m`` is the descent inner product.
+    """
+    p, m, _ = opr.dims
+    g = loss_grad(loss, f)
+    soft = softmax(f) if loss.kind == "logistic" else None
+    shift = m / spec.gamma
+
+    def product(d, D):
+        jd = opr.jvp(d, cotangent=D)
+        hjd = loss_hvp(loss, f, jd, soft)
+        if D is not None:
+            ys = hjd + shift * D
+            return float(np.vdot(jd, ys)), opr.vjp(ys), ys
+        qd = opr.vjp(hjd)
+        qd += shift * d
+        return float(np.vdot(jd, hjd)) + shift * float(np.vdot(d, d)), qd, None
+
+    c = opr.vjp(g)
+    return cg_solve(product, c, max_iter=spec.tau, tol=spec.tol, shadow=g, work=cg_workspace((p,)))
 
 
 def materialize_jacobian(model, w, X):

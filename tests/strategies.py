@@ -1,5 +1,6 @@
 """Hypothesis strategies shared by the test modules."""
 
+import dataclasses
 import gzip
 import math
 import struct
@@ -7,7 +8,7 @@ import struct
 import numpy as np
 from hypothesis import strategies as st
 
-from dualgn import make_model
+from dualgn import TrainConfig, make_model
 
 # model-name templates; the hidden widths are drawn
 MODELS = ["linear", "mlp:{h}", "mlp:{h},{h2}"]
@@ -184,3 +185,43 @@ def config_files(draw):
         tail = draw(st.sampled_from(["", "  # note"]))
         lines.append(f"{key} {value}" if kind == "no_equals" else f"{key} = {value}{tail}")
     return "\n".join(lines) + "\n", len(set(keys)) < len(keys)
+
+
+# Run-flag values by field type: non-finite, zero, negative, huge,
+# fractional, unparsable and empty ones.  A valid huge epochs or tau trains
+# without end, so those two fields draw only values that are rejected or
+# small: NUMBER_VALUES holds no huge valid integer, and the drawn integers
+# are small.
+NUMBER_VALUES = ["nan", "inf", "-inf", "0", "-0.0", "-1", "1e308", "0.5", "2.5", "x", "", "1"]
+HUGE_INTEGER = "99999999999999999999"
+ENDLESS = ("epochs", "tau")
+# the string fields' values: the valid ones, and some that are not
+STRING_VALUES = {
+    "method": ["spl", "armijo_spl", "sgd", "momentum", "adam", "newton", ""],
+    "direction": ["gradient", "proxlinear", "x"],
+    "path": ["primal", "dual", "auto"],
+    "loss": ["squared", "logistic", "hinge"],
+    "model": ["linear", "mlp:3", "mlp:4,2", "mlp:x", "mlp:0", "", "mlp:10000000000000",
+              "mlp:99999999999999999999"],
+}
+
+
+@st.composite
+def run_flags(draw):
+    """One to three ``--flag=value`` arguments, each for a field of
+    :class:`~dualgn.TrainConfig` drawn from ``dataclasses.fields``, with a
+    value for its type: a string field's from ``STRING_VALUES``, a number
+    field's from ``NUMBER_VALUES``, a float's repr or a small integer, and
+    ``HUGE_INTEGER`` for the fields outside ``ENDLESS``."""
+    fields = draw(st.lists(st.sampled_from(dataclasses.fields(TrainConfig)), min_size=1,
+                           max_size=3, unique_by=lambda f: f.name))
+    args = []
+    for field in fields:
+        if field.type is str:
+            value = draw(st.sampled_from(STRING_VALUES[field.name]))
+        else:
+            values = NUMBER_VALUES + ([] if field.name in ENDLESS else [HUGE_INTEGER])
+            value = draw(st.sampled_from(values) | st.integers(0, 3).map(str)
+                         | st.floats().map(repr))
+        args.append(f"--{field.name.replace('_', '-')}={value}")
+    return args

@@ -302,3 +302,44 @@ def test_fortran_ordered_arrays_give_the_c_ordered_solution():
         projected_cg_solve(op, c[:4], lambda B: np.asfortranarray(proj(B)), max_iter=8, tol=0.0),
         projected_cg_solve(op, c[:4], proj, max_iter=8, tol=0.0),
     )
+
+
+def _stream(v, size):
+    """``v`` streamed in fresh blocks of ``size``, as a transposed product
+    is: ``stream(consume)`` calls ``consume(lo, hi, block)`` per block."""
+
+    def stream(consume):
+        for lo in range(0, v.size, size):
+            consume(lo, min(lo + size, v.size), v[lo : lo + size].copy())
+
+    return stream
+
+
+def test_streamed_right_hand_side_and_products_match_the_array_solve():
+    # The deferred residual update is the array update bit for bit, and the
+    # last iteration skips it; <x, c> is summed over c streamed again once x
+    # has moved.  A streamed c needs a shadow and a workspace.
+    q_apply, c = _low_rank_spd((2 * BLOCK + 7,), 46)
+    streams = []
+
+    def rhs(consume):
+        streams.append(consume)
+        _stream(c, 5000)(consume)
+
+    def product(v, vs):
+        y = q_apply(v)
+        return float(np.vdot(v, y)), _stream(y, 7000), np.zeros(0)
+
+    for max_iter in (0, 1, 2, 6):
+        streams.clear()
+        x, rep = cg_solve(product, rhs, max_iter=max_iter, tol=0.0, shadow=np.zeros(0),
+                          work=cg_workspace(c.shape))
+        want, kept = cg_solve(q_apply, c, max_iter=max_iter, tol=0.0)
+        assert np.array_equal(x, want)
+        assert rep.iterations == max_iter
+        assert rep.residual_norms == kept.residual_norms[: max(max_iter, 1)]
+        assert rep.inner_product_with_rhs == pytest.approx(kept.inner_product_with_rhs, rel=1e-14)
+        assert len(streams) == 1 + (max_iter > 0)
+    for shadow, work in ((None, cg_workspace(c.shape)), (np.zeros(0), None)):
+        with pytest.raises(ValueError, match="a streamed right-hand side needs a shadow and a work"):
+            cg_solve(product, rhs, shadow=shadow, work=work)

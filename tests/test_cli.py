@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import dualgn
 from dualgn import TrainConfig, TrainResult, cli
 from dualgn.cli import CSV_FIELDS, main
-from strategies import blob_specs, config_files, grid_values
+from strategies import blob_specs, config_files, grid_values, run_flags
 
 HEADER = "step,epoch,wall_ms,batch_loss,train_loss,train_acc,eta,gamma,inner_iters,jvp_calls,vjp_calls,descent_ip"
 
@@ -537,6 +537,44 @@ def test_unusable_inputs_exit_1_without_traceback_warning_or_csv(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("model", ["mlp:10000000000000", "mlp:99999999999999999999"])
+@pytest.mark.parametrize("grid", [None, "0.1,0.2"])
+def test_a_model_usage_error_leaves_an_existing_out_file_unchanged(model, grid, tmp_path, monkeypatch, capsys):
+    # The CSV used to be truncated before the model was allocated, and the
+    # MemoryError handler then removed it.  A new path is still left absent.
+    out = tmp_path / "old.csv"
+    kept = [out] if grid is None else [tmp_path / "old_g0.1.csv", tmp_path / "old_g0.2.csv"]
+    for path in kept:
+        path.write_text("keep me\n")
+    flags = [] if grid is None else ["--method", "sgd", "--grid", grid]
+    code = _run(["run", "--data", "blobs:64,2,3,0.3", "--model", model, *flags, "--out", str(out)],
+                monkeypatch)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"usage error: model '{model}' does not fit in memory") and err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == sorted(kept)
+    assert all(path.read_text() == "keep me\n" for path in kept)
+    # a run that writes its first record replaces the old file whole
+    assert _run(["run", "--data", "blobs:16,2,3,0.3", "--batch-size", "8", "--epochs", "1",
+                 *flags, "--out", str(out)], monkeypatch) == 0
+    assert all(_read(path)[0] == CSV_FIELDS and len(_read(path)) == 3 for path in kept)
+
+
+def test_a_run_without_records_writes_its_header_over_an_old_file(tmp_path, monkeypatch):
+    out = tmp_path / "old.csv"
+    out.write_text("keep me\n")
+    assert _run(["run", "--data", "blobs:16,2,3,0.3", "--batch-size", "8", "--epochs", "0",
+                 "--out", str(out)], monkeypatch) == 0
+    assert out.read_text().splitlines() == [HEADER]
+
+
+def test_out_may_be_a_device(monkeypatch):
+    # the CSV is opened for writing at the first record, not truncated in
+    # place after the appending probe: a device refuses that with an OSError
+    assert _run(["run", "--data", "blobs:16,2,3,0.3", "--batch-size", "8", "--epochs", "1",
+                 "--out", os.devnull], monkeypatch) == 0
+
+
 def _drawn_run(args, config=None):
     """``main(["run", *args])`` writing ``m.csv`` in a new directory, and a
     ``run.cfg`` of text ``config`` there if given: the exit code, stderr and
@@ -574,19 +612,34 @@ def test_drawn_grids_exit_0_to_3_without_traceback_warning_or_stray_csv(method, 
         assert rows[0] == CSV_FIELDS and len(rows) >= 2
 
 
-def _assert_run_contract(code, err, files):
+def _assert_run_contract(code, err, files, steps=True):
     # Warnings are errors in this suite, so an escaping warning fails it too.
     # A usage error is one line and leaves no CSV; an abort's CSV ends in its
-    # diagnostic row, the step the message names.
+    # diagnostic row, the step the message names.  A run of zero epochs
+    # (steps False) writes the header alone.
     assert code in (0, 1, 2)
     assert "Traceback" not in err and "Warning" not in err
     if code == 1:
         assert err.startswith("usage error:") and err.count("\n") == 1 and files == {}
         return
     rows = files["m.csv"]
-    assert rows[0] == CSV_FIELDS and len(rows) >= 2
+    assert rows[0] == CSV_FIELDS and (len(rows) >= 2 if steps else rows == [CSV_FIELDS])
     if code == 2:
         assert rows[-1][0] == err.rsplit(" ", 1)[1].strip()
+
+
+@settings(max_examples=100)
+@given(flags=run_flags())
+@example(["--model=mlp:10000000000000"])  # a MemoryError from init_params
+@example(["--gamma=1e300"])  # a numeric abort on the dual route
+@example(["--path=primal", "--gamma=1e300"])  # exits 0
+@example(["--method=sgd", "--eta=1e308"])  # a non-finite batch loss at step 1
+def test_drawn_run_flags_exit_0_to_2_without_traceback_warning_or_stray_csv(flags):
+    # every TrainConfig field's flag, with values non-finite, zero, negative,
+    # huge, fractional, unparsable or empty
+    epochs = [flag.split("=", 1)[1] for flag in ["--epochs=1", *flags] if flag.startswith("--epochs=")]
+    code, err, files = _drawn_run(["--data", "blobs:16,2,3,0.3", "--batch-size", "8", "--epochs=1", *flags])
+    _assert_run_contract(code, err, files, steps=epochs[-1].strip() not in ("0", "-0"))
 
 
 @settings(max_examples=100)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from dualgn import (
 )
 from dualgn import directions, models
 from dualgn.cgsolver import BLOCK, cg_kernel, cg_workspace
-from oracles import PlainOperator, assembled, dense_direction, ista_l1
+from oracles import PlainOperator, assembled, dense_direction, ista_l1, kept_vector_primal
 from strategies import MODELS, jacobian_cases
 
 
@@ -765,14 +766,17 @@ def test_primal_vector_op_count_per_iteration():
     # kernel's p-length passes (x; r and <r, r>; p from the second on) and
     # the shadow's m*k updates (rs while it is kept, ps from the second on).
     # A shadowed product adds its shift-add (2 m*k) and <J d, Y> (m*k); a
-    # plain one its shift-add (2p), <d, d> and <J d, H J d> (m*k).
+    # plain one <d, d>, <J d, H J d> (m*k) and its shift-add (2p).  The
+    # last iteration of a solve makes no residual update, so its r, <r, r>,
+    # rs and plain shift-add are not counted: the step from tau - 1 to tau
+    # adds iteration tau less those and gives back iteration tau - 1's.
     model = make_model("linear", 40, 2)
     p, m, k = model.n_params, 4, 2
     mk = m * k
     rng = np.random.Generator(np.random.Philox(key=[909, 40]))
     w = model.init_params(9)
     X = rng.standard_normal((m, 40))
-    want = [3 * p + 4 * mk] + [4 * p + 5 * mk] * 2 + [4 * p + 4 * mk] + [7 * p + mk] * 26
+    want = [p + 3 * mk] + [4 * p + 5 * mk] * 3 + [5 * p + mk] + [7 * p + mk] * 25
     for kind in ("squared", "logistic"):
         Y = rng.standard_normal((m, k)) if kind == "squared" else np.eye(k)[rng.integers(0, k, size=m)]
         loss = LossOracle(kind, Y)
@@ -966,6 +970,49 @@ def test_primal_descent_inner_product_matches_the_gradient_dot(name, relation, p
     grad = batch_gradient(opr, loss, f)
     scale = 1.0 + np.linalg.norm(res.d) * np.linalg.norm(grad)
     assert abs(res.descent_inner_product - np.vdot(res.d, grad)) <= 1e-12 * scale
+
+
+# The primal route streams its transposed products: J^T g into the CG
+# residual and direction, each Q d into the residual update, and J^T g again
+# for <d, J^T g>.  The solve with whole products pins it.  Budgets up to
+# 4 m*k run past the point where the kernel drops its shadow.
+
+
+@pytest.mark.parametrize("relation", ["lt", "eq", "gt"])
+@pytest.mark.parametrize("name", MODELS)
+@given(data=st.data())
+def test_streamed_primal_matches_the_kept_vector_solve(name, relation, data):
+    model, w, X, V = data.draw(jacobian_cases(name, relation, scales=(1.0, 1e1, 1e2)))
+    m, k = V.shape
+    loss_kind = data.draw(st.sampled_from(["squared", "logistic"]))
+    Y = V if loss_kind == "squared" else np.eye(k)[np.argmax(V, axis=1)]
+    loss = LossOracle(loss_kind, Y)
+    tau = data.draw(st.sampled_from([0, 1, 3, m * k, 4 * m * k]))
+    spec = SubproblemSpec(gamma=10.0 ** data.draw(st.floats(-2.0, 4.0)), tau=tau, path="primal")
+    f = model.forward(w, X)
+    want, kept = kept_vector_primal(make_jacobian_operator(model, w, X), loss, f, spec)
+    opr = make_jacobian_operator(model, w, X)
+    reached = []
+    vjp = models.MLPModel.vjp
+    with mock.patch.object(models.MLPModel, "vjp", lambda *a, **kw: reached.append(1) or vjp(*a, **kw)):
+        res = primal_gn_direction(opr, loss, f, spec)
+    assert np.array_equal(res.d, want)
+    rep = res.report
+    # A solve stops short of its budget only where J^T g = 0 (a one-class
+    # logistic loss, or a linear model on a zero batch), where the residual
+    # falls to exactly 0, or on breakdown past convergence.  At full budget
+    # the kept-vector solve also updated the residual on its last iteration.
+    # A solve that stops on its residual makes all its residual updates, and
+    # then re-forms J^T g: one transposed product more than the kept solve.
+    n = rep.operator_calls
+    early = 0 < rep.iterations == n < tau
+    assert (rep.iterations, n) == (kept.iterations, kept.operator_calls)
+    assert n == tau or kept.residual_norms[-1] <= 1e-100 * kept.residual_norms[0]
+    assert rep.residual_norms == kept.residual_norms[: max(tau, 1)]
+    grad = batch_gradient(make_jacobian_operator(model, w, X), loss, f)
+    scale = 1.0 + np.linalg.norm(res.d) * np.linalg.norm(grad)
+    assert abs(res.descent_inner_product - np.vdot(res.d, grad)) <= 1e-15 * scale
+    assert (opr.jvp_calls, opr.vjp_calls, len(reached)) == (n, n + 1 + early, n + 1 + early)
 
 
 def test_primal_descent_inner_product_is_the_dot_with_the_returned_direction():

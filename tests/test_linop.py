@@ -12,9 +12,11 @@ from dualgn import (
     primal_gn_direction,
 )
 from dualgn import models
+from dualgn.models import PIECE
 from oracles import (
     PlainOperator,
     adjoint_dot_test,
+    assembled,
     fd_jacobian,
     finite_diff_jvp,
     materialize_jacobian,
@@ -263,3 +265,31 @@ def test_primal_products_reach_the_model_methods(monkeypatch):
         res = primal_gn_direction(opr, loss, opr.outputs, SubproblemSpec(tau=tau, path="primal"))
         assert res.report.iterations == tau
         assert (calls["jvp"], calls["vjp"]) == (opr.jvp_calls, opr.vjp_calls) == (tau, tau + 1)
+
+
+@given(data=st.data())
+def test_streamed_vjp_is_the_vjp_in_parameter_order_bit_for_bit(data):
+    # The second layer (fan-in 230-500) spans 2-3 row chunks, whose chunked
+    # G^T Z mostly differs from the whole product in its last bits, so the
+    # blocks match only because they are made on the vjp's own schedule.
+    fan_in = data.draw(st.integers(230, 500))
+    rows = PIECE // fan_in
+    h = rows * data.draw(st.integers(1, 2)) + data.draw(st.integers(1, rows))
+    m, k = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 3))
+    name = data.draw(st.sampled_from([f"mlp:{fan_in},{h}", "linear"]))
+    model, w, X = _instance(name, 10, k, m, data.draw(st.integers(0, 2**32 - 1)))
+    V = np.random.Generator(np.random.Philox(key=m)).standard_normal((m, k))
+    opr = make_jacobian_operator(model, w, X)
+    blocks, scratch = [], []
+
+    def consume(lo, hi, blk):
+        blocks.append((lo, hi, blk.copy()))
+        scratch.append(blk)
+        blk.fill(np.nan)  # a block is the consumer's to overwrite
+
+    assert opr.vjp(V, consume) is None
+    assert opr.vjp_calls == 1
+    assert np.array_equal(assembled(blocks, model.n_params), opr.vjp(V))
+    # one scratch of at most a chunk, or a bias past that, serves every block
+    assert max(b.size for b in scratch) <= max(PIECE, h)
+    assert all(np.shares_memory(b, scratch[0]) for b in scratch)

@@ -195,7 +195,7 @@ def test_only_make_jacobian_operator_builds_an_operator():
 # Total code lines in src/dualgn, exactly: a change that adds code raises
 # this in its own diff and says why in CHANGES.md, and a change that removes
 # code lowers it, so that no slack is left for a later change to spend unseen.
-CODE_LINE_BUDGET = 1368
+CODE_LINE_BUDGET = 1410
 
 _NOT_CODE = {
     tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
