@@ -2,12 +2,15 @@
 
 :func:`cg_kernel` is the one CG iteration in the package: :func:`cg_solve`,
 :func:`projected_cg_solve` and the output-space dual solve in
-:mod:`dualgn.directions` run on it.  Reports carry residual norms per
-iteration, the inner product of the solution with the right-hand side
-(nonnegative for CG started at zero on a PSD system, which is what makes
-truncated solutions usable as descent directions), a count of scalar
-operations spent on vector arithmetic, and the number of operator
-applications.
+:mod:`dualgn.directions` run on it.  It takes one right-hand-side form, a
+stream of blocks, and one product protocol: a product returns its curvature
+and an update, which hands ``Q p`` to the kernel's residual update a block at
+a time once the step is known, or, on the last iteration, may skip it.
+Reports carry residual norms per iteration, the inner product of the solution
+with the right-hand side (nonnegative for CG started at zero on a PSD system,
+which is what makes truncated solutions usable as descent directions), a
+count of scalar operations spent on vector arithmetic, and the number of
+operator applications.
 """
 
 import math
@@ -108,15 +111,16 @@ def cg_workspace(shape, work=None):
     the residual, the direction and a scratch.
 
     It is the tuple ``(r, p, tmp)``: ``r`` and ``p`` are the rows of one
-    ``(2, *shape)`` block, and ``tmp`` has ``shape`` up to ``BLOCK`` scalars
-    and is one block of ``BLOCK`` scalars past that.  With ``work`` None the
-    workspace is new and uninitialized; else ``work`` is returned, and a
-    ValueError is raised unless it has that layout, in C-contiguous float64
-    arrays.
+    ``(2, *shape)`` block, 0-d arrays where ``shape`` is ``()``, and ``tmp``
+    has ``shape`` up to ``BLOCK`` scalars and is one block of ``BLOCK``
+    scalars past that.  With ``work`` None the workspace is new and
+    uninitialized; else ``work`` is returned, and a ValueError is raised
+    unless it has that layout, in C-contiguous float64 arrays.
     """
     want = (shape, shape, shape if math.prod(shape) <= BLOCK else (BLOCK,))
     if work is None:
-        return (*np.empty((2, *shape)), np.empty(want[2]))
+        rp = np.empty((2, *shape))
+        return rp[0, ...], rp[1, ...], np.empty(want[2])  # views, also of 0-d rows
     if _layout(work) != want:
         raise ValueError(f"work must be a tuple of float64 arrays of shapes {want}, "
                          f"C-contiguous, got {_layout(work)}")
@@ -161,10 +165,7 @@ class CGReport:
     operator_calls: int = 0
 
 
-def cg_kernel(
-    product, c, max_iter, tol, advance=None, project=None, callback=None, label="CG",
-    shadow=None, work=None,
-):
+def cg_kernel(product, c, work, max_iter, tol, project=None, callback=None, label="CG", shadow=None):
     """The CG iteration every solver in the package runs.
 
     Standard recurrences from ``x^0 = 0`` with ``r^0 = p^0 = c``:
@@ -175,48 +176,57 @@ def cg_kernel(
         b_t = <r_t, r_t> / <r_{t-1}, r_{t-1}>
         p_t = r_t + b_t p_{t-1}
 
-    ``p_t`` is formed only when iteration ``t + 1`` runs.  ``product(p, ps)``
-    returns ``(<p, Q p>, y, ys)`` for one product ``y`` of ``p``, and ``y``
-    is ``Q p`` unless ``advance`` is given (``ys`` serves the shadow
-    below).  Then ``advance(y)`` is ``Q p`` for
-    the latest ``p``, skipped on iteration ``max_iter`` (its residual would
-    feed no iteration), and the kernel returns ``ysum = sum_t a_t y_t`` (else
-    ``0.0``).  On the dual route ``y`` is a compact stand-in for ``J^T
-    beta``, linear in ``beta``: per layer, the cotangent where the layer's
-    fan-in exceeds the batch size, else the layer's share of ``J^T beta``
-    (see :mod:`dualgn.models`).  So it is shorter than the parameter vector
-    once a layer takes that Gram route, and as long as it when none does.
-    ``tau`` iterations cost exactly ``tau`` Jacobian-vector products and
-    ``tau + 1`` transposed products, the same counts as the primal route:
-    one backward pass per product gives the stand-in and the curvature
-    ``<p, J J^T p> = ||J^T p||^2``, the forward product that advances the
-    residual is pushed from the stand-in and skipped on the final iteration,
-    and ``ysum`` sums stand-ins, which the caller expands into ``J^T beta``
-    once, after the solve.  Without a penalty the route's gradient,
-    right-hand side and descent inner product are stand-ins too, and its one
-    parameter-length array, the direction, is expanded after the solve.
+    ``p_t`` is formed only when iteration ``t + 1`` runs.
+
+    ``c`` is a stream: ``c(consume)`` hands the blocks of the flat
+    right-hand side to ``consume(lo, hi, block)`` in order, as
+    :meth:`~dualgn.linop.JacobianOperator.vjp` streams a transposed product,
+    and an array is one block (:func:`_one_block`).  The blocks are written
+    into the residual and direction, and once an iteration has moved ``x``,
+    ``<x, c>`` is summed a block at a time over ``c`` streamed again, so an
+    array ``c`` must not lie in ``work``.
+
+    ``product(p, ps)`` returns ``(<p, Q p>, update, ys)``.  Once ``a_t`` is
+    known the kernel calls ``update(a_t, subtract, last)``, with ``last``
+    true on iteration ``max_iter``, whose residual would feed no iteration.
+    ``update`` hands ``Q p`` to ``subtract(lo, hi, block)`` a block at a time
+    in order, or not at all, and returns whether it did; the
+    kernel stops after an update that did not.  ``subtract`` forms ``r -
+    a_t block`` on ``[lo, hi)`` of the flat residual in one multiply into
+    the block and one add, so the blocks are the kernel's to overwrite.
+    ``update`` must read ``p`` as it was when ``product`` returned, and the
+    kernel leaves it so until then.
+
+    The array products of :func:`cg_solve` and :func:`projected_cg_solve`
+    hand over a copy of ``Q p`` as one block and always update, so their
+    reports hold ``tau + 1`` residual norms at full budget.  The primal and
+    dual routes in :mod:`dualgn.directions` skip the update when ``last``,
+    so ``tau`` iterations cost ``tau`` forward and ``tau + 1`` transposed
+    products on both, and a full-budget report holds ``tau`` norms.  The
+    primal's update streams the transposed product ``Q p = J^T Y`` into
+    ``subtract``, and the product it saves streams ``J^T g`` again for
+    ``<x, c>``: a solve that stops on its residual (``tol``, or a residual
+    of exactly 0) makes one transposed product more, and one that breaks
+    down at its first product one fewer.  The dual's product is a compact
+    transposed product ``s`` of ``beta`` (see :mod:`dualgn.models`): one
+    backward pass gives ``s`` and the curvature ``<p, J J^T p> = ||J^T
+    p||^2``, and its update pushes the forward product that advances the
+    residual from ``s`` and keeps ``sum_t a_t s_t``, which the caller expands
+    into ``J^T beta`` once, after the solve.
 
     The state ``x``, ``r`` and ``p`` is updated in place, so ``callback``
-    and ``product`` must copy what they keep of it.  The three recurrences
-    stream their vectors ``BLOCK`` scalars at a time, on flat views of the
+    and ``product`` must copy what they keep of it.  The recurrences stream
+    their vectors ``BLOCK`` scalars at a time, on flat views of the
     C-contiguous state, with the same elementwise arithmetic as unblocked
-    updates.  ``r`` and ``p`` live in ``work``, from :func:`cg_workspace` of
-    ``c``'s shape (None: a fresh one), which holds the residual and the
-    direction, the two rows of one block, and a scratch that receives ``a_t
-    p`` and ``a_t y`` on their way into ``x`` and ``r``: whole when ``c`` is
-    one block, and a block at a time, in a scratch of one block, when it is
-    longer.  ``work`` holds nothing from one solve to the next, so a caller
-    that owns it can reuse it for every solve of a run; a ``product`` or
-    ``callback`` must then not keep ``r`` or ``p`` across solves either.
-    The scratch holds nothing while ``product`` or a stream (below) runs, so
-    an operator may pass ``work[2]`` to :func:`_axpy` for its own
-    arithmetic, but must not return it.  ``x`` is always a fresh C-ordered
-    array, whatever ``c``'s layout.  Outside the ``advance`` path the kernel
-    never writes into ``y``, so an operator may return its argument or a
-    stored array.  The ``advance`` path consumes each ``y``: after
-    ``advance(y)`` the kernel scales ``y`` by ``a_t`` in place and adds it
-    into ``ysum``, which is the first scaled ``y``, so ``product`` must
-    return a fresh ``y`` each time.
+    updates.  ``work`` is :func:`cg_workspace` of the right-hand side's
+    shape: the residual and the direction, the two rows of one block, and a
+    scratch that receives ``a_t p`` on its way into ``x``.  It holds nothing
+    from one solve to the next, so a caller that owns it can reuse it for
+    every solve of a run; a ``product`` or ``callback`` must then not keep
+    ``r`` or ``p`` across solves either.  The scratch holds nothing while
+    ``product``, ``update`` or a stream runs, so an operator may pass
+    ``work[2]`` to :func:`_axpy` for its own arithmetic.  ``x`` is always a
+    fresh C-ordered array.
 
     ``shadow``, if given, is an output-space block ``S`` with ``c = J^T S``
     for the caller's transposed product ``J^T``, on a ``Q`` that maps ``J^T
@@ -225,81 +235,56 @@ def cg_kernel(
     ``a_t`` and ``b_t``; ``product`` receives ``ps`` and returns the shadow
     ``ys`` of ``Q p`` as its third value (else ``ys`` is ignored and ``ps`` is
     None).  It may take ``Q p = J^T ys`` and ``<p, Q p> = <J J^T ps, ys>``
-    from the shadows as well, as the primal route does.  Both routes' forward
+    from the shadows, as the primal route does.  Both routes' forward
     products are then of transposed products and go through per-layer Gram
     matrices on layers with more inputs than batch samples (see
     :mod:`dualgn.models`).  The shadow holds only up to round-off, so it is
     dropped, and ``ps`` is None from then on, once ``||r||^2 <= SHADOW_EPS
-    ||c||^2``.  In particular ``tau = 0`` performs no CG work and, on the
-    dual route, returns exactly ``gamma`` times the batch gradient.  The
-    report's ``inner_product_with_rhs`` is ``vdot(x, c)`` with or without a
-    shadow: a sum of ``a_t <J J^T ps, S>`` over shadowed products would
-    follow the shadow, not ``x``, and miss ``<x, c>`` by the drift.  So an
-    array ``c`` is kept, and must not lie in ``work``; a streamed one is
-    formed again.
-
-    ``c`` may be streamed: a callable ``c(consume)`` that hands the blocks of
-    a flat right-hand side to ``consume(lo, hi, block)``, which may overwrite
-    each block, as :meth:`~dualgn.linop.JacobianOperator.vjp` streams a
-    transposed product.  ``work`` is then required, the blocks are written
-    straight into its residual and direction, and each ``y`` is streamed
-    too.  Once ``a_t`` is known the kernel subtracts ``a_t`` times each
-    block of ``y`` from the residual, bit for bit the update by an array
-    ``y``, and it skips this deferred update on iteration ``max_iter``, as
-    it skips ``advance``.  So ``product`` gives ``<p, Q p>`` without ``Q
-    p``, as a shadow does; the stream must read ``p`` as it was when
-    ``product`` returned, and the kernel leaves it so until the stream has
-    run.  Once an iteration has moved ``x``, ``<x, c>`` is summed a block at
-    a time over ``c`` streamed again: the product that iteration
-    ``max_iter`` does not make pays for it.  On the primal route ``tau`` iterations then
-    still cost ``tau`` forward products and ``tau + 1`` transposed ones.  A
-    solve that stops on its residual (``tol``, or a residual of exactly 0)
-    makes one transposed product more, as its last residual update ran, and
-    one that breaks down at its first product one fewer.  At full budget the report holds ``tau`` residual
-    norms, as on the dual route, not ``tau + 1``.
+    ||c||^2``.  ``<x, c>`` is summed over ``c``, not over the shadow: a sum of
+    ``a_t <J J^T ps, S>`` would follow the shadow and miss ``<x, c>`` by its
+    drift.
 
     ``project(r)`` maps a residual update back onto the range of a singular
     ``Q``: past convergence, null-space round-off in the recursive residual
     otherwise grows until ``a_t`` blows up (Kaasschieter 1988; Gould, Hribar
     and Nocedal 2001 re-project the same way in projected CG).  It runs on
     each update from the first with ``||r||^2 <= PROJECT_EPS ||c||^2`` on,
-    and ``<r, r>`` is then taken again.  The kernel keeps a C-ordered copy
-    of a projection returned in another layout.
+    its result is copied into the residual, and ``<r, r>`` is then taken
+    again.
 
     Stops after ``max_iter`` iterations, when ``||r|| <= tol * max(1,
     ||c||)``, or on curvature breakdown (``<p, Qp> <= BREAKDOWN_EPS``),
-    returning the current iterate.  The kernel does not check its arguments:
-    ``max_iter`` is a nonnegative integer, ``tol`` a finite nonnegative
-    number and ``work`` of the right layout, as the public solvers and
-    :class:`~dualgn.directions.SubproblemSpec` check them.  A non-finite initial
-    residual, curvature or residual raises :class:`NumericError` naming
-    ``label``.  ``callback(x)`` is invoked after each iterate update.  The
-    report counts the kernel's own vector arithmetic, the shadow's included;
-    callers add their operator's.
+    returning the current iterate.  In particular ``max_iter = 0`` performs
+    no CG work.  The kernel does not check its arguments: ``max_iter`` is a
+    nonnegative integer, ``tol`` a finite nonnegative number and ``work`` of
+    the right layout, as the public solvers and
+    :class:`~dualgn.directions.SubproblemSpec` check them.  A non-finite
+    initial residual, curvature or residual raises :class:`NumericError`
+    naming ``label``.  ``callback(x)`` is invoked after each iterate update.
+    The report counts the kernel's own vector arithmetic, the shadow's
+    included; callers add their operator's.
 
-    Returns ``(x, CGReport, ysum)``.
+    Returns ``(x, CGReport)``.
     """
-    stream = callable(c)
-    r, p, tmp = cg_workspace(c.shape) if work is None else work
+    r, p, tmp = work
     n = r.size
     x = np.zeros(r.shape)  # C order, so the blocked updates write through
-    if stream:
+    rf, pf, xf = r.reshape(-1), p.reshape(-1), x.reshape(-1)  # views: all are C-contiguous
 
-        def fill(lo, hi, blk):
-            r[lo:hi] = blk
-            p[lo:hi] = blk
+    def fill(lo, hi, blk):
+        rf[lo:hi] = blk
+        pf[lo:hi] = blk
 
-        c(fill)
-    else:
-        np.copyto(r, c)
-        np.copyto(p, r)
+    def subtract(lo, hi, blk):  # r - a Qp, with a Qp formed in the block: bit for bit
+        np.add(rf[lo:hi], np.multiply(-a, blk, out=blk), out=rf[lo:hi])
+
+    c(fill)
     rr = rr0 = float(np.vdot(r, r))
     if not math.isfinite(rr):
         raise NumericError(f"non-finite initial residual in {label}")
     # r0, p0 and <r0, r0>
     rep = CGReport(residual_norms=[math.sqrt(rr)], vector_op_scalar_count=3 * n)
     threshold = tol * max(1.0, rep.residual_norms[0])
-    ysum = 0.0
     reproject = None  # project, from the first residual at round-off on
     rs = ps = shadow  # never updated in place
 
@@ -311,7 +296,7 @@ def cg_kernel(
             if ps is not None:
                 ps = rs + b * ps
                 rep.vector_op_scalar_count += ps.size
-        quad, y, ys = product(p, ps)
+        quad, update, ys = product(p, ps)
         rep.operator_calls += 1
         if not math.isfinite(quad):
             raise NumericError(f"non-finite curvature product at {label} iteration {it}")
@@ -323,30 +308,15 @@ def cg_kernel(
         rep.iterations = it
         if callback is not None:
             callback(x)
-        if advance is not None:
-            qp = advance(y) if it < max_iter else None
-            y *= a
-            if it == 1:
-                ysum = y
-            else:
-                ysum += y
-            rep.vector_op_scalar_count += y.size
-            if qp is None:
-                break
-            y = qp
-        if not stream:
-            _axpy(r, -a, y, tmp)  # r - a y, bit for bit
-        elif it == max_iter:  # this residual would feed no iteration
+        if not update(a, subtract, it == max_iter):
             break
-        else:  # r - a y a block at a time, with a y formed in the block: bit for bit
-            y(lambda lo, hi, blk: np.add(r[lo:hi], np.multiply(-a, blk, out=blk), out=r[lo:hi]))
-        del y  # freed before the next product is made
+        del update  # freed before the next product is made
         rr_new = float(np.vdot(r, r))
         rep.vector_op_scalar_count += 2 * n
         if rr_new <= PROJECT_EPS * rr0:
             reproject = project
         if reproject is not None:
-            r = np.ascontiguousarray(reproject(r))
+            np.copyto(r, reproject(r))
             rr_new = float(np.vdot(r, r))
             rep.vector_op_scalar_count += n
         if not math.isfinite(rr_new):
@@ -360,14 +330,14 @@ def cg_kernel(
         b = rr_new / rr
         rr = rr_new
 
-    if stream and rep.iterations:  # r has left c: stream c again
+    if rep.iterations:  # x has moved: stream c again for <x, c>
         parts = []
-        c(lambda lo, hi, blk: parts.append(float(np.vdot(x[lo:hi], blk))))
+        c(lambda lo, hi, blk: parts.append(float(np.vdot(xf[lo:hi], blk))))
         rep.inner_product_with_rhs = math.fsum(parts)
     else:
-        rep.inner_product_with_rhs = float(np.vdot(x, r if stream else c))
+        rep.inner_product_with_rhs = float(np.vdot(x, r))
     rep.vector_op_scalar_count += n
-    return x, rep, ysum
+    return x, rep
 
 
 def _budget(max_iter, tol, n):
@@ -378,10 +348,25 @@ def _budget(max_iter, tol, n):
     return max_iter
 
 
+def _one_block(c):
+    """An array right-hand side as a stream of one block (see :func:`cg_kernel`)."""
+    flat = np.asarray(c, dtype=np.float64).reshape(-1)  # a view of a C-contiguous c
+    return lambda consume: consume(0, flat.size, flat)
+
+
 def _curvature_product(q_apply):
+    """The kernel's ``product`` for ``q_apply(p) = Q p``: it takes ``<p, Q
+    p>``, and its update hands a copy of ``Q p`` over as one block."""
+
     def product(p, _):
         qp = q_apply(p)
-        return float(np.vdot(p, qp)), qp, None
+        blk = np.array(qp, dtype=np.float64).reshape(-1)  # the kernel's to overwrite
+
+        def update(a, subtract, last):
+            subtract(0, blk.size, blk)
+            return True
+
+        return float(np.vdot(p, qp)), update, None
 
     return product
 
@@ -397,37 +382,35 @@ def cg_solve(
     iterate is returned; a non-finite intermediate raises
     :class:`NumericError` naming the iteration.
 
-    ``c`` may have any array shape and layout; the operator must map that
-    shape to itself.  ``callback(x)`` is invoked after each iterate update.
-    With a ``shadow`` ``S`` of ``c`` (see :func:`cg_kernel`), ``q_apply(p,
-    ps)`` is the kernel's ``product``: it returns ``(<p, Q p>, Q p, shadow of
-    Q p)``, where ``ps`` is the shadow of ``p`` or None (the shadow of ``Q
-    p`` is then ignored), and the caller counts its curvature's vector work.
-    Without one, ``q_apply(p)`` returns ``Q p`` and the solver takes and
-    counts ``<p, Q p>``.  ``work`` is the kernel's residual, direction and
-    scratch ``(r, p, tmp)``, from :func:`cg_workspace` of ``c``'s shape (see
+    ``c`` may have any array shape and layout, 0-d included; the operator
+    must map that shape to itself.  ``c`` may also be a stream
+    ``c(consume)`` of a flat right-hand side (see :func:`cg_kernel`), as the
+    primal route passes it; it then needs a ``work``, whose shape it takes.
+    ``callback(x)`` is invoked after each iterate update.  Without a
+    ``shadow``, ``q_apply(p)`` returns ``Q p`` and the solver takes and counts
+    ``<p, Q p>`` and subtracts a copy of ``Q p`` from the residual on every
+    iteration, so a report at full budget holds ``max_iter + 1`` residual
+    norms; ``q_apply`` may return its argument or a stored array.  With a
+    ``shadow`` ``S`` of ``c`` (see :func:`cg_kernel`), ``q_apply(p, ps)`` is
+    the kernel's ``product``: it returns ``(<p, Q p>, update, shadow of Q
+    p)``, where ``ps`` is the shadow of ``p`` or None (the shadow of ``Q p``
+    is then ignored), and the caller counts its curvature's vector work.
+    ``work`` is the kernel's residual, direction and scratch ``(r, p,
+    tmp)``, from :func:`cg_workspace` of ``c``'s shape (see
     :func:`cg_kernel`); None allocates one for this solve.
-
-    ``c`` may also be a stream ``c(consume)`` of a flat right-hand side (see
-    :func:`cg_kernel`), as the primal route passes it.  It then needs a
-    ``shadow`` and a ``work``, whose shape it takes, and ``q_apply(p, ps)``
-    returns ``Q p`` as a stream as well.
 
     Returns
     -------
     (x, CGReport)
     """
-    if not callable(c):
-        c = np.asarray(c, dtype=np.float64)
-    elif shadow is None or work is None:
-        raise ValueError("a streamed right-hand side needs a shadow and a work tuple")
-    shape = np.shape(work[0]) if callable(c) else c.shape
+    if callable(c) and work is None:
+        raise ValueError("a streamed right-hand side needs a work tuple")
+    shape = np.shape(work[0] if callable(c) else c)
+    c = c if callable(c) else _one_block(c)
     max_iter = _budget(max_iter, tol, math.prod(shape))
     work = cg_workspace(shape, work)
     product = q_apply if shadow is not None else _curvature_product(q_apply)
-    x, rep, _ = cg_kernel(
-        product, c, max_iter, tol, callback=callback, shadow=shadow, work=work
-    )
+    x, rep = cg_kernel(product, c, work, max_iter, tol, callback=callback, shadow=shadow)
     if shadow is None:
         rep.vector_op_scalar_count += x.size * rep.operator_calls  # <p, Qp>
     return x, rep
@@ -445,8 +428,8 @@ def projected_cg_solve(q_apply, c, p_apply, max_iter=None, tol=1e-10):
     returned solution) lies in the constraint subspace.  Residual updates
     near round-off are re-projected (see :func:`cg_kernel`), so budgets past
     convergence stay at the solution, and the projector is re-applied to the
-    returned solution.  The report's
-    ``inner_product_with_rhs`` is ``<x, c>``.
+    returned solution.  ``c`` may have any array shape, 0-d included.  The
+    report's ``inner_product_with_rhs`` is ``<x, c>``.
 
     Returns
     -------
@@ -463,6 +446,7 @@ def projected_cg_solve(q_apply, c, p_apply, max_iter=None, tol=1e-10):
         )
 
     op = lambda x: p_apply(q_apply(p_apply(x)))
-    x, rep, _ = cg_kernel(_curvature_product(op), pc, max_iter, tol, project=p_apply)
+    work = cg_workspace(c.shape)
+    x, rep = cg_kernel(_curvature_product(op), _one_block(pc), work, max_iter, tol, project=p_apply)
     rep.vector_op_scalar_count += c.size * rep.operator_calls
     return p_apply(x), rep

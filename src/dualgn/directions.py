@@ -19,9 +19,11 @@ Two matrix-free routes to (approximately) the same ``d`` are provided:
   diagonal ``1/sigma`` and ``P`` removes per-sample row means, with a
   ``sqrt(sigma)`` Jacobi preconditioner.
 
-Both routes run the one CG kernel, :func:`dualgn.cgsolver.cg_kernel`, whose
-docstring gives the dual route's cost schedule (``tau`` JVPs and ``tau + 1``
-VJPs, as on the primal route), and both take their JVPs of transposed
+Both routes run the one CG kernel, :func:`dualgn.cgsolver.cg_kernel`, on its
+one product protocol: a product returns its curvature and an update, which
+hands ``Q p`` to the kernel's residual update once the step is known.  Both
+routes' updates skip the last iteration, so ``tau`` iterations cost ``tau``
+JVPs and ``tau + 1`` VJPs on either, and both take their JVPs of transposed
 products through per-layer Gram matrices.  While its output-space shadow
 is live, a primal CG product makes no parameter-length pass beside its two
 model products, and the primal route streams every transposed product into
@@ -47,7 +49,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cgsolver import CGReport, _axpy, _finite, _integer, cg_kernel, cg_solve, cg_workspace
+from .cgsolver import (
+    CGReport, _axpy, _finite, _integer, _one_block, cg_kernel, cg_solve, cg_workspace,
+)
 from .exceptions import NumericError
 from .losses import (
     SOFTMAX_FLOOR,
@@ -252,11 +256,11 @@ def primal_gn_direction(opr, loss, f, spec, work=None, at=None):
 
     No transposed product is made whole.  Each is streamed (see
     :meth:`dualgn.linop.JacobianOperator.vjp`): ``J^T g`` into the kernel's
-    residual and direction, and ``Q d`` into the residual update, a block at
-    a time once the kernel knows its step, with a plain product's ridge
-    shift added to each block through the kernel's scratch.  The product
-    that the final iteration does not make streams ``J^T g`` again for the
-    exact ``<d, J^T g>``, so ``tau`` iterations cost ``tau`` forward and
+    residual and direction, and, by each product's update, ``Q d`` into the
+    kernel's ``subtract`` a block at a time once the kernel knows its step,
+    with a plain product's ridge shift added to each block through the
+    kernel's scratch.  The update skips the final iteration, and the product
+    it saves streams ``J^T g`` again for the exact ``<d, J^T g>``, so ``tau`` iterations cost ``tau`` forward and
     ``tau + 1`` transposed products (one more when ``spec.tol`` stops the
     solve early), and ``d`` has the bits of the solve with whole products.
 
@@ -294,20 +298,29 @@ def primal_gn_direction(opr, loss, f, spec, work=None, at=None):
         hjd = loss_hvp(loss, f, jd, soft)
         if D is not None:
             ys = hjd + shift * D
-            return float(np.vdot(jd, ys)), lambda consume: opr.vjp(ys, consume), ys
+            return float(np.vdot(jd, ys)), streamed(ys), ys
         plain += 1
+        return float(np.vdot(jd, hjd)) + shift * float(np.vdot(d, d)), streamed(hjd, d), None
 
-        def qd(consume):
+    def streamed(V, d=None):
+        """The update that streams ``J^T V`` into the kernel's ``subtract``,
+        with a plain product's ``(m/gamma) d`` added to each block, and skips
+        the last iteration's."""
+
+        def update(a, subtract, last):
             nonlocal shifted
-            shifted += 1
+            if last:  # the VJP it saves streams J^T g again for <d, J^T g>
+                return False
 
             def add_shift(lo, hi, blk):
                 _axpy(blk, shift, d[lo:hi], work[2])  # the kernel's free scratch
-                consume(lo, hi, blk)
+                subtract(lo, hi, blk)
 
-            opr.vjp(hjd, add_shift)
+            shifted += d is not None
+            opr.vjp(V, subtract if d is None else add_shift)
+            return True
 
-        return float(np.vdot(jd, hjd)) + shift * float(np.vdot(d, d)), qd, None
+        return update
 
     rhs = lambda consume: opr.vjp(g, consume)
     d, rep = cg_solve(product, rhs, max_iter=spec.tau, tol=spec.tol, shadow=g, work=work)
@@ -364,9 +377,10 @@ def _dual_direction(opr, loss, f, spec, w=None, reg=None, callback=None, at=None
     (:meth:`~dualgn.linop.JacobianOperator.compact_vjp`): a stand-in ``s``
     for ``J^T beta``, of at most ``p`` scalars, and ``||J^T beta||^2`` from
     the same backward pass, giving the curvature ``<beta, beta / sigma> +
-    ||J^T beta||^2 / mu``.  Its residual product adds the forward product
-    ``J J^T beta``, pushed from ``s`` and the per-layer Gram products the
-    backward pass left.  The scaled system ``S P (H^+ + J J^T / mu) P S`` is
+    ||J^T beta||^2 / mu``.  Its update, made once per solve, pushes the
+    forward product ``J J^T beta`` from ``s`` and the per-layer Gram products
+    the backward pass left into the residual, except on the final iteration,
+    and adds ``a_t s`` into the sum of stand-ins.  The scaled system ``S P (H^+ + J J^T / mu) P S`` is
     singular for the logistic loss, so residual updates near round-off are
     re-projected onto its range ``S P`` (see :func:`cg_kernel`), and only
     those that run are counted.  See :func:`cg_kernel` for the cost schedule.
@@ -375,7 +389,7 @@ def _dual_direction(opr, loss, f, spec, w=None, reg=None, callback=None, at=None
     Without a penalty every parameter-space vector of the step lies in the
     range of ``J^T``, so the right-hand side ``J J^T g / mu`` is pushed from
     the gradient's stand-in, the stand-in of ``J^T alpha`` is formed as the
-    gradient's minus the kernel's sum of stand-ins.  After a CG update that
+    gradient's minus the updates' sum of stand-ins.  After a CG update that
     stand-in takes the scale ``gamma / m`` in place, so ``d`` is its
     expansion with no parameter-length scaling pass, and the descent inner
     product ``(1 / m) <d, J^T g>`` is taken from the scaled stand-in and the
@@ -433,26 +447,36 @@ def _dual_direction(opr, loss, f, spec, w=None, reg=None, callback=None, at=None
             z *= sroot
         return z
 
-    hw = terms = None  # H^+ beta and the forward terms of the latest product
+    # H^+ beta, the stand-in and the forward terms of the latest product, and
+    # the sum of a_t times the stand-ins
+    hw = s = terms = zsum = None
     projected = 0  # residual updates the kernel re-projected
 
     def product(x, _):
-        nonlocal hw, terms
+        nonlocal hw, s, terms
         beta = to_beta(x)
         hw = beta / sig if logistic else beta
         s, sq, terms = opr.compact_vjp(beta)
-        return float(np.vdot(beta, hw)) + mu_inv * sq, s, None
+        return float(np.vdot(beta, hw)) + mu_inv * sq, update, None
+
+    def update(a, subtract, last):
+        """Push ``J J^T beta`` from the stand-in into ``subtract`` unless
+        ``last``, and add ``a s`` to the sum."""
+        nonlocal s, zsum
+        if not last:
+            y = mu_inv * opr.compact_jvp(s, terms)
+            y += hw
+            subtract(0, blk, scaled(y).reshape(-1))
+        s *= a
+        zsum = s if zsum is None else np.add(zsum, s, out=zsum)
+        s = None  # freed before the next product is made
+        return not last
 
     def reproject(r):
         """``S P S^-1 r``, in the kernel's own residual ``r``."""
         nonlocal projected
         projected += 1
         return scaled(np.divide(r, sroot, out=r))
-
-    def advance(s):
-        y = mu_inv * opr.compact_jvp(s, terms)
-        y += hw
-        return scaled(y)
 
     # Right-hand side c = S P J (J^T g / mu + shift) in one forward product,
     # where shift is the prox displacement of the penalty.  Without one it is
@@ -479,27 +503,28 @@ def _dual_direction(opr, loss, f, spec, w=None, reg=None, callback=None, at=None
             rhs = opr.jvp(pre).copy()  # scaled in place below
         del pre  # freed before the kernel's products are made
     if rhs is not None:
-        x, rep, zsum = cg_kernel(
+        x, rep = cg_kernel(
             product,
-            scaled(rhs),
+            _one_block(scaled(rhs)),
+            cg_workspace((m, k)),
             tau,
             spec.tol,
-            advance=advance,
             project=reproject if logistic else None,
             callback=None if callback is None else (lambda x: callback(to_beta(x))),
             label="dual CG",
         )
         # S P of the right-hand side; P(s x), beta / sigma and the curvature
-        # dots per product; the shifted forward product and S P per residual
-        # update; S P S^-1 per re-projection
+        # dots per product; a s into the sum per update; the shifted forward
+        # product and S P per residual update; S P S^-1 per re-projection
         ops += (
             3 * h
             + rep.operator_calls * (sg.size + q + blk + h)
+            + rep.iterations * sg.size
             + (len(rep.residual_norms) - 1) * (2 * blk + 3 * h)
             + 4 * blk * projected
         )
     else:
-        x, rep, zsum = np.zeros((m, k)), CGReport(), 0.0
+        x, rep = np.zeros((m, k)), CGReport()
     beta = to_beta(x)
     alpha = np.subtract(g, beta, out=beta)
     aa, gg = float(np.vdot(alpha, alpha)), float(np.vdot(g, g))
@@ -514,7 +539,7 @@ def _dual_direction(opr, loss, f, spec, w=None, reg=None, callback=None, at=None
     # and d is its expansion, which an unpenalized result makes only when
     # read.  Without one, d is gamma times the batch gradient, formed in
     # batch_gradient's order.  A penalty then takes its prox step from w - d.
-    sa = sg - zsum if isinstance(zsum, float) else np.subtract(sg, zsum, out=zsum)
+    sa = sg.copy() if zsum is None else np.subtract(sg, zsum, out=zsum)
     # alpha's stand-in; sigma, beta and alpha
     ops += sg.size + 2 * q
     if rep.iterations:

@@ -59,10 +59,12 @@ def kept_vector_primal(opr, loss, f, spec):
 
     The algorithm of :func:`dualgn.primal_gn_direction` before it streamed
     its transposed products: ``c = J^T g`` is made whole and kept for ``<d,
-    c>``, and each product returns ``Q d`` whole, from ``opr.vjp`` of the
+    c>``, and each product makes ``Q d`` whole, from ``opr.vjp`` of the
     shadow ``Y = H J d + (m/gamma) D`` while the kernel keeps it, else of
-    ``H J d`` with ``(m/gamma) d`` added, for ``cg_solve`` to subtract.  Its
-    report's ``inner_product_with_rhs / m`` is the descent inner product.
+    ``H J d`` with ``(m/gamma) d`` added.  Its update hands ``Q d`` to the
+    kernel as one block on every iteration, the last included, so a report
+    at full budget holds ``tau + 1`` residual norms.  Its
+    ``inner_product_with_rhs / m`` is the descent inner product.
     """
     p, m, _ = opr.dims
     g = loss_grad(loss, f)
@@ -74,10 +76,17 @@ def kept_vector_primal(opr, loss, f, spec):
         hjd = loss_hvp(loss, f, jd, soft)
         if D is not None:
             ys = hjd + shift * D
-            return float(np.vdot(jd, ys)), opr.vjp(ys), ys
-        qd = opr.vjp(hjd)
-        qd += shift * d
-        return float(np.vdot(jd, hjd)) + shift * float(np.vdot(d, d)), qd, None
+            quad, qd = float(np.vdot(jd, ys)), opr.vjp(ys)
+        else:
+            ys, qd = None, opr.vjp(hjd)
+            qd += shift * d
+            quad = float(np.vdot(jd, hjd)) + shift * float(np.vdot(d, d))
+
+        def update(a, subtract, last):
+            subtract(0, p, qd)
+            return True
+
+        return quad, update, ys
 
     c = opr.vjp(g)
     return cg_solve(product, c, max_iter=spec.tau, tol=spec.tol, shadow=g, work=cg_workspace((p,)))

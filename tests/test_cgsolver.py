@@ -80,6 +80,17 @@ def test_block_shaped_rhs():
     x, _ = cg_solve(op, C, max_iter=60, tol=1e-12)
     assert x.shape == (3, 2)
     assert_allclose(x.ravel(), np.linalg.solve(Q, C.ravel()), rtol=1e-8)
+    # a 0-d right-hand side, whose workspace rows are 0-d arrays, not scalars
+    work = cg_workspace(())
+    assert all(isinstance(a, np.ndarray) and a.shape == () for a in work)
+    assert work[0].base is work[1].base
+    for x, rep in (
+        cg_solve(lambda v: 2 * v, np.array(3.0)),
+        cg_solve(lambda v: 2 * v, np.array(3.0), work=work),
+        projected_cg_solve(lambda v: 2 * v, np.array(3.0), lambda v: v),
+    ):
+        assert x.shape == () and x == 1.5
+        assert (rep.iterations, rep.residual_norms, rep.inner_product_with_rhs) == (1, [3.0, 0.0], 4.5)
 
 
 def test_non_finite_operator_raises():
@@ -316,9 +327,10 @@ def _stream(v, size):
 
 
 def test_streamed_right_hand_side_and_products_match_the_array_solve():
-    # The deferred residual update is the array update bit for bit, and the
-    # last iteration skips it; <x, c> is summed over c streamed again once x
-    # has moved.  A streamed c needs a shadow and a workspace.
+    # The streamed residual update is the array update bit for bit, and this
+    # product skips it on the last iteration; <x, c> is summed over c
+    # streamed again once x has moved.  A streamed c needs a workspace, for
+    # its shape, and with an array product it is the array solve.
     q_apply, c = _low_rank_spd((2 * BLOCK + 7,), 46)
     streams = []
 
@@ -328,7 +340,13 @@ def test_streamed_right_hand_side_and_products_match_the_array_solve():
 
     def product(v, vs):
         y = q_apply(v)
-        return float(np.vdot(v, y)), _stream(y, 7000), np.zeros(0)
+
+        def update(a, subtract, last):
+            if not last:
+                _stream(y, 7000)(subtract)
+            return not last
+
+        return float(np.vdot(v, y)), update, np.zeros(0)
 
     for max_iter in (0, 1, 2, 6):
         streams.clear()
@@ -340,6 +358,79 @@ def test_streamed_right_hand_side_and_products_match_the_array_solve():
         assert rep.residual_norms == kept.residual_norms[: max(max_iter, 1)]
         assert rep.inner_product_with_rhs == pytest.approx(kept.inner_product_with_rhs, rel=1e-14)
         assert len(streams) == 1 + (max_iter > 0)
-    for shadow, work in ((None, cg_workspace(c.shape)), (np.zeros(0), None)):
-        with pytest.raises(ValueError, match="a streamed right-hand side needs a shadow and a work"):
-            cg_solve(product, rhs, shadow=shadow, work=work)
+
+        streams.clear()
+        x, rep = cg_solve(q_apply, rhs, max_iter=max_iter, tol=0.0, work=cg_workspace(c.shape))
+        assert np.array_equal(x, want)
+        assert (rep.iterations, rep.residual_norms) == (max_iter, kept.residual_norms)
+        assert rep.inner_product_with_rhs == pytest.approx(kept.inner_product_with_rhs, rel=1e-14)
+        assert len(streams) == 1 + (max_iter > 0)
+    for shadow in (None, np.zeros(0)):
+        with pytest.raises(ValueError, match="a streamed right-hand side needs a work tuple"):
+            cg_solve(product, rhs, shadow=shadow, work=None)
+
+
+def test_each_iteration_makes_one_update_call_with_its_own_step():
+    # The kernel calls update(a, subtract, last) once per iteration, after
+    # the iterate moves, with that iteration's a = <r, r> / <p, Q p> and with
+    # last true on iteration max_iter only; a product that breaks down makes
+    # no call.  An update that always applies keeps tau + 1 residual norms
+    # at full budget, as the array products of both solvers do, and one that
+    # skips on last keeps tau.
+    q_apply, c = _low_rank_spd((9,), 47)
+    work = cg_workspace(c.shape)
+
+    def recorded(calls, skip_last, op=q_apply):
+        def product(v, vs):
+            y = op(v)
+            quad = float(np.vdot(v, y))
+            rr = float(np.vdot(work[0], work[0]))  # the kernel's r is work[0]
+
+            def update(a, subtract, last):
+                calls.append((a == rr / quad, last))
+                if skip_last and last:
+                    return False
+                subtract(0, y.size, y.copy())
+                return True
+
+            return quad, update, np.zeros(0)
+
+        return product
+
+    for tau in (1, 2, 5):
+        for skip_last in (False, True):
+            calls = []
+            x, rep = cg_solve(recorded(calls, skip_last), c, max_iter=tau, tol=0.0,
+                              shadow=np.zeros(0), work=work)
+            assert calls == [(True, it == tau) for it in range(1, tau + 1)]
+            assert rep.iterations == tau
+            assert len(rep.residual_norms) == tau + (not skip_last)
+            want, kept = cg_solve(q_apply, c, max_iter=tau, tol=0.0)
+            assert np.array_equal(x, want)
+            assert rep.residual_norms == kept.residual_norms[: len(rep.residual_norms)]
+        assert len(kept.residual_norms) == tau + 1
+        proj = projected_cg_solve(q_apply, c, lambda v: v, max_iter=tau, tol=0.0)[1]
+        assert len(proj.residual_norms) == tau + 1
+
+    # the array product hands the kernel a copy, so an operator's output is
+    # never overwritten
+    outputs = []
+
+    def kept_outputs(v):
+        y = q_apply(v)
+        outputs.append((y, y.copy()))
+        return y
+
+    _same_solve(cg_solve(kept_outputs, c, max_iter=5, tol=0.0), cg_solve(q_apply, c, max_iter=5, tol=0.0))
+    assert len(outputs) == 5 and all(np.array_equal(y, was) for y, was in outputs)
+
+    # a solve that stops on its tolerance never passes last
+    calls = []
+    _, rep = cg_solve(recorded(calls, True), c, max_iter=100, tol=1e-12, shadow=np.zeros(0), work=work)
+    assert 0 < rep.iterations < 100
+    assert calls == [(True, False)] * rep.iterations
+
+    # breakdown at the first product
+    calls = []
+    _, rep = cg_solve(recorded(calls, True, np.zeros_like), c, max_iter=5, shadow=np.zeros(0), work=work)
+    assert (rep.iterations, rep.operator_calls, calls) == (0, 1, [])

@@ -24,7 +24,7 @@ from dualgn import (
     sdca_closed_form_squared,
     soft_threshold,
 )
-from dualgn import directions, models
+from dualgn import directions, linop, models
 from dualgn.cgsolver import BLOCK, cg_kernel, cg_workspace
 from oracles import PlainOperator, assembled, dense_direction, ista_l1, kept_vector_primal
 from strategies import MODELS, jacobian_cases
@@ -601,17 +601,41 @@ def test_dual_direction_scaled_on_its_stand_in_matches_the_scaled_expansion(name
     Y = V if loss_kind == "squared" else np.eye(k)[np.argmax(V, axis=1)]
     loss = LossOracle(loss_kind, Y)
     spec = SubproblemSpec(gamma=gamma, tau=data.draw(st.integers(1, 3)))
-    sums = []  # the kernel's sum of stand-ins, as it returned it
+    sums = []  # the kernel's sum of stand-ins, rebuilt in its order
+    stand_ins = []  # a copy of each compact_vjp stand-in
+    compact_vjp = linop.JacobianOperator.compact_vjp
 
-    def kernel(*args, **kwargs):
-        x, rep, ysum = cg_kernel(*args, **kwargs)
-        sums.append(np.copy(ysum))
-        return x, rep, ysum
+    def recorded(self, V):
+        s, sq, terms = compact_vjp(self, V)
+        stand_ins.append(s.copy())
+        return s, sq, terms
+
+    def kernel(product, *args, **kwargs):
+        first, steps = len(stand_ins), []  # the a_t each update received
+
+        def stepped(x, xs):
+            quad, update, ys = product(x, xs)
+
+            def stepped_update(a, subtract, last):
+                steps.append(a)
+                return update(a, subtract, last)
+
+            return quad, stepped_update, ys
+
+        out = cg_kernel(stepped, *args, **kwargs)
+        total = None
+        for a, s in zip(steps, stand_ins[first:]):  # products without an update come last
+            s *= a
+            total = s if total is None else np.add(total, s, out=total)
+        if steps:
+            sums.append(total)
+        return out
 
     results = []
     for _ in range(2):  # one result streams its pieces, the other builds d
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(directions, "cg_kernel", kernel)
+            patch.setattr(linop.JacobianOperator, "compact_vjp", recorded)
             opr = make_jacobian_operator(model, w, X)
             results.append(dual_gn_direction(opr, loss, opr.outputs, spec))
     ref = make_jacobian_operator(model, w, X)
