@@ -17,7 +17,7 @@ import sys
 
 from .data import load_idx_dataset, synth_blobs
 from .directions import PATHS
-from .exceptions import NumericError, UsageError
+from .exceptions import UsageError
 from .losses import LOSS_KINDS
 from .models import make_model
 from .trainer import DIRECTIONS, METHODS, RunRecord, TrainConfig, train
@@ -73,9 +73,9 @@ def _convert(key, value):
 
 def _read_config_file(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from None
     settings, set_on = {}, {}
     for line_no, raw in enumerate(text.splitlines(), 1):
@@ -189,9 +189,10 @@ def _run_one(config, dataset, out_path):
     unwritable path is a usage error before training starts.  The file is
     written, header first, from the run's first record on (or at the end of
     a run without records).  Running out of memory, as a model too large to
-    allocate does, is a usage error that names the model: a file that was
-    there before and has no record yet is left as it was, and any other is
-    removed.
+    allocate does, is a usage error that names the model, and a write that
+    fails, as on a full disk, is one that names the path.  Either way a file
+    that was there before and has no record yet is left as it was, and any
+    other regular file is removed; a device such as ``/dev/full`` never is.
     """
     made = not os.path.exists(out_path)
     try:
@@ -211,16 +212,19 @@ def _run_one(config, dataset, out_path):
         fh.flush()
 
     try:
-        result = train(config, dataset, on_record=emit)
-        emit(None)
+        try:
+            result = train(config, dataset, on_record=emit)
+            emit(None)
+        finally:  # a close after a failed write fails again, and is caught below
+            if fh is not None:
+                fh.close()
         return result
-    except MemoryError as exc:
-        if made or fh is not None:
+    except (MemoryError, OSError) as exc:
+        if (made or fh is not None) and os.path.isfile(out_path):
             os.remove(out_path)
+        if isinstance(exc, OSError):
+            raise UsageError(f"cannot write {out_path}: {exc}") from None
         raise UsageError(f"model {config.model!r} does not fit in memory: {exc}") from None
-    finally:
-        if fh is not None:
-            fh.close()
 
 
 def _cmd_run(args, env):
@@ -245,6 +249,3 @@ def main(argv=None):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except NumericError as exc:
-        print(f"numeric abort: {exc}", file=sys.stderr)
-        return 2

@@ -75,6 +75,7 @@ __all__ = [
 
 PATHS = ("primal", "dual")
 REG_KINDS = ("none", "l1", "l2")
+PROX_PASSES = {"l1": 4, "l2": 1}  # p-length passes of Regularizer.prox
 EPS = np.finfo(np.float64).eps
 
 
@@ -499,8 +500,11 @@ def _dual_direction(opr, loss, f, spec, w=None, reg=None, callback=None, at=None
         shift = reg.prox(w, gamma)
         pre += np.subtract(w, shift, out=shift)
         del shift
+        # mu^-1 u, the prox, w - prox, the add and the check
+        ops += (4 + PROX_PASSES[reg.kind]) * p
         if np.any(pre):
             rhs = opr.jvp(pre).copy()  # scaled in place below
+            ops += blk
         del pre  # freed before the kernel's products are made
     if rhs is not None:
         x, rep = cg_kernel(
@@ -563,8 +567,8 @@ def _dual_direction(opr, loss, f, spec, w=None, reg=None, callback=None, at=None
     res.d = np.subtract(w, z, out=z)
     u /= m
     res.descent_inner_product = float(np.vdot(res.d, u))
-    # w - d, the prox (at most 4 passes), w - z, J^T g / m and the dot
-    rep.vector_op_scalar_count += ops + 9 * p
+    # w - d, the prox, w - z, J^T g / m and the dot
+    rep.vector_op_scalar_count += ops + (4 + PROX_PASSES[reg.kind]) * p
     return res
 
 

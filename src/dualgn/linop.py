@@ -40,21 +40,21 @@ class JacobianOperator:
     ----------
     dims : tuple (p, m, k)
         Parameter count, batch size, output dimension.
-    model, params, X
-        The model, the parameter vector and the batch it is linearized at.
+    model
+        The model whose ``jvp`` and ``vjp`` take the plain products.
     outputs : ndarray, shape (m, k)
         Model outputs at the linearization point.
     lin : Linearization
-        The model's per-step state from the same forward pass.
+        The model linearized at the parameters and batch, from the same
+        forward pass: every product is taken at it.
     jvp_calls, vjp_calls : int
         Number of batched product evaluations so far; each forward or
         transposed product, plain or compact, adds exactly one.
     """
 
-    def __init__(self, model, params, X, outputs, lin):
-        self.model, self.params, self.X = model, params, X
-        self.outputs, self.lin = outputs, lin
-        self.dims = (model.n_params, X.shape[0], model.out_dim)
+    def __init__(self, model, outputs, lin):
+        self.model, self.outputs, self.lin = model, outputs, lin
+        self.dims = (model.n_params, outputs.shape[0], model.out_dim)
         self.jvp_calls = 0
         self.vjp_calls = 0
 
@@ -79,7 +79,7 @@ class JacobianOperator:
         """
         if cotangent is not None:
             cotangent = self._block(cotangent)
-        out = self.model.jvp(self.params, self.X, u, self.lin, cotangent)
+        out = self.model.jvp(self.lin, u, cotangent)
         self.jvp_calls += 1
         return out
 
@@ -95,7 +95,7 @@ class JacobianOperator:
         """
         V = self._block(V)
         self.vjp_calls += 1
-        return self.model.vjp(self.params, self.X, V, self.lin, consume)
+        return self.model.vjp(self.lin, V, consume)
 
     def compact_vjp(self, V):
         """A stand-in ``s`` for ``J^T V``, with ``||J^T V||^2`` and forward terms.
@@ -165,6 +165,4 @@ def make_jacobian_operator(model, params, batch):
         raise ValueError(
             f"batch feature dim {X.shape[1]} does not match model input dim {model.in_dim}"
         )
-    params = np.asarray(params, dtype=np.float64)
-    outputs, lin = model.forward_trace(params, X)
-    return JacobianOperator(model, params, X, outputs, lin)
+    return JacobianOperator(model, *model.forward_trace(params, X))

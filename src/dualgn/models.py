@@ -7,8 +7,10 @@ linear predictor ``f(x) = W x``.
 
 Each model exposes ``n_params``, ``init_params(seed)``, ``forward(params, X)``
 (outputs only), ``forward_trace(params, X)`` (outputs and a
-:class:`Linearization`), and Jacobian products ``jvp`` / ``vjp`` with respect
-to the flat parameter vector, which reuse that linearization.  All arithmetic
+:class:`Linearization`), and Jacobian products ``jvp(lin, u)`` /
+``vjp(lin, V)`` with respect to the flat parameter vector, taken at a
+linearization ``lin`` of ``forward_trace``.  So a product never runs a
+forward pass: the step's one traced pass serves all of them.  All arithmetic
 is float64.
 
 The linearization is the per-step state of every product at one point and
@@ -35,10 +37,11 @@ three and no slope: it drops its input once its pre-activation exists, and
 at most three m x out arrays at a time, where the traced one ends up holding
 two per hidden layer.
 
-A tangent that is itself a transposed product, ``u = vjp(V)``, can be pushed
-forward from ``V`` instead (``jvp(..., cotangent=V)``).  A layer with input
-``Z`` (m x fan_in) and backpropagated cotangent ``G`` has parameter tangent
-``dW = G^T Z``, ``db = G^T 1``, so its forward term ``Z dW^T + 1 db^T`` is
+A tangent that is itself a transposed product, ``u = vjp(lin, V)``, can be
+pushed forward from ``V`` instead (``jvp(lin, u, cotangent=V)``).  A layer
+with input ``Z`` (m x fan_in) and backpropagated cotangent ``G`` has
+parameter tangent ``dW = G^T Z``, ``db = G^T 1``, so its forward term
+``Z dW^T + 1 db^T`` is
 ``K G`` with the m x m Gram matrix ``K = Z Z^T + 1 1^T`` (``Z Z^T`` without a
 bias): ``m^2 out`` multiply-adds in place of ``m fan_in out``.  Layers with
 ``m < fan_in`` take that route, where ``K`` is also smaller than the layer
@@ -54,7 +57,9 @@ together with ``||J^T V||^2`` (``<G, K G>`` on Gram layers) and the products
 stand-ins, into the parameter vector ``J^T V`` a bounded block at a time,
 ``compact_expand`` assembles those blocks into one vector, and
 ``compact_dot`` takes ``<J^T A, J^T V>`` from two stand-ins and the ``K G``
-of ``V``.  ``vjp`` can hand out ``J^T V`` on that block schedule too, so a
+of ``V``.  A whole ``vjp`` is that block stream with the cotangent ``G`` as
+every layer's piece, from one backward pass: assembled into one vector as
+``compact_expand`` assembles its own, or handed out a block at a time, so a
 caller that reduces it a block at a time holds no parameter vector of it.
 
 Parameter flattening convention: layer by layer, each layer's weight matrix
@@ -241,21 +246,20 @@ class Linearization:
     def vjp(self, V, consume=None):
         """``J^T V`` for an output block ``V``, as a fresh parameter vector.
 
-        With ``consume``, the vector is not made: each block of it goes to
-        ``consume(lo, hi, block)`` as :meth:`compact_pieces` hands out the
-        blocks of a stand-in, on the same schedule and so with the same bits,
-        and the call returns None.
+        One backward pass yields the cotangent at every layer, and the
+        product is the block stream of :meth:`_blocks` with every layer's
+        cotangent as its piece: the blocks that :meth:`compact_pieces`
+        hands out, on the same schedule and so with the same bits.  Without
+        ``consume`` they are assembled into one vector by :meth:`_assemble`,
+        as :meth:`compact_expand` assembles its own.  With ``consume`` the
+        vector is not made: each block goes to ``consume(lo, hi, block)`` and
+        the call returns None.
         """
-        if consume is not None:
-            cotangents = [G for _, G, _ in self._cotangents(V)][::-1]
-            for lo, hi, blk in self._blocks((True,) * len(cotangents), cotangents):
-                consume(lo, hi, blk)
-            return None
-        out = np.empty(self.n_params)
-        grads = _views(out, self.params_table)
-        for i, G, _ in self._cotangents(V):
-            _param_block(G, self.inputs[i], *grads[i])
-        return out
+        cotangents = [G for _, G, _ in self._cotangents(V)][::-1]
+        if consume is None:
+            return self._assemble((True,) * len(cotangents), cotangents)
+        for lo, hi, blk in self._blocks((True,) * len(cotangents), cotangents):
+            consume(lo, hi, blk)
 
     def compact_vjp(self, V):
         """Backpropagate ``V`` to a stand-in ``s`` for ``J^T V``.
@@ -292,14 +296,12 @@ class Linearization:
     def compact_expand(self, s):
         """The parameter vector ``J^T V`` that the stand-in ``s`` stands for.
 
-        Assembled from :meth:`compact_pieces`; with no Gram layer it is ``s``.
+        Assembled by :meth:`_assemble` from the blocks of :meth:`compact_pieces`,
+        as :meth:`vjp` assembles its own; with no Gram layer it is ``s``.
         """
         if True not in self.route:  # s is laid out as J^T V and is J^T V
             return s
-        out = np.empty(self.n_params)
-        for lo, hi, blk in self.compact_pieces(s):
-            out[lo:hi] = blk
-        return out
+        return self._assemble(self.route, _views(s, self.table))
 
     def compact_pieces(self, s):
         """Yield ``(lo, hi, block)``: ``J^T V`` on ``[lo, hi)`` for the stand-in ``s``.
@@ -314,24 +316,37 @@ class Linearization:
         """
         return self._blocks(self.route, _views(s, self.table))
 
-    def _blocks(self, route, pieces):
-        """The blocks of :meth:`compact_pieces` from per-layer ``pieces``: a
-        cotangent ``G`` where ``route`` is set, else a ``(dW, db)`` to copy."""
-        shapes = [shape for *_, shape in self.params_table]
-        scratch = np.empty(max(max(_rows(o, f) * f, o) for o, f in shapes))
+    def _assemble(self, route, pieces):
+        """The fresh parameter vector that the blocks of :meth:`_blocks`
+        cover, each made in its own slice of it, so none is copied."""
+        out = np.empty(self.n_params)
+        for _ in self._blocks(route, pieces, out):
+            pass
+        return out
+
+    def _blocks(self, route, pieces, out=None):
+        """The blocks of ``J^T V`` as :meth:`compact_pieces` hands them out,
+        from per-layer ``pieces``: a cotangent ``G`` where ``route`` is set,
+        else a ``(dW, db)`` to copy.  :meth:`vjp` sets ``route`` on every
+        layer.  With ``out``, each block is made in its slice of ``out``
+        instead of the scratch."""
+        if out is None:
+            shapes = [shape for *_, shape in self.params_table]
+            scratch = np.empty(max(max(_rows(o, f) * f, o) for o, f in shapes))
+        at = (lambda lo, hi: scratch[: hi - lo]) if out is None else (lambda lo, hi: out[lo:hi])
         pieces = zip(route, pieces, self.params_table, self.inputs)
         for gram, piece, (_, lo, mid, hi, (rows_out, fan_in)), Z in pieces:
             rows = _rows(rows_out, fan_in)
             for r in range(0, rows_out, rows):
                 n = min(rows, rows_out - r)
-                blk = scratch[: n * fan_in]
+                blk = at(lo + r * fan_in, lo + (r + n) * fan_in)
                 if gram:
                     _param_block(piece[:, r : r + rows], Z, blk.reshape(n, fan_in), None)
                 else:
                     blk.reshape(n, fan_in)[...] = piece[0][r : r + rows]
                 yield lo + r * fan_in, lo + (r + n) * fan_in, blk
             if hi is not None:
-                blk = scratch[: hi - mid]
+                blk = at(mid, hi)
                 if gram:
                     np.add.reduce(piece, axis=0, out=blk)
                 else:
@@ -467,28 +482,27 @@ class MLPModel:
                 derivs.append(_silu(Z, slopes))
         return Z, Linearization(self, layers, inputs, derivs) if slopes else None
 
-    def jvp(self, params, X, u, trace=None, cotangent=None):
-        """Directional derivative of ``forward`` along the parameter tangent ``u``.
+    def jvp(self, lin, u, cotangent=None):
+        """Directional derivative of the outputs along the parameter tangent ``u``.
 
-        ``trace`` is the :class:`Linearization` of ``forward_trace(params,
-        X)``, built here if None; ``u`` is a parameter vector.  With
-        ``cotangent`` ``V`` such that ``u = vjp(params, X, V)``, layers with
-        more inputs than samples take their parameter term as ``K G`` (see
-        the module docstring), from Gram matrices the linearization keeps.
+        ``lin`` is the :class:`Linearization` of :meth:`forward_trace`, and
+        the product is taken at its point and batch; ``u`` is a parameter
+        vector.  With ``cotangent`` ``V`` such that ``u = vjp(lin, V)``,
+        layers with more inputs than samples take their parameter term as
+        ``K G`` (see the module docstring), from Gram matrices the
+        linearization keeps.
         """
-        if trace is None:
-            _, trace = self.forward_trace(params, X)
         u = np.asarray(u, dtype=np.float64)
         if u.shape != (self.n_params,):
             raise ValueError(f"expected flat tangent of length {self.n_params}, got shape {u.shape}")
         if cotangent is not None:
             cotangent = np.asarray(cotangent, dtype=np.float64)
-        return trace.jvp(u, cotangent)
+        return lin.jvp(u, cotangent)
 
-    def vjp(self, params, X, V, trace=None, consume=None):
+    def vjp(self, lin, V, consume=None):
         """``J^T V``: the output cotangent ``V`` pulled back to a fresh parameter vector.
 
-        ``trace`` is as in :meth:`jvp`.  With ``consume`` the product is
+        ``lin`` is as in :meth:`jvp`.  With ``consume`` the product is
         streamed and None returned: each block of ``J^T V`` goes to
         ``consume(lo, hi, block)`` in parameter order, the row chunks of
         :func:`_param_block` and then the bias of each layer, in one scratch
@@ -496,9 +510,7 @@ class MLPModel:
         reuses (see :meth:`Linearization.vjp`).  A block has the bits of the
         same slice of the whole product, and ``consume`` may overwrite it.
         """
-        if trace is None:
-            _, trace = self.forward_trace(params, X)
-        return trace.vjp(np.asarray(V, dtype=np.float64), consume)
+        return lin.vjp(np.asarray(V, dtype=np.float64), consume)
 
 
 class LinearModel(MLPModel):

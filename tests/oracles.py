@@ -93,13 +93,15 @@ def kept_vector_primal(opr, loss, f, spec):
 
 
 def materialize_jacobian(model, w, X):
-    """Dense (m*k, p) Jacobian, one forward product per basis vector."""
+    """Dense (m*k, p) Jacobian, one forward product per basis vector, all
+    at the one linearization of a traced forward pass."""
     p = model.n_params
+    _, lin = model.forward_trace(w, X)
     cols = []
     for j in range(p):
         e = np.zeros(p)
         e[j] = 1.0
-        cols.append(model.jvp(w, X, e).ravel())
+        cols.append(model.jvp(lin, e).ravel())
     return np.stack(cols, axis=1)
 
 

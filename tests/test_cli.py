@@ -234,8 +234,13 @@ def test_bad_config_files_are_usage_errors(tmp_path, monkeypatch, capsys):
         ("batch_size = 8\nbatch-size = 16\n", f"{cfg}:2: key 'batch_size' is already set on line 1"),
         ("# a\nbatch-size = 8\nmethod = sgd\nbatch_size = 8\n",
          f"{cfg}:4: key 'batch_size' is already set on line 2"),
+        # bytes that are not UTF-8 ended in a raw UnicodeDecodeError traceback
+        (b"tau = 2\n\xff\xfe = 3\n",
+         f"cannot read config file {cfg}: 'utf-8' codec can't decode byte 0xff in position 8"),
     ):
-        if text is not None:
+        if isinstance(text, bytes):
+            cfg.write_bytes(text)
+        elif text is not None:
             cfg.write_text(text)
         code = _run(["run", "--config", str(cfg), "--out", str(out)], monkeypatch)
         assert code == 1
@@ -558,6 +563,45 @@ def test_a_model_usage_error_leaves_an_existing_out_file_unchanged(model, grid, 
     assert _run(["run", "--data", "blobs:16,2,3,0.3", "--batch-size", "8", "--epochs", "1",
                  *flags, "--out", str(out)], monkeypatch) == 0
     assert all(_read(path)[0] == CSV_FIELDS and len(_read(path)) == 3 for path in kept)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_a_write_to_a_full_device_is_a_usage_error(monkeypatch, capsys):
+    # The first record's flush raised OSError (ENOSPC) as a raw traceback, and
+    # the close raised it again.  The run removes no device: os.remove is
+    # replaced by a recorder, so that a fault here cannot delete /dev/full.
+    removed = []
+    monkeypatch.setattr(cli.os, "remove", removed.append)
+    code = _run(["run", "--data", "blobs:64,2,3,0.3", "--batch-size", "16", "--epochs", "1",
+                 "--out", "/dev/full"], monkeypatch)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("usage error: cannot write /dev/full: [Errno 28]") and err.count("\n") == 1
+    assert removed == [] and os.path.exists("/dev/full")
+
+
+@pytest.mark.parametrize("old", [False, True])
+def test_a_write_that_fails_mid_run_removes_the_partial_file(old, tmp_path, monkeypatch, capsys):
+    # a write that fails after the first record leaves no partial CSV behind,
+    # whether the path was new or held an old file
+    out = tmp_path / "x.csv"
+    if old:
+        out.write_text("keep me\n")
+    train = cli.train
+
+    def full_after_one_record(config, dataset, on_record):
+        def emit(rec):
+            on_record(rec)
+            raise OSError(28, "No space left on device")
+
+        return train(config, dataset, on_record=emit)
+
+    monkeypatch.setattr(cli, "train", full_after_one_record)
+    code = _run(["run", "--data", "blobs:16,2,3,0.3", "--batch-size", "8", "--epochs", "1",
+                 "--out", str(out)], monkeypatch)
+    assert code == 1
+    assert capsys.readouterr().err == f"usage error: cannot write {out}: [Errno 28] No space left on device\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_a_run_without_records_writes_its_header_over_an_old_file(tmp_path, monkeypatch):

@@ -854,6 +854,36 @@ def test_dual_vector_op_count_per_iteration():
         assert list(np.diff(counts)) == [first] + later
 
 
+def test_penalized_dual_vector_op_count_per_iteration():
+    # The squared instance above with a penalty whose prox makes P p-length
+    # passes: 4 for l1's soft-thresholding, 1 for l2's scaling.  Every solve
+    # ends with w - d, the prox, w - z, J^T g / m and the dot, (4 + P) p,
+    # and takes no stand-in dot (m*k).  A solve with tau > 0 makes its
+    # right-hand side from mu^-1 u, the prox, w - prox, the add and the
+    # check, (4 + P) p, and copies its forward product (m*k, where the
+    # unpenalized route scales it), and takes no stand-in check (m*k).  So
+    # tau = 0 counts the unpenalized 2p + 4 m*k less the dot plus the end,
+    # iteration 1 adds the unpenalized 12 m*k - 2p less the check plus the
+    # right-hand side, and each later iteration adds 10 m*k as unpenalized.
+    model = make_model("linear", 40, 2)
+    p, m, k = model.n_params, 4, 2
+    mk = m * k
+    rng = np.random.Generator(np.random.Philox(key=[909, 40]))
+    w = model.init_params(9)
+    X = rng.standard_normal((m, 40))
+    loss = LossOracle("squared", rng.standard_normal((m, k)))
+    for kind, prox in (("l1", 4), ("l2", 1)):
+        counts = []
+        for tau in range(9):
+            opr = make_jacobian_operator(model, w, X)
+            spec = SubproblemSpec(gamma=0.9, tau=tau)
+            res = regularized_dual_direction(opr, loss, opr.outputs, spec, w, Regularizer(kind, 1e-3))
+            assert res.report.iterations == tau
+            counts.append(res.report.vector_op_scalar_count)
+        assert counts[0] == (6 + prox) * p + 3 * mk
+        assert list(np.diff(counts)) == [(2 + prox) * p + 11 * mk] + [10 * mk] * 7
+
+
 def _extreme_gamma_direction(gamma):
     # One sample with inputs of size 1e3; the primal route gives <d, grad> =
     # +2.88e5 at any gamma.

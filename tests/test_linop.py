@@ -54,10 +54,11 @@ def test_adjoint_identity(name, d, k, m):
 @pytest.mark.parametrize("name", ["linear", "mlp:6", "mlp:4,4"])
 def test_jvp_matches_finite_differences(name):
     model, w, X = _instance(name, 3, 2, 5, 4)
+    _, lin = model.forward_trace(w, X)
     rng = np.random.Generator(np.random.Philox(key=40))
     for _ in range(5):
         u = rng.standard_normal(model.n_params)
-        exact = model.jvp(w, X, u)
+        exact = model.jvp(lin, u)
         approx = finite_diff_jvp(model, w, X, u)
         rel = np.linalg.norm(approx - exact) / max(1.0, np.linalg.norm(exact))
         assert rel <= 1e-5
@@ -90,14 +91,15 @@ def test_operator_matches_jacobian_at_every_depth(name, d, k, m):
 
 
 def test_frozen_trace_consistency():
-    # products taken through the operator equal fresh per-call products
+    # products taken through the operator equal the products at a fresh trace
     model, w, X = _instance("mlp:4,4", 2, 3, 5, 9)
     opr = make_jacobian_operator(model, w, X)
+    _, lin = model.forward_trace(w, X)
     rng = np.random.Generator(np.random.Philox(key=90))
     u = rng.standard_normal(model.n_params)
     V = rng.standard_normal((5, 3))
-    assert_allclose(opr.jvp(u), model.jvp(w, X, u))
-    assert_allclose(opr.vjp(V), model.vjp(w, X, V))
+    assert_allclose(opr.jvp(u), model.jvp(lin, u))
+    assert_allclose(opr.vjp(V), model.vjp(lin, V))
 
 
 def test_shape_validation():
@@ -115,7 +117,7 @@ def test_shape_validation():
             opr.compact_vjp(bad)
     assert (opr.jvp_calls, opr.vjp_calls) == (0, 0)  # a rejected call counts nothing
     V = np.ones((4, 2))
-    assert np.array_equal(opr.vjp(V), model.vjp(w, X, V))
+    assert np.array_equal(opr.vjp(V), model.vjp(model.forward_trace(w, X)[1], V))
     with pytest.raises(ValueError, match="nonempty"):
         make_jacobian_operator(model, w, np.zeros((0, 3)))
     with pytest.raises(ValueError, match="feature dim"):
@@ -160,15 +162,15 @@ def test_gram_matrices_are_built_once_and_only_where_m_is_below_fan_in():
     # fan-ins 8, 6 and 3 at m = 4: only the first two layers take the Gram route
     model, w, X = _instance("mlp:6,3", 8, 2, 4, 12)
     V = np.random.Generator(np.random.Philox(key=120)).standard_normal((4, 2))
-    u = model.vjp(w, X, V)
     _, trace = model.forward_trace(w, X)
+    u = model.vjp(trace, V)
     grams = trace.grams
-    model.jvp(w, X, u, trace=trace)
+    model.jvp(trace, u)
     assert grams == {}
-    first = model.jvp(w, X, u, trace=trace, cotangent=V)
+    first = model.jvp(trace, u, cotangent=V)
     assert sorted(grams) == [0, 1]
     kept = dict(grams)
-    assert np.array_equal(model.jvp(w, X, u, trace=trace, cotangent=V), first)
+    assert np.array_equal(model.jvp(trace, u, cotangent=V), first)
     assert all(grams[i] is kept[i] for i in kept)
     Z = np.c_[X, np.ones(4)]
     assert_allclose(grams[0], Z @ Z.T, rtol=1e-12, atol=1e-12)

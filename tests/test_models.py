@@ -93,11 +93,12 @@ def test_linear_jvp_vjp_formulas():
     w = model.init_params(5)
     X = rng.standard_normal((4, 3))
     u = rng.standard_normal(6)
-    assert_allclose(model.jvp(w, X, u), X @ u.reshape(2, 3).T)
+    _, lin = model.forward_trace(w, X)
+    assert_allclose(model.jvp(lin, u), X @ u.reshape(2, 3).T)
     v = rng.standard_normal((4, 2))
     # vjp(v) = sum_i flatten(v_i x_i^T)
     expected = sum(np.outer(v[i], X[i]).ravel() for i in range(4))
-    assert_allclose(model.vjp(w, X, v), expected)
+    assert_allclose(model.vjp(lin, v), expected)
 
 
 def test_param_counts():
@@ -148,8 +149,9 @@ def test_forward_trace_reuse_is_consistent():
         # the operator's outputs are the forward pass, bit for bit
         assert np.array_equal(make_jacobian_operator(model, w, X).outputs, out)
         assert np.array_equal(model.forward(w, X), out)
-        assert_allclose(model.jvp(w, X, u, trace=trace), model.jvp(w, X, u))
-        assert_allclose(model.vjp(w, X, V, trace=trace), model.vjp(w, X, V))
+        _, again = model.forward_trace(w, X)
+        assert_allclose(model.jvp(trace, u), model.jvp(again, u))
+        assert_allclose(model.vjp(trace, V), model.vjp(again, V))
 
 
 def _traced_memory(call):
@@ -213,9 +215,9 @@ def test_vjp_returns_a_fresh_parameter_vector():
     _, trace = model.forward_trace(w, X)
     inputs, slopes = trace.inputs, trace.slopes
     V1, V2 = rng.standard_normal((2, 6, 2))
-    g1 = model.vjp(w, X, V1)
+    g1 = model.vjp(trace, V1)
     kept = g1.copy()
-    g2 = model.vjp(w, X, V2)
+    g2 = model.vjp(trace, V2)
     assert g1 is not g2 and not np.shares_memory(g1, g2)
     assert np.array_equal(g1, kept)
     layers = model._unpack(w)
@@ -278,9 +280,9 @@ def test_products_leave_the_trace_and_their_terms_unchanged():
         out, trace = model.forward_trace(w, X)
         kept = [a.copy() for a in [out, *trace.inputs, *trace.slopes]]
         V, B = rng.standard_normal((2, m, dims[-1]))
-        u = model.vjp(w, X, V, trace=trace)
-        model.jvp(w, X, u, trace=trace)
-        model.jvp(w, X, u, trace=trace, cotangent=V)
+        u = model.vjp(trace, V)
+        model.jvp(trace, u)
+        model.jvp(trace, u, cotangent=V)
         s, _, terms = trace.compact_vjp(V)
         sb, _, bterms = trace.compact_vjp(B)
         held = {i: KG.copy() for i, KG in terms.items()}
@@ -309,7 +311,7 @@ def test_stand_ins_are_parameter_vectors_exactly_when_no_layer_is_on_the_gram_ro
         assert (sa.size < model.n_params) == gram
         ua, ub = trace.compact_expand(sa), trace.compact_expand(sb)
         assert (ua is sa) == (ub is sb) == (not gram)
-        assert_allclose(ua, model.vjp(w, X, A), rtol=1e-13, atol=1e-13)
+        assert_allclose(ua, model.vjp(trace, A), rtol=1e-13, atol=1e-13)
         dot = trace.compact_dot(sa, sb, bterms)
         if gram:
             # a Gram layer's share is <G_a, K G_b>, another rounding of the same sum
@@ -326,10 +328,10 @@ def test_bad_param_vector_shape():
 
 def test_bad_tangent_shape():
     model = MLPModel([2, 3, 2])
-    w = model.init_params(0)
+    _, lin = model.forward_trace(model.init_params(0), np.ones((1, 2)))
     for bad in (np.zeros(model.n_params - 1), np.zeros((1, model.n_params))):
         with pytest.raises(ValueError, match=f"expected flat tangent of length {model.n_params}"):
-            model.jvp(w, np.ones((1, 2)), bad)
+            model.jvp(lin, bad)
 
 
 def test_make_model_parsing():
